@@ -1,8 +1,9 @@
 """K: micro-benchmarks of the core kernels (HPC-guide driven).
 
-Tracks the vectorized hot paths: labelling fixed point, monotone-flood
-DP, component extraction, wall construction, and the full per-class
-model build the router amortizes per direction class.
+Tracks the vectorized hot paths: labelling fixed point, the monotone
+wavefront flood (single and batched reverse floods), component
+extraction, wall construction, and the full per-class model build the
+router amortizes per direction class.
 
 Two front ends over the same kernel cases:
 
@@ -25,7 +26,11 @@ from repro.core.components import extract_mccs
 from repro.core.labelling import label_grid
 from repro.core.walls import build_walls
 from repro.experiments.workloads import random_fault_mask
-from repro.routing.oracle import monotone_flood, reverse_reachable
+from repro.routing.oracle import (
+    monotone_flood,
+    reverse_reachable,
+    reverse_reachable_many,
+)
 
 
 def test_kernel_labelling_2d_64(benchmark):
@@ -54,6 +59,30 @@ def test_kernel_reverse_reachable_3d(benchmark):
     assert out[19, 19, 19]
 
 
+def flood_batch_case(batch: int):
+    """The 16³ mesh with 205 faults, and ``batch`` healthy destinations.
+
+    B=1 is the serving layer's per-tick flood; B=64 is the batched
+    service's cold flood of one destination chunk.
+    """
+    mask = random_fault_mask((16, 16, 16), 205, rng=6)
+    healthy = np.argwhere(~mask)
+    picks = np.random.default_rng(6).choice(len(healthy), batch, replace=False)
+    return ~mask, [tuple(int(c) for c in healthy[i]) for i in picks]
+
+
+def test_kernel_reverse_reachable_many_16_b1(benchmark):
+    open_mask, dests = flood_batch_case(1)
+    out = benchmark(reverse_reachable_many, open_mask, dests)
+    assert out[(0, *dests[0])]
+
+
+def test_kernel_reverse_reachable_many_16_b64(benchmark):
+    open_mask, dests = flood_batch_case(64)
+    out = benchmark(reverse_reachable_many, open_mask, dests)
+    assert all(out[(b, *dest)] for b, dest in enumerate(dests))
+
+
 def test_kernel_components_3d(benchmark):
     lab = label_grid(random_fault_mask((20, 20, 20), 400, rng=4))
     mccs = benchmark(extract_mccs, lab)
@@ -75,6 +104,8 @@ def build_cases() -> dict:
     seeds = np.zeros((20, 20, 20), dtype=bool)
     seeds[0, 0, 0] = True
     rev_mask = random_fault_mask((20, 20, 20), 400, rng=3)
+    open_b1, dests_b1 = flood_batch_case(1)
+    open_b64, dests_b64 = flood_batch_case(64)
     comp_lab = label_grid(random_fault_mask((20, 20, 20), 400, rng=4))
     wall_mccs = extract_mccs(label_grid(random_fault_mask((12, 12, 12), 80, rng=5)))
     return {
@@ -82,6 +113,12 @@ def build_cases() -> dict:
         "labelling_3d_20": lambda: label_grid(mask_3d),
         "oracle_flood_3d": lambda: monotone_flood(~flood_mask, seeds),
         "reverse_reachable_3d": lambda: reverse_reachable(~rev_mask, (19, 19, 19)),
+        "reverse_reachable_many_16_b1": lambda: reverse_reachable_many(
+            open_b1, dests_b1
+        ),
+        "reverse_reachable_many_16_b64": lambda: reverse_reachable_many(
+            open_b64, dests_b64
+        ),
         "components_3d": lambda: extract_mccs(comp_lab),
         "walls_3d": lambda: build_walls(wall_mccs),
     }
@@ -116,7 +153,7 @@ def main() -> None:
     for name, fn in build_cases().items():
         kernels[name] = time_case(fn, args.repeats)
         print(
-            f"{name:24s}  best {kernels[name]['best_s'] * 1e3:8.2f} ms   "
+            f"{name:30s}  best {kernels[name]['best_s'] * 1e3:8.2f} ms   "
             f"median {kernels[name]['median_s'] * 1e3:8.2f} ms"
         )
     os.makedirs(args.out_dir, exist_ok=True)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
 from repro.routing.batch import RoutingService, route_batch
-from repro.routing.engine import AdaptiveRouter, route_adaptive
+from repro.routing.engine import AdaptiveRouter
 from repro.routing.oracle import reverse_reachable, reverse_reachable_many
 from repro.routing.policies import DiagonalPolicy, FixedOrderPolicy, RandomPolicy
 from repro.util.caching import LRUCache
@@ -182,7 +182,7 @@ class TestRoutingService:
             pairs.append((s, d))
         batched = route_batch(mask, pairs, mode=mode, policy=policy)
         for pair, got in zip(pairs, batched, strict=True):
-            want = route_adaptive(mask, *pair, mode=mode, policy=policy)
+            want = AdaptiveRouter(mask, mode=mode, policy=policy).route(*pair)
             assert results_equal(got, want), (mode, pair, got, want)
 
     def test_tiny_lru_still_identical(self):

@@ -1,5 +1,7 @@
 """Tests for the monotone-reachability oracle (vs references)."""
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -7,14 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing.oracle import (
+    PLAN_CACHE_SIZE,
+    _level_plan,
     blocked_for_dest,
     forward_reachable,
     minimal_path_exists,
     monotone_flood,
+    monotone_flood_many,
     monotone_flood_reference,
     reverse_reachable,
+    reverse_reachable_many,
 )
 from tests.conftest import random_mask
+
+#: 1-D to 4-D shapes, including size-1 axes.
+FLOOD_SHAPES = [
+    (9,), (1,), (7, 7), (1, 6), (4, 4, 4), (5, 1, 3), (3, 2, 3, 2), (1, 1, 1, 1),
+]
 
 
 def nx_monotone_feasible(open_mask: np.ndarray, s, d) -> bool:
@@ -34,27 +45,32 @@ def nx_monotone_feasible(open_mask: np.ndarray, s, d) -> bool:
 
 
 class TestFloodCorrectness:
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 20))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_scalar_reference_2d(self, seed, blocked):
+    @pytest.mark.parametrize(
+        "shape", FLOOD_SHAPES, ids=lambda s: "x".join(map(str, s))
+    )
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "open", "blocked"]))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scalar_reference(self, shape, seed, fill):
         rng = np.random.default_rng(seed)
-        open_mask = ~random_mask(rng, (7, 7), blocked)
-        seeds = random_mask(rng, (7, 7), 3)
-        assert np.array_equal(
-            monotone_flood(open_mask, seeds),
-            monotone_flood_reference(open_mask, seeds),
-        )
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_matches_scalar_reference_3d(self, seed):
-        rng = np.random.default_rng(seed)
-        open_mask = ~random_mask(rng, (4, 4, 4), int(rng.integers(0, 16)))
-        seeds = random_mask(rng, (4, 4, 4), 2)
-        assert np.array_equal(
-            monotone_flood(open_mask, seeds),
-            monotone_flood_reference(open_mask, seeds),
-        )
+        size = math.prod(shape)
+        blocked = {"open": 0, "blocked": size, "random": int(rng.integers(0, size + 1))}
+        open_mask = ~random_mask(rng, shape, blocked[fill])
+        # Entry 0 has no seeds; the others have one and three.
+        seeds = np.stack([random_mask(rng, shape, count) for count in (0, 1, 3)])
+        batched = monotone_flood_many(open_mask, seeds)
+        for entry, seed_mask in zip(batched, seeds, strict=True):
+            want = monotone_flood_reference(open_mask, seed_mask)
+            assert np.array_equal(entry, want)
+            assert np.array_equal(monotone_flood(open_mask, seed_mask), want)
+        # Reverse floods are forward floods on the flipped mask.
+        dests = [tuple(int(rng.integers(0, k)) for k in shape) for _ in range(3)]
+        flipped = np.flip(open_mask)
+        rows = reverse_reachable_many(open_mask, dests)
+        for dest, row in zip(dests, rows, strict=True):
+            seed_mask = np.zeros(shape, dtype=bool)
+            seed_mask[tuple(k - 1 - c for c, k in zip(dest, shape, strict=True))] = True
+            want = monotone_flood_reference(flipped, seed_mask)
+            assert np.array_equal(np.flip(row), want)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -121,3 +137,30 @@ class TestSemantics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             monotone_flood(np.ones((3, 3), dtype=bool), np.ones((2, 2), dtype=bool))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: reverse_reachable(m, (4, 0)),
+            lambda m: reverse_reachable_many(m, [(0, 0), (4, 0)]),
+            lambda m: forward_reachable(m, (-1, 0)),
+            lambda m: minimal_path_exists(m, (-1, 0), (3, 3)),
+        ],
+        ids=["reverse", "reverse_many", "forward", "minimal_path"],
+    )
+    def test_out_of_range_coordinate_rejected(self, call):
+        # Negative or too-large coordinates must not wrap to another cell.
+        with pytest.raises(IndexError, match="outside mesh"):
+            call(np.ones((4, 4), dtype=bool))
+
+    def test_plan_cache_is_bounded(self):
+        _level_plan.cache_clear()
+        open_mask = np.ones((6, 6, 6), dtype=bool)
+        for lo in range(3):
+            for hi in range(3, 6):
+                assert minimal_path_exists(open_mask, (lo, 0, lo), (hi, hi, 5))
+        # Every RMP box is flooded with the mesh's own plan.
+        assert _level_plan.cache_info().currsize == 1
+        for k in range(1, PLAN_CACHE_SIZE + 4):
+            forward_reachable(np.ones((k, 2), dtype=bool), (0, 0))
+        assert _level_plan.cache_info().currsize == PLAN_CACHE_SIZE
