@@ -56,10 +56,10 @@ class VirtualClock:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        #: Timers ride the simkit :class:`EventQueue` (the calendar
-        #: queue): deadlines are pushed with the queue's monotone seq,
-        #: so same-deadline wakeups fire in registration order —
-        #: deterministic tie-breaking, identical to the old local heap.
+        #: Timers ride the simkit :class:`EventQueue`: deadlines are
+        #: pushed with the queue's monotone seq, so same-deadline
+        #: wakeups fire in registration order (deterministic
+        #: tie-breaking).
         self._timers = EventQueue()
         #: Futures still registered in the queue (for pending counts).
         self._futs: set[asyncio.Future] = set()
@@ -90,7 +90,7 @@ class VirtualClock:
             return
         fut = asyncio.get_running_loop().create_future()
         if when == math.inf:
-            # "Sleep forever until cancelled": the calendar queue
+            # "Sleep forever until cancelled": the event queue
             # rejects non-finite deadlines, so register the future
             # without queueing a timer — only cancellation ends the
             # wait, and :meth:`advance` correctly reports no live

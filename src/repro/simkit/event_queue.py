@@ -1,436 +1,83 @@
-"""Deterministic event queues: a calendar queue and its heap baseline.
+"""Deterministic event queue: a binary heap with lazy cancellation.
 
-Both implementations share one contract, and every simulation property
-rests on it: events pop in ``(time, seq)`` order, where ``seq`` is a
-monotone insertion counter — events at equal timestamps fire in
-insertion order, so simulations are bit-for-bit reproducible.
-
-:class:`CalendarEventQueue` (the default, exported as ``EventQueue``)
-is the fast path.  DES workloads on this mesh are *dense*: with unit
-link delays, almost every pending event lives within a couple of time
-units of ``now``, so a binary heap pays a per-event ``log n`` reorder
-for structure the workload never needs.  The calendar queue instead
-drops events into fixed-width time buckets (``epoch = floor(time /
-width)``), keeps buckets unsorted until drained, and sorts each bucket
-exactly once — one C ``list.sort`` per bucket amortizes the ordering
-cost across every event in it, and pops become ``list.pop()`` off a
-reverse-sorted stack.  Occupied epochs sit in a small min-heap, so
-sparse or irregular schedules degrade gracefully to heap behaviour
-(one heap op per *bucket*, never worse than one per event) instead of
-scanning empty buckets.  The bucket width resizes automatically when
-the observed occupancy skews (too many events per bucket → pending
-re-sorts get expensive → halve; chronically singleton buckets → the
-epoch heap does all the work → double), rebuilding pending events
-under the new width; ordering is width-independent because ``floor``
-is monotone, so a resize can never reorder events.
-
-:class:`HeapEventQueue` is the original binary-heap implementation,
-kept verbatim as the semantic reference: the hypothesis property tests
-drive both queues through identical op sequences and demand identical
-behaviour, and ``benchmarks/bench_event_loop.py`` uses it as the
-pinned baseline for the ≥2x events/sec CI gate.
+Events pop in ``(time, seq)`` order, where ``seq`` is a monotone
+insertion counter — events at equal timestamps fire in insertion
+order, so simulations are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from typing import Any, Callable
 
-__all__ = ["EventQueue", "CalendarEventQueue", "HeapEventQueue"]
+__all__ = ["EventQueue"]
 
 
-class HeapEventQueue:
-    """Min-heap of (time, seq, action) with stable FIFO tie-breaking."""
+class EventQueue:
+    """Min-heap of ``[time, seq, action, queue]`` entries.
 
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[], Any]]] = []
-        self._seq = itertools.count()
-        self._live: set[int] = set()
-        self._cancelled: set[int] = set()
-
-    def push(self, time: float, action: Callable[[], Any]) -> int:
-        """Schedule ``action`` at ``time``; returns a cancellable handle."""
-        time = float(time)
-        # NaN compares False against everything, so a plain ``time < 0``
-        # guard lets NaN through and silently corrupts heap ordering.
-        if not math.isfinite(time) or time < 0:
-            raise ValueError(f"event time must be finite and non-negative, got {time}")
-        seq = next(self._seq)
-        self._live.add(seq)
-        heapq.heappush(self._heap, (time, seq, action))
-        return seq
-
-    def cancel(self, handle: int) -> None:
-        """Cancel a scheduled event (lazy removal on pop).
-
-        Cancelling a handle that already fired, was already cancelled,
-        or never existed is a no-op — only live handles move to the
-        cancelled set, so ``__len__`` can never undercount.
-        """
-        if handle in self._live:
-            self._live.discard(handle)
-            self._cancelled.add(handle)
-
-    def pop_event(self) -> tuple[float, int, Callable[[], Any]] | None:
-        """Earliest live (time, seq, action) stored triple, or None."""
-        while self._heap:
-            item = heapq.heappop(self._heap)
-            seq = item[1]
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
-                continue
-            self._live.discard(seq)
-            return item
-        return None
-
-    def pop(self) -> tuple[float, Callable[[], Any]] | None:
-        """Earliest live event, or None when empty."""
-        item = self.pop_event()
-        if item is None:
-            return None
-        return item[0], item[2]
-
-    def peek_time(self) -> float | None:
-        """Timestamp of the next live event without removing it."""
-        while self._heap:
-            time, seq, _ = self._heap[0]
-            if seq in self._cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled.discard(seq)
-                continue
-            return time
-        return None
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def __bool__(self) -> bool:
-        return self.peek_time() is not None
-
-
-#: Resize heuristics for :class:`CalendarEventQueue`.  Checked every
-#: ``_RESIZE_CHECK`` drained buckets: above ``_MAX_AVG`` events/bucket
-#: the width halves, below ``_MIN_AVG`` (with a non-trivial backlog) it
-#: doubles.  Widths stay powers of two within [2^-20, 2^20] so epoch
-#: arithmetic is exact and a pathological schedule cannot drive the
-#: width to zero or infinity.
-_RESIZE_CHECK = 64
-_MAX_AVG = 512.0
-_MIN_AVG = 1.5
-_MIN_WIDTH = 2.0 ** -20
-_MAX_WIDTH = 2.0 ** 20
-
-#: Epoch ceiling: times whose ``time / width`` exceeds this all share
-#: one far-future bucket.  Clamping keeps the epoch computation finite
-#: for any finite time and is order-safe — bucket assignment only needs
-#: to be monotone in time, and the in-bucket sort does the rest.
-_EPOCH_CAP = 2.0 ** 62
-
-#: Hoisted so the push fast path pays one global load, not a module
-#: attribute lookup, for its infinity check.
-_INF = math.inf
-
-
-class CalendarEventQueue:
-    """Fixed-width time buckets, lazily sorted on drain.
-
-    API-compatible with :class:`HeapEventQueue` (push/cancel/pop/
-    peek_time/len/bool) and bit-for-bit identical in pop order, cancel
-    semantics, and accounting — the hypothesis suite in
-    ``tests/test_event_queue_property.py`` holds the two to the same
-    op-for-op behaviour.
+    A push returns its entry as the cancel handle; :meth:`cancel` nulls
+    the action slot and the entry is dropped when it reaches the top.
+    The trailing queue tag makes cancelling a handle from another queue
+    instance (or any caller list that merely looks like an entry) a
+    no-op.  ``seq`` is unique within a queue, so heap comparisons never
+    reach the action slot.
     """
 
-    __slots__ = (
-        "_width",
-        "_inv_width",
-        "_buckets",
-        "_epochs",
-        "_stack",
-        "_stack_epoch",
-        "_pending",
-        "_seq",
-        "_drained_buckets",
-        "_drained_events",
-    )
+    __slots__ = ("_heap", "_seq")
 
-    def __init__(self, width: float = 1.0) -> None:
-        if not (width > 0 and math.isfinite(width)):
-            raise ValueError(f"bucket width must be positive and finite, got {width}")
-        self._width = float(width)
-        self._inv_width = 1.0 / self._width
-        #: epoch -> unsorted list of ``[time, seq, action, queue]``
-        #: entries not yet draining.  Entries are *lists* on purpose:
-        #: the entry is its own handle, and cancel/consume mark
-        #: ``entry[2] = None`` in place — no live/cancelled side
-        #: tables, no per-event set traffic anywhere on the hot path.
-        #: The trailing queue reference is a provenance tag so
-        #: :meth:`cancel` never mutates another queue's entry (or a
-        #: caller list that happens to look like one); comparisons
-        #: never reach it because ``seq`` is unique within a queue and
-        #: entries from different queues never share a heap.
-        self._buckets: dict[int, list[list]] = {}
-        #: Min-heap of occupied epochs (lazy duplicates allowed; an
-        #: epoch with no bucket is stale and skipped on pop).
-        self._epochs: list[int] = []
-        #: The bucket currently draining, sorted descending so that
-        #: ``list.pop()`` yields the earliest remaining event.
-        self._stack: list[list] = []
-        self._stack_epoch: int | None = None
-        #: Min-heap of events pushed into the *draining* epoch after its
-        #: one-time sort.  Kept separate so a same-epoch push is one
-        #: heap op on a small heap, never a re-sort of the whole stack;
-        #: ``pop`` takes the smaller of ``stack[-1]`` and ``pending[0]``.
-        self._pending: list[list] = []
+    def __init__(self) -> None:
+        self._heap: list[list] = []
         self._seq = 0
-        self._drained_buckets = 0
-        self._drained_events = 0
-
-    # -- scheduling --------------------------------------------------------
 
     def push(self, time: float, action: Callable[[], Any]) -> list:
-        """Schedule ``action`` at ``time``; returns a cancellable handle.
+        """Schedule ``action`` at ``time``; returns an opaque handle.
 
-        The handle is opaque — pass it to :meth:`cancel` and nothing
-        else.  (It is the queue's own entry, so it stays O(1) to cancel
-        without any handle table.)
+        Pass the handle to :meth:`cancel` and nothing else.
         """
         time = float(time)
-        # ``not (time >= 0)`` is one comparison that rejects both
-        # negatives and NaN (NaN compares False against everything);
-        # infinities still need the explicit finiteness check.
-        if not (time >= 0.0) or time == _INF:
+        # A chained comparison rejects NaN too: it compares False
+        # against everything, which a plain ``time < 0`` would let in.
+        if not 0.0 <= time < math.inf:
             raise ValueError(f"event time must be finite and non-negative, got {time}")
-        seq = self._seq
-        self._seq = seq + 1
-        entry = [time, seq, action, self]
-        scaled = time * self._inv_width
-        epoch = int(scaled) if scaled < _EPOCH_CAP else int(_EPOCH_CAP)
-        stack_epoch = self._stack_epoch
-        if stack_epoch is not None:
-            if epoch == stack_epoch:
-                heapq.heappush(self._pending, entry)
-                return entry
-            if epoch < stack_epoch:
-                # A push behind the draining epoch.  Reachable two
-                # ways: a raw past-time push, or — subtler — a peek
-                # mid-drain promoted a *future* bucket while the clock
-                # still sits in an earlier epoch, so even a future-time
-                # push can land behind the stack.  Demote the stack so
-                # the ordinary bucket path below reinstates global
-                # order; paying the check here keeps it off the per-pop
-                # hot path.
-                self._demote_stack()
-        bucket = self._buckets.get(epoch)
-        if bucket is None:
-            self._buckets[epoch] = [entry]
-            heapq.heappush(self._epochs, epoch)
-        else:
-            bucket.append(entry)
+        entry = [time, self._seq, action, self]
+        self._seq += 1
+        heapq.heappush(self._heap, entry)
         return entry
 
     def cancel(self, handle) -> None:
-        """Cancel a scheduled event (lazy removal on pop).
+        """Cancel a scheduled event.
 
-        Same contract as :meth:`HeapEventQueue.cancel`: fired, already
-        cancelled, or unknown/foreign handles are no-ops and accounting
-        stays exact.  A fired entry has already left every queue
-        structure, so nulling its action slot here has no effect — the
-        no-op contract holds without any fired-handle bookkeeping.
-        The provenance tag in slot 3 makes "foreign" precise: a handle
-        from a *different* queue instance (or any caller list that
-        merely looks like an entry) is left untouched.
+        Fired, already cancelled, unknown and foreign handles are
+        no-ops: a fired entry has left the heap, so nulling its action
+        changes nothing.
         """
-        if (
-            type(handle) is list
-            and len(handle) == 4
-            and handle[3] is self
-            and handle[2] is not None
-        ):
+        if type(handle) is list and len(handle) == 4 and handle[3] is self:
             handle[2] = None
 
-    # -- draining ----------------------------------------------------------
-
-    def pop_event(self) -> tuple[float, int, Callable[[], Any]] | None:
-        """Earliest live (time, seq, action) triple, or None when empty.
-
-        This is the portable dispatch entry point; :meth:`pop` wraps it
-        with the historical two-field shape.  (The default Simulator
-        drain loop inlines this logic instead of calling it.)
-        """
-        while True:
-            stack = self._stack
-            pending = self._pending
-            if stack:
-                # Merge head: smaller of the sorted stack's tail and the
-                # same-epoch pending heap's root.  seq uniqueness means
-                # entry comparison never reaches the action slot.
-                if pending and pending[0] < stack[-1]:
-                    item = heapq.heappop(pending)
-                else:
-                    item = stack.pop()
-            elif pending:
-                item = heapq.heappop(pending)
-            elif self._load_next_bucket():
-                continue
-            else:
-                return None
-            action = item[2]
-            if action is None:  # cancelled: drop lazily
-                continue
-            # No consumed-marking needed: the entry just left the last
-            # structure holding it, so cancel-after-fire mutates a
-            # free-floating list — naturally a no-op.
-            return item[0], item[1], action
-
     def pop(self) -> tuple[float, Callable[[], Any]] | None:
-        """Earliest live event, or None when empty."""
-        item = self.pop_event()
-        if item is None:
-            return None
-        return item[0], item[2]
+        """Earliest live ``(time, action)``, or None when empty."""
+        heap = self._heap
+        while heap:
+            time, _, action, _ = heapq.heappop(heap)
+            if action is not None:
+                return time, action
+        return None
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event without removing it."""
-        while True:
-            stack = self._stack
-            pending = self._pending
-            if stack:
-                if pending and pending[0] < stack[-1]:
-                    item = pending[0]
-                    if item[2] is None:
-                        heapq.heappop(pending)
-                        continue
-                    return item[0]
-                item = stack[-1]
-                if item[2] is None:
-                    stack.pop()
-                    continue
-                return item[0]
-            if pending:
-                item = pending[0]
-                if item[2] is None:
-                    heapq.heappop(pending)
-                    continue
-                return item[0]
-            if not self._load_next_bucket():
-                return None
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[2] is not None:
+                return entry[0]
+            heapq.heappop(heap)
+        return None
 
     def __len__(self) -> int:
-        # O(pending events); only error paths and tests count the queue,
-        # so the hot path carries no live-count bookkeeping at all.
-        n = sum(1 for item in self._stack if item[2] is not None)
-        n += sum(1 for item in self._pending if item[2] is not None)
-        for bucket in self._buckets.values():
-            n += sum(1 for item in bucket if item[2] is not None)
-        return n
+        # O(n): only error paths and tests count the queue.
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None
-
-    # -- internals ---------------------------------------------------------
-
-    def _demote_stack(self) -> None:
-        """Return the draining stack to the bucket table (rare path).
-
-        Mutates the stack/pending lists *in place* so the Simulator's
-        drain loop may keep direct references across this call.
-        """
-        epoch = self._stack_epoch
-        items = self._stack + self._pending
-        self._stack.clear()
-        self._pending.clear()
-        self._stack_epoch = None
-        if items:
-            bucket = self._buckets.get(epoch)
-            if bucket is None:
-                self._buckets[epoch] = items
-                heapq.heappush(self._epochs, epoch)
-            else:
-                bucket.extend(items)
-
-    def _load_next_bucket(self) -> bool:
-        """Promote the earliest occupied bucket to the draining stack.
-
-        The stack and pending *list objects* are permanent (created in
-        ``__init__`` and only ever mutated in place), so the Simulator's
-        drain loop can hold direct references to them across bucket
-        loads, resizes, and any reentrant peek from an event action.
-        """
-        epochs = self._epochs
-        buckets = self._buckets
-        while epochs:
-            epoch = epochs[0]
-            bucket = buckets.get(epoch)
-            if bucket is None:
-                heapq.heappop(epochs)  # stale duplicate
-                continue
-            heapq.heappop(epochs)
-            del buckets[epoch]
-            bucket.sort(reverse=True)
-            self._stack.extend(bucket)
-            self._stack_epoch = epoch
-            self._drained_buckets += 1
-            self._drained_events += len(bucket)
-            if self._drained_buckets >= _RESIZE_CHECK:
-                self._maybe_resize()
-            return True
-        self._stack_epoch = None
-        return False
-
-    def _maybe_resize(self) -> None:
-        """Adapt the bucket width to the observed occupancy skew."""
-        avg = self._drained_events / self._drained_buckets
-        self._drained_buckets = 0
-        self._drained_events = 0
-        if avg > _MAX_AVG and self._width > _MIN_WIDTH:
-            self._set_width(self._width * 0.5)
-        elif avg < _MIN_AVG and self._width < _MAX_WIDTH:
-            # Only widen over a non-trivial backlog (raw entry count —
-            # counting cancelled entries too is fine for a heuristic).
-            backlog = len(self._stack) + len(self._pending)
-            for bucket in self._buckets.values():
-                backlog += len(bucket)
-            if backlog > 64:
-                self._set_width(self._width * 2.0)
-
-    def _set_width(self, width: float) -> None:
-        """Re-bucket every pending event under a new width.
-
-        Safe at any point: events carry their absolute ``(time, seq)``
-        key, and ``floor`` is monotone under any positive width, so the
-        drain order is unchanged — only the bucket shapes move.
-        Cancelled entries are compacted away while rebuilding.
-        """
-        items = [item for item in self._stack if item[2] is not None]
-        items.extend(item for item in self._pending if item[2] is not None)
-        for bucket in self._buckets.values():
-            items.extend(item for item in bucket if item[2] is not None)
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets = {}
-        self._epochs = []
-        # In place: the stack/pending list objects are permanent (see
-        # ``_load_next_bucket``).
-        self._stack.clear()
-        self._pending.clear()
-        self._stack_epoch = None
-        inv = self._inv_width
-        buckets = self._buckets
-        for item in items:
-            scaled = item[0] * inv
-            epoch = int(scaled) if scaled < _EPOCH_CAP else int(_EPOCH_CAP)
-            bucket = buckets.get(epoch)
-            if bucket is None:
-                buckets[epoch] = [item]
-                heapq.heappush(self._epochs, epoch)
-            else:
-                bucket.append(item)
-
-
-#: The default queue every :class:`~repro.simkit.simulator.Simulator`,
-#: :class:`~repro.simkit.network.MeshNetwork`, and serve
-#: :class:`~repro.serve.clock.VirtualClock` instantiates.
-EventQueue = CalendarEventQueue

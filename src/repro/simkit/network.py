@@ -226,8 +226,8 @@ class MeshNetwork:
             self.stats.on_frame(0.0, query=query)
             return
         # The hop index is derived from ``hops`` (0 at injection, +1 per
-        # forward), so the payload is never written after this point —
-        # every hop shares this one dict copy-on-write with zero copies.
+        # forward), so no hop writes the payload: each forward copies
+        # this three-key dict and shares the ``path`` list.
         msg = Message(
             kind=FRAME_KIND,
             src=path[0],

@@ -70,17 +70,18 @@ class NodeProcess:
         msg = Message(kind=kind, src=self.coord, dst=dst, payload=payload, ttl=ttl)
         self.network.transmit(msg)
 
-    def forward(self, msg: Message, dst: Coord) -> None:
-        """Forward a message to the next neighbor, bumping its hop count."""
-        self.network.transmit(msg.forwarded(dst))
-
     def send_frame(self, path, query=None) -> None:
         """Inject a source-routed data frame starting at this node."""
         if tuple(path[0]) != tuple(self.coord):
             raise ValueError(f"frame path must start at {self.coord}, got {path[0]}")
         self.network.inject_frame(path, query=query)
 
-    def set_timer(self, delay: float, tag: str) -> int:
+    def set_timer(self, delay: float, tag: str) -> object:
+        """Fire :meth:`on_timer` with ``tag`` after ``delay``.
+
+        Returns the simulator's opaque handle for
+        :meth:`~repro.simkit.simulator.Simulator.cancel`.
+        """
         return self.network.sim.schedule(delay, lambda: self._fire_timer(tag))
 
     def _fire_timer(self, tag: str) -> None:

@@ -7,7 +7,7 @@ from typing import Hashable
 
 
 class StatsCollector:
-    """Counts messages/hops per message kind and arbitrary named scalars.
+    """Counts messages per message kind and arbitrary named scalars.
 
     ``query_messages`` attributes sends to the query session that caused
     them (messages whose payload carries a ``"query"`` id) — with many
@@ -20,7 +20,6 @@ class StatsCollector:
 
     def __init__(self) -> None:
         self.messages_sent: Counter[str] = Counter()
-        self.hops: Counter[str] = Counter()
         self.gauges: dict[str, float] = defaultdict(float)
         self.query_messages: Counter[Hashable] = Counter()
         #: Peak simultaneous occupancy (in flight + queued) per directed
@@ -37,7 +36,6 @@ class StatsCollector:
 
     def on_send(self, kind: str, query: Hashable | None = None) -> None:
         self.messages_sent[kind] += 1
-        self.hops[kind] += 1
         if query is not None:
             self.query_messages[query] += 1
 
@@ -98,7 +96,6 @@ class StatsCollector:
 
     def reset(self) -> None:
         self.messages_sent.clear()
-        self.hops.clear()
         self.gauges.clear()
         self.query_messages.clear()
         self.link_peak_depth.clear()

@@ -1,19 +1,15 @@
-"""Hypothesis lockstep suite: CalendarEventQueue == HeapEventQueue.
+"""Hypothesis lockstep suite: EventQueue against a list model.
 
-The calendar queue (the production ``EventQueue``) and the original
-binary heap are driven through *identical* op sequences and must agree
-on everything observable: pop order (including ``seq`` tie-breaking),
-peeked times, cancel semantics (cancel-after-fire and double-cancel are
-no-ops), ``__len__``/``__bool__`` accounting, and input validation.
-Handles are opaque and intentionally differ in type between the two
-implementations (heap: int, calendar: the entry list), so the driver
-cancels through each queue's own returned handle.
+The model keeps the live ``(time, seq, tag)`` entries in a plain list
+and pops the minimum.  The queue and the model are driven through
+identical op sequences and must agree on everything observable: pop
+order (including ``seq`` tie-breaking), peeked times, cancel semantics
+(cancel-after-fire and double-cancel are no-ops), ``__len__``/
+``__bool__`` accounting, and input validation.
 
-Time distributions are chosen adversarially for a bucketed design:
-all-equal bursts (one giant bucket), huge spreads (epoch heap does all
-the work, epoch-cap clamping), and values clustered just either side of
-bucket boundaries (floor sensitivity).  Separate deterministic tests
-force the width-resize machinery both directions mid-drain.
+Time distributions are adversarial for an ordered queue: dense
+fractional times, all-equal bursts (ordering decided by ``seq`` alone),
+spreads up to 1e30, and values clustered either side of integers.
 """
 
 from __future__ import annotations
@@ -24,18 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkit.event_queue import (
-    CalendarEventQueue,
-    EventQueue,
-    HeapEventQueue,
-)
-from repro.util.rng import make_rng
+from repro.simkit.event_queue import EventQueue
+from repro.simkit.simulator import Simulator
 
 # ---------------------------------------------------------------------------
 # Adversarial time distributions
 # ---------------------------------------------------------------------------
 
-# Dense, fractional times within a few bucket widths of zero.
+# Dense, fractional times near zero.
 _dense_times = st.floats(
     min_value=0.0, max_value=16.0, allow_nan=False, allow_infinity=False
 )
@@ -44,14 +36,13 @@ _dense_times = st.floats(
 # is decided purely by the seq tie-break.
 _equal_times = st.sampled_from([0.0, 1.0, 2.5])
 
-# Huge spreads: exercises the epoch min-heap and the far-future epoch
-# cap (times up to 1e30 overflow a width-1 epoch well past _EPOCH_CAP).
+# Huge spreads, up to 1e30.
 _spread_times = st.floats(
     min_value=0.0, max_value=1e30, allow_nan=False, allow_infinity=False
 )
 
-# Bucket-boundary clusters: integer epochs ± a hair, where a wrong
-# floor() or an off-by-one bucket assignment would reorder events.
+# Integers ± a hair, where an order decided on rounded times would
+# reorder events.
 _boundary_times = st.builds(
     lambda k, eps: float(k) + eps,
     st.integers(min_value=0, max_value=8),
@@ -75,46 +66,65 @@ _ops = st.lists(
 )
 
 
-def _run_lockstep(ops, cal=None):
-    """Apply one op sequence to both queues, asserting agreement."""
-    cal = CalendarEventQueue() if cal is None else cal
-    heap = HeapEventQueue()
-    cal_handles: list = []
-    heap_handles: list = []
-    tag = 0
+class _Model:
+    """Reference queue: a list of live ``(time, seq, tag)`` entries."""
+
+    def __init__(self):
+        self.live: list[tuple[float, int, int]] = []
+        self.seq = 0
+
+    def push(self, time, tag):
+        self.live.append((time, self.seq, tag))
+        self.seq += 1
+
+    def cancel(self, seq):
+        self.live = [entry for entry in self.live if entry[1] != seq]
+
+    def pop(self):
+        if not self.live:
+            return None
+        entry = min(self.live)
+        self.live.remove(entry)
+        return entry[0], entry[2]
+
+    def peek_time(self):
+        return min(self.live)[0] if self.live else None
+
+
+def _run_lockstep(ops):
+    """Apply one op sequence to the queue and the model, asserting agreement."""
+    queue = EventQueue()
+    model = _Model()
+    handles: list = []
     for op, arg in ops:
         if op == "push":
-            # Actions are never called by the queues, so plain int tags
-            # make pop results directly comparable across queues.
-            cal_handles.append(cal.push(arg, tag))
-            heap_handles.append(heap.push(arg, tag))
-            tag += 1
+            # Actions are never called by the queue, so the push index
+            # (which equals the model's seq) makes pops comparable.
+            model.push(arg, len(handles))
+            handles.append(queue.push(arg, len(handles)))
         elif op == "pop":
-            assert cal.pop_event() == heap.pop_event()
+            assert queue.pop() == model.pop()
         elif op == "peek":
-            assert cal.peek_time() == heap.peek_time()
+            assert queue.peek_time() == model.peek_time()
         elif op == "cancel":
-            if cal_handles:
-                i = arg % len(cal_handles)
-                cal.cancel(cal_handles[i])
-                heap.cancel(heap_handles[i])
+            if handles:
+                i = arg % len(handles)
+                queue.cancel(handles[i])
+                model.cancel(i)
             else:
-                # Unknown/foreign handles must be no-ops on both.
-                cal.cancel(arg)
-                heap.cancel(arg)
+                queue.cancel(arg)  # an unknown handle must be a no-op
         elif op == "len":
-            assert len(cal) == len(heap)
-            assert bool(cal) == bool(heap)
-    # Full drain: the complete remaining (time, seq, action) streams
-    # must match, then both report empty.
+            assert len(queue) == len(model.live)
+            assert bool(queue) == bool(model.live)
+    # Full drain: the remaining (time, tag) streams must match, then
+    # both report empty.
     while True:
-        a = cal.pop_event()
-        b = heap.pop_event()
-        assert a == b
-        if a is None:
+        popped = queue.pop()
+        assert popped == model.pop()
+        if popped is None:
             break
-    assert len(cal) == 0 and len(heap) == 0
-    assert not cal and not heap
+    assert len(queue) == 0
+    assert not queue
 
 
 class TestLockstep:
@@ -122,13 +132,6 @@ class TestLockstep:
     @settings(max_examples=200, deadline=None)
     def test_random_interleavings(self, ops):
         _run_lockstep(ops)
-
-    @given(_ops, st.sampled_from([2.0**-8, 0.25, 1.0, 64.0]))
-    @settings(max_examples=60, deadline=None)
-    def test_width_independence(self, ops, width):
-        # Pop order is a function of (time, seq) only; the bucket width
-        # must never be observable.
-        _run_lockstep(ops, cal=CalendarEventQueue(width=width))
 
     @given(st.lists(_equal_times, min_size=1, max_size=64))
     @settings(max_examples=50, deadline=None)
@@ -142,60 +145,44 @@ class TestCancelSemantics:
     @given(_times, _times)
     @settings(max_examples=50, deadline=None)
     def test_cancel_after_fire_is_noop(self, t_fire, t_keep):
-        cal = CalendarEventQueue()
-        heap = HeapEventQueue()
-        hc = [cal.push(t_fire, 0), cal.push(t_keep, 1)]
-        hh = [heap.push(t_fire, 0), heap.push(t_keep, 1)]
-        a = cal.pop_event()
-        assert a == heap.pop_event()
-        # Cancel whichever handle actually fired (the popped seq is its
-        # index): the surviving event must be untouched on both queues.
-        fired = a[1]
-        cal.cancel(hc[fired])
-        heap.cancel(hh[fired])
-        assert len(cal) == len(heap) == 1
-        assert cal.pop_event() == heap.pop_event()
-        assert cal.pop_event() is None and heap.pop_event() is None
+        queue = EventQueue()
+        handles = [queue.push(t_fire, 0), queue.push(t_keep, 1)]
+        first = queue.pop()
+        # Cancel whichever handle actually fired (the popped tag is its
+        # index): the surviving event must be untouched.
+        fired = first[1]
+        queue.cancel(handles[fired])
+        assert len(queue) == 1
+        assert queue.pop() == ((t_keep, 1) if fired == 0 else (t_fire, 0))
+        assert queue.pop() is None
 
     def test_double_cancel_counts_once(self):
-        cal = CalendarEventQueue()
-        heap = HeapEventQueue()
-        hc = cal.push(1.0, 0)
-        hh = heap.push(1.0, 0)
-        cal.push(2.0, 1)
-        heap.push(2.0, 1)
+        queue = EventQueue()
+        handle = queue.push(1.0, 0)
+        queue.push(2.0, 1)
         for _ in range(3):
-            cal.cancel(hc)
-            heap.cancel(hh)
-            assert len(cal) == len(heap) == 1
-        assert cal.pop_event() == heap.pop_event() == (2.0, 1, 1)
+            queue.cancel(handle)
+            assert len(queue) == 1
+        assert queue.pop() == (2.0, 1)
 
     def test_foreign_handles_are_noops(self):
-        cal = CalendarEventQueue()
-        heap = HeapEventQueue()
-        cal.push(1.0, 0)
-        heap.push(1.0, 0)
-        # Junk plausible for either handle type: ints/None/str for both;
-        # malformed lists only make sense against the calendar queue
-        # (heap handles are ints and its cancel hashes them).
-        for junk in (12345, -1, None, "handle"):
-            cal.cancel(junk)
-            heap.cancel(junk)
-        for junk in ([1.0], [1.0, 0, None, 4], [1.0, 0, None]):
-            cal.cancel(junk)
-        assert len(cal) == len(heap) == 1
+        queue = EventQueue()
+        queue.push(1.0, 0)
+        for junk in (12345, -1, None, "handle", [1.0], [1.0, 0, None, 4], [1.0, 0, None]):
+            queue.cancel(junk)
+        assert len(queue) == 1
 
     def test_handle_from_another_queue_instance_is_noop(self):
-        # The provenance tag makes cross-instance cancels true no-ops:
-        # queue B must not null out an entry owned by queue A, and an
+        # The queue tag makes cross-instance cancels true no-ops: queue
+        # B must not null out an entry owned by queue A, and an
         # entry-shaped caller list must never be mutated.
-        a = CalendarEventQueue()
-        b = CalendarEventQueue()
+        a = EventQueue()
+        b = EventQueue()
         ha = a.push(1.0, 0)
         b.push(1.0, 0)
         b.cancel(ha)
         assert len(a) == 1
-        assert a.pop_event() == (1.0, 0, 0)
+        assert a.pop() == (1.0, 0)
         lookalike = [1.0, 0, "action", b]
         a.cancel(lookalike)
         assert lookalike[2] == "action"
@@ -204,75 +191,13 @@ class TestCancelSemantics:
 class TestValidation:
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, -1e-12, math.inf])
     def test_both_reject_bad_times(self, bad):
-        cal = CalendarEventQueue()
-        heap = HeapEventQueue()
+        # Both entry points: a queue time and a simulator delay.
+        queue = EventQueue()
+        sim = Simulator()
         with pytest.raises(ValueError):
-            cal.push(bad, 0)
+            queue.push(bad, 0)
         with pytest.raises(ValueError):
-            heap.push(bad, 0)
-        # A rejected push must leave no residue in either queue.
-        assert len(cal) == len(heap) == 0
-        assert cal.pop_event() is None and heap.pop_event() is None
-
-    def test_calendar_rejects_bad_widths(self):
-        for bad in (0.0, -1.0, float("nan"), math.inf):
-            with pytest.raises(ValueError):
-                CalendarEventQueue(width=bad)
-
-
-class TestResize:
-    def _lockstep_drain(self, cal, heap):
-        while True:
-            a = cal.pop_event()
-            b = heap.pop_event()
-            assert a == b
-            if a is None:
-                return
-
-    def test_narrow_width_widens_mid_drain(self):
-        # Width 2^-10 over integer-ish times -> chronically singleton
-        # buckets with a big backlog: the widen heuristic must fire
-        # (needs > _RESIZE_CHECK drained buckets and backlog > 64)
-        # without disturbing the pop stream.
-        rng = make_rng(2005)
-        cal = CalendarEventQueue(width=2.0**-10)
-        heap = HeapEventQueue()
-        for tag in range(600):
-            t = int(rng.integers(0, 4000)) * 0.25
-            cal.push(t, tag)
-            heap.push(t, tag)
-        for _ in range(300):
-            assert cal.pop_event() == heap.pop_event()
-        assert cal._width > 2.0**-10  # heuristic actually fired
-        # Keep pushing while draining: post-resize epochs must still
-        # merge correctly with the new width.
-        for tag in range(600, 900):
-            t = int(rng.integers(0, 4000)) * 0.25
-            cal.push(t, tag)
-            heap.push(t, tag)
-        self._lockstep_drain(cal, heap)
-
-    def test_wide_width_narrows_mid_drain(self):
-        # Width 2^10 over dense times -> hundreds of events per bucket:
-        # the halve heuristic (avg > _MAX_AVG) must fire and compact
-        # cancelled entries away while rebucketing.
-        rng = make_rng(7)
-        cal = CalendarEventQueue(width=2.0**10)
-        heap = HeapEventQueue()
-        cal_handles, heap_handles = [], []
-        for tag in range(40_000):
-            t = float(rng.random()) * 70_000.0
-            cal_handles.append(cal.push(t, tag))
-            heap_handles.append(heap.push(t, tag))
-        for i in range(0, 40_000, 5):
-            cal.cancel(cal_handles[i])
-            heap.cancel(heap_handles[i])
-        start_width = cal._width
-        self._lockstep_drain(cal, heap)
-        assert cal._width < start_width  # heuristic actually fired
-
-
-def test_default_export_is_calendar():
-    # The Simulator fast path type-checks ``type(queue) is EventQueue``;
-    # this alias is the contract it rests on.
-    assert EventQueue is CalendarEventQueue
+            sim.schedule(bad, lambda: None)
+        # A rejected push must leave no residue.
+        assert len(queue) == 0 and queue.pop() is None
+        assert sim.idle

@@ -57,77 +57,171 @@ class TestEventQueue:
         assert q.peek_time() == 5.0
 
 
+class _RecordingObserver:
+    """A no-op observer that records the ``now`` of each event it brackets."""
+
+    def __init__(self):
+        self.nows = []
+        self.inside = False
+
+    def before_event(self, now):
+        assert not self.inside
+        self.inside = True
+        self.nows.append(now)
+
+    def after_event(self):
+        assert self.inside
+        self.inside = False
+
+
+def _run_both(case):
+    """Run ``case(sim, fired)`` without and then with an observer.
+
+    Every action in ``case`` appends one ``(label, sim.now)`` record to
+    ``fired``.  Both runs must fire the same actions in the same order
+    at the same ``now`` and count the same events, and the observer must
+    bracket each event once, seeing that event's ``now``.  Returns the
+    unobserved simulator and its fire log.
+    """
+    runs = []
+    for observer in (None, _RecordingObserver()):
+        sim = Simulator()
+        sim.observer = observer
+        fired = []
+        case(sim, fired)
+        runs.append((sim, fired))
+    (plain, fired), (observed, observed_fired) = runs
+    assert observed_fired == fired
+    assert observed.now == plain.now
+    assert observed.events_processed == plain.events_processed
+    assert observed.observer.nows == [now for _, now in fired]
+    assert not observed.observer.inside
+    return plain, fired
+
+
+def _note(sim, fired, label):
+    """An action that records its label and the time it fired at."""
+    return lambda: fired.append((label, sim.now))
+
+
 class TestSimulator:
     def test_clock_advances(self):
-        sim = Simulator()
-        times = []
-        sim.schedule(2.0, lambda: times.append(sim.now))
-        sim.schedule(1.0, lambda: times.append(sim.now))
-        sim.run()
-        assert times == [1.0, 2.0]
+        def case(sim, fired):
+            sim.schedule(2.0, _note(sim, fired, "b"))
+            sim.schedule(1.0, _note(sim, fired, "a"))
+            sim.run()
+
+        sim, fired = _run_both(case)
+        assert fired == [("a", 1.0), ("b", 2.0)]
         assert sim.now == 2.0
 
     def test_nested_scheduling(self):
-        sim = Simulator()
-        out = []
+        def case(sim, fired):
+            def first():
+                fired.append(("first", sim.now))
+                sim.schedule(1.0, _note(sim, fired, "second"))
 
-        def first():
-            out.append("first")
-            sim.schedule(1.0, lambda: out.append("second"))
+            sim.schedule(1.0, first)
+            sim.run_to_quiescence()
 
-        sim.schedule(1.0, first)
-        sim.run_to_quiescence()
-        assert out == ["first", "second"]
+        sim, fired = _run_both(case)
+        assert fired == [("first", 1.0), ("second", 2.0)]
         assert sim.now == 2.0
 
     def test_until_limit(self):
-        sim = Simulator()
-        out = []
-        sim.schedule(1.0, lambda: out.append(1))
-        sim.schedule(5.0, lambda: out.append(5))
-        sim.run(until=2.0)
-        assert out == [1]
+        def case(sim, fired):
+            sim.schedule(1.0, _note(sim, fired, 1))
+            sim.schedule(5.0, _note(sim, fired, 5))
+            sim.run(until=2.0)
+
+        sim, fired = _run_both(case)
+        assert fired == [(1, 1.0)]
         assert not sim.idle
 
+    def test_until_skips_cancelled_top(self):
+        # The cancelled entry at the top is due before ``until`` and the
+        # next live one after it: nothing fires and the clock stays put.
+        def case(sim, fired):
+            sim.cancel(sim.schedule(1.0, _note(sim, fired, "cancelled")))
+            sim.schedule(3.0, _note(sim, fired, "late"))
+            assert sim.run(until=2.0) == 0
+            assert sim.now == 0.0
+            sim.run()
+
+        sim, fired = _run_both(case)
+        assert fired == [("late", 3.0)]
+        assert sim.events_processed == 1
+
+    def test_max_events_counts_only_live_events(self):
+        def case(sim, fired):
+            handles = [sim.schedule(float(i), _note(sim, fired, i)) for i in range(5)]
+            sim.cancel(handles[0])
+            sim.cancel(handles[2])
+            assert sim.run(max_events=2) == 2
+            assert [label for label, _ in fired] == [1, 3]
+            assert sim.run(max_events=0) == 0
+            sim.run()
+
+        sim, fired = _run_both(case)
+        assert fired == [(1, 1.0), (3, 3.0), (4, 4.0)]
+        assert sim.events_processed == 3
+
+    def test_negative_max_events_rejected(self):
+        # A negative budget is an error, never a run whose length
+        # depends on whether an observer is attached.
+        def case(sim, fired):
+            for i in range(3):
+                sim.schedule(1.0, _note(sim, fired, i))
+            with pytest.raises(ValueError):
+                sim.run(max_events=-1)
+            assert len(sim.queue) == 3
+
+        sim, fired = _run_both(case)
+        assert fired == []
+        assert sim.events_processed == 0
+
     def test_runaway_protocol_detected(self):
-        sim = Simulator()
+        def case(sim, fired):
+            def forever():
+                fired.append(("tick", sim.now))
+                sim.schedule(1.0, forever)
 
-        def forever():
-            sim.schedule(1.0, forever)
+            sim.schedule(0.0, forever)
+            with pytest.raises(RuntimeError):
+                sim.run_to_quiescence(max_events=100)
 
-        sim.schedule(0.0, forever)
-        with pytest.raises(RuntimeError):
-            sim.run_to_quiescence(max_events=100)
+        sim, fired = _run_both(case)
+        assert len(fired) == sim.events_processed == 100
 
     def test_cancel_via_simulator(self):
-        sim = Simulator()
-        out = []
-        handle = sim.schedule(1.0, lambda: out.append(1))
-        sim.cancel(handle)
-        sim.run()
-        assert out == []
+        def case(sim, fired):
+            handle = sim.schedule(1.0, _note(sim, fired, 1))
+            sim.cancel(handle)
+            sim.run()
+
+        sim, fired = _run_both(case)
+        assert fired == []
+        assert sim.events_processed == 0
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Simulator().schedule(-0.5, lambda: None)
 
     def test_reentrant_peek_keeps_short_delay_schedules_in_order(self):
-        # Regression: an action that peeks the queue (``sim.idle``)
-        # after its own epoch drained promotes a *future* bucket to the
-        # drain stack; a short-delay schedule issued right after must
-        # still fire in (time, seq) order — not behind the promoted
-        # epoch at a wrong virtual time.
-        sim = Simulator()
-        fired = []
+        # Regression: an action that peeks the queue (``sim.idle``) and
+        # then schedules a short delay must still see that event fire in
+        # (time, seq) order, at the right virtual time.
+        def case(sim, fired):
+            def first():
+                assert not sim.idle  # reentrant peek
+                sim.schedule(0.1, _note(sim, fired, "between"))
+                fired.append(("first", sim.now))
 
-        def first():
-            assert not sim.idle  # reentrant peek loads second's bucket
-            sim.schedule(0.1, lambda: fired.append(("between", sim.now)))
-            fired.append(("first", sim.now))
+            sim.schedule(0.5, first)
+            sim.schedule(5.5, _note(sim, fired, "second"))
+            sim.run_to_quiescence()
 
-        sim.schedule(0.5, first)
-        sim.schedule(5.5, lambda: fired.append(("second", sim.now)))
-        sim.run_to_quiescence()
+        sim, fired = _run_both(case)
         assert fired == [("first", 0.5), ("between", 0.5 + 0.1), ("second", 5.5)]
 
 
