@@ -1,14 +1,16 @@
-"""B: batched routing throughput — route_batch vs per-call route_adaptive.
+"""B: batched routing throughput — route_batch vs per-call routing.
 
 The acceptance target for the batch service: on a 16^3 mesh with 10k
 random pairs over one fault pattern, ``RoutingService.route_batch`` must
-be at least 5x faster than per-pair :func:`route_adaptive` (which builds
-a service, its class models and its reachability floods per call) while
-producing element-wise identical :class:`RouteResult` outcomes.  Both
-sides run on a warm process-wide labelling cache
-(:mod:`repro.core.model_cache`), which serves every per-call model build
-after the first, so the timings compare batched routing with per-call
-routing rather than a cold model build with a warm one.
+be at least 5x faster than routing each pair through a fresh
+:class:`AdaptiveRouter` (which builds its class models and reachability
+floods per call) while producing element-wise identical
+:class:`RouteResult` outcomes.  Both sides run on a warm process-wide
+labelling cache (:mod:`repro.core.model_cache`), which serves every
+per-call model build after the first, so the timings compare batched
+routing with per-call routing rather than a cold model build with a
+warm one.  Each side is timed as the fastest of ``ROUNDS`` alternating
+rounds, which damps scheduler noise on small shared hosts.
 
 Run standalone for the full comparison::
 
@@ -26,8 +28,11 @@ import numpy as np
 
 from repro.experiments.workloads import random_fault_mask
 from repro.routing.batch import RoutingService
-from repro.routing.engine import route_adaptive
+from repro.routing.engine import AdaptiveRouter
 from repro.util.rng import make_rng
+
+#: Timed rounds per side; the fastest one of each side counts.
+ROUNDS = 3
 
 
 def sample_pairs(fault_mask: np.ndarray, count: int, rng) -> list:
@@ -63,13 +68,16 @@ def run_comparison(
     batch_pairs = sample_pairs(mask, pairs, rng)
     RoutingService(mask, mode=mode).route_batch(batch_pairs)  # warm the cache
 
-    t0 = time.perf_counter()
-    batched = RoutingService(mask, mode=mode).route_batch(batch_pairs)
-    t_batch = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    solo = [route_adaptive(mask, s, d, mode=mode) for s, d in batch_pairs]
-    t_solo = time.perf_counter() - t0
+    t_batch = t_solo = float("inf")
+    for _ in range(ROUNDS):
+        # The sides alternate, so a noisy spell on the host hits both.
+        t0 = time.perf_counter()
+        batched = RoutingService(mask, mode=mode).route_batch(batch_pairs)
+        t1 = time.perf_counter()
+        solo = [AdaptiveRouter(mask, mode=mode).route(s, d) for s, d in batch_pairs]
+        t2 = time.perf_counter()
+        t_batch = min(t_batch, t1 - t0)
+        t_solo = min(t_solo, t2 - t1)
 
     mismatches = sum(
         not results_identical(a, b) for a, b in zip(batched, solo, strict=True)
@@ -95,7 +103,7 @@ def test_batch_routing_throughput(benchmark):
     batch_pairs = sample_pairs(mask, 400, rng)
     service = RoutingService(mask, mode="mcc")
     results = benchmark(service.route_batch, batch_pairs)
-    solo = [route_adaptive(mask, s, d) for s, d in batch_pairs]
+    solo = [AdaptiveRouter(mask).route(s, d) for s, d in batch_pairs]
     assert all(results_identical(a, b) for a, b in zip(results, solo, strict=True))
 
 
@@ -141,7 +149,7 @@ def main() -> None:
         f"  route_batch   : {stats['t_batch_s']:8.3f} s  "
         f"({stats['batch_pairs_per_s']:,.0f} pairs/s)"
     )
-    print(f"  route_adaptive: {stats['t_percall_s']:8.3f} s  (per-call)")
+    print(f"  per-call route: {stats['t_percall_s']:8.3f} s  (fresh router per pair)")
     print(f"  speedup       : {stats['speedup']:8.1f}x")
     print(f"  delivered     : {stats['delivered']} / {stats['pairs']}")
     assert stats["mismatches"] == 0, (

@@ -60,8 +60,8 @@ from repro.routing.oracle import (
     minimal_path_exists,
     reverse_reachable,
 )
-from repro.routing.engine import AdaptiveRouter, RouteResult, route_adaptive
-from repro.routing.batch import RoutingService, route_batch
+from repro.routing.engine import AdaptiveRouter, RouteResult
+from repro.routing.batch import RoutingService
 from repro.routing.policies import (
     DiagonalPolicy,
     FixedOrderPolicy,
@@ -110,9 +110,7 @@ __all__ = [
     "minimal_path_exists",
     "AdaptiveRouter",
     "RouteResult",
-    "route_adaptive",
     "RoutingService",
-    "route_batch",
     "FixedOrderPolicy",
     "RandomPolicy",
     "DiagonalPolicy",

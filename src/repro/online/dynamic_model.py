@@ -88,10 +88,10 @@ class ClassDirt:
     per-destination mask for ``dest`` can only be stale when
     ``dest >= open_lo`` component-wise, so cache invalidation is scoped
     to that cone.  ``full`` marks a full-recompute fallback: everything
-    may have changed.  (Oracle-mode forbidden sets depend on the fault
-    cells alone; since oracle routers build no dynamic classes, the
-    online service derives that cone from ``FaultEvent.cells``
-    directly.)
+    may have changed.  (Oracle-mode reach masks flood through the
+    non-faulty cells alone; since oracle routers build no dynamic
+    classes, the online service derives that cone from
+    ``FaultEvent.cells`` directly.)
     """
 
     open_lo: Coord | None

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.analysis.sanitize import maybe_sanitize_online_service
 from repro.baselines.rfb import DynamicRFBState
-from repro.core.labelling import FAULTY, SAFE, LabelledGrid, label_grid
+from repro.core.labelling import FAULTY, SAFE, LabelledGrid
 from repro.mesh.coords import Coord
 from repro.mesh.orientation import Orientation
 from repro.online.dynamic_model import (
@@ -59,6 +59,7 @@ from repro.routing.engine import (
     _ClassModel,
 )
 from repro.routing.policies import Policy
+from repro.util.validation import check_shape_member
 
 
 class Ticket(int):
@@ -97,7 +98,8 @@ class _OnlineRouter(AdaptiveRouter):
     :class:`~repro.baselines.rfb.DynamicRFBState` — the baseline's
     block set is direction-independent, so a single block-local
     recompute per event serves all 2^n classes.  In "oracle"/"blind"
-    modes the labelled grids are live views of the fault mask itself.
+    modes the class models alias orientation views of the live fault
+    mask and its complement: the faults-only labelling.
     """
 
     def __init__(
@@ -105,7 +107,6 @@ class _OnlineRouter(AdaptiveRouter):
         model: DynamicFaultModel,
         mode: str = "mcc",
         policy: Policy | None = None,
-        max_hops: int | None = None,
         reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
     ):
         # The asarray in the base constructor keeps the model's own
@@ -114,125 +115,100 @@ class _OnlineRouter(AdaptiveRouter):
             model.fault_mask,
             mode=mode,
             policy=policy,
-            max_hops=max_hops,
             reach_cache_size=reach_cache_size,
-            label_cache=False,  # cached labellings are immutable; ours mutate
         )
         assert self.fault_mask is model.fault_mask
         self.model = model
-        # Live int8 view source for oracle/blind labelled grids.
+        # Live status and open masks behind the oracle/blind class models.
         self._status_mesh = model.fault_mask.astype(np.int8) * FAULTY
+        self._open_mesh = ~model.fault_mask
         # Incrementally maintained RFB block state (rfb mode only).
         self._rfb = DynamicRFBState(model.fault_mask) if mode == "rfb" else None
-        #: Reach/forbidden masks dropped by scoped invalidation, and
-        #: entries that survived an event (cache-efficiency telemetry).
+        #: Reach masks dropped by scoped invalidation, and entries that
+        #: survived an event (cache-efficiency telemetry).
         self.evicted = 0
         self.retained = 0
 
     def _model_for(self, orientation: Orientation) -> _ClassModel:
         key = orientation.signs
         if key not in self._models:
+            view = orientation.to_canonical
             if self.mode == "mcc":
                 cls = self.model.class_for(orientation)
                 # Alias the dynamic arrays: events mutate them in place
                 # and the engine sees the new model immediately.
-                m = _ClassModel(
-                    cls.labelled,
-                    [],
-                    label_grid,
-                    self.reach_cache_size,
-                    blocked=cls.useless_blocked,
-                    open_mask=cls.open,
-                    unsafe=cls.unsafe,
-                )
+                labelled = cls.labelled
+                blocked, open_mask, unsafe = cls.useless_blocked, cls.open, cls.unsafe
             elif self.mode == "rfb":
                 # Orientation views of the one shared block state: the
                 # block-local recompute mutates the mesh-frame arrays
                 # and every class model sees it immediately.
-                status = orientation.to_canonical(self._rfb.status)
+                status = view(self._rfb.status)
                 labelled = LabelledGrid(status=status, orientation=orientation)
-                m = _ClassModel(
-                    labelled,
-                    [],
-                    label_grid,
-                    self.reach_cache_size,
-                    blocked=orientation.to_canonical(self._rfb.unsafe),
-                    open_mask=orientation.to_canonical(self._rfb.open),
-                    unsafe=orientation.to_canonical(self._rfb.unsafe),
-                )
+                blocked = unsafe = view(self._rfb.unsafe)
+                open_mask = view(self._rfb.open)
             else:
-                status = orientation.to_canonical(self._status_mesh)
+                status = view(self._status_mesh)
                 labelled = LabelledGrid(status=status, orientation=orientation)
-                m = _ClassModel(labelled, [], label_grid, self.reach_cache_size)
-            self._models[key] = m
+                blocked = unsafe = view(self.fault_mask)
+                open_mask = view(self._open_mesh)
+            self._models[key] = _ClassModel(
+                labelled,
+                self.reach_cache_size,
+                blocked=blocked,
+                open_mask=open_mask,
+                unsafe=unsafe,
+            )
         return self._models[key]
 
     # -- event application -------------------------------------------------
 
-    def _evict_cone(self, cache, keys, lo: Coord | None) -> None:
+    def _evict_cone(self, cache, lo: Coord | None) -> None:
         """Drop cached destinations inside the dirty cone ``dest >= lo``."""
-        for key in keys:
-            dest = key[1] if isinstance(key[0], tuple) else key
+        for dest in cache.keys():
             if lo is not None and all(d >= a for d, a in zip(dest, lo, strict=True)):
-                cache.pop(key)
+                cache.pop(dest)
                 self.evicted += 1
             else:
                 self.retained += 1
 
+    def _canonical_lo(self, signs: tuple[int, ...], cells) -> Coord:
+        """Component-wise minimum of ``cells`` in one class's frame."""
+        orientation = Orientation(signs, self.fault_mask.shape)
+        mapped = [orientation.map_coord(c) for c in cells]
+        return tuple(int(v) for v in np.min(mapped, axis=0))
+
     def apply_event(self, event: FaultEvent) -> None:
-        """Invalidate exactly the cached state the event can have touched."""
+        """Invalidate exactly the cached state the event can have touched.
+
+        Per class, ``lo`` is the low corner of the cells whose open
+        status may have changed; ``None`` means none did.
+        """
         for c in event.cells:
-            self._status_mesh[c] = FAULTY if self.fault_mask[c] else SAFE
+            faulty = bool(self.fault_mask[c])
+            self._status_mesh[c] = FAULTY if faulty else SAFE
+            self._open_mesh[c] = not faulty
+        origin = (0,) * self.fault_mask.ndim  # every dest is >= origin
         if self.mode == "rfb":
             dirty, swept, full = self._rfb.apply(event.cells, event.kind)
             event.dirty_cells += swept
             if full:
                 event.full_recomputes += 1
-            if dirty is None and not full:
-                # Block set unchanged: no cached mask can be stale.
-                for m in self._models.values():
-                    self.retained += len(m._reach)
-                return
-            for signs, m in self._models.items():
+        for signs, m in self._models.items():
+            if self.mode == "mcc":
+                dirt = event.classes[signs]
+                lo = origin if dirt.full else dirt.open_lo
+            elif self.mode == "rfb":
                 if full:
-                    self.evicted += len(m._reach)
-                    m._reach.clear()
-                    continue
-                orientation = Orientation(signs, self.fault_mask.shape)
-                mapped = [
-                    orientation.map_coord(dirty.lo),
-                    orientation.map_coord(dirty.hi),
-                ]
-                lo = tuple(int(v) for v in np.min(mapped, axis=0))
-                self._evict_cone(m._reach, m._reach.keys(), lo)
-            return
-        if self.mode == "mcc":
-            for signs, m in self._models.items():
-                dirt = event.classes.get(signs)
-                if dirt is None:
-                    # A model without a dynamic class cannot happen via
-                    # _model_for; drop everything if it somehow does.
-                    self.evicted += len(m._reach)
-                    m._reach.clear()
-                    continue
-                lo = ((0,) * len(self.fault_mask.shape)
-                      if dirt.full else dirt.open_lo)
-                self._evict_cone(m._reach, m._reach.keys(), lo)
-        elif self.mode == "oracle":
-            # Forbidden sets depend on the fault mask alone; the dirty
-            # cone per class starts at the lowest event cell.
-            los: dict[tuple[int, ...], Coord] = {}
-            for key in self._blocked_cache.keys():
-                signs = key[0]
-                if signs not in los:
-                    orientation = Orientation(signs, self.fault_mask.shape)
-                    mapped = [orientation.map_coord(c) for c in event.cells]
-                    los[signs] = tuple(
-                        int(v) for v in np.min(mapped, axis=0)
-                    )
-                self._evict_cone(
-                    self._blocked_cache, [key], los[signs]
-                )
+                    lo = origin
+                elif dirty is None:
+                    lo = None  # block set unchanged: no cached mask is stale
+                else:
+                    lo = self._canonical_lo(signs, (dirty.lo, dirty.hi))
+            else:
+                # The faults-only labelling changes at the event cells alone.
+                lo = self._canonical_lo(signs, event.cells)
+            self._evict_cone(m._reach, lo)
 
 
 class OnlineRoutingService:
@@ -251,9 +227,7 @@ class OnlineRoutingService:
         fault_mask: np.ndarray,
         mode: str = "mcc",
         policy: Policy | None = None,
-        max_hops: int | None = None,
         reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
-        replay_policy: bool = False,
         full_recompute_fraction: float = DEFAULT_FULL_RECOMPUTE_FRACTION,
     ):
         self.model = DynamicFaultModel(
@@ -263,12 +237,9 @@ class OnlineRoutingService:
             self.model,
             mode=mode,
             policy=policy,
-            max_hops=max_hops,
             reach_cache_size=reach_cache_size,
         )
-        self.service = RoutingService(
-            None, replay_policy=replay_policy, router=self.router
-        )
+        self.service = RoutingService(None, router=self.router)
         self._pending: list[tuple[int, tuple[Coord, Coord]]] = []
         self._done: dict[int, RouteResult] = {}
         self._tickets = 0
@@ -330,10 +301,14 @@ class OnlineRoutingService:
         epoch they were submitted under: fault events flush the queue
         before mutating the model.
         """
-        ticket = Ticket(self._tickets, self.model.epoch)
-        self._tickets += 1
         source = tuple(int(c) for c in source)
         dest = tuple(int(c) for c in dest)
+        # Reject off-mesh endpoints now: a raise at flush time would fail
+        # every query queued with this one.
+        check_shape_member("source", source, self.fault_mask.shape)
+        check_shape_member("dest", dest, self.fault_mask.shape)
+        ticket = Ticket(self._tickets, self.model.epoch)
+        self._tickets += 1
         self._pending.append((ticket, (source, dest)))
         return ticket
 

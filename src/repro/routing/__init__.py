@@ -8,8 +8,8 @@ from repro.routing.oracle import (
     reverse_reachable,
     reverse_reachable_many,
 )
-from repro.routing.engine import AdaptiveRouter, RouteResult, route_adaptive
-from repro.routing.batch import RoutingService, route_batch
+from repro.routing.engine import AdaptiveRouter, RouteResult
+from repro.routing.batch import RoutingService
 from repro.routing.policies import (
     DiagonalPolicy,
     FixedOrderPolicy,
@@ -26,9 +26,7 @@ __all__ = [
     "minimal_path_exists",
     "AdaptiveRouter",
     "RouteResult",
-    "route_adaptive",
     "RoutingService",
-    "route_batch",
     "DiagonalPolicy",
     "FixedOrderPolicy",
     "RandomPolicy",

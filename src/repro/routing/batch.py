@@ -3,20 +3,21 @@
 The experiment sweeps (T2/T4), the DES workloads, and the fault-block
 literature's evaluation methodology all route *batches* — tens of
 thousands of (source, destination) pairs against a single fault pattern.
-Doing that through one-shot :func:`repro.routing.engine.route_adaptive`
-re-derives every piece of model state per pair: the ``LabelledGrid``,
-the MCC walls, and a reverse-reachability flood per destination.
+Routing them one call at a time pays per pair for work a batch can
+share: a class-model lookup, a reach-mask probe, and a one-destination
+flood on every cache miss.
 
 :class:`RoutingService` shares all of it:
 
-* pairs are grouped by **direction class**, so each ``LabelledGrid`` +
-  wall set is built once per class (at most 2^n builds per batch);
+* pairs are grouped by **direction class**, so each ``LabelledGrid`` is
+  built once per class (at most 2^n builds per batch);
 * within a class, pairs are grouped by **destination**, so one reverse
   flood serves every pair headed there — and the grouped order makes
   the engine's LRU-bounded reach caches hit even at tiny capacities;
-* the batch **feasibility check is vectorized**: the cached reach mask
-  is indexed at all sources of a group in one fancy-index operation
-  instead of one flood (or one mask probe) per pair;
+* the batch **feasibility check is vectorized**: the class model's
+  ``unsafe`` array and the cached reach mask are indexed at all sources
+  of a group in one fancy-index operation each instead of one probe per
+  pair;
 * per-destination reach masks are LRU-bounded (``reach_cache_size``),
   so million-pair workloads do not grow memory without limit.
 
@@ -24,14 +25,7 @@ Results are element-wise identical to per-pair
 :meth:`AdaptiveRouter.route` for stateless policies (fixed/diagonal —
 property-tested).  A stateful policy such as ``RandomPolicy`` draws in
 grouped order rather than input order, so individual paths may differ
-while delivery verdicts still agree with the model — unless the service
-is built with ``replay_policy=True``, which defers the forwarding walks
-and replays them in input order: every policy draw then happens exactly
-when a per-call loop would make it, so batched paths match per-call
-paths element-wise even for stateful policies (feasibility checks never
-consume draws, and infeasible or faulty-endpoint pairs are resolved
-before any walk).  The deferred walks may re-flood destinations evicted
-from the LRU reach cache, so leave replay off for stateless policies.
+while delivery verdicts still agree with the model.
 """
 
 from __future__ import annotations
@@ -50,6 +44,7 @@ from repro.routing.engine import (
     _ClassModel,
 )
 from repro.routing.policies import Policy
+from repro.util.validation import check_shape_member
 
 Pair = tuple[Coord, Coord]
 
@@ -74,7 +69,10 @@ class RoutingService:
     owns the per-class models and LRU reach caches; the service owns the
     batch decomposition (class -> destination -> vectorized feasibility)
     and result ordering.  ``service.route`` is exactly one-pair routing
-    through the same shared caches.
+    through the same shared caches.  ``router`` adopts a caller-owned
+    router in place of ``fault_mask`` (the online service supplies one
+    whose models track a mutating fault set); the model knobs then live
+    on that router.
     """
 
     def __init__(
@@ -82,31 +80,19 @@ class RoutingService:
         fault_mask: np.ndarray | None,
         mode: str = "mcc",
         policy: Policy | None = None,
-        max_hops: int | None = None,
         reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
-        replay_policy: bool = False,
-        label_cache: bool = True,
         router: AdaptiveRouter | None = None,
     ):
-        if router is not None:
-            # Adopt a caller-owned router (the online service supplies
-            # one whose models track a mutating fault set); the other
-            # model knobs must then live on that router.
-            self.router = router
-        else:
+        if router is None:
             if fault_mask is None:
                 raise ValueError("RoutingService needs a fault_mask or a router")
-            self.router = AdaptiveRouter(
+            router = AdaptiveRouter(
                 fault_mask,
                 mode=mode,
                 policy=policy,
-                max_hops=max_hops,
                 reach_cache_size=reach_cache_size,
-                label_cache=label_cache,
             )
-        #: Replay forwarding walks in input order so stateful policies
-        #: (``RandomPolicy``) draw exactly as a per-call loop would.
-        self.replay_policy = replay_policy
+        self.router = router
 
     @property
     def fault_mask(self) -> np.ndarray:
@@ -143,14 +129,8 @@ class RoutingService:
         pairs = [_as_pair(p) for p in pairs]
         with obs.span("route_batch", cat="routing", n=len(pairs)) as sp:
             results: list[RouteResult | None] = [None] * len(pairs)
-            deferred: list | None = [] if self.replay_policy else None
             for orientation, model, members in self._grouped(pairs, results):
-                self._route_group(orientation, model, members, results, deferred)
-            if deferred is not None:
-                # Input order = the per-call draw order for stateful policies.
-                deferred.sort(key=lambda job: job[0])
-                for idx, model, orientation, s, d in deferred:
-                    results[idx] = self.router._forward(model, orientation, s, d)
+                self._route_group(orientation, model, members, results)
             sp.set(delivered=sum(1 for r in results if r is not None and r.delivered))
         return results  # type: ignore[return-value]
 
@@ -160,9 +140,8 @@ class RoutingService:
         """Vectorized model feasibility verdict per pair (input order).
 
         True exactly when :meth:`route` would proceed past its checks:
-        non-faulty endpoints, model-safe endpoints (mcc/rfb), and a
-        model-permitted minimal path.  Blind mode has no feasibility
-        notion and raises.
+        non-faulty endpoints, model-safe endpoints, and a model-permitted
+        minimal path.  Blind mode has no feasibility notion and raises.
         """
         if self.mode == "blind":
             raise ValueError("blind mode has no feasibility model")
@@ -182,6 +161,7 @@ class RoutingService:
     def _grouped(self, pairs: list[Pair], results: list[RouteResult | None]):
         """Split pairs into per-direction-class groups.
 
+        Off-mesh endpoints raise as in :meth:`AdaptiveRouter.route`.
         Faulty-endpoint pairs are resolved immediately into ``results``
         (vectorized mesh-frame check) and excluded from the groups.
         Yields ``(orientation, model, members)`` per class where
@@ -193,6 +173,12 @@ class RoutingService:
         if not pairs:
             return
         arr = np.asarray(pairs, dtype=np.intp)  # (n, 2, ndim)
+        if arr.shape[2] != len(shape) or ((arr < 0) | (arr >= shape)).any():
+            # Negative indices would wrap to the far side of the mesh;
+            # name the first bad endpoint the way single-pair routing does.
+            for source, dest in pairs:
+                check_shape_member("source", source, shape)
+                check_shape_member("dest", dest, shape)
         src_idx = tuple(arr[:, 0, a] for a in range(arr.shape[2]))
         dst_idx = tuple(arr[:, 1, a] for a in range(arr.shape[2]))
         endpoint_faulty = fault_mask[src_idx] | fault_mask[dst_idx]
@@ -238,18 +224,13 @@ class RoutingService:
     ) -> np.ndarray:
         """Model verdicts for many sources sharing one destination.
 
-        One cached flood + one fancy-index per group, replacing a flood
-        (oracle) or mask probe (mcc/rfb) per pair.
+        Safe endpoints, then model reachability: one cached flood and
+        one fancy-index per group instead of a mask probe per pair.
         """
+        if model.unsafe[dest]:
+            return np.zeros(len(sources), dtype=bool)
         coords = tuple(np.asarray(sources, dtype=np.intp).T)
-        if self.mode == "oracle":
-            blocked = self.router._oracle_blocked(model, dest)
-            return ~blocked[coords]
-        # mcc / rfb: safe endpoints, then model reachability.
-        safe = model.labelled.safe_mask
-        ok = np.full(len(sources), bool(safe[dest]), dtype=bool)
-        if ok.any():
-            ok &= safe[coords]
+        ok = ~model.unsafe[coords]
         if ok.any():
             ok &= model.reach_mask(dest)[coords]
         return ok
@@ -260,14 +241,8 @@ class RoutingService:
         model: _ClassModel,
         members: list,
         results: list[RouteResult | None],
-        deferred: list | None = None,
     ) -> None:
-        """Route one direction-class group, destination-major.
-
-        With ``deferred`` given, feasible pairs are queued as
-        ``(index, model, orientation, src, dst)`` forwarding jobs
-        instead of walked inline (policy-replay mode).
-        """
+        """Route one direction-class group, destination-major."""
         router = self.router
         by_index = {m[0]: m for m in members}
         for chunk in self._primed_chunks(model, members):
@@ -288,10 +263,7 @@ class RoutingService:
                             reason=reason or "infeasible",
                         )
                         continue
-                    if deferred is not None:
-                        deferred.append((int(idx), model, orientation, s, d))
-                    else:
-                        results[int(idx)] = router._forward(model, orientation, s, d)
+                    results[int(idx)] = router._forward(model, orientation, s, d)
 
     def _primed_chunks(self, model: _ClassModel, members: list):
         """Destination groups in chunks, reach caches pre-warmed per chunk.
@@ -310,29 +282,7 @@ class RoutingService:
         for start in range(0, len(groups), chunk):
             block = groups[start : start + chunk]
             dests = [dest for _indices, _sources, dest in block]
-            if self.mode in ("mcc", "rfb"):
+            if self.mode != "blind":
                 model.prime_reach(dests)
-            elif self.mode == "oracle":
-                self.router._prime_oracle(model, dests)
             yield block
 
-
-def route_batch(
-    fault_mask: np.ndarray,
-    pairs: Iterable[Sequence[Sequence[int]]],
-    mode: str = "mcc",
-    policy: Policy | None = None,
-    max_hops: int | None = None,
-    reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
-    replay_policy: bool = False,
-) -> list[RouteResult]:
-    """Route many pairs over one fault pattern with shared model state."""
-    service = RoutingService(
-        fault_mask,
-        mode=mode,
-        policy=policy,
-        max_hops=max_hops,
-        reach_cache_size=reach_cache_size,
-        replay_policy=replay_policy,
-    )
-    return service.route_batch(pairs)

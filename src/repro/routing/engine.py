@@ -6,16 +6,19 @@
 1. map the pair into its direction class (canonical frame);
 2. feasibility check (model condition; Theorem 1/2);
 3. hop-by-hop forwarding: a candidate direction survives when its
-   neighbor can still reach the destination through non-faulty,
-   non-useless nodes — the exact informational content of Algorithm 3
-   step 2(b)'s boundary records (see _ClassModel for why this is the
-   distilled form and how it relates to the walls);
+   neighbor can still reach the destination through permitted nodes —
+   the exact informational content of Algorithm 3 step 2(b)'s boundary
+   records (see _ClassModel for why this is the distilled form and how
+   it relates to the walls);
 
 4. a pluggable policy picks among the survivors (step 2c).
 
-In "oracle" mode the exclusion rule is exact reverse reachability — the
-reference the MCC mode must match (property P3).  "blind" mode uses no
-model at all (baseline).
+"mcc", "rfb" and "oracle" differ only in the labelling that decides
+which nodes are permitted: "mcc" blocks faulty and useless nodes, "rfb"
+whole rectangular faulty blocks, and "oracle" faulty nodes alone, so
+its exclusion rule is exact reverse reachability — the reference the
+MCC mode must match (property P3).  "blind" mode uses no model at all
+(baseline).
 
 All model state is cached: one ``_ClassModel`` per direction class and
 one reverse-reachability mask per destination (LRU-bounded, see
@@ -31,15 +34,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.rfb import rfb_labelled
-from repro.core.components import extract_mccs
 from repro.core.labelling import FAULTY, USELESS, LabelledGrid, label_grid
 from repro.core.model_cache import cached_class_assets
-from repro.core.walls import Wall, build_walls
 from repro.mesh.coords import Coord, manhattan
 from repro.mesh.orientation import Orientation
 from repro.routing.oracle import reverse_reachable, reverse_reachable_many
 from repro.routing.policies import FixedOrderPolicy, Policy
 from repro.util.caching import LRUCache
+from repro.util.validation import check_shape_member
 
 #: Default bound on cached per-destination reachability masks (per class).
 DEFAULT_REACH_CACHE_SIZE = 1024
@@ -96,14 +98,16 @@ class _ClassModel:
     never can't-reach — tested), so their exclusion is automatic, and
     degenerate pairs whose RMP is a lower-dimensional slice may stand on
     them legitimately.
+
+    The "rfb" and "oracle" models are this same class over another
+    labelling.  The oracle's labelling marks faults only, so its reach
+    masks are exact reverse reachability over the non-faulty cells.
     """
 
     def __init__(
         self,
         labelled: LabelledGrid,
-        walls: list[Wall],
-        labeller=label_grid,
-        reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
+        reach_cache_size: int | None,
         blocked: np.ndarray | None = None,
         open_mask: np.ndarray | None = None,
         unsafe: np.ndarray | None = None,
@@ -113,8 +117,6 @@ class _ClassModel:
         passes its dynamic class's live arrays here so fault events
         update the model in place instead of rebuilding it."""
         self.labelled = labelled
-        self.walls = walls
-        self.labeller = labeller
         self.unsafe = labelled.unsafe_mask if unsafe is None else unsafe
         status = labelled.status
         if blocked is None:
@@ -150,28 +152,22 @@ class _ClassModel:
             mask.setflags(write=False)
             self._reach.put(dest, mask)
 
-    def _reach_ok(self, cell: Coord, dest: Coord) -> bool:
-        """Can ``cell`` still reach ``dest`` through permitted cells?"""
-        return bool(self.reach_mask(dest)[cell])
-
-    def allowed(self, cell: Coord, dest: Coord) -> bool:
-        """May a minimal routing toward ``dest`` step onto ``cell``?"""
-        if cell == dest:
-            return not self.labelled.fault_mask[cell]
-        return self._reach_ok(cell, dest)
-
     def candidates(self, pos: Coord, dest: Coord) -> list[int]:
-        """Surviving preferred axes at ``pos`` for ``dest`` (canonical)."""
+        """Surviving preferred axes at ``pos`` for ``dest`` (canonical).
+
+        Algorithm 3 step 2's one exclusion rule: step onto a neighbor
+        only if it can still reach ``dest`` through permitted cells.
+        ``dest`` itself passes whenever it is permitted, which a routed
+        pair's model-safe destination always is.
+        """
+        reach = self.reach_mask(dest)
         out = []
         for axis in range(len(pos)):
-            if pos[axis] >= dest[axis]:
-                continue
-            nxt = list(pos)
-            nxt[axis] += 1
-            nxt = tuple(nxt)
-            if not self.allowed(nxt, dest):
-                continue
-            out.append(axis)
+            if pos[axis] < dest[axis]:
+                nxt = list(pos)
+                nxt[axis] += 1
+                if reach[tuple(nxt)]:
+                    out.append(axis)
         return out
 
     def feasible(self, source: Coord, dest: Coord) -> bool:
@@ -180,12 +176,10 @@ class _ClassModel:
             return True
         if self._blocked[source]:
             return False
-        return self._reach_ok(source, dest)
+        return bool(self.reach_mask(dest)[source])
 
     def endpoints_safe(self, source: Coord, dest: Coord) -> bool:
-        return bool(
-            self.labelled.safe_mask[source] and self.labelled.safe_mask[dest]
-        )
+        return not (self.unsafe[source] or self.unsafe[dest])
 
 
 class AdaptiveRouter:
@@ -195,13 +189,13 @@ class AdaptiveRouter:
 
     * ``"mcc"``    — the paper's model (labelling + walls);
     * ``"rfb"``    — same machinery over rectangular faulty blocks;
-    * ``"oracle"`` — exact reverse-reachability exclusions (reference);
+    * ``"oracle"`` — a labelling that marks faults only, so its
+      exclusions are exact reverse reachability (reference);
     * ``"blind"``  — no model; only faulty neighbors are avoided.
 
     ``reach_cache_size`` bounds the per-destination reachability masks
-    cached by each class model (and oracle mode's forbidden-set masks);
-    ``None`` disables the bound.  ``label_cache=True`` (default) reuses
-    canonical-class labellings across routers by fault-mask content
+    cached by each class model; ``None`` disables the bound.  mcc/rfb
+    labellings come from the content-addressed cross-pattern cache
     (:mod:`repro.core.model_cache`), so sweeps that revisit a pattern —
     or several model consumers over one pattern — label each direction
     class once per process.
@@ -214,23 +208,15 @@ class AdaptiveRouter:
         fault_mask: np.ndarray,
         mode: str = "mcc",
         policy: Policy | None = None,
-        max_hops: int | None = None,
         reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
-        label_cache: bool = True,
     ):
         if mode not in self.MODES:
             raise ValueError(f"unknown router mode {mode!r}; pick from {self.MODES}")
         self.fault_mask = np.asarray(fault_mask, dtype=bool)
         self.mode = mode
         self.policy = policy or FixedOrderPolicy()
-        self.max_hops = max_hops
         self.reach_cache_size = reach_cache_size
-        self.label_cache = label_cache
         self._models: dict[tuple[int, ...], _ClassModel] = {}
-        # Oracle mode: reverse-reachability masks cached per (class, dest).
-        self._blocked_cache: LRUCache[
-            tuple[tuple[int, ...], Coord], np.ndarray
-        ] = LRUCache(reach_cache_size)
 
     # -- model construction (cached per direction class) -------------------
 
@@ -238,55 +224,24 @@ class AdaptiveRouter:
         key = orientation.signs
         if key not in self._models:
             if self.mode in ("mcc", "rfb"):
-                labeller = rfb_labelled if self.mode == "rfb" else label_grid
-                if self.label_cache:
-                    # Content-addressed: the digest is taken from the
-                    # mask as it is *now*, so the cached labelling
-                    # always matches the labelled content even when a
-                    # caller mutates its mask array between builds.
-                    labelled, _, walls = cached_class_assets(
-                        self.fault_mask, orientation,
-                        labeller=labeller, kind=self.mode,
-                    )
-                else:
-                    labelled = labeller(self.fault_mask, orientation)
-                    walls = build_walls(extract_mccs(labelled))
+                # Content-addressed: the digest is taken from the mask as
+                # it is *now*, so the cached labelling always matches the
+                # labelled content even when a caller mutates its mask
+                # array between builds.
+                labelled, _, _ = cached_class_assets(
+                    self.fault_mask,
+                    orientation,
+                    labeller=rfb_labelled if self.mode == "rfb" else label_grid,
+                    kind=self.mode,
+                )
             else:
                 # oracle/blind consult only the fault mask: skip the
                 # labelling fixed point and mark faults directly.
                 status = orientation.to_canonical(self.fault_mask).astype(np.int8)
                 status *= FAULTY
                 labelled = LabelledGrid(status=status, orientation=orientation)
-                labeller = label_grid
-                walls = []
-            self._models[key] = _ClassModel(
-                labelled, walls, labeller, self.reach_cache_size
-            )
+            self._models[key] = _ClassModel(labelled, self.reach_cache_size)
         return self._models[key]
-
-    def _oracle_blocked(self, model: _ClassModel, dest: Coord) -> np.ndarray:
-        """Oracle forbidden set for ``dest``: cells that cannot reach it."""
-        key = (model.labelled.orientation.signs, dest)
-        blocked = self._blocked_cache.get(key)
-        if blocked is None:
-            open_mask = ~model.labelled.fault_mask
-            blocked = ~reverse_reachable(open_mask, dest)
-            blocked.setflags(write=False)
-            self._blocked_cache.put(key, blocked)
-        return blocked
-
-    def _prime_oracle(self, model: _ClassModel, dests: Sequence[Coord]) -> None:
-        """Warm the oracle forbidden-set cache for many destinations."""
-        signs = model.labelled.orientation.signs
-        missing = [d for d in dests if (signs, d) not in self._blocked_cache]
-        if not missing:
-            return
-        open_mask = ~model.labelled.fault_mask
-        stacked = reverse_reachable_many(open_mask, missing)
-        for dest, mask in zip(missing, stacked, strict=True):
-            blocked = np.ascontiguousarray(~mask)
-            blocked.setflags(write=False)
-            self._blocked_cache.put((signs, dest), blocked)
 
     # -- routing -------------------------------------------------------------
 
@@ -294,6 +249,9 @@ class AdaptiveRouter:
         """Route one packet; returns the mesh-frame path and verdicts."""
         source = tuple(int(c) for c in source)
         dest = tuple(int(c) for c in dest)
+        shape = self.fault_mask.shape
+        check_shape_member("source", source, shape)
+        check_shape_member("dest", dest, shape)
         if self.fault_mask[source] or self.fault_mask[dest]:
             # A failed result, not an exception: dynamic-fault workloads
             # (MeshNetwork.inject_fault) route to endpoints that died
@@ -304,7 +262,7 @@ class AdaptiveRouter:
                 feasible=False,
                 reason="endpoint faulty",
             )
-        orientation = Orientation.for_pair(source, dest, self.fault_mask.shape)
+        orientation = Orientation.for_pair(source, dest, shape)
         s = orientation.map_coord(source)
         d = orientation.map_coord(dest)
         model = self._model_for(orientation)
@@ -323,29 +281,38 @@ class AdaptiveRouter:
 
         Blind mode has no feasibility check: it just tries.
         """
-        if self.mode in ("mcc", "rfb"):
-            if not model.endpoints_safe(s, d):
-                return "endpoint inside fault region"
-            if not model.feasible(s, d):
-                return "infeasible"
-        elif self.mode == "oracle":
-            if self._oracle_blocked(model, d)[s]:
-                return "infeasible"
+        if self.mode == "blind":
+            return None
+        if not model.endpoints_safe(s, d):
+            return "endpoint inside fault region"
+        if not model.feasible(s, d):
+            return "infeasible"
         return None
 
     def _forward(
         self, model: _ClassModel, orientation: Orientation, s: Coord, d: Coord
     ) -> RouteResult:
-        """Hop-by-hop forwarding loop after a passed (or absent) check."""
+        """Hop-by-hop forwarding loop after a passed (or absent) check.
+
+        Every hop moves one step toward ``d``, so the walk either arrives
+        in exactly ``manhattan(s, d)`` hops or stops with no candidate.
+        After a passed model check every hop stays inside ``d``'s reach
+        mask, so only blind mode can stop — and blind mode ran no check,
+        so a stopped walk's verdict is unknown (``feasible=None``).
+        """
         pos = s
         canonical_path = [pos]
-        budget = self.max_hops if self.max_hops is not None else manhattan(s, d) + 1
         while pos != d:
-            if len(canonical_path) - 1 >= budget:
-                return self._fail(orientation, canonical_path, "hop budget exceeded")
             candidates = self._candidates(model, pos, d)
             if not candidates:
-                return self._fail(orientation, canonical_path, "stuck")
+                path = [orientation.unmap_coord(c) for c in canonical_path]
+                return RouteResult(
+                    delivered=False,
+                    path=path,
+                    feasible=None,
+                    stuck_at=path[-1],
+                    reason="stuck",
+                )
             axis = self.policy.choose(candidates, pos, d)
             if axis not in candidates:
                 raise RuntimeError(f"policy chose non-candidate axis {axis}")
@@ -357,20 +324,8 @@ class AdaptiveRouter:
         return RouteResult(delivered=True, path=path, feasible=True)
 
     def _candidates(self, model: _ClassModel, pos: Coord, dest: Coord) -> list[int]:
-        if self.mode in ("mcc", "rfb"):
+        if self.mode != "blind":
             return model.candidates(pos, dest)
-        if self.mode == "oracle":
-            blocked = self._oracle_blocked(model, dest)
-            out = []
-            for axis in range(len(pos)):
-                if pos[axis] >= dest[axis]:
-                    continue
-                nxt = list(pos)
-                nxt[axis] += 1
-                if not blocked[tuple(nxt)]:
-                    out.append(axis)
-            return out
-        # blind
         out = []
         for axis in range(len(pos)):
             if pos[axis] >= dest[axis]:
@@ -380,50 +335,6 @@ class AdaptiveRouter:
             if not model.labelled.fault_mask[tuple(nxt)]:
                 out.append(axis)
         return out
-
-    def _fail(
-        self, orientation: Orientation, canonical_path: list[Coord], reason: str
-    ) -> RouteResult:
-        path = [orientation.unmap_coord(c) for c in canonical_path]
-        # Reaching the forwarding loop means the model's feasibility check
-        # passed — except in blind mode, where no check ever ran and the
-        # honest verdict is "unknown".
-        return RouteResult(
-            delivered=False,
-            path=path,
-            feasible=None if self.mode == "blind" else True,
-            stuck_at=path[-1],
-            reason=reason,
-        )
-
-
-def route_adaptive(
-    fault_mask: np.ndarray,
-    source: Sequence[int],
-    dest: Sequence[int],
-    mode: str = "mcc",
-    policy: Policy | None = None,
-) -> RouteResult:
-    """One-shot convenience wrapper around :class:`RoutingService`.
-
-    .. deprecated:: 1.1
-        Builds model state for a single pair and throws it away.  Use
-        :func:`repro.service.make_service` and hold the returned
-        service instead — ``make_service(mask, mode=...).route(s, d)``
-        is the same verdict through the shared caches.
-    """
-    import warnings
-
-    warnings.warn(
-        "route_adaptive() rebuilds all model state per call and is "
-        "deprecated; use repro.service.make_service(mask, mode=...) and "
-        "route through the returned service",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.routing.batch import RoutingService
-
-    return RoutingService(fault_mask, mode=mode, policy=policy).route(source, dest)
 
 
 def explore_all_choices(

@@ -14,7 +14,7 @@ grow without limit.
 
 The service *owns* its model stack: the
 :class:`~repro.online.DynamicFaultModel`, the per-class label arrays,
-and the reach/oracle caches all live inside the one
+and the reach caches all live inside the one
 ``OnlineRoutingService`` it wraps (built through
 :func:`repro.service.make_service`), so there is exactly one mutation
 path (:meth:`apply_event`) and one query path (:meth:`route`).
@@ -45,6 +45,7 @@ from repro.online.service import OnlineRoutingService
 from repro.routing.engine import RouteResult
 from repro.serve.clock import Clock, VirtualClock
 from repro.service import make_service
+from repro.util.validation import check_shape_member
 
 #: Default batching window (clock units; seconds on a WallClock).
 DEFAULT_BATCH_WINDOW = 0.001
@@ -209,15 +210,21 @@ class AsyncRoutingService:
         """Route one pair; resolves at the next batch tick or fault event.
 
         Raises :class:`ServiceOverloadError` immediately when admission
-        control sheds the request (pending queue at its depth bound)
-        and :class:`ServiceStoppedError` when the batching loop is not
-        running (nothing would ever resolve the future).
+        control sheds the request (pending queue at its depth bound),
+        :class:`ServiceStoppedError` when the batching loop is not
+        running (nothing would ever resolve the future), and the
+        :func:`~repro.util.validation.check_shape_member` error for an
+        off-mesh endpoint — before queueing, since a raise inside the
+        batching loop would strand every queued request.
         """
         if not self.running:
             raise ServiceStoppedError(
                 "AsyncRoutingService.route() outside start()/stop() — "
                 "use 'async with service:' or await service.start()"
             )
+        shape = self.online.fault_mask.shape
+        check_shape_member("source", source, shape)
+        check_shape_member("dest", dest, shape)
         self._requests += 1
         if len(self._pending) >= self.max_queue_depth:
             self._shed += 1

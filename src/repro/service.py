@@ -4,10 +4,11 @@ PRs 1–6 grew three divergent ways to obtain a routing service, each
 with its own signature and construction idiom:
 
 * :class:`repro.routing.batch.RoutingService` — batched routing over
-  one *static* fault pattern (positional mask, many model knobs);
+  one *static* fault pattern (positional mask, ``mode``/``policy``/
+  ``reach_cache_size``);
 * :class:`repro.online.OnlineRoutingService` — epoch-versioned routing
-  over a *mutating* fault set (same knobs, plus incremental-relabelling
-  ones, minus ``label_cache``/``router`` which do not apply);
+  over a *mutating* fault set (same knobs, plus
+  ``full_recompute_fraction`` for the incremental relabeller);
 * :func:`repro.core.model_cache.cached_routing_service` — a
   process-wide *shared* service keyed by mask content (mask + mode
   only; anything stateful would poison the cache).
@@ -19,9 +20,6 @@ honour raises ``ValueError`` up front instead of being silently
 ignored.  The experiments, the examples, and the async serving layer
 (:mod:`repro.serve`) all construct their services here, so "which
 service do I build and what may I pass it" has exactly one answer.
-
-The one-shot :func:`repro.routing.engine.route_adaptive` wrapper is
-deprecated in favour of ``make_service(mask).route(s, d)``.
 """
 
 from __future__ import annotations
@@ -34,25 +32,10 @@ from repro.core.model_cache import cached_routing_service
 from repro.online.dynamic_model import DEFAULT_FULL_RECOMPUTE_FRACTION
 from repro.online.service import OnlineRoutingService
 from repro.routing.batch import RoutingService
-from repro.routing.engine import DEFAULT_REACH_CACHE_SIZE, AdaptiveRouter
+from repro.routing.engine import DEFAULT_REACH_CACHE_SIZE
 from repro.routing.policies import Policy
 
 AnyRoutingService = Union[RoutingService, OnlineRoutingService]
-
-#: Knobs `shared=True` cannot honour: a cached service is keyed by
-#: (mask content, mode) alone, so anything else must stay at default.
-_SHARED_INCOMPATIBLE = (
-    "policy",
-    "max_hops",
-    "replay_policy",
-    "router",
-    "full_recompute_fraction",
-)
-
-#: Knobs `online=True` cannot honour: the online service builds its own
-#: mutable-model router, and its label arrays must never enter the
-#: content-addressed cache.
-_ONLINE_INCOMPATIBLE = ("label_cache", "router")
 
 
 def make_service(
@@ -62,11 +45,7 @@ def make_service(
     online: bool = False,
     shared: bool = False,
     policy: Policy | None = None,
-    max_hops: int | None = None,
     reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
-    replay_policy: bool = False,
-    label_cache: bool | None = None,
-    router: AdaptiveRouter | None = None,
     full_recompute_fraction: float | None = None,
 ) -> AnyRoutingService:
     """Build (or fetch) the routing service for a fault pattern.
@@ -79,15 +58,11 @@ def make_service(
     * ``shared=True`` — the process-wide content-addressed service from
       :func:`cached_routing_service` (stateless-policy modes only).
 
-    Common knobs (``mode``, ``policy``, ``max_hops``,
-    ``reach_cache_size``, ``replay_policy``) mean the same thing in
+    ``mode``, ``policy`` and ``reach_cache_size`` mean the same thing in
     every flavour that accepts them; a knob the selected flavour cannot
     honour raises ``ValueError`` instead of being dropped.
-    ``label_cache`` (static flavour only) routes labelling through the
-    content-addressed cross-pattern cache (default on);
     ``full_recompute_fraction`` (online flavour only) bounds the
-    incremental relabeller; ``router`` (static flavour only) adopts a
-    caller-owned :class:`AdaptiveRouter` in place of the mask.
+    incremental relabeller.
     """
     if online and shared:
         raise ValueError(
@@ -95,18 +70,13 @@ def make_service(
             "mutating fault set cannot be content-addressed"
         )
     if online:
-        _reject(flavour="online=True", given=_given(
-            label_cache=label_cache, router=router
-        ), forbidden=_ONLINE_INCOMPATIBLE)
         if fault_mask is None:
             raise ValueError("make_service(online=True) needs a fault_mask")
         return OnlineRoutingService(
             fault_mask,
             mode=mode,
             policy=policy,
-            max_hops=max_hops,
             reach_cache_size=reach_cache_size,
-            replay_policy=replay_policy,
             full_recompute_fraction=(
                 DEFAULT_FULL_RECOMPUTE_FRACTION
                 if full_recompute_fraction is None
@@ -114,18 +84,14 @@ def make_service(
             ),
         )
     if shared:
-        given = _given(
-            policy=policy,
-            max_hops=max_hops,
-            replay_policy=replay_policy or None,
-            router=router,
-            full_recompute_fraction=full_recompute_fraction,
-            label_cache=label_cache,
-        )
-        # label_cache=True is the shared service's behaviour anyway.
-        given = [name for name in given if name != "label_cache" or not label_cache]
-        _reject(flavour="shared=True", given=given,
-                forbidden=_SHARED_INCOMPATIBLE + ("label_cache",))
+        # A cached service is keyed by (mask content, mode) alone, so
+        # every other knob must stay at its default.
+        given = {"policy": policy, "full_recompute_fraction": full_recompute_fraction}
+        bad = sorted(name for name, value in given.items() if value is not None)
+        if bad:
+            raise ValueError(
+                f"make_service(shared=True) cannot honour: {', '.join(bad)}"
+            )
         if reach_cache_size != DEFAULT_REACH_CACHE_SIZE:
             raise ValueError(
                 "make_service(shared=True) cannot honour reach_cache_size: "
@@ -142,22 +108,5 @@ def make_service(
         fault_mask,
         mode=mode,
         policy=policy,
-        max_hops=max_hops,
         reach_cache_size=reach_cache_size,
-        replay_policy=replay_policy,
-        label_cache=True if label_cache is None else label_cache,
-        router=router,
     )
-
-
-def _given(**knobs) -> list[str]:
-    """Names of the knobs the caller actually set (non-None)."""
-    return [name for name, value in knobs.items() if value is not None]
-
-
-def _reject(flavour: str, given: list[str], forbidden: tuple[str, ...]) -> None:
-    bad = [name for name in given if name in forbidden]
-    if bad:
-        raise ValueError(
-            f"make_service({flavour}) cannot honour: {', '.join(sorted(bad))}"
-        )

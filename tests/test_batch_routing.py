@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
-from repro.routing.batch import RoutingService, route_batch
+from repro.routing.batch import RoutingService
 from repro.routing.engine import AdaptiveRouter
 from repro.routing.oracle import reverse_reachable, reverse_reachable_many
-from repro.routing.policies import DiagonalPolicy, FixedOrderPolicy, RandomPolicy
+from repro.routing.policies import DiagonalPolicy, FixedOrderPolicy
 from repro.util.caching import LRUCache
 from tests.conftest import random_mask
 
@@ -48,16 +48,6 @@ class TestEngineRegressions:
         mask = np.zeros((5, 5), dtype=bool)
         result = AdaptiveRouter(mask, mode="blind").route((0, 0), (4, 4))
         assert result.delivered and result.feasible is True
-
-    def test_model_mode_failures_keep_true_verdict(self):
-        # mcc/rfb/oracle reach the forwarding loop only after a passed
-        # check; a hop-budget failure must still report that verdict.
-        mask = np.zeros((6, 6), dtype=bool)
-        router = AdaptiveRouter(mask, mode="mcc", max_hops=3)
-        result = router.route((0, 0), (5, 5))
-        assert not result.delivered
-        assert result.feasible is True
-        assert result.reason == "hop budget exceeded"
 
     @pytest.mark.parametrize("mode", AdaptiveRouter.MODES)
     def test_faulty_endpoint_returns_failed_result(self, mode):
@@ -180,7 +170,7 @@ class TestRoutingService:
             s = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
             d = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
             pairs.append((s, d))
-        batched = route_batch(mask, pairs, mode=mode, policy=policy)
+        batched = RoutingService(mask, mode=mode, policy=policy).route_batch(pairs)
         for pair, got in zip(pairs, batched, strict=True):
             want = AdaptiveRouter(mask, mode=mode, policy=policy).route(*pair)
             assert results_equal(got, want), (mode, pair, got, want)
@@ -198,49 +188,6 @@ class TestRoutingService:
         small = RoutingService(mask, reach_cache_size=2).route_batch(pairs)
         large = RoutingService(mask, reach_cache_size=None).route_batch(pairs)
         assert all(results_equal(a, b) for a, b in zip(small, large, strict=True))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_replay_policy_matches_per_call_random_draws(self, seed):
-        """ROADMAP parity item: with ``replay_policy=True`` a stateful
-        ``RandomPolicy`` draws in input order, so batched paths equal
-        per-call paths element-wise (not just the delivery verdicts).
-        """
-        rng = np.random.default_rng(seed)
-        shape = (6, 6) if seed % 3 else (4, 4, 4)
-        mask = random_mask(rng, shape, int(rng.integers(1, 9)))
-        mode = AdaptiveRouter.MODES[seed % 4]
-        policy_seed = int(rng.integers(1 << 30))
-        pairs = []
-        for _ in range(25):
-            s = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
-            d = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
-            pairs.append((s, d))
-        service = RoutingService(
-            mask,
-            mode=mode,
-            policy=RandomPolicy(policy_seed),
-            replay_policy=True,
-        )
-        batched = service.route_batch(pairs)
-        solo_router = AdaptiveRouter(
-            mask, mode=mode, policy=RandomPolicy(policy_seed)
-        )
-        solo = [solo_router.route(s, d) for s, d in pairs]
-        for pair, got, want in zip(pairs, batched, solo, strict=True):
-            assert results_equal(got, want), (mode, pair, got, want)
-
-    def test_replay_policy_without_state_changes_nothing(self):
-        rng = np.random.default_rng(5)
-        mask = random_mask(rng, (6, 6), 6)
-        pairs = []
-        for _ in range(40):
-            s = tuple(int(v) for v in rng.integers(0, 6, 2))
-            d = tuple(int(v) for v in rng.integers(0, 6, 2))
-            pairs.append((s, d))
-        plain = RoutingService(mask).route_batch(pairs)
-        replayed = RoutingService(mask, replay_policy=True).route_batch(pairs)
-        assert all(results_equal(a, b) for a, b in zip(plain, replayed, strict=True))
 
     def test_shared_labelling_with_region_experiment(self):
         from repro.experiments.exp_region_overhead import region_overhead_once

@@ -73,9 +73,8 @@ class TestAssetsSharing:
         evaluator = ConditionEvaluator(mask.copy())
         orientation = Orientation.identity((6, 6))
         model = router._model_for(orientation)
-        labelled, _mccs, walls = evaluator.for_orientation(orientation)
+        labelled, _mccs, _walls = evaluator.for_orientation(orientation)
         assert model.labelled is labelled
-        assert model.walls is walls
 
     def test_two_routers_same_pattern_label_once(self):
         mask = some_mask()
@@ -87,14 +86,6 @@ class TestAssetsSharing:
             is r2._model_for(orientation).labelled
         )
 
-    def test_label_cache_false_bypasses(self):
-        mask = some_mask()
-        router = AdaptiveRouter(mask, mode="mcc", label_cache=False)
-        orientation = Orientation.identity((6, 6))
-        labelled = router._model_for(orientation).labelled
-        assert len(LABELLING_CACHE) == 0
-        labelled.status[0, 0] = labelled.status[0, 0]  # writable: no freeze
-
     def test_assets_reuse_labelled_entry(self):
         orientation = Orientation.identity((6, 6))
         labelled = cached_labelled(some_mask(), orientation)
@@ -103,10 +94,10 @@ class TestAssetsSharing:
 
     def test_routing_results_unchanged_by_cache(self):
         mask = some_mask()
+        AdaptiveRouter(mask, mode="mcc").route((0, 0), (5, 5))  # warm it
         cached = AdaptiveRouter(mask, mode="mcc").route((0, 0), (5, 5))
-        fresh = AdaptiveRouter(mask, mode="mcc", label_cache=False).route(
-            (0, 0), (5, 5)
-        )
+        clear_labelling_cache()
+        fresh = AdaptiveRouter(mask, mode="mcc").route((0, 0), (5, 5))
         assert (cached.delivered, cached.path) == (fresh.delivered, fresh.path)
 
     def test_lru_bound_holds(self):

@@ -234,7 +234,7 @@ class TestOnlineRoutingService:
             batch = pairs()
             got = online.route_batch(batch)
             cold = RoutingService(
-                online.fault_mask.copy(), mode=mode, label_cache=False
+                online.fault_mask.copy(), mode=mode
             ).route_batch(batch)
             for g, c in zip(got, cold, strict=True):
                 assert (g.delivered, g.path, g.feasible, g.stuck_at, g.reason) == (
@@ -312,7 +312,7 @@ class TestOnlineRoutingService:
         model = online.router._models[(1, 1)]
         assert (2, 2) in model._reach and (5, 5) not in model._reach
         # And correctness after partial retention:
-        cold = RoutingService(online.fault_mask.copy(), label_cache=False)
+        cold = RoutingService(online.fault_mask.copy())
         for pair in [((0, 0), (4, 4)), ((4, 4), (0, 0)), ((1, 0), (0, 5))]:
             g = online.route(*pair)
             c = cold.route(*pair)

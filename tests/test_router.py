@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.core.labelling import label_grid
 from repro.mesh.coords import manhattan
 from repro.mesh.regions import mask_of_cells
-from repro.routing.engine import AdaptiveRouter, explore_all_choices, route_adaptive
+from repro.routing.batch import RoutingService
+from repro.routing.engine import AdaptiveRouter, explore_all_choices
 from repro.routing.policies import (
     DiagonalPolicy,
     FixedOrderPolicy,
@@ -21,19 +22,19 @@ from tests.conftest import oracle_feasible, random_mask
 class TestBasics:
     def test_fault_free_routes_minimally(self):
         mask = np.zeros((6, 6, 6), dtype=bool)
-        result = route_adaptive(mask, (0, 0, 0), (5, 5, 5))
+        result = AdaptiveRouter(mask).route((0, 0, 0), (5, 5, 5))
         assert result.delivered and result.is_minimal()
         assert result.hops == 15
 
     def test_path_is_monotone_per_direction_class(self):
         mask = np.zeros((6, 6), dtype=bool)
-        result = route_adaptive(mask, (5, 5), (0, 0))
+        result = AdaptiveRouter(mask).route((5, 5), (0, 0))
         assert result.delivered
         assert result.hops == 10
 
     def test_infeasible_reported(self):
         mask = mask_of_cells([(2, 2, 3)], (6, 6, 6))
-        result = route_adaptive(mask, (2, 2, 0), (2, 2, 5))
+        result = AdaptiveRouter(mask).route((2, 2, 0), (2, 2, 5))
         assert not result.delivered and not result.feasible
         assert result.reason == "infeasible"
 
@@ -48,7 +49,7 @@ class TestBasics:
         # A failed result, not an exception: dynamic-fault DES workloads
         # route to endpoints that died mid-run.
         mask = mask_of_cells([(0, 0)], (4, 4))
-        result = route_adaptive(mask, (0, 0), (3, 3))
+        result = AdaptiveRouter(mask).route((0, 0), (3, 3))
         assert not result.delivered and result.feasible is False
         assert result.reason == "endpoint faulty"
         assert result.path == [(0, 0)]
@@ -106,18 +107,29 @@ class TestMinimalityAllModes:
             if want:
                 assert result.is_minimal()
 
-    def test_oracle_mode_reference(self, rng):
-        mask = random_mask(rng, (7, 7), 8)
+    @pytest.mark.parametrize(
+        "shape,faults", [((7, 7), 8), ((5, 5, 5), 20)], ids=["2d", "3d"]
+    )
+    def test_oracle_mode_reference(self, rng, shape, faults):
+        mask = random_mask(rng, shape, faults)
         router = AdaptiveRouter(mask, mode="oracle")
-        for _ in range(15):
-            s = tuple(int(v) for v in rng.integers(0, 7, 2))
-            d = tuple(int(v) for v in rng.integers(0, 7, 2))
-            if mask[s] or mask[d]:
-                continue
+        pairs = []
+        for _ in range(40):
+            s = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
+            d = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
+            if not (mask[s] or mask[d]):
+                pairs.append((s, d))
+        want = [oracle_feasible(mask, s, d) for s, d in pairs]
+        assert any(want) and not all(want)
+        for (s, d), ok in zip(pairs, want, strict=True):
             result = router.route(s, d)
-            assert result.delivered == oracle_feasible(mask, s, d)
+            assert result.delivered == ok
             if result.delivered:
                 assert result.hops == manhattan(s, d)
+        # The batched service scores oracle mode through the same model.
+        service = RoutingService(mask, mode="oracle")
+        assert service.feasible_batch(pairs).tolist() == want
+        assert [r.delivered for r in service.route_batch(pairs)] == want
 
     def test_blind_mode_can_fail_where_mcc_succeeds(self):
         # Dead-end pocket along the bottom row: x-first blind routing

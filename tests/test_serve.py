@@ -5,8 +5,8 @@ determinism under a seeded clock, fault-event preemption vs in-flight
 requests (epoch parity with ``OnlineRoutingService.flush``),
 admission-control shedding, and facade parity with a direct
 ``RoutingService`` — plus the :func:`make_service` flavour validation,
-the :class:`Ticket` compatibility shim, and the ``route_adaptive``
-deprecation.
+the :class:`Ticket` compatibility shim, and off-mesh endpoint rejection
+at every routing entry point.
 """
 
 import asyncio
@@ -16,7 +16,8 @@ import pytest
 
 from repro.online import OnlineRoutingService, Ticket
 from repro.routing.batch import RoutingService
-from repro.routing.engine import route_adaptive
+from repro.routing.engine import AdaptiveRouter
+from repro.routing.policies import FixedOrderPolicy
 from repro.serve import (
     AsyncRoutingService,
     ServiceOverloadError,
@@ -363,10 +364,10 @@ class TestMakeServiceFacade:
 
     def test_flavours_reject_foreign_knobs(self):
         mask = small_mask()
-        with pytest.raises(ValueError, match="cannot honour"):
-            make_service(mask, online=True, label_cache=False)
-        with pytest.raises(ValueError, match="cannot honour"):
-            make_service(mask, shared=True, max_hops=10)
+        with pytest.raises(ValueError, match="cannot honour: policy"):
+            make_service(mask, shared=True, policy=FixedOrderPolicy())
+        with pytest.raises(ValueError, match="cannot honour: full_recompute"):
+            make_service(mask, shared=True, full_recompute_fraction=0.5)
         with pytest.raises(ValueError, match="full_recompute_fraction"):
             make_service(mask, full_recompute_fraction=0.5)
         with pytest.raises(ValueError, match="reach_cache_size"):
@@ -404,10 +405,37 @@ class TestTicket:
         assert repr(ticket) == f"Ticket(id={int(ticket)}, epoch=1)"
 
 
-class TestRouteAdaptiveDeprecation:
-    def test_route_adaptive_warns_but_works(self):
+class TestOffMeshEndpoints:
+    def test_every_entry_point_rejects_off_mesh_endpoints(self):
+        # numpy reads a negative index from the far end of an axis, so an
+        # unchecked (-1, 0) would route from (4, 0) and call it minimal.
         mask = np.zeros((5, 5), dtype=bool)
-        mask[2, 2] = True
-        with pytest.warns(DeprecationWarning, match="make_service"):
-            result = route_adaptive(mask, (0, 0), (4, 4))
-        assert result.delivered
+        router = AdaptiveRouter(mask)
+        service = RoutingService(mask)
+        online = OnlineRoutingService(mask.copy())
+        good = ((0, 0), (4, 4))
+        for bad in [((-1, 0), (4, 4)), (good[0], (0, -2)), ((-3, 1), (4, 4)),
+                    ((5, 0), (4, 4))]:
+            with pytest.raises(IndexError, match="outside mesh"):
+                router.route(*bad)
+            with pytest.raises(IndexError, match="outside mesh"):
+                service.feasible_batch([good, bad])
+            with pytest.raises(IndexError, match="outside mesh"):
+                service.route_batch([good, bad])
+            with pytest.raises(IndexError, match="outside mesh"):
+                online.submit(*bad)
+        assert online.flush() == {}
+
+        async def scenario():
+            served = AsyncRoutingService(mask.copy(), clock=VirtualClock())
+            async with served:
+                with pytest.raises(IndexError, match="outside mesh"):
+                    await _pump(served.clock, served.route((-3, 1), (4, 4)))
+                # The rejection happens before queueing: the batcher
+                # lives on and answers the next valid request.
+                result = await _pump(served.clock, served.route(*good))
+                return result, served.metrics()
+
+        result, metrics = asyncio.run(scenario())
+        assert result.delivered and result.path[0] == (0, 0)
+        assert metrics.requests == metrics.completed == 1
