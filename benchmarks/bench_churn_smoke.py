@@ -4,7 +4,10 @@ Runs a small fault-churn sweep (repro.experiments.exp_churn) serially,
 then re-runs it across worker processes and several shard counts — the
 merged tables must match byte-for-byte (rendered text and CSV), which
 pins down that the online subsystem's whole event/routing history per
-pattern is a pure function of the pattern's positional seed.
+pattern is a pure function of the pattern's positional seed.  Both
+online fault-information models are checked in one invocation: the
+incremental MCC labelling and the incremental RFB blocks
+(``mode="rfb"``, T6r).
 
 Run (exits non-zero on any mismatch)::
 
@@ -39,7 +42,7 @@ def main() -> None:
     parser.add_argument("--check-shards", type=int, nargs="+", default=[1, 2, 4])
     args = parser.parse_args()
 
-    def run(workers: int, shards: int | None):
+    def run(mode: str, workers: int, shards: int | None):
         return run_churn(
             tuple(args.shape),
             list(args.fault_counts),
@@ -50,20 +53,22 @@ def main() -> None:
             seed=args.seed,
             workers=workers,
             shards=shards,
+            mode=mode,
         )
 
-    serial = run(workers=1, shards=1)
-    print(serial.render())
-    for shards in args.check_shards:
-        table = run(workers=args.workers, shards=shards)
-        if table.render() != serial.render() or table.to_csv() != serial.to_csv():
-            fail(
-                f"churn sweep diverges at workers={args.workers}, "
-                f"shards={shards}"
-            )
+    for mode in ("mcc", "rfb"):
+        serial = run(mode, workers=1, shards=1)
+        print(serial.render())
+        for shards in args.check_shards:
+            table = run(mode, workers=args.workers, shards=shards)
+            if table.render() != serial.render() or table.to_csv() != serial.to_csv():
+                fail(
+                    f"{mode} churn sweep diverges at workers={args.workers}, "
+                    f"shards={shards}"
+                )
     print(
-        f"PASS: churn sweep byte-identical for workers={args.workers}, "
-        f"shards in {args.check_shards}"
+        f"PASS: mcc and rfb churn sweeps byte-identical for "
+        f"workers={args.workers}, shards in {args.check_shards}"
     )
 
 

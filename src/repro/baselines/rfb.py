@@ -8,10 +8,19 @@ The conventional fault region (Wu [8]; Boppana & Chalasani; Su & Shin):
    clusters exactly like the classic node-labelling schemes.
 2. *Block formation*: each connected unsafe component is expanded to its
    bounding rectangle (2-D) / cuboid (3-D).
-3. *Block merging*: overlapping or face/corner-adjacent blocks merge
-   into their joint bounding box, repeated until all blocks are
-   pairwise disjoint and separated — the standard "disjoint rectangular
-   faulty blocks" the literature assumes.
+3. *Block merging*: overlapping or face/corner-adjacent blocks (within
+   Chebyshev distance 1) merge into their joint bounding box, repeated
+   until all blocks are pairwise disjoint and separated — the standard
+   "disjoint rectangular faulty blocks" the literature assumes.
+
+Steps 2–3 are one mask kernel, :func:`_fill_blocks`: label the blocked
+cells with full 3ⁿ connectivity, fill each component's bounding box,
+and repeat until nothing changes.  Two boxes within Chebyshev distance
+1 always share a 3ⁿ component, and a fixed point's components are boxes
+at distance >= 2 from each other, so the fixed point is exactly step
+3's pairwise-separated block set (``tests/test_rfb.py`` checks it
+against the pairwise rule).  Blocks are bounding boxes of mesh cells,
+so they never leave the mesh.
 
 Compared with the MCC model, RFB regions swallow many more non-faulty
 nodes (the whole point of the paper; experiment T1) and consequently
@@ -25,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from repro.core.labelling import FAULTY, LabelledGrid, SAFE, USELESS
+from repro.core.labelling import FAULTY, LabelledGrid, SAFE, USELESS, _shifted_blocked
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import Box
 
@@ -33,62 +42,38 @@ from repro.mesh.regions import Box
 def _local_closure(fault_mask: np.ndarray) -> np.ndarray:
     """Fixed point of the two-different-dimensions rule; includes faults."""
     blocked = fault_mask.copy()
-    ndim = fault_mask.ndim
     while True:
         axes_hit = np.zeros(fault_mask.shape, dtype=np.int8)
-        for axis in range(ndim):
-            along = np.zeros(fault_mask.shape, dtype=bool)
-            src_hi = [slice(None)] * ndim
-            dst_hi = [slice(None)] * ndim
-            src_hi[axis] = slice(1, None)
-            dst_hi[axis] = slice(None, -1)
-            along[tuple(dst_hi)] |= blocked[tuple(src_hi)]
-            src_lo = [slice(None)] * ndim
-            dst_lo = [slice(None)] * ndim
-            src_lo[axis] = slice(None, -1)
-            dst_lo[axis] = slice(1, None)
-            along[tuple(dst_lo)] |= blocked[tuple(src_lo)]
-            axes_hit += along
+        for axis in range(fault_mask.ndim):
+            hit = _shifted_blocked(blocked, axis, 1)
+            hit |= _shifted_blocked(blocked, axis, -1)
+            axes_hit += hit
         new_blocked = blocked | (axes_hit >= 2)
         if np.array_equal(new_blocked, blocked):
             return blocked
         blocked = new_blocked
 
 
-def _merge_boxes(boxes: list[Box]) -> list[Box]:
-    """Merge boxes that overlap or touch (including diagonally)."""
-    boxes = list(boxes)
-    changed = True
-    while changed:
-        changed = False
-        out: list[Box] = []
-        while boxes:
-            box = boxes.pop()
-            merged = False
-            for i, other in enumerate(out):
-                if box.inflate(1).intersects(other):
-                    out[i] = other.union_box(box)
-                    merged = True
-                    changed = True
-                    break
-            if not merged:
-                out.append(box)
-        boxes = out
-    return boxes
+def _fill_blocks(blocked: np.ndarray) -> np.ndarray:
+    """Steps 2–3: fill each 3ⁿ component's bounding box until stable."""
+    structure = ndimage.generate_binary_structure(blocked.ndim, blocked.ndim)
+    while True:
+        labels, _ = ndimage.label(blocked, structure=structure)
+        filled = np.zeros_like(blocked)
+        for slc in ndimage.find_objects(labels):
+            filled[slc] = True
+        if np.array_equal(filled, blocked):
+            return filled
+        blocked = filled
 
 
 def rfb_blocks(fault_mask: np.ndarray) -> list[Box]:
     """The disjoint rectangular faulty blocks of a fault pattern."""
-    fault_mask = np.asarray(fault_mask, dtype=bool)
-    blocked = _local_closure(fault_mask)
-    structure = ndimage.generate_binary_structure(fault_mask.ndim, 1)
-    labels, count = ndimage.label(blocked, structure=structure)
-    boxes = []
-    for slc in ndimage.find_objects(labels):
-        lo = tuple(s.start for s in slc)
-        hi = tuple(s.stop - 1 for s in slc)
-        boxes.append(Box(lo, hi))
-    return _merge_boxes(boxes)
+    labels, _ = ndimage.label(rfb_unsafe(fault_mask))
+    return [
+        Box(tuple(s.start for s in slc), tuple(s.stop - 1 for s in slc))
+        for slc in ndimage.find_objects(labels)
+    ]
 
 
 def rfb_unsafe(fault_mask: np.ndarray, variant: str = "block") -> np.ndarray:
@@ -102,12 +87,7 @@ def rfb_unsafe(fault_mask: np.ndarray, variant: str = "block") -> np.ndarray:
         return _local_closure(fault_mask)
     if variant != "block":
         raise ValueError(f"unknown RFB variant {variant!r}")
-    out = np.zeros(fault_mask.shape, dtype=bool)
-    for box in rfb_blocks(fault_mask):
-        clipped = box.clip(fault_mask.shape)
-        if clipped is not None:
-            out[clipped.slices()] = True
-    return out
+    return _fill_blocks(_local_closure(fault_mask))
 
 
 class DynamicRFBState:
@@ -120,15 +100,16 @@ class DynamicRFBState:
     class via orientation views — RFB regions are direction-independent,
     which is itself an 8x saving over the cold per-class labeller).
 
-    :meth:`apply` is a **block-local recompute**: only the blocks an
-    event can influence are rebuilt.  The local closure provably stays inside
-    the bounding box of its generating faults, and two block sets only
-    interact when within Chebyshev distance 1 of each other (the merge
-    rule), so the recompute region starts at the event's bounding box,
-    transitively swallows every existing block within distance 1, and is
-    recomputed as a cropped sub-problem with the outside frozen.  If the
-    fresh blocks end up within distance 1 of a frozen outside block, the
-    region grows and the crop is redone — byte-identity with a
+    :meth:`apply` is a **block-local recompute**.  Its region is the
+    fill rule seeded with the event: the component of
+    ``_fill_blocks(unsafe | event box)`` that holds the event's bounding
+    box, i.e. the event box plus every block within Chebyshev distance
+    1 of it, transitively.  Each block left outside is at distance >= 2
+    from that region, and the region's fresh blocks are bounding boxes
+    of its own faults, so they stay inside it: neither side can touch
+    the other, and ``rfb_unsafe`` of the cropped faults is the
+    from-scratch result there.  Above ``FULL_RECOMPUTE_FRACTION`` of the
+    mesh the region is the whole mesh.  Byte-identity with a
     from-scratch :func:`rfb_unsafe` of the current mask is
     property-tested in ``tests/test_rfb.py``.
     """
@@ -140,26 +121,26 @@ class DynamicRFBState:
     def __init__(self, fault_mask: np.ndarray):
         self.fault_mask = fault_mask  # live alias; owner mutates in place
         self.shape = tuple(fault_mask.shape)
-        self.unsafe = rfb_unsafe(fault_mask)
-        self.open = ~self.unsafe
+        self.unsafe = np.zeros(self.shape, dtype=bool)
+        self.open = np.ones(self.shape, dtype=bool)
         self.status = np.zeros(self.shape, dtype=np.int8)
-        self.blocks = rfb_blocks(fault_mask)
-        self._refresh_box(Box((0,) * len(self.shape), tuple(k - 1 for k in self.shape)))
+        self._recompute(tuple(slice(0, k) for k in self.shape))
 
-    def _refresh_box(self, box: Box) -> None:
-        sl = box.slices()
-        faults = self.fault_mask[sl]
-        status = self.status[sl]
+    def _recompute(self, region: tuple[slice, ...]) -> np.ndarray:
+        """From-scratch RFB of the faults in ``region``, written in place.
+
+        Returns the cells (region-relative) whose unsafe bit changed.
+        """
+        faults = self.fault_mask[region]
+        old = self.unsafe[region].copy()
+        new = rfb_unsafe(faults)
+        self.unsafe[region] = new
+        self.open[region] = ~new
+        status = self.status[region]
         status[...] = SAFE
-        status[self.unsafe[sl] & ~faults] = USELESS
+        status[new & ~faults] = USELESS
         status[faults] = FAULTY
-        self.open[sl] = ~self.unsafe[sl]
-
-    def rebuild(self) -> None:
-        """From-scratch recompute, in place (fallback path)."""
-        self.unsafe[...] = rfb_unsafe(self.fault_mask)
-        self.blocks = rfb_blocks(self.fault_mask)
-        self._refresh_box(Box((0,) * len(self.shape), tuple(k - 1 for k in self.shape)))
+        return np.argwhere(old != new)
 
     def apply(self, cells, kind: str) -> tuple[Box | None, int, bool]:
         """Recompute after ``cells`` changed state (mask already mutated).
@@ -177,75 +158,31 @@ class DynamicRFBState:
             for c in cells:
                 self.status[c] = FAULTY
             return None, 0, False
-        mesh_cells = self.fault_mask.size
-        region = Box.of_cells(cells)
-        # Swallow every existing block the event region can interact
-        # with (merge radius 1), transitively.
-        pending = list(self.blocks)
-        grew = True
-        while grew:
-            grew = False
-            still_out = []
-            for b in pending:
-                if b.inflate(1).intersects(region):
-                    region = region.union_box(b)
-                    grew = True
-                else:
-                    still_out.append(b)
-            pending = still_out
-        outside = pending
-        while True:
-            if region.volume > self.FULL_RECOMPUTE_FRACTION * mesh_cells:
-                old = self.unsafe.copy()
-                self.rebuild()
-                changed = np.argwhere(old != self.unsafe)
-                dirty = (
-                    Box.of_cells(changed) if len(changed) else None
-                )
-                return dirty, 2 * mesh_cells, True
-            sl = region.slices()
-            local_blocks = [
-                Box(
-                    tuple(a + o for a, o in zip(b.lo, region.lo, strict=True)),
-                    tuple(a + o for a, o in zip(b.hi, region.lo, strict=True)),
-                )
-                for b in rfb_blocks(self.fault_mask[sl])
-            ]
-            offenders = [
-                b
-                for b in outside
-                if any(nb.inflate(1).intersects(b) for nb in local_blocks)
-            ]
-            if not offenders:
-                break
-            for b in offenders:
-                region = region.union_box(b)
-            outside = [b for b in outside if b not in offenders]
-        old_sub = self.unsafe[sl].copy()
-        new_sub = np.zeros_like(old_sub)
-        for b in local_blocks:
-            new_sub[
-                tuple(
-                    slice(a - o, c - o + 1)
-                    for a, c, o in zip(b.lo, b.hi, region.lo, strict=True)
-                )
-            ] = True
-        self.unsafe[sl] = new_sub
-        self.blocks = outside + local_blocks
-        self._refresh_box(region)
-        changed = np.argwhere(old_sub != new_sub)
+        lo, hi = np.min(cells, axis=0), np.max(cells, axis=0)
+        seeded = self.unsafe.copy()
+        seeded[tuple(slice(a, b + 1) for a, b in zip(lo, hi, strict=True))] = True
+        labels, _ = ndimage.label(_fill_blocks(seeded))
+        region = ndimage.find_objects(labels)[labels[cells[0]] - 1]
+        swept = int(np.prod([s.stop - s.start for s in region]))
+        full = swept > self.FULL_RECOMPUTE_FRACTION * self.fault_mask.size
+        if full:
+            region = tuple(slice(0, k) for k in self.shape)
+            # T6r's cost column counts a full recompute as two mesh sweeps.
+            swept = 2 * self.fault_mask.size
+        changed = self._recompute(region)
         dirty = None
         if len(changed):
-            lo = tuple(int(v) + o for v, o in zip(changed.min(axis=0), region.lo, strict=True))
-            hi = tuple(int(v) + o for v, o in zip(changed.max(axis=0), region.lo, strict=True))
-            dirty = Box(lo, hi)
-        return dirty, region.volume, False
+            offset = np.array([s.start for s in region])
+            dirty = Box(
+                tuple(int(v) for v in changed.min(axis=0) + offset),
+                tuple(int(v) for v in changed.max(axis=0) + offset),
+            )
+        return dirty, swept, full
 
 
 def rfb_labelled(
     fault_mask: np.ndarray,
     orientation: Orientation | None = None,
-    variant: str = "block",
 ) -> LabelledGrid:
     """Present the RFB region as a :class:`LabelledGrid`.
 
@@ -258,7 +195,7 @@ def rfb_labelled(
     fault_mask = np.asarray(fault_mask, dtype=bool)
     if orientation is None:
         orientation = Orientation.identity(fault_mask.shape)
-    unsafe = rfb_unsafe(fault_mask, variant=variant)
+    unsafe = rfb_unsafe(fault_mask)
     status = np.zeros(fault_mask.shape, dtype=np.int8)
     status[unsafe] = USELESS
     status[fault_mask] = FAULTY

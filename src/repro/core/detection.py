@@ -27,9 +27,9 @@ verdict additionally applies the model's exact reachability rule — see
   [xd:xd, ys:yd, zs:zd].
 
 Detour moves are only permitted from cells where an in-surface move is
-blocked by an *unsafe node* (not by the RMP boundary), matching "if the
-propagation … intersects with another MCC, it will make a turn … and
-then turn back … as soon as possible".
+blocked by an *unsafe node* (not by the RMP boundary), matching the
+paper's rule: a propagation that runs into another MCC makes a turn,
+then turns back as soon as possible.
 
 Everything operates in the canonical frame on the unsafe mask produced
 by :func:`repro.core.labelling.label_grid`.

@@ -52,8 +52,9 @@ STATUS_NAMES = {SAFE: "safe", FAULTY: "faulty", USELESS: "useless", CANT_REACH: 
 def _shifted_blocked(blocked: np.ndarray, axis: int, sign: int) -> np.ndarray:
     """Blocked-status of each node's neighbor along (axis, sign).
 
-    Nodes whose neighbor falls outside the mesh get ``False`` (mesh
-    borders are not blocking).
+    The one-cell shift ``out[i] = blocked[i + sign]`` along ``axis``,
+    for any boolean grid.  Nodes whose neighbor falls outside the mesh
+    get ``False`` (mesh borders are not blocking).
     """
     out = np.zeros_like(blocked)
     src = [slice(None)] * blocked.ndim

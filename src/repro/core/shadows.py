@@ -21,24 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _shift_along(mask: np.ndarray, axis: int, sign: int) -> np.ndarray:
-    """Shift a boolean grid by one cell along ``axis``; vacated cells False.
-
-    ``sign=+1`` moves content toward higher indices (so ``out[i] =
-    mask[i-1]``); ``sign=-1`` the reverse.
-    """
-    out = np.zeros_like(mask)
-    src = [slice(None)] * mask.ndim
-    dst = [slice(None)] * mask.ndim
-    if sign > 0:
-        src[axis] = slice(None, -1)
-        dst[axis] = slice(1, None)
-    else:
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-    out[tuple(dst)] = mask[tuple(src)]
-    return out
+from repro.core.labelling import _shifted_blocked
 
 
 def negative_shadow(mask: np.ndarray, axis: int) -> np.ndarray:
@@ -50,13 +33,13 @@ def negative_shadow(mask: np.ndarray, axis: int) -> np.ndarray:
     rev = np.flip(mask, axis=axis)
     acc = np.logical_or.accumulate(rev, axis=axis)
     above_or_equal = np.flip(acc, axis=axis)
-    return _shift_along(above_or_equal, axis, sign=-1)
+    return _shifted_blocked(above_or_equal, axis, 1)
 
 
 def positive_shadow(mask: np.ndarray, axis: int) -> np.ndarray:
     """Cells strictly above some mask cell along ``axis`` (Q'_dim)."""
     acc = np.logical_or.accumulate(mask, axis=axis)
-    return _shift_along(acc, axis, sign=+1)
+    return _shifted_blocked(acc, axis, -1)
 
 
 def shadow_masks(mask: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,5 +56,5 @@ def entry_cells(shadow: np.ndarray, entry_axis: int) -> np.ndarray:
     intersect with the safe mask for wall *records* and with the unsafe
     mask for wall *obstructions* (chain merging).
     """
-    inside_ahead = _shift_along(shadow, entry_axis, sign=-1)
+    inside_ahead = _shifted_blocked(shadow, entry_axis, 1)
     return inside_ahead & ~shadow

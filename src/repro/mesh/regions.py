@@ -3,14 +3,16 @@
 ``Box`` is the closed integer box [lo, hi] per axis — the shape of the
 paper's RMP (region of minimal paths), of rectangular faulty blocks, and
 of the segments/surfaces in Theorems 1 and 2 (the notation
-``[0:xd, yd:yd, 0:zd]`` is exactly a degenerate Box).
+``[0:xd, yd:yd, 0:zd]`` is exactly a degenerate Box).  It is a plain
+value type: the RFB blocks, each MCC's bounding box and the online RFB
+dirty box are all Boxes, but region algebra runs on boolean masks (see
+:mod:`repro.baselines.rfb`), so Box keeps only membership.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,100 +33,10 @@ class Box:
             if lo > hi:
                 raise ValueError(f"empty box: lo {self.lo} > hi {self.hi}")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def spanning(a: Sequence[int], b: Sequence[int]) -> "Box":
-        """Smallest box containing both points (the RMP of a routing)."""
-        lo = tuple(min(x, y) for x, y in zip(a, b, strict=True))
-        hi = tuple(max(x, y) for x, y in zip(a, b, strict=True))
-        return Box(lo, hi)
-
-    @staticmethod
-    def of_cells(cells: Sequence[Sequence[int]]) -> "Box":
-        """Bounding box of a non-empty cell collection."""
-        arr = np.asarray(list(cells), dtype=np.int64)
-        if arr.size == 0:
-            raise ValueError("bounding box of an empty cell set")
-        return Box(tuple(arr.min(axis=0).tolist()), tuple(arr.max(axis=0).tolist()))
-
-    # -- queries ------------------------------------------------------------
-
-    @property
-    def ndim(self) -> int:
-        return len(self.lo)
-
-    @property
-    def extents(self) -> tuple[int, ...]:
-        """Number of lattice points per axis."""
-        return tuple(hi - lo + 1 for lo, hi in zip(self.lo, self.hi, strict=True))
-
-    @property
-    def volume(self) -> int:
-        """Number of lattice points inside the box."""
-        return int(np.prod(self.extents))
-
     def contains(self, coord: Sequence[int]) -> bool:
-        return len(coord) == self.ndim and all(
+        return len(coord) == len(self.lo) and all(
             lo <= c <= hi for c, lo, hi in zip(coord, self.lo, self.hi, strict=True)
         )
-
-    def contains_box(self, other: "Box") -> bool:
-        return all(
-            sl <= ol and oh <= sh
-            for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi, strict=True)
-        )
-
-    def intersects(self, other: "Box") -> bool:
-        return all(
-            max(sl, ol) <= min(sh, oh)
-            for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi, strict=True)
-        )
-
-    def intersection(self, other: "Box") -> "Box | None":
-        lo = tuple(max(sl, ol) for sl, ol in zip(self.lo, other.lo, strict=True))
-        hi = tuple(min(sh, oh) for sh, oh in zip(self.hi, other.hi, strict=True))
-        if any(a > b for a, b in zip(lo, hi, strict=True)):
-            return None
-        return Box(lo, hi)
-
-    def union_box(self, other: "Box") -> "Box":
-        """Smallest box containing both (used by RFB merging)."""
-        lo = tuple(min(sl, ol) for sl, ol in zip(self.lo, other.lo, strict=True))
-        hi = tuple(max(sh, oh) for sh, oh in zip(self.hi, other.hi, strict=True))
-        return Box(lo, hi)
-
-    def inflate(self, margin: int) -> "Box":
-        """Grow by ``margin`` on every side (adjacency tests)."""
-        return Box(
-            tuple(lo - margin for lo in self.lo),
-            tuple(h + margin for h in self.hi),
-        )
-
-    def clip(self, shape: Sequence[int]) -> "Box | None":
-        """Intersect with the mesh (``[0, k-1]`` per axis)."""
-        mesh_box = Box((0,) * len(shape), tuple(k - 1 for k in shape))
-        return self.intersection(mesh_box)
-
-    # -- iteration / masks ---------------------------------------------------
-
-    def cells(self) -> Iterator[Coord]:
-        """Iterate all lattice points (row-major)."""
-        return itertools.product(
-            *(range(lo, hi + 1) for lo, hi in zip(self.lo, self.hi, strict=True))
-        )
-
-    def slices(self) -> tuple[slice, ...]:
-        """Numpy basic-indexing slices selecting the box in a grid."""
-        return tuple(slice(lo, hi + 1) for lo, hi in zip(self.lo, self.hi, strict=True))
-
-    def mask(self, shape: Sequence[int]) -> np.ndarray:
-        """Boolean grid of ``shape`` that is True inside (clipped) box."""
-        out = np.zeros(tuple(shape), dtype=bool)
-        clipped = self.clip(shape)
-        if clipped is not None:
-            out[clipped.slices()] = True
-        return out
 
     def __repr__(self) -> str:
         spans = ", ".join(f"{lo}:{hi}" for lo, hi in zip(self.lo, self.hi, strict=True))

@@ -136,12 +136,20 @@ class TestDESVariant:
         assert 0.0 <= row["des"] <= 1.0
 
     def test_rfb_mode_runs(self):
+        # Golden T6r cost columns: the 6-fault row recomputes cropped
+        # regions only, the 20-fault row hits the full fallback, and
+        # cache_retained pins eviction by the dirty box.
         table = run_churn(
-            (6, 6), [3], pairs=6, epochs=2, churn=1, trials=1, seed=5,
+            (8, 8, 8), [6, 20], pairs=20, epochs=6, churn=2, trials=2, seed=5,
             mode="rfb",
         )
         assert "model rfb" in table.title
-        assert 0.0 <= table.rows[0]["delivered"] <= 1.0
+        assert table.to_csv().replace("\r\n", "\n") == (
+            "faults,pairs,delivered,infeasible,stuck,relabel_cells_per_event,"
+            "label_delta_per_event,full_recomputes,cache_retained\n"
+            "6,240,0.9875,0.0125,0,73.58333333333333,0.0,0,0.40350877192982454\n"
+            "20,240,0.675,0.325,0,860.0,0.0,10,0.11152416356877323\n"
+        )
 
 
 class TestChurnSemantics:

@@ -1,15 +1,66 @@
 """Tests for the rectangular-faulty-block baseline."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from repro.baselines.rfb import _local_closure, rfb_blocks, rfb_labelled, rfb_unsafe
 from repro.core.labelling import FAULTY, USELESS
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
 from tests.conftest import random_mask
+
+
+def chebyshev_gap(a, b):
+    """Chebyshev distance between two ``(lo, hi)`` boxes (0 = overlap)."""
+    (alo, ahi), (blo, bhi) = a, b
+    return max(
+        max(bl - ah, al - bh, 0)
+        for al, ah, bl, bh in zip(alo, ahi, blo, bhi, strict=True)
+    )
+
+
+def reference_blocks(fault_mask):
+    """Steps 2–3 from their definition, as sorted ``(lo, hi)`` tuples.
+
+    Each face-connected component of the local closure becomes its
+    bounding box; any two boxes within Chebyshev distance 1 merge into
+    their joint bounding box until none are.
+    """
+    labels, _ = ndimage.label(_local_closure(fault_mask))
+    boxes = [
+        (tuple(s.start for s in slc), tuple(s.stop - 1 for s in slc))
+        for slc in ndimage.find_objects(labels)
+    ]
+    while True:
+        touching = [
+            (a, b) for a, b in combinations(boxes, 2) if chebyshev_gap(a, b) <= 1
+        ]
+        if not touching:
+            return sorted(boxes)
+        a, b = touching[0]
+        boxes.remove(a)
+        boxes.remove(b)
+        boxes.append((
+            tuple(min(x, y) for x, y in zip(a[0], b[0], strict=True)),
+            tuple(max(x, y) for x, y in zip(a[1], b[1], strict=True)),
+        ))
+
+
+#: 2-D, 3-D and 4-D mesh shapes, size-1 axes included.
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 10), st.integers(1, 10)),
+    st.tuples(*[st.integers(1, 6)] * 3),
+    st.tuples(*[st.integers(1, 4)] * 4),
+)
+
+
+def drawn_mask(shape, seed, percent):
+    return np.random.default_rng(seed).random(shape) * 100 < percent
 
 
 class TestLocalClosure:
@@ -61,9 +112,8 @@ class TestBlocks:
         for _ in range(10):
             mask = random_mask(rng, (10, 10), 12)
             blocks = rfb_blocks(mask)
-            for i, a in enumerate(blocks):
-                for b in blocks[i + 1:]:
-                    assert not a.inflate(1).intersects(b)
+            for a, b in combinations(blocks, 2):
+                assert chebyshev_gap((a.lo, a.hi), (b.lo, b.hi)) >= 2
 
     def test_blocks_contain_all_faults(self, rng):
         for _ in range(10):
@@ -80,19 +130,28 @@ class TestBlocks:
         assert blocks[0].lo == (3, 3) and blocks[0].hi == (6, 6)
 
 
+class TestPairwiseReference:
+    """rfb_blocks against step 3's pairwise merge rule."""
+
+    @given(SHAPES, st.integers(0, 2**32 - 1), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_pairwise_rule(self, shape, seed, percent):
+        mask = drawn_mask(shape, seed, percent)
+        got = sorted((b.lo, b.hi) for b in rfb_blocks(mask))
+        assert got == reference_blocks(mask)
+
+
 class TestUnsafeMask:
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_union_of_blocks(self, seed):
-        rng = np.random.default_rng(seed)
-        mask = random_mask(rng, (8, 8), int(rng.integers(1, 12)))
-        unsafe = rfb_unsafe(mask)
-        blocks = rfb_blocks(mask)
-        expected = np.zeros_like(mask)
-        for b in blocks:
-            clipped = b.clip(mask.shape)
-            expected[clipped.slices()] = True
-        assert np.array_equal(unsafe, expected)
+    @given(SHAPES, st.integers(0, 2**32 - 1), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_union_of_blocks(self, shape, seed, percent):
+        # The blocks come from step 3's pairwise rule, not rfb_blocks,
+        # which reads its boxes off the rfb_unsafe mask itself.
+        mask = drawn_mask(shape, seed, percent)
+        expected = np.zeros(shape, dtype=bool)
+        for lo, hi in reference_blocks(mask):
+            expected[tuple(slice(a, b + 1) for a, b in zip(lo, hi, strict=True))] = True
+        assert np.array_equal(rfb_unsafe(mask), expected)
 
     def test_local_variant_smaller(self, rng):
         for _ in range(10):
@@ -124,13 +183,15 @@ class TestLabelledAdapter:
 class TestDynamicRFBState:
     """Block-local incremental recompute == from-scratch rfb_unsafe."""
 
-    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(9, 9), (6, 6, 6), (4, 4, 3, 3)]),
+    )
     @settings(max_examples=12, deadline=None)
-    def test_matches_from_scratch_across_events(self, seed, three_d):
+    def test_matches_from_scratch_across_events(self, seed, shape):
         from repro.baselines.rfb import DynamicRFBState
 
         rng = np.random.default_rng(seed)
-        shape = (6, 6, 6) if three_d else (9, 9)
         live = random_mask(rng, shape, int(rng.integers(2, 12)))
         state = DynamicRFBState(live)
         for step in range(6):
@@ -143,6 +204,7 @@ class TestDynamicRFBState:
             kind = "inject" if step % 2 == 0 else "repair"
             for c in cells:
                 live[c] = kind == "inject"
+            old = state.unsafe.copy()
             dirty, swept, full = state.apply(cells, kind)
             want = rfb_unsafe(live)
             assert np.array_equal(state.unsafe, want)
@@ -151,6 +213,12 @@ class TestDynamicRFBState:
             status[want & ~live] = USELESS
             status[live] = FAULTY
             assert np.array_equal(state.status, status)
+            # The dirty box covers every changed cell, and is None
+            # exactly when no unsafe bit changed.
+            changed = np.argwhere(old != want)
+            assert (dirty is None) == (len(changed) == 0)
+            for c in changed:
+                assert dirty.contains(tuple(int(v) for v in c))
 
     def test_inject_inside_block_is_free(self):
         from repro.baselines.rfb import DynamicRFBState
