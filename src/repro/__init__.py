@@ -35,7 +35,7 @@ Layers:
 * ``repro.experiments`` — the evaluation (tables T1–T7s, figures).
 """
 
-from repro.mesh import Box, Direction, FaultSet, Mesh, Mesh2D, Mesh3D, Orientation
+from repro.mesh import Box, FaultSet, Mesh, Mesh2D, Mesh3D, Orientation
 from repro.core.labelling import (
     CANT_REACH,
     FAULTY,
@@ -80,7 +80,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "Box",
-    "Direction",
     "FaultSet",
     "Mesh",
     "Mesh2D",

@@ -34,7 +34,7 @@ from repro.core.labelling import SAFE
 from repro.mesh.coords import Coord
 from repro.simkit.message import Message
 from repro.simkit.node import NodeProcess
-from repro.distributed.ringwalk import plane_step, ring_step
+from repro.distributed.ringwalk import column_bottoms, column_tops, ring_step
 
 _MAX_RETRIES = 40
 _RETRY_DELAY = 5.0
@@ -47,25 +47,17 @@ class BoundaryMixin(NodeProcess):
 
     def on_section_identified(self, plane, corner, shape) -> None:
         """Identification hook: start this section's two boundary walls."""
-        axis_u, axis_v = plane
-        cells_uv = {(c[axis_u], c[axis_v]) for c in shape}
         for desc_idx in (1, 0):  # descend v (guard +u), then descend u (guard +v)
-            col_idx = 1 - desc_idx
             desc_axis = plane[desc_idx]
-            guard_axis = plane[col_idx]
-            tops: dict[int, int] = {}
-            bottoms: dict[int, int] = {}
-            for uv in cells_uv:
-                col, height = uv[col_idx], uv[desc_idx]
-                tops[col] = max(tops.get(col, height), height)
-                bottoms[col] = min(bottoms.get(col, height), height)
+            guard_axis = plane[1 - desc_idx]
+            columns = {(c[guard_axis], c[desc_axis]) for c in shape}
             payload = {
                 "plane": list(plane),
                 "owner": list(corner),
                 "desc_axis": desc_axis,
                 "guard_axis": guard_axis,
-                "tops": sorted(tops.items()),
-                "bottoms": sorted(bottoms.items()),
+                "tops": sorted(column_tops(columns).items()),
+                "bottoms": sorted(column_bottoms(columns).items()),
                 "mode": "descend",
                 "retries": 0,
             }
@@ -108,10 +100,8 @@ class BoundaryMixin(NodeProcess):
 
     def _wall_descend(self, payload: dict[str, Any]) -> None:
         desc_axis = payload["desc_axis"]
-        nxt = list(self.coord)
-        nxt[desc_axis] -= 1
-        nxt = tuple(nxt)
-        if not self.network.mesh.contains(nxt):
+        nxt = self.step(desc_axis, -1)
+        if nxt is None:
             return  # reached the mesh floor: wall complete
         if not self._is_unsafe(nxt):
             self._wall_forward(payload, nxt)
@@ -143,10 +133,7 @@ class BoundaryMixin(NodeProcess):
         # touches and retarget to the deepest corner seen so far, so the
         # walk resumes below the whole chained obstruction.
         merged = [tuple(c) for c in payload.get("merged", [])]
-        for du, dv in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            n = plane_step(self.coord, axis_u, axis_v, du, dv)
-            if not self.network.mesh.contains(n) or not self._is_unsafe(n):
-                continue
+        for _d, n in self._unsafe_plane_neighbors(axis_u, axis_v):
             shape = self._find_local_shape(plane, n)
             if shape is None:
                 continue
@@ -221,11 +208,8 @@ class BoundaryMixin(NodeProcess):
         """Q := Q ∪ Q(obstructor): per-column max of shadow tops."""
         desc_axis = payload["desc_axis"]
         col_axis = payload["guard_axis"]
-        tops = dict(tuple(t) for t in payload["tops"])
-        for cell in shape:
-            col, height = cell[col_axis], cell[desc_axis]
-            tops[col] = max(tops.get(col, height), height)
-        payload["tops"] = sorted(tops.items())
+        columns = [(c[col_axis], c[desc_axis]) for c in shape]
+        payload["tops"] = sorted(column_tops([*payload["tops"], *columns]).items())
 
     # -- dispatch ---------------------------------------------------------------------
 

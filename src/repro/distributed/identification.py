@@ -71,23 +71,27 @@ class IdentificationMixin(NodeProcess):
     # -- local knowledge helpers ------------------------------------------------
 
     def _is_unsafe(self, coord: Coord) -> bool:
-        """Node-local safety knowledge about a *neighbor* cell."""
-        if not self.network.mesh.contains(coord):
-            return False
+        """Node-local safety knowledge about a *neighbor* cell.
+
+        An off-mesh cell reads as safe: the network's fault set holds
+        only mesh nodes, and every ``known_labels`` key is a neighbor.
+        """
         if self.network.is_faulty(coord):
             return True
-        return self.store["known_labels"].get(tuple(coord), SAFE) != SAFE
+        return self.store["known_labels"].get(coord, SAFE) != SAFE
 
     def _passable_local(self, coord: Coord) -> bool:
         return self.network.mesh.contains(coord) and not self._is_unsafe(coord)
 
-    def _unsafe_plane_dirs(self, axis_u: int, axis_v: int) -> list[tuple[int, int]]:
-        """In-plane (du, dv) unit directions pointing at unsafe neighbors."""
+    def _unsafe_plane_neighbors(
+        self, axis_u: int, axis_v: int
+    ) -> list[tuple[tuple[int, int], Coord]]:
+        """In-plane (du, dv) unit directions and the unsafe neighbor each reaches."""
         out = []
         for du, dv in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            n = plane_step(self.coord, axis_u, axis_v, du, dv)
-            if self.network.mesh.contains(n) and self._is_unsafe(n):
-                out.append((du, dv))
+            n = self.step(axis_u, du) if du else self.step(axis_v, dv)
+            if n is not None and self._is_unsafe(n):
+                out.append(((du, dv), n))
         return out
 
     def _ring_contacts(self, plane: tuple[int, int]) -> set[Coord]:
@@ -98,9 +102,7 @@ class IdentificationMixin(NodeProcess):
         orthogonal neighbors.
         """
         axis_u, axis_v = plane
-        contacts: set[Coord] = set()
-        for du, dv in self._unsafe_plane_dirs(axis_u, axis_v):
-            contacts.add(plane_step(self.coord, axis_u, axis_v, du, dv))
+        contacts = {n for _d, n in self._unsafe_plane_neighbors(axis_u, axis_v)}
         for du in (-1, 1):
             for dv in (-1, 1):
                 nu = plane_step(self.coord, axis_u, axis_v, du, 0)
@@ -110,10 +112,6 @@ class IdentificationMixin(NodeProcess):
                 ):
                     contacts.add(plane_step(self.coord, axis_u, axis_v, du, dv))
         return contacts
-
-    def _on_ring(self, plane: tuple[int, int]) -> bool:
-        """Is this node 8-adjacent (in-plane) to some unsafe cell?"""
-        return bool(self._ring_contacts(plane))
 
     # -- phase 1: edge announcements -------------------------------------------
 
@@ -134,9 +132,9 @@ class IdentificationMixin(NodeProcess):
         self.store.setdefault("_ident_marks", {})
         announce = []
         for plane in plane_families(self.network.mesh.ndim):
-            dirs = self._unsafe_plane_dirs(*plane)
+            dirs = [list(d) for d, _n in self._unsafe_plane_neighbors(*plane)]
             if dirs:
-                announce.append([list(plane), [list(d) for d in dirs]])
+                announce.append([list(plane), dirs])
         if announce or announce_empty:
             for n in self.neighbors():
                 if not self.network.is_faulty(n):

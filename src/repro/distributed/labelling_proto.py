@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.labelling import CANT_REACH, FAULTY, SAFE, USELESS
-from repro.mesh.coords import Coord, Direction
+from repro.mesh.coords import Coord
 from repro.mesh.topology import Mesh
 from repro.simkit.message import Message
 from repro.simkit.network import MeshNetwork
@@ -61,10 +61,9 @@ class LabellingNode(NodeProcess):
 
     def _blocked_toward(self, sign: int, blocking: set[int]) -> bool:
         """All existing neighbors on ``sign`` side carry a blocking label."""
-        mesh = self.network.mesh
         known = self.store["known_labels"]
-        for axis in range(mesh.ndim):
-            n = mesh.neighbor(self.coord, Direction(axis, sign))
+        for axis in range(self.network.mesh.ndim):
+            n = self.step(axis, sign)
             if n is None:
                 # Mesh border: not blocking (DESIGN.md interpretation 1).
                 return False

@@ -292,13 +292,15 @@ class DistributedMCCPipeline:
                     record["latency"] = record["completed_at"] - record["started_at"]
                 handle.result = record
                 # Resolved sessions release their protocol-side state so
-                # a long-lived pipeline does not grow per query served.
-                # (Straggler replies tolerate the missing entry; flood
-                # dedup markers stay — they are the per-node memory of a
-                # flood having passed and have no completion signal.)
+                # a long-lived pipeline does not grow per query served
+                # (straggler replies tolerate the missing entry).
                 node.store["queries"].pop(handle.query_id, None)
                 self.net.stats.query_messages.pop(handle.query_id, None)
             out.append(handle.result)
+        # The queue is quiescent and query ids are never reused, so every
+        # detection flood's per-node dedup marker is spent: drop them too.
+        for node in self.net.nodes.values():
+            node.store.pop("_flood_seen", None)
         self._inflight = []
         return out
 

@@ -16,7 +16,7 @@ knowledge inside the protocol.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.mesh.coords import Coord
 
@@ -142,61 +142,26 @@ def fill_interior(
     return region
 
 
-def fill_enclosed(boundary_cells: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Cells of the region outlined by ``boundary_cells`` (2-D, plane frame).
+def column_tops(cells: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Per-column max height of ``(column, height)`` pairs.
 
-    The identification messages see the region's *outer boundary cells*
-    (the unsafe neighbors of ring nodes).  The full region is that
-    boundary plus its enclosed interior, computed by flooding the
-    bounding box from outside: anything unreachable without crossing the
-    boundary belongs to the region.  Exact for 2-D MCCs (rectilinear
-    monotone polygons have no safe holes).
-    """
-    if not boundary_cells:
-        return set()
-    us = [c[0] for c in boundary_cells]
-    vs = [c[1] for c in boundary_cells]
-    lo_u, hi_u = min(us) - 1, max(us) + 1
-    lo_v, hi_v = min(vs) - 1, max(vs) + 1
-    outside: set[tuple[int, int]] = set()
-    stack = [(lo_u, lo_v)]
-    seen = {(lo_u, lo_v)}
-    while stack:
-        u, v = stack.pop()
-        outside.add((u, v))
-        for du, dv in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nu, nv = u + du, v + dv
-            if not (lo_u <= nu <= hi_u and lo_v <= nv <= hi_v):
-                continue
-            if (nu, nv) in seen or (nu, nv) in boundary_cells:
-                continue
-            seen.add((nu, nv))
-            stack.append((nu, nv))
-    region = set(boundary_cells)
-    for u in range(lo_u, hi_u + 1):
-        for v in range(lo_v, hi_v + 1):
-            if (u, v) not in outside and (u, v) not in region:
-                region.add((u, v))
-    return region
-
-
-def column_tops(cells: set[tuple[int, int]]) -> dict[int, int]:
-    """Per-u max v of a plane region (forbidden-region encoding).
-
-    ``(u, v)`` is in the region's negative-v shadow iff ``v < tops[u]``.
+    The forbidden-region encoding of a plane region: a cell is in the
+    region's negative shadow along the height axis iff its height is
+    below ``tops[column]``.
     """
     tops: dict[int, int] = {}
-    for u, v in cells:
-        tops[u] = max(tops.get(u, v), v)
+    for col, height in cells:
+        tops[col] = max(tops.get(col, height), height)
     return tops
 
 
-def column_bottoms(cells: set[tuple[int, int]]) -> dict[int, int]:
-    """Per-u min v of a plane region (critical-region encoding).
+def column_bottoms(cells: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Per-column min height of ``(column, height)`` pairs.
 
-    ``(u, v)`` is in the region's positive-v shadow iff ``v > bottoms[u]``.
+    The critical-region encoding: a cell is in the region's positive
+    shadow iff its height is above ``bottoms[column]``.
     """
     bottoms: dict[int, int] = {}
-    for u, v in cells:
-        bottoms[u] = min(bottoms.get(u, v), v)
+    for col, height in cells:
+        bottoms[col] = min(bottoms.get(col, height), height)
     return bottoms

@@ -156,23 +156,15 @@ class RoutingMixin(NodeProcess):
         if self.coord[prefer] == dest[prefer]:
             self._detect_reply(payload, ok=True)
             return
-        ahead = list(self.coord)
-        ahead[prefer] += 1
-        ahead = tuple(ahead)
-        if self.network.mesh.contains(ahead) and not self._is_unsafe(ahead):
+        ahead = self.step(prefer, 1)
+        if ahead is not None and not self._is_unsafe(ahead):
             self._detect_forward(payload, ahead)
             return
-        if detour is None:
+        if detour is None or self.coord[detour] >= dest[detour]:
             self._detect_reply(payload, ok=False)
             return
-        side = list(self.coord)
-        side[detour] += 1
-        side = tuple(side)
-        if (
-            side[detour] > dest[detour]
-            or not self.network.mesh.contains(side)
-            or self._is_unsafe(side)
-        ):
+        side = self.step(detour, 1)
+        if side is None or self._is_unsafe(side):
             self._detect_reply(payload, ok=False)
             return
         self._detect_forward(payload, side)
@@ -217,21 +209,17 @@ class RoutingMixin(NodeProcess):
         moves = []
         obstructed = False
         for axis in spread:
-            ahead = list(self.coord)
-            ahead[axis] += 1
-            ahead = tuple(ahead)
-            if ahead[axis] > dest[axis]:
+            if self.coord[axis] >= dest[axis]:
                 continue
+            ahead = self.step(axis, 1)
             if self._is_unsafe(ahead):
                 obstructed = True
             else:
                 moves.append(ahead)
-        if obstructed:
-            ahead = list(self.coord)
-            ahead[detour] += 1
-            ahead = tuple(ahead)
-            if ahead[detour] <= dest[detour] and not self._is_unsafe(ahead):
-                moves.append(ahead)
+        if obstructed and self.coord[detour] < dest[detour]:
+            side = self.step(detour, 1)
+            if not self._is_unsafe(side):
+                moves.append(side)
         for nxt in moves:
             self._detect_forward(payload, nxt)
 
@@ -296,10 +284,7 @@ class RoutingMixin(NodeProcess):
             self._route_done(payload, "delivered")
             return
         visited = {tuple(c) for c in payload["visited"]}
-        for axis in self._route_candidates(dest):
-            nxt = list(self.coord)
-            nxt[axis] += 1
-            nxt = tuple(nxt)
+        for nxt in self._route_candidates(dest):
             if nxt in visited:
                 continue
             forward = dict(payload)
@@ -319,8 +304,8 @@ class RoutingMixin(NodeProcess):
         back["path"] = [list(c) for c in path[:-1]]
         self.send(path[-2], "ROUTE", back, ttl=None)
 
-    def _route_candidates(self, dest: Coord) -> list[int]:
-        """Preferred axes ordered by Algorithm 3 step 2, best first.
+    def _route_candidates(self, dest: Coord) -> list[Coord]:
+        """Preferred neighbors ordered by Algorithm 3 step 2, best first.
 
         Live (non-faulty) preferred neighbors only; those permitted by
         the local labels and boundary records come first.  Excluded
@@ -330,24 +315,20 @@ class RoutingMixin(NodeProcess):
         backtracking walk corrects such excursions exactly.
         """
         records = list(self.store.get("records", {}).values())
-        preferred: list[int] = []
-        deferred: list[int] = []
+        preferred: list[Coord] = []
+        deferred: list[Coord] = []
         for axis in range(len(self.coord)):
             if self.coord[axis] >= dest[axis]:
                 continue
-            nxt = list(self.coord)
-            nxt[axis] += 1
-            nxt = tuple(nxt)
-            if not self.network.mesh.contains(nxt):
-                continue
-            if self.network.is_faulty(nxt):
-                continue  # never forward to a dead node
+            nxt = self.step(axis, 1)
+            if nxt is None or self.network.is_faulty(nxt):
+                continue  # never forward off the mesh or to a dead node
             if self._is_unsafe(nxt) or any(
                 self._record_forbids(rec, nxt, axis, dest) for rec in records
             ):
-                deferred.append(axis)
+                deferred.append(nxt)
             else:
-                preferred.append(axis)
+                preferred.append(nxt)
         return preferred + deferred
 
     def _record_forbids(
@@ -374,14 +355,6 @@ class RoutingMixin(NodeProcess):
         return n_col in tops and neighbor[shadow_axis] < tops[n_col]
 
     def _route_done(self, payload: dict[str, Any], status: str) -> None:
-        deliveries = self.store.setdefault("deliveries", [])
-        deliveries.append(
-            {
-                "query": payload["query"],
-                "status": status,
-                "path": [tuple(c) for c in payload["path"]],
-            }
-        )
         # Notify the source along the reverse path.
         notice = {
             "query": payload["query"],

@@ -1,76 +1,15 @@
-"""Coordinate and direction primitives for n-dimensional meshes.
+"""Coordinate primitives for n-dimensional meshes.
 
-A *direction* is an (axis, sign) pair: ``Direction(0, +1)`` is the
-paper's ``+X``, ``Direction(1, -1)`` is ``-Y``, ``Direction(2, +1)`` is
-``+Z``.  Coordinates are plain tuples of ints so they hash cheaply and
-can index numpy arrays directly.
+Coordinates are plain tuples of ints so they hash cheaply and can index
+numpy arrays directly.  Mesh adjacency lives in one place, the
+per-shape table of :mod:`repro.mesh.topology`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Coord = tuple[int, ...]
-
-_AXIS_NAMES = "XYZWVU"
-
-
-@dataclass(frozen=True, order=True)
-class Direction:
-    """One of the 2n mesh directions: ``axis`` in [0, n), ``sign`` = ±1."""
-
-    axis: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError(f"direction sign must be ±1, got {self.sign}")
-        if self.axis < 0:
-            raise ValueError(f"direction axis must be >= 0, got {self.axis}")
-
-    @property
-    def name(self) -> str:
-        axis_name = (
-            _AXIS_NAMES[self.axis] if self.axis < len(_AXIS_NAMES) else f"D{self.axis}"
-        )
-        return ("+" if self.sign > 0 else "-") + axis_name
-
-    def flip(self) -> "Direction":
-        """The opposite direction along the same axis."""
-        return Direction(self.axis, -self.sign)
-
-    def __repr__(self) -> str:
-        return f"Direction({self.name})"
-
-
-def all_directions(ndim: int) -> list[Direction]:
-    """The 2·ndim directions, positive before negative per axis."""
-    dirs = []
-    for axis in range(ndim):
-        dirs.append(Direction(axis, +1))
-        dirs.append(Direction(axis, -1))
-    return dirs
-
-
-def positive_directions(ndim: int) -> list[Direction]:
-    """The n *preferred* directions for the canonical (all-+) orientation."""
-    return [Direction(axis, +1) for axis in range(ndim)]
-
-
-def step(coord: Sequence[int], direction: Direction) -> Coord:
-    """The neighbor of ``coord`` one hop along ``direction``.
-
-    No bounds checking — callers that care use :meth:`Mesh.contains`.
-    """
-    out = list(coord)
-    out[direction.axis] += direction.sign
-    return tuple(out)
-
-
-def opposite(direction: Direction) -> Direction:
-    """Alias of :meth:`Direction.flip` for readability at call sites."""
-    return direction.flip()
 
 
 def manhattan(a: Sequence[int], b: Sequence[int]) -> int:
@@ -78,27 +17,6 @@ def manhattan(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return sum(abs(x - y) for x, y in zip(a, b, strict=True))
-
-
-def neighbors(coord: Sequence[int], shape: Sequence[int]) -> Iterator[Coord]:
-    """In-mesh neighbors of ``coord`` for a mesh of the given ``shape``."""
-    for axis, (c, k) in enumerate(zip(coord, shape, strict=True)):
-        if c + 1 < k:
-            yield step(coord, Direction(axis, +1))
-        if c - 1 >= 0:
-            yield step(coord, Direction(axis, -1))
-
-
-def direction_between(a: Sequence[int], b: Sequence[int]) -> Direction:
-    """The direction from ``a`` to its *neighbor* ``b``.
-
-    Raises ``ValueError`` when the two coordinates are not mesh-adjacent.
-    """
-    diffs = [(axis, y - x) for axis, (x, y) in enumerate(zip(a, b, strict=True)) if x != y]
-    if len(diffs) != 1 or abs(diffs[0][1]) != 1:
-        raise ValueError(f"{tuple(a)} and {tuple(b)} are not mesh neighbors")
-    axis, delta = diffs[0]
-    return Direction(axis, 1 if delta > 0 else -1)
 
 
 def is_monotone_path(path: Sequence[Sequence[int]]) -> bool:

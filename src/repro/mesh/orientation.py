@@ -1,4 +1,4 @@
-"""Direction-class (quadrant/octant) orientation algebra.
+"""Orientation algebra of the direction classes (quadrants/octants).
 
 The MCC labelling (Algorithms 1 and 4) is written for routings whose
 destination lies in the all-positive quadrant/octant relative to the

@@ -4,17 +4,53 @@ Section 2 of the paper: a k-ary n-D mesh has k^n nodes, interior degree
 2n, diameter (k-1)·n; nodes along each dimension form a linear array.
 ``Mesh`` supports per-axis extents (k need not be uniform) because the
 experiments sweep rectangular meshes too.
+
+Adjacency is one table per shape (:func:`adjacency_table`), built on
+first use and shared by every :class:`Mesh` of that shape — the DES
+network and the protocol handlers step through the same rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.mesh.coords import Coord, Direction, all_directions, manhattan, step
+from repro.mesh.coords import Coord, manhattan
 from repro.util.validation import check_positive, check_shape_member
+
+#: Mesh shapes whose adjacency tables stay cached.  A table holds one
+#: row of 2n neighbor slots per node (about 0.7 MiB for 16³); a process
+#: simulates a handful of shapes, so the bound only stops callers that
+#: cycle through many shapes from growing memory.
+ADJACENCY_CACHE_SIZE = 8
+
+#: One node's neighbors along +axis0, -axis0, +axis1, ... (None at a face).
+Row = tuple[Coord | None, ...]
+
+
+@functools.lru_cache(maxsize=ADJACENCY_CACHE_SIZE)
+def adjacency_table(shape: tuple[int, ...]) -> Mapping[Coord, Row]:
+    """The read-only neighbor table of the mesh with extents ``shape``.
+
+    Maps every node to its :data:`Row`: the neighbor along ``(axis,
+    sign)`` sits in slot ``2 * axis + (sign < 0)``.  Rows reuse the
+    table's key tuples, and the slot order is the order in which the
+    protocols send to their neighbors, so it fixes the order of
+    equal-time DES events.
+    """
+    nodes = {c: c for c in itertools.product(*(range(k) for k in shape))}
+    return MappingProxyType({
+        c: tuple(
+            nodes.get(c[:axis] + (c[axis] + sign,) + c[axis + 1:])
+            for axis in range(len(shape))
+            for sign in (1, -1)
+        )
+        for c in nodes
+    })
 
 
 class Mesh:
@@ -41,11 +77,17 @@ class Mesh:
         """Network diameter: sum of (k_i - 1)."""
         return sum(k - 1 for k in self.shape)
 
+    @functools.cached_property
+    def adjacency(self) -> Mapping[Coord, Row]:
+        """This shape's shared neighbor table (see :func:`adjacency_table`)."""
+        return adjacency_table(self.shape)
+
     def contains(self, coord: Sequence[int]) -> bool:
         """True iff ``coord`` addresses a node of this mesh."""
-        return len(coord) == self.ndim and all(
-            0 <= c < k for c, k in zip(coord, self.shape, strict=True)
-        )
+        try:
+            return coord in self.adjacency
+        except TypeError:  # an unhashable sequence, e.g. a list
+            return tuple(coord) in self.adjacency
 
     def require(self, coord: Sequence[int], name: str = "coord") -> Coord:
         """Validate and canonicalize a node address."""
@@ -54,10 +96,7 @@ class Mesh:
 
     def degree(self, coord: Sequence[int]) -> int:
         """Number of in-mesh neighbors (2n interior, less at faces)."""
-        coord = self.require(coord)
-        return sum(
-            (c + 1 < k) + (c - 1 >= 0) for c, k in zip(coord, self.shape, strict=True)
-        )
+        return len(self.neighbors(coord))
 
     # -- iteration -------------------------------------------------------
 
@@ -66,20 +105,20 @@ class Mesh:
         return itertools.product(*(range(k) for k in self.shape))
 
     def neighbors(self, coord: Sequence[int]) -> list[Coord]:
-        """In-mesh neighbors of ``coord``."""
-        coord = self.require(coord)
-        out = []
-        for direction in all_directions(self.ndim):
-            nxt = step(coord, direction)
-            if self.contains(nxt):
-                out.append(nxt)
-        return out
+        """In-mesh neighbors of ``coord``, in table row order."""
+        try:
+            row = self.adjacency[coord]
+        except (KeyError, TypeError):
+            row = self.adjacency[self.require(coord)]
+        return [n for n in row if n is not None]
 
-    def neighbor(self, coord: Sequence[int], direction: Direction) -> Coord | None:
-        """The neighbor along ``direction``, or None at a mesh face."""
-        coord = self.require(coord)
-        nxt = step(coord, direction)
-        return nxt if self.contains(nxt) else None
+    def step(self, coord: Coord, axis: int, sign: int) -> Coord | None:
+        """The neighbor one hop along ``axis`` (``sign`` ±1), None at a face.
+
+        Unvalidated hot-path lookup: ``coord`` must be a node of this
+        mesh (a KeyError otherwise).
+        """
+        return self.adjacency[coord][2 * axis + (sign < 0)]
 
     # -- index <-> coordinate --------------------------------------------
 
@@ -115,6 +154,10 @@ class Mesh:
 
     def __hash__(self) -> int:
         return hash(("Mesh", self.shape))
+
+    def __getstate__(self) -> dict:
+        # The shared table is not picklable; a copy re-fetches it on use.
+        return {k: v for k, v in self.__dict__.items() if k != "adjacency"}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape})"

@@ -1,19 +1,19 @@
 """The mesh network: delivers neighbor messages between node processes.
 
 Faulty nodes are dead: they neither send nor receive (fail-stop model).
-Messages addressed to a faulty or off-mesh node are dropped and counted
-— protocols must use :meth:`NodeProcess.neighbor_faulty` to avoid that,
-exactly as real routers consult link liveness.
+A message from a faulty source is dropped at :meth:`MeshNetwork.transmit`
+and one to a faulty destination at delivery, each counted in the
+stats.  A send that is not a mesh link — off-mesh, diagonal, or to the
+sender itself — raises ``ValueError``: protocols step only to the
+neighbors :meth:`NodeProcess.step` returns.
 
-Hot-path layout: the admission path (``transmit``) runs once per
-message, so everything it consults is precomputed at construction —
-the set of valid directed links (one set lookup replaces the
-``contains`` + ``manhattan`` recomputation per send), a per-node
-neighbor table, and a plain-set mirror of the fault mask (a Python set
-membership test instead of a numpy fancy-index per liveness check).
-The numpy ``fault_mask`` stays the source of truth for bulk array
-consumers; mutate it only through :meth:`inject_fault` /
-:meth:`repair`, which keep the mirror in sync.
+Hot-path layout: links are checked against the mesh's shared per-shape
+adjacency table (:func:`repro.mesh.topology.adjacency_table`), so a
+network keeps no geometry of its own.  Liveness is a plain-set mirror of
+the fault mask (a set membership test instead of a numpy fancy-index per
+check).  The numpy ``fault_mask`` stays the source of truth for bulk
+array consumers; mutate it only through :meth:`inject_fault` /
+:meth:`repair`, which validate the cell and keep the mirror in sync.
 """
 
 from __future__ import annotations
@@ -85,18 +85,6 @@ class MeshNetwork:
         self.link_delay = link_delay
         self.link_capacity = link_capacity
         self._links: dict[tuple[Coord, Coord], _LinkState] = {}
-        #: Per-node neighbor lists, computed once (NodeProcess.neighbors
-        #: serves from here instead of re-deriving coordinate tuples).
-        self._neighbors: dict[Coord, list[Coord]] = {
-            coord: mesh.neighbors(coord) for coord in mesh.nodes()
-        }
-        #: Every valid directed link of the mesh — transmit validation
-        #: is one frozenset lookup (both endpoints in-mesh, adjacent).
-        self._valid_links: frozenset[tuple[Coord, Coord]] = frozenset(
-            (src, dst)
-            for src, neighbors in self._neighbors.items()
-            for dst in neighbors
-        )
         #: Plain-set mirror of ``fault_mask`` for O(1) liveness checks.
         self._faulty: set[Coord] = {
             tuple(int(c) for c in cell) for cell in np.argwhere(self.fault_mask)
@@ -125,13 +113,9 @@ class MeshNetwork:
     def is_faulty(self, coord: Coord) -> bool:
         return tuple(coord) in self._faulty
 
-    def neighbors_of(self, coord: Coord) -> list[Coord]:
-        """The precomputed neighbor list of ``coord`` (do not mutate)."""
-        return self._neighbors[coord]
-
     def inject_fault(self, coord: Coord) -> None:
         """Kill a node mid-simulation (dynamic-fault experiments)."""
-        coord = tuple(coord)
+        coord = self.mesh.require(coord, "faulty node")
         self.fault_mask[coord] = True
         self._faulty.add(coord)
 
@@ -143,7 +127,7 @@ class MeshNetwork:
         re-stabilization (see ``DistributedMCCPipeline.apply_event``)
         clears its store and reruns its start hooks.
         """
-        coord = tuple(coord)
+        coord = self.mesh.require(coord, "repaired node")
         self.fault_mask[coord] = False
         self._faulty.discard(coord)
 
@@ -151,7 +135,7 @@ class MeshNetwork:
 
     def transmit(self, msg: Message) -> None:
         """Queue a message for delivery after one link delay."""
-        if (msg.src, msg.dst) not in self._valid_links:
+        if msg.dst is None or msg.dst not in self.mesh.adjacency.get(msg.src, ()):
             raise ValueError(
                 f"{msg.kind}: {msg.src} -> {msg.dst} is not a mesh link"
             )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.mesh.coords import Coord, Direction
+from repro.mesh.coords import Coord
 from repro.simkit.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,25 +45,17 @@ class NodeProcess:
         return not self.network.is_faulty(self.coord)
 
     def neighbors(self) -> list[Coord]:
-        """All in-mesh neighbor coordinates (alive or not).
+        """All in-mesh neighbor coordinates (alive or not), in row order."""
+        return self.network.mesh.neighbors(self.coord)
 
-        Served from the network's precomputed table — treat the list as
-        read-only.
+    def step(self, axis: int, sign: int) -> Coord | None:
+        """The neighbor one hop along ``axis`` (``sign`` ±1), None at a face.
+
+        Its liveness is :meth:`MeshNetwork.is_faulty` — node-local
+        information, as the paper assumes "each node knows only the
+        status of its neighbors".
         """
-        return self.network.neighbors_of(self.coord)
-
-    def neighbor(self, direction: Direction) -> Coord | None:
-        return self.network.mesh.neighbor(self.coord, direction)
-
-    def neighbor_faulty(self, direction: Direction) -> bool | None:
-        """Local fault detection: None when off-mesh, else liveness.
-
-        Hardware provides this via link-level heartbeat; the network
-        exposes it as node-local information (the paper assumes "each
-        node knows only the status of its neighbors").
-        """
-        n = self.neighbor(direction)
-        return None if n is None else self.network.is_faulty(n)
+        return self.network.mesh.step(self.coord, axis, sign)
 
     def send(self, dst: Coord, kind: str, payload: dict | None = None, ttl: int | None = None) -> None:
         """Send one message to a neighbor (asserts mesh adjacency)."""

@@ -1,59 +1,17 @@
-"""Unit tests for coordinate and direction primitives."""
+"""Unit tests for coordinate primitives and single-hop steps."""
 
 import pytest
 
-from repro.mesh.coords import (
-    Direction,
-    all_directions,
-    direction_between,
-    is_monotone_path,
-    manhattan,
-    neighbors,
-    opposite,
-    positive_directions,
-    step,
-)
-
-
-class TestDirection:
-    def test_names(self):
-        assert Direction(0, 1).name == "+X"
-        assert Direction(1, -1).name == "-Y"
-        assert Direction(2, 1).name == "+Z"
-
-    def test_high_axis_name(self):
-        assert Direction(7, 1).name == "+D7"
-
-    def test_flip(self):
-        d = Direction(1, 1)
-        assert d.flip() == Direction(1, -1)
-        assert d.flip().flip() == d
-        assert opposite(d) == d.flip()
-
-    def test_invalid_sign_rejected(self):
-        with pytest.raises(ValueError):
-            Direction(0, 2)
-
-    def test_invalid_axis_rejected(self):
-        with pytest.raises(ValueError):
-            Direction(-1, 1)
-
-    def test_all_directions_count(self):
-        assert len(all_directions(3)) == 6
-        assert len(positive_directions(3)) == 3
-
-    def test_directions_hashable_and_ordered(self):
-        dirs = all_directions(2)
-        assert len(set(dirs)) == 4
-        assert sorted(dirs)  # order() is defined
+from repro.mesh.coords import is_monotone_path, manhattan
+from repro.mesh.topology import Mesh
 
 
 class TestStepAndDistance:
     def test_step_positive(self):
-        assert step((1, 2, 3), Direction(2, 1)) == (1, 2, 4)
+        assert Mesh((3, 4, 5)).step((1, 2, 3), 2, 1) == (1, 2, 4)
 
     def test_step_negative(self):
-        assert step((1, 2), Direction(0, -1)) == (0, 2)
+        assert Mesh((3, 4)).step((1, 2), 0, -1) == (0, 2)
 
     def test_manhattan_matches_paper_definition(self):
         # D(u, v) = |xv-xu| + |yv-yu| + |zv-zu| (Section 2)
@@ -66,20 +24,10 @@ class TestStepAndDistance:
 
     def test_neighbors_interior_degree_2n(self):
         # interior node degree 2n (Section 2)
-        assert len(list(neighbors((1, 1, 1), (3, 3, 3)))) == 6
+        assert len(Mesh((3, 3, 3)).neighbors((1, 1, 1))) == 6
 
     def test_neighbors_corner_degree_n(self):
-        assert len(list(neighbors((0, 0, 0), (3, 3, 3)))) == 3
-
-    def test_direction_between(self):
-        assert direction_between((1, 1), (2, 1)) == Direction(0, 1)
-        assert direction_between((1, 1), (1, 0)) == Direction(1, -1)
-
-    def test_direction_between_non_neighbors(self):
-        with pytest.raises(ValueError):
-            direction_between((0, 0), (1, 1))
-        with pytest.raises(ValueError):
-            direction_between((0, 0), (2, 0))
+        assert len(Mesh((3, 3, 3)).neighbors((0, 0, 0))) == 3
 
 
 class TestMonotonePath:

@@ -207,6 +207,31 @@ class TestChurnAwareDES:
         assert handle.query_id not in pipe.net.nodes[(0, 0)].store["queries"]
         assert handle.query_id not in pipe.net.stats.query_messages
 
+    def test_node_stores_stay_flat_across_batches(self):
+        # Per-query state (session records, flood dedup markers) must
+        # not outlive drain(): batch after batch through one pipeline,
+        # the total node-store size stays where the build left it.
+        mask = np.zeros((6, 6, 6), dtype=bool)
+        for cell in [(2, 2, 2), (3, 2, 2), (2, 3, 3), (4, 4, 1)]:
+            mask[cell] = True
+        pipe = DistributedMCCPipeline(Mesh((6, 6, 6)), mask).build()
+        pairs = [((0, 0, 0), (5, 5, 5)), ((0, 1, 0), (4, 5, 5)), ((1, 0, 0), (5, 4, 3))]
+
+        def store_size():
+            return sum(
+                len(value) if hasattr(value, "__len__") else 1
+                for node in pipe.net.nodes.values()
+                for value in node.store.values()
+            )
+
+        sizes = [store_size()]
+        for _ in range(3):
+            handles = [pipe.submit(s, d) for s, d in pairs]
+            pipe.drain()
+            assert all(h.result["status"] == "delivered" for h in handles)
+            sizes.append(store_size())
+        assert sizes == [sizes[0]] * 4
+
     def test_restabilization_is_scoped(self):
         # A far-corner event must not re-run identification for an
         # untouched region at the opposite corner.

@@ -135,6 +135,19 @@ class TestDESVariant:
         assert {"des", "mcc", "rfb", "agree_des_mcc"} <= set(table.columns)
         assert 0.0 <= row["des"] <= 1.0
 
+    def test_des_golden(self):
+        # Golden T6d table: the distributed stack's verdicts, per-query
+        # message cost and re-stabilization cost under churn.
+        table = run_churn((7, 7, 7), [6, 20], pairs=8, epochs=3, trials=1, des=True)
+        assert table.to_csv().replace("\r\n", "\n") == (
+            "faults,pairs,des,mcc,rfb,agree_des_mcc,des_stuck,msgs_per_query,"
+            "stabilize_msgs_per_event,restart_cells_per_event\n"
+            "6,24,1.0,1.0,0.9583333333333334,1.0,0,85.04166666666667,815.0,"
+            "101.66666666666667\n"
+            "20,24,0.9166666666666666,0.9166666666666666,0.0,1.0,0,"
+            "88.04166666666667,1528.6666666666667,157.0\n"
+        )
+
     def test_rfb_mode_runs(self):
         # Golden T6r cost columns: the 6-fault row recomputes cropped
         # regions only, the 20-fault row hits the full fallback, and

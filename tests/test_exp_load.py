@@ -83,6 +83,47 @@ class TestLoadTable:
         assert sum(r["des_delivered"] for r in tiny_table.rows) > 0
 
 
+class TestGolden:
+    def test_des_load_golden(self):
+        # Golden T7 table: contended-link latencies of the three
+        # centralized models and the distributed stack (des_* columns).
+        table = run_load_sweep(
+            (6, 6, 6), [4, 12], rates=[0.5, 2.0], duration=12.0, trials=1
+        )
+        assert table.to_csv().replace("\r\n", "\n") == (
+            "faults,rate,offered,"
+            "delivered_mcc,p50_mcc,p95_mcc,p99_mcc,thr_mcc,qpeak_mcc,"
+            "delivered_rfb,p50_rfb,p95_rfb,p99_rfb,thr_rfb,qpeak_rfb,"
+            "delivered_oracle,p50_oracle,p95_oracle,p99_oracle,thr_oracle,"
+            "qpeak_oracle,sat_mcc,sat_rfb,sat_oracle,"
+            "des_delivered,des_p50,des_p99,des_thr\n"
+            "4,0.5,7,"
+            "7,5.0,8.7,8.94,0.384988533069038,1,"
+            "7,5.0,8.7,8.94,0.384988533069038,1,"
+            "7,5.0,8.7,8.94,0.384988533069038,1,"
+            "1.0840618113484766,1.0840618113484766,1.0840618113484766,"
+            "7,15.0,28.700000000000003,0.03928559488507233\n"
+            "4,2.0,25,"
+            "24,5.0,8.0,11.08,1.0840618113484766,2,"
+            "24,5.0,8.0,11.08,1.0840618113484766,2,"
+            "24,5.0,8.0,11.08,1.0840618113484766,2,"
+            "1.0840618113484766,1.0840618113484766,1.0840618113484766,"
+            "24,17.168378215873403,32.699999999999996,0.13360051410767568\n"
+            "12,0.5,1,"
+            "1,6.0,6.0,6.0,0.10193317654888051,1,"
+            "1,6.0,6.0,6.0,0.10193317654888051,1,"
+            "1,6.0,6.0,6.0,0.10193317654888051,1,"
+            "1.3349205038657388,0.4643201752576483,1.3349205038657388,"
+            "1,18.0,18.0,0.005820371170372142\n"
+            "12,2.0,23,"
+            "23,6.0,9.699999999999996,10.780000000000001,1.3349205038657388,1,"
+            "8,5.0,8.95,9.79,0.4643201752576483,1,"
+            "23,6.0,9.699999999999996,10.780000000000001,1.3349205038657388,1,"
+            "1.3349205038657388,0.4643201752576483,1.3349205038657388,"
+            "23,19.0,31.585200613949482,0.1286377846499942\n"
+        )
+
+
 class TestInvariance:
     def test_shard_and_worker_invariance(self, tiny_table):
         base = tiny_table.to_csv()

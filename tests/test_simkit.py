@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mesh.regions import mask_of_cells
-from repro.mesh.topology import Mesh2D
+from repro.mesh.topology import Mesh2D, Mesh3D
 from repro.simkit.event_queue import EventQueue
 from repro.simkit.message import Message
 from repro.simkit.network import MeshNetwork
@@ -294,6 +294,16 @@ class TestNetwork:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MeshNetwork(Mesh2D(3), np.zeros((2, 2), dtype=bool))
+
+    def test_off_mesh_fault_event_rejected(self):
+        # A negative index must not wrap onto the far face of the mask.
+        net = MeshNetwork(Mesh3D(4), np.zeros((4, 4, 4), dtype=bool))
+        with pytest.raises(IndexError):
+            net.inject_fault((-1, 0, 0))
+        with pytest.raises(IndexError):
+            net.repair((4, 0, 0))
+        assert not net.fault_mask.any()
+        assert not net.is_faulty((3, 0, 0)) and not net.is_faulty((-1, 0, 0))
 
     def test_repair_revives_node(self):
         faults = mask_of_cells([(0, 1)], (2, 2))
