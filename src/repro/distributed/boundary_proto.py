@@ -28,6 +28,7 @@ implicit stabilization ordering.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any
 
 from repro.core.labelling import SAFE
@@ -38,6 +39,14 @@ from repro.distributed.ringwalk import column_bottoms, column_tops, ring_step
 
 _MAX_RETRIES = 40
 _RETRY_DELAY = 5.0
+
+
+def _column_map(heights: dict[int, int]) -> MappingProxyType:
+    """Read-only column -> height map, in column order.
+
+    Every record deposited along a wall shares it by reference.
+    """
+    return MappingProxyType(dict(sorted(heights.items())))
 
 
 class BoundaryMixin(NodeProcess):
@@ -52,12 +61,12 @@ class BoundaryMixin(NodeProcess):
             guard_axis = plane[1 - desc_idx]
             columns = {(c[guard_axis], c[desc_axis]) for c in shape}
             payload = {
-                "plane": list(plane),
-                "owner": list(corner),
+                "plane": plane,
+                "owner": corner,
                 "desc_axis": desc_axis,
                 "guard_axis": guard_axis,
-                "tops": sorted(column_tops(columns).items()),
-                "bottoms": sorted(column_bottoms(columns).items()),
+                "tops": _column_map(column_tops(columns)),
+                "bottoms": _column_map(column_bottoms(columns)),
                 "mode": "descend",
                 "retries": 0,
             }
@@ -68,18 +77,18 @@ class BoundaryMixin(NodeProcess):
     def _deposit_record(self, payload: dict[str, Any]) -> None:
         records = self.store.setdefault("records", {})
         key = (
-            tuple(payload["plane"]),
-            tuple(payload["owner"]),
+            payload["plane"],
+            payload["owner"],
             payload["desc_axis"],
             payload["guard_axis"],
         )
         records[key] = {
-            "plane": tuple(payload["plane"]),
-            "owner": tuple(payload["owner"]),
+            "plane": payload["plane"],
+            "owner": payload["owner"],
             "shadow_axis": payload["desc_axis"],
             "guard_axis": payload["guard_axis"],
-            "tops": dict(tuple(t) for t in payload["tops"]),
-            "bottoms": dict(tuple(b) for b in payload["bottoms"]),
+            "tops": payload["tops"],
+            "bottoms": payload["bottoms"],
         }
 
     # -- the walk ------------------------------------------------------------------
@@ -107,32 +116,31 @@ class BoundaryMixin(NodeProcess):
             self._wall_forward(payload, nxt)
             return
         # Obstructed: join the obstructor's boundary (chain merge).
-        shape = self._find_local_shape(tuple(payload["plane"]), nxt)
+        plane = payload["plane"]
+        shape = self._find_local_shape(plane, nxt)
         if shape is None:
             self._wall_retry(payload)
             return
+        payload = dict(payload)
         self._merge_shape(payload, shape)
-        target = self._section_corner(tuple(payload["plane"]), shape)
+        target = self._section_corner(plane, shape)
         if not self.network.mesh.contains(target):
             return  # obstructor hugs the mesh edge: wall ends (barrier)
-        payload = dict(payload)
         payload["mode"] = "detour"
-        payload["target"] = list(target)
+        payload["target"] = target
         # Initial detour heading: turn from -desc toward -guard.
-        plane = tuple(payload["plane"])
-        heading_uv = self._detour_heading(plane, desc_axis)
-        payload["heading"] = list(heading_uv)
+        payload["heading"] = self._detour_heading(plane, desc_axis)
         self._wall_detour(payload)
 
     def _wall_detour(self, payload: dict[str, Any]) -> None:
-        plane = tuple(payload["plane"])
+        plane = payload["plane"]
         axis_u, axis_v = plane
         payload = dict(payload)
         # A pinched detour can run along *other* sections than the one
         # that obstructed the descent: merge every section this node
         # touches and retarget to the deepest corner seen so far, so the
         # walk resumes below the whole chained obstruction.
-        merged = [tuple(c) for c in payload.get("merged", [])]
+        merged = payload.get("merged", ())
         for _d, n in self._unsafe_plane_neighbors(axis_u, axis_v):
             shape = self._find_local_shape(plane, n)
             if shape is None:
@@ -140,31 +148,30 @@ class BoundaryMixin(NodeProcess):
             corner = self._section_corner(plane, shape)
             if corner in merged:
                 continue
-            merged.append(corner)
+            merged += (corner,)
             self._merge_shape(payload, shape)
-            target = tuple(payload["target"])
+            target = payload["target"]
             desc = payload["desc_axis"]
             if self.network.mesh.contains(corner) and (
                 corner[desc] < target[desc]
                 or (corner[desc] == target[desc]
                     and corner[payload["guard_axis"]] < target[payload["guard_axis"]])
             ):
-                payload["target"] = list(corner)
-        payload["merged"] = [list(c) for c in merged]
-        target = tuple(payload["target"])
-        if self.coord == target:
+                payload["target"] = corner
+        payload["merged"] = merged
+        if self.coord == payload["target"]:
             payload["mode"] = "descend"
             self._wall_descend(payload)
             return
-        heading = tuple(payload["heading"])
         clockwise = payload["desc_axis"] == axis_u  # see module docstring
         nxt = ring_step(
-            self.coord, heading, clockwise, axis_u, axis_v, self._passable_local
+            self.coord, payload["heading"], clockwise, axis_u, axis_v,
+            self._passable_local,
         )
         if nxt is None:
             return  # boxed in; drop the wall here
-        cell, new_heading = nxt
-        payload["heading"] = list(new_heading)
+        cell, heading = nxt
+        payload["heading"] = heading
         self._wall_forward(payload, cell)
 
     def _wall_forward(self, payload: dict[str, Any], dst: Coord) -> None:
@@ -190,7 +197,7 @@ class BoundaryMixin(NodeProcess):
     def _find_local_shape(self, plane, cell: Coord):
         """Shape of the section (same plane family) containing ``cell``."""
         for (p, _corner), shape in self.store.get("shapes", {}).items():
-            if tuple(p) == plane and tuple(cell) in shape:
+            if p == plane and cell in shape:
                 return shape
         return None
 
@@ -205,11 +212,17 @@ class BoundaryMixin(NodeProcess):
         return tuple(out)
 
     def _merge_shape(self, payload: dict[str, Any], shape) -> None:
-        """Q := Q ∪ Q(obstructor): per-column max of shadow tops."""
+        """Q := Q ∪ Q(obstructor): per-column max of shadow tops.
+
+        Replaces ``payload["tops"]``: the old map is shared with every
+        record already deposited along the wall.
+        """
         desc_axis = payload["desc_axis"]
         col_axis = payload["guard_axis"]
         columns = [(c[col_axis], c[desc_axis]) for c in shape]
-        payload["tops"] = sorted(column_tops([*payload["tops"], *columns]).items())
+        payload["tops"] = _column_map(
+            column_tops([*payload["tops"].items(), *columns])
+        )
 
     # -- dispatch ---------------------------------------------------------------------
 

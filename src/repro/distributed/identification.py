@@ -20,13 +20,15 @@ node-local:
    covers the whole ring, the section shape is assembled by boundary
    fill, and ``SHAPE`` messages retrace both trails, depositing the
    shape at every ring node and finally at the initialization corner.
-4. **TTL/stability** — messages carry a TTL proportional to the mesh
-   perimeter; anything that wanders (unstable regions, border-broken
-   rings) is discarded in flight, and the corner simply never completes
-   — the paper's discard semantics.  A message that walks the full ring
-   back to its corner without meeting its counterpart is discarded too
-   ("if only one message is received … this message should also be
-   discarded").
+4. **TTL/stability** — ``IDENT`` messages carry a TTL proportional to
+   the mesh perimeter; a walker that wanders (unstable regions,
+   border-broken rings) is discarded in flight, and the corner simply
+   never completes — the paper's discard semantics.  A message that
+   walks the full ring back to its corner without meeting its
+   counterpart is discarded too ("if only one message is received …
+   this message should also be discarded").  ``IDENT_BACK`` and
+   ``SHAPE`` only retrace a recorded ``IDENT`` trail, so they carry no
+   TTL.
 
 In 3-D the same protocol runs per plane family (XY, XZ, YZ sections):
 each message moves only within its plane, matching "the identification
@@ -132,31 +134,30 @@ class IdentificationMixin(NodeProcess):
         self.store.setdefault("_ident_marks", {})
         announce = []
         for plane in plane_families(self.network.mesh.ndim):
-            dirs = [list(d) for d, _n in self._unsafe_plane_neighbors(*plane)]
+            dirs = frozenset(d for d, _n in self._unsafe_plane_neighbors(*plane))
             if dirs:
-                announce.append([list(plane), dirs])
+                announce.append((plane, dirs))
         if announce or announce_empty:
+            planes = tuple(announce)
             for n in self.neighbors():
                 if not self.network.is_faulty(n):
-                    self.send(n, "EDGE", {"planes": announce})
+                    self.send(n, "EDGE", {"planes": planes})
         # Corner detection needs one announcement round; check after the
         # announcements have propagated (2 link delays).
         self.set_timer(2.5, "corner-check")
 
     def _on_edge(self, msg: Message) -> None:
-        info = self.store.setdefault("edge_info", {})
-        info[tuple(msg.src)] = {
-            tuple(plane): {tuple(d) for d in dirs}
-            for plane, dirs in msg.payload["planes"]
-        }
+        self.store.setdefault("edge_info", {})[msg.src] = msg.payload["planes"]
 
     # -- phase 2: corner detection ----------------------------------------------
 
     def _neighbor_reports(
         self, neighbor: Coord, plane: tuple[int, int], direction: tuple[int, int]
     ) -> bool:
-        info = self.store.get("edge_info", {}).get(tuple(neighbor), {})
-        return tuple(direction) in info.get(tuple(plane), set())
+        for p, dirs in self.store.get("edge_info", {}).get(neighbor, ()):
+            if p == plane:
+                return direction in dirs
+        return False
 
     def _is_init_corner(self, plane: tuple[int, int]) -> bool:
         """+u neighbor is an edge node at +v, +v neighbor an edge node at +u."""
@@ -178,6 +179,7 @@ class IdentificationMixin(NodeProcess):
     # -- phase 3: the two-head-on walk -----------------------------------------
 
     def _ttl(self) -> int:
+        """IDENT's TTL: each forward adds a hop (see :meth:`_on_ident`)."""
         return 6 * (2 * sum(self.network.mesh.shape) + 8)
 
     def _launch_identification(self, plane: tuple[int, int]) -> None:
@@ -188,23 +190,22 @@ class IdentificationMixin(NodeProcess):
             if not self._passable_local(first):
                 return  # ring broken right at the corner; discard section
             payload = {
-                "plane": list(plane),
-                "corner": list(self.coord),
+                "plane": plane,
+                "corner": self.coord,
                 "clockwise": clockwise,
-                "heading": [du, dv],
-                "trail": [list(self.coord)],
+                "heading": (du, dv),
+                "trail": (self.coord,),
             }
             self.send(first, "IDENT", payload, ttl=self._ttl())
 
     def _on_ident(self, msg: Message) -> None:
         if self.store.get("label", SAFE) != SAFE:
             return  # walked onto a node that turned unsafe: drop (instability)
-        plane = tuple(msg.payload["plane"])
+        plane = msg.payload["plane"]
         axis_u, axis_v = plane
-        corner = tuple(msg.payload["corner"])
-        clockwise = bool(msg.payload["clockwise"])
-        trail = [tuple(c) for c in msg.payload["trail"]] + [self.coord]
-        snapshot = {"trail": trail}
+        corner = msg.payload["corner"]
+        clockwise = msg.payload["clockwise"]
+        trail = msg.payload["trail"] + (self.coord,)
 
         if self.coord == corner:
             return  # full loop without meeting the counterpart: discard
@@ -215,7 +216,7 @@ class IdentificationMixin(NodeProcess):
             # bring the partial trail back to the initialization corner.
             self._reverse_ident(plane, corner, clockwise, trail)
             return
-        prev_contacts = {tuple(c) for c in msg.payload.get("contact", [])}
+        prev_contacts = msg.payload.get("contact", ())
         if prev_contacts and not any(
             all(abs(a - b) <= 1 for a, b in zip(mine_c, prev_c, strict=True))
             for mine_c in contacts
@@ -230,11 +231,11 @@ class IdentificationMixin(NodeProcess):
         marks = self.store.setdefault("_ident_marks", {})
         other_key = (plane, corner, not clockwise)
         if other_key in marks:
-            self._assemble(plane, corner, snapshot, marks[other_key])
+            self._assemble(plane, corner, trail, marks[other_key])
             return  # first contact: stop this walker
-        marks[(plane, corner, clockwise)] = snapshot
+        marks[(plane, corner, clockwise)] = trail
 
-        heading = tuple(msg.payload["heading"])
+        heading = msg.payload["heading"]
         nxt = ring_step(
             self.coord, heading, clockwise, axis_u, axis_v, self._passable_local
         )
@@ -248,9 +249,9 @@ class IdentificationMixin(NodeProcess):
             self._reverse_ident(plane, corner, clockwise, trail, include_self=True)
             return
         payload = dict(msg.payload)
-        payload["trail"] = [list(c) for c in trail]
-        payload["heading"] = list(new_heading)
-        payload["contact"] = [list(c) for c in contacts]
+        payload["trail"] = trail
+        payload["heading"] = new_heading
+        payload["contact"] = frozenset(contacts)
         fwd = Message(
             "IDENT", self.coord, cell, payload,
             hops=msg.hops + 1, ttl=msg.ttl, msg_id=msg.msg_id,
@@ -268,19 +269,19 @@ class IdentificationMixin(NodeProcess):
         """
         chain = trail if include_self else trail[:-1]
         payload = {
-            "plane": list(plane),
-            "corner": list(corner),
+            "plane": plane,
+            "corner": corner,
             "clockwise": clockwise,
-            "trail": [list(c) for c in chain],
+            "trail": chain,
         }
         if len(trail) < 2:
             return
-        self.send(trail[-2], "IDENT_BACK", payload, ttl=self._ttl())
+        self.send(trail[-2], "IDENT_BACK", payload)
 
     def _on_ident_back(self, msg: Message) -> None:
-        plane = tuple(msg.payload["plane"])
-        corner = tuple(msg.payload["corner"])
-        trail = [tuple(c) for c in msg.payload["trail"]]
+        plane = msg.payload["plane"]
+        corner = msg.payload["corner"]
+        trail = msg.payload["trail"]
         if self.coord == corner:
             arrivals = self.store.setdefault("_ident_back", {})
             slot = arrivals.setdefault((plane, corner), {})
@@ -289,11 +290,7 @@ class IdentificationMixin(NodeProcess):
                 # Trails arrive corner-first; _send_shape walks outward
                 # from this node, so hand them over reversed.
                 self._assemble(
-                    plane,
-                    corner,
-                    {"trail": list(reversed(slot["cw"]))},
-                    {"trail": list(reversed(slot["ccw"]))},
-                    closed=False,
+                    plane, corner, slot["cw"][::-1], slot["ccw"][::-1], closed=False
                 )
                 del arrivals[(plane, corner)]
             return
@@ -304,8 +301,7 @@ class IdentificationMixin(NodeProcess):
             return  # stale trail (should not happen): drop
         if here == 0:
             return
-        self.send(trail[here - 1], "IDENT_BACK", dict(msg.payload),
-                  ttl=self._ttl())
+        self.send(trail[here - 1], "IDENT_BACK", dict(msg.payload))
 
     # -- phase 4: shape assembly and deposit --------------------------------------
 
@@ -318,7 +314,7 @@ class IdentificationMixin(NodeProcess):
         3-D section are filled too — harmless, since the forbidden and
         critical regions depend only on per-column extrema.
         """
-        ring = {tuple(c) for c in mine["trail"]} | {tuple(c) for c in theirs["trail"]}
+        ring = set(mine).union(theirs)
         if not ring:
             return
         axis_u, axis_v = plane
@@ -330,8 +326,7 @@ class IdentificationMixin(NodeProcess):
             return  # degenerate ring: discard
         anchor = next(iter(ring))
         shape = frozenset(self._lift(plane, uv, anchor) for uv in interior)
-        for snapshot in (mine, theirs):
-            trail = [tuple(c) for c in snapshot["trail"]]
+        for trail in (mine, theirs):
             self._send_shape(plane, corner, shape, trail)
 
     def _lift(self, plane, uv, anchor: Coord) -> Coord:
@@ -345,37 +340,30 @@ class IdentificationMixin(NodeProcess):
         if len(trail) < 2:
             return
         payload = {
-            "plane": list(plane),
-            "corner": list(corner),
-            "shape": [list(c) for c in sorted(shape)],
-            "trail": [list(c) for c in trail[:-1]],
+            "plane": plane,
+            "corner": corner,
+            "shape": shape,
+            "trail": trail[:-1],
         }
-        self.send(trail[-2], "SHAPE", payload, ttl=self._ttl())
+        self.send(trail[-2], "SHAPE", payload)
 
     def _on_shape(self, msg: Message) -> None:
-        plane = tuple(msg.payload["plane"])
-        corner = tuple(msg.payload["corner"])
-        shape = frozenset(tuple(c) for c in msg.payload["shape"])
-        self._store_shape(plane, corner, shape)
-        self._maybe_complete(plane, corner, shape)
-        trail = [tuple(c) for c in msg.payload["trail"]]
-        if len(trail) < 2:
-            return
-        payload = dict(msg.payload)
-        payload["trail"] = [list(c) for c in trail[:-1]]
-        self.send(trail[-2], "SHAPE", payload, ttl=self._ttl())
+        payload = msg.payload
+        self._send_shape(
+            payload["plane"], payload["corner"], payload["shape"], payload["trail"]
+        )
 
     def _store_shape(self, plane, corner, shape) -> None:
-        self.store.setdefault("shapes", {})[(tuple(plane), tuple(corner))] = shape
+        self.store.setdefault("shapes", {})[(plane, corner)] = shape
 
     def _maybe_complete(self, plane, corner, shape) -> None:
-        if tuple(corner) != self.coord:
+        if corner != self.coord:
             return
         marks = self.store.setdefault("corner_of", [])
-        key = (tuple(plane), tuple(corner))
+        key = (plane, corner)
         if key not in [k for k, _ in marks]:
             marks.append((key, shape))
-            self.on_section_identified(tuple(plane), tuple(corner), shape)
+            self.on_section_identified(plane, corner, shape)
 
     def on_section_identified(self, plane, corner, shape) -> None:
         """Hook for the boundary-construction layer."""

@@ -401,12 +401,15 @@ class DistributedMCCPipeline:
             raise ValueError("a fault event needs at least one cell")
         return out
 
-    def _stabilize_inject(self, cells: list[Coord]) -> int:
+    def _stabilize_inject(
+        self, cells: list[Coord]
+    ) -> tuple[int, set[tuple]]:
         """Kill ``cells``; neighbors detect it and the gossip escalates.
 
         Labels only grow under injection, so the old fixed point is a
         sound warm start — no resets, no announcements beyond the
-        protocol's own change gossip.
+        protocol's own change gossip.  Returns ``(reset_count,
+        lost_owners)`` like :meth:`_stabilize_repair`: ``(0, set())``.
         """
         for c in cells:
             self.net.inject_fault(c)
@@ -421,7 +424,7 @@ class DistributedMCCPipeline:
 
     def _stabilize_repair(
         self, cells: list[Coord], pre_status: np.ndarray
-    ) -> int:
+    ) -> tuple[int, set[tuple]]:
         """Heal ``cells``; reset exactly the labels that may shrink.
 
         After a repair the labelled set can only shrink, and only inside
@@ -430,6 +433,10 @@ class DistributedMCCPipeline:
         incremental model sweeps).  Currently-SAFE nodes cannot change
         at all, so the reset set is the *labelled* cells of those slabs
         plus the repaired cells themselves.
+
+        Returns ``(reset_count, lost_owners)``: the size of the reset set
+        and the ``(plane, corner)`` keys of the sections whose shapes or
+        wall records the repaired nodes held.
         """
         for c in cells:
             self.net.repair(c)

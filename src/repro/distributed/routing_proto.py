@@ -45,6 +45,13 @@ read only node-local state that is *static during the query phase*
 one ``run_to_quiescence`` and each resolves exactly as it would have
 alone; ``tests/test_des_concurrent.py`` pins that batch results are
 element-wise identical to blocking per-query calls.
+
+**Payloads.**  Coordinates are tuples, a trail or path is a tuple of
+coordinates and the walker's visited set is a frozenset, all passed to
+the next hop by reference.  A forward sends ``trail + (dst,)``, a reply
+hop sends ``trail[:-1]`` to ``trail[-2]``, and the walker marks a cell
+with ``visited | {cell}``: no hop re-encodes a coordinate or writes to a
+value that another hop holds.
 """
 
 from __future__ import annotations
@@ -141,16 +148,16 @@ class RoutingMixin(NodeProcess):
         for prefer_axis, detour_axis in axes:
             payload = {
                 "query": query_id,
-                "dest": list(dest),
-                "source": list(self.coord),
+                "dest": dest,
+                "source": self.coord,
                 "prefer": prefer_axis,
                 "detour": detour_axis,
-                "trail": [list(self.coord)],
+                "trail": (self.coord,),
             }
             self._detect_walk_step(payload)
 
     def _detect_walk_step(self, payload: dict[str, Any]) -> None:
-        dest = tuple(payload["dest"])
+        dest = payload["dest"]
         prefer = payload["prefer"]
         detour = payload.get("detour")
         if self.coord[prefer] == dest[prefer]:
@@ -171,9 +178,8 @@ class RoutingMixin(NodeProcess):
 
     def _detect_forward(self, payload: dict[str, Any], dst: Coord) -> None:
         payload = dict(payload)
-        payload["trail"] = payload["trail"] + [list(dst)]
-        ttl = 8 * (sum(self.network.mesh.shape) + 8)
-        self.send(dst, "DETECT", payload, ttl=ttl)
+        payload["trail"] = payload["trail"] + (dst,)
+        self.send(dst, "DETECT", payload)
 
     # -- detection: 3-D surface floods ------------------------------------------------
 
@@ -187,15 +193,15 @@ class RoutingMixin(NodeProcess):
         for name in self._SURFACES:
             payload = {
                 "query": query_id,
-                "dest": list(dest),
-                "source": list(self.coord),
+                "dest": dest,
+                "source": self.coord,
                 "surface": name,
-                "trail": [list(self.coord)],
+                "trail": (self.coord,),
             }
             self._detect_flood_step(payload)
 
     def _detect_flood_step(self, payload: dict[str, Any]) -> None:
-        dest = tuple(payload["dest"])
+        dest = payload["dest"]
         name = payload["surface"]
         spread, detour, target = self._SURFACES[name]
         seen = self.store.setdefault("_flood_seen", set())
@@ -227,16 +233,15 @@ class RoutingMixin(NodeProcess):
 
     def _detect_reply(self, payload: dict[str, Any], ok: bool) -> None:
         kind = "DETECT_OK" if ok else "DETECT_FAIL"
-        trail = [tuple(c) for c in payload["trail"]]
         reply = {
             "query": payload["query"],
             "which": payload.get("prefer", payload.get("surface")),
-            "trail": [list(c) for c in trail],
+            "trail": payload["trail"],
         }
         self._reply_step(kind, reply)
 
     def _reply_step(self, kind: str, payload: dict[str, Any]) -> None:
-        trail = [tuple(c) for c in payload["trail"]]
+        trail = payload["trail"]
         if len(trail) <= 1:
             if kind == "ROUTE_DONE":
                 self._absorb_route_done(payload)
@@ -244,8 +249,8 @@ class RoutingMixin(NodeProcess):
                 self._absorb_reply(kind, payload)
             return
         payload = dict(payload)
-        payload["trail"] = [list(c) for c in trail[:-1]]
-        self.send(trail[-2], kind, payload, ttl=None)
+        payload["trail"] = trail[:-1]
+        self.send(trail[-2], kind, payload)
 
     def _absorb_reply(self, kind: str, payload: dict[str, Any]) -> None:
         query = self.store.get("queries", {}).get(payload["query"])
@@ -271,38 +276,38 @@ class RoutingMixin(NodeProcess):
     def _launch_route(self, query_id: int, query: dict[str, Any]) -> None:
         payload = {
             "query": query_id,
-            "dest": list(query["dest"]),
-            "source": list(self.coord),
-            "path": [list(self.coord)],
-            "visited": [list(self.coord)],
+            "dest": query["dest"],
+            "source": self.coord,
+            "path": (self.coord,),
+            "visited": frozenset((self.coord,)),
         }
         self._route_step(payload)
 
     def _route_step(self, payload: dict[str, Any]) -> None:
-        dest = tuple(payload["dest"])
+        dest = payload["dest"]
         if self.coord == dest:
             self._route_done(payload, "delivered")
             return
-        visited = {tuple(c) for c in payload["visited"]}
+        visited = payload["visited"]
         for nxt in self._route_candidates(dest):
             if nxt in visited:
                 continue
             forward = dict(payload)
-            forward["path"] = payload["path"] + [list(nxt)]
-            forward["visited"] = payload["visited"] + [list(nxt)]
-            self.send(nxt, "ROUTE", forward, ttl=None)
+            forward["path"] = payload["path"] + (nxt,)
+            forward["visited"] = visited | {nxt}
+            self.send(nxt, "ROUTE", forward)
             return
         # Dead end: every live successor already tried.  Backtrack the
         # token one hop; the previous node resumes with its next
         # candidate (each cell enters the visited set once, so the
         # search is linear in the RMP size and always terminates).
-        path = [tuple(c) for c in payload["path"]]
+        path = payload["path"]
         if len(path) <= 1:
             self._route_done(payload, "stuck")
             return
         back = dict(payload)
-        back["path"] = [list(c) for c in path[:-1]]
-        self.send(path[-2], "ROUTE", back, ttl=None)
+        back["path"] = path[:-1]
+        self.send(path[-2], "ROUTE", back)
 
     def _route_candidates(self, dest: Coord) -> list[Coord]:
         """Preferred neighbors ordered by Algorithm 3 step 2, best first.
@@ -314,7 +319,7 @@ class RoutingMixin(NodeProcess):
         reduced problem after an axis is exhausted, and the
         backtracking walk corrects such excursions exactly.
         """
-        records = list(self.store.get("records", {}).values())
+        records = self.store.get("records", {}).values()
         preferred: list[Coord] = []
         deferred: list[Coord] = []
         for axis in range(len(self.coord)):
@@ -359,8 +364,8 @@ class RoutingMixin(NodeProcess):
         notice = {
             "query": payload["query"],
             "status": status,
-            "path": [list(c) for c in payload["path"]],
-            "trail": [list(c) for c in payload["path"]],
+            "path": payload["path"],
+            "trail": payload["path"],
         }
         self._reply_step("ROUTE_DONE", notice)
 
@@ -369,7 +374,7 @@ class RoutingMixin(NodeProcess):
         if query is None:
             return
         query["status"] = payload["status"]
-        query["path"] = [tuple(c) for c in payload["path"]]
+        query["path"] = list(payload["path"])
         query["completed_at"] = self.network.sim.now
 
     # -- dispatch ---------------------------------------------------------------------

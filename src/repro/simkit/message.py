@@ -56,8 +56,9 @@ class Message:
 
         The payload is shallow-copied: a downstream node mutating its
         copy must not retroactively rewrite the sender's hop.  Nested
-        values (trail lists, shape lists) are shared across hops, so
-        protocols that mutate them copy them before writing.
+        values are shared across hops; the protocol handlers keep them
+        immutable (tuples, frozensets, read-only maps) and build a new
+        value instead of writing to one.
         """
         return Message(
             self.kind,
