@@ -96,6 +96,17 @@ def test_kernel_walls_3d(benchmark):
     assert len(walls) == len(mccs) * 3
 
 
+def dense_wall_mccs():
+    """The MCCs of static-sweep's densest shape: 16³ with 410 faults."""
+    return extract_mccs(label_grid(random_fault_mask((16, 16, 16), 410, rng=7)))
+
+
+def test_kernel_walls_3d_16(benchmark):
+    mccs = dense_wall_mccs()
+    walls = benchmark(build_walls, mccs)
+    assert len(walls) == len(mccs) * 3
+
+
 def build_cases() -> dict:
     """Name -> zero-arg callable, mirroring the pytest cases above."""
     mask_2d = random_fault_mask((64, 64), 200, rng=1)
@@ -108,6 +119,7 @@ def build_cases() -> dict:
     open_b64, dests_b64 = flood_batch_case(64)
     comp_lab = label_grid(random_fault_mask((20, 20, 20), 400, rng=4))
     wall_mccs = extract_mccs(label_grid(random_fault_mask((12, 12, 12), 80, rng=5)))
+    dense_mccs = dense_wall_mccs()
     return {
         "labelling_2d_64": lambda: label_grid(mask_2d),
         "labelling_3d_20": lambda: label_grid(mask_3d),
@@ -121,6 +133,7 @@ def build_cases() -> dict:
         ),
         "components_3d": lambda: extract_mccs(comp_lab),
         "walls_3d": lambda: build_walls(wall_mccs),
+        "walls_3d_16": lambda: build_walls(dense_mccs),
     }
 
 

@@ -43,12 +43,7 @@ def lemma1_region_form(
     routing actually evaluates) covers those; this form is retained for
     the fidelity ablation.
     """
-    s = tuple(int(c) for c in source)
-    d = tuple(int(c) for c in dest)
-    for wall in walls:
-        if wall.critical[d] and wall.forbidden[s]:
-            return False
-    return True
+    return not any(wall.blocks(source, dest) for wall in walls)
 
 
 def minimal_path_exists_lemma1(
@@ -121,9 +116,7 @@ def blocking_walls(
     walls: list[Wall], source: Sequence[int], dest: Sequence[int]
 ) -> list[Wall]:
     """The walls witnessing infeasibility (empty iff a minimal path exists)."""
-    s = tuple(int(c) for c in source)
-    d = tuple(int(c) for c in dest)
-    return [w for w in walls if w.critical[d] and w.forbidden[s]]
+    return [w for w in walls if w.blocks(source, dest)]
 
 
 class ConditionEvaluator:

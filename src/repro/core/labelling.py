@@ -53,8 +53,9 @@ def _shifted_blocked(blocked: np.ndarray, axis: int, sign: int) -> np.ndarray:
     """Blocked-status of each node's neighbor along (axis, sign).
 
     The one-cell shift ``out[i] = blocked[i + sign]`` along ``axis``,
-    for any boolean grid.  Nodes whose neighbor falls outside the mesh
-    get ``False`` (mesh borders are not blocking).
+    for any boolean grid (or the column heights of
+    :mod:`repro.core.walls`).  Nodes whose neighbor falls outside the
+    mesh get ``False``, or 0 (mesh borders are not blocking).
     """
     out = np.zeros_like(blocked)
     src = [slice(None)] * blocked.ndim

@@ -36,9 +36,11 @@ from repro.core.walls import Wall, build_walls
 from repro.mesh.orientation import Orientation
 from repro.util.caching import LRUCache, mask_digest
 
-#: Bound on cached (pattern, class, kind) entries.  An entry is one int8
-#: status grid plus its MCC/wall structures — 64 keeps the ablations'
-#: whole revisit window resident without pinning unbounded sweeps.
+#: Bound on cached (pattern, class, kind) entries.  A labelling entry
+#: is one int8 status grid; an assets entry adds the MCC label grid and
+#: cell lists, one shared safe mask, and two column-height arrays per
+#: wall — 64 keeps the ablations' whole revisit window resident without
+#: pinning unbounded sweeps.
 DEFAULT_LABELLING_CACHE_SIZE = 64
 
 LABELLING_CACHE: LRUCache[tuple, tuple] = LRUCache(DEFAULT_LABELLING_CACHE_SIZE)
@@ -63,10 +65,9 @@ def _freeze_assets(mccs: MCCSet, walls: list[Wall]) -> None:
     for mcc in mccs.mccs:
         mcc.cells.setflags(write=False)
     for wall in walls:
-        wall.forbidden.setflags(write=False)
-        wall.critical.setflags(write=False)
-        for records in wall.records.values():
-            records.setflags(write=False)
+        wall.tops.setflags(write=False)
+        wall.bottoms.setflags(write=False)
+        wall.safe.setflags(write=False)
 
 
 def _resolve_orientation(

@@ -52,9 +52,10 @@ def entry_cells(shadow: np.ndarray, entry_axis: int) -> np.ndarray:
 
     These are exactly the positions where the paper's boundaries place
     their information: a routing message can only step into the shadow
-    from one of them (or start inside).  Includes unsafe cells — callers
-    intersect with the safe mask for wall *records* and with the unsafe
-    mask for wall *obstructions* (chain merging).
+    from one of them (or start inside).  Includes unsafe cells — the
+    safe ones are wall *records*, the unsafe ones wall *obstructions*
+    (chain merging).  :mod:`repro.core.walls` finds the same cells from
+    column heights; this mask form is the definition its tests check.
     """
     inside_ahead = _shifted_blocked(shadow, entry_axis, 1)
     return inside_ahead & ~shadow

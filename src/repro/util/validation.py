@@ -25,8 +25,20 @@ def check_index(name: str, value: int, size: int) -> None:
         raise IndexError(f"{name}={value!r} out of range [0, {size})")
 
 
+class OffMeshError(ValueError, IndexError):
+    """A coordinate outside the mesh.
+
+    Both a bad argument value and an out-of-range index (like numpy's
+    ``AxisError``), so callers may catch either.
+    """
+
+
 def check_shape_member(name: str, coord: Sequence[int], shape: Sequence[int]) -> None:
-    """Raise unless ``coord`` is a valid node address for a mesh of ``shape``."""
+    """Raise unless ``coord`` is a valid node address for a mesh of ``shape``.
+
+    A wrong coordinate count raises ``ValueError``; a coordinate outside
+    its axis raises :class:`OffMeshError`.
+    """
     if len(coord) != len(shape):
         raise ValueError(
             f"{name}={tuple(coord)!r} has {len(coord)} coordinates; "
@@ -34,7 +46,7 @@ def check_shape_member(name: str, coord: Sequence[int], shape: Sequence[int]) ->
         )
     for axis, (c, k) in enumerate(zip(coord, shape, strict=True)):
         if not 0 <= c < k:
-            raise IndexError(
+            raise OffMeshError(
                 f"{name}={tuple(coord)!r} outside mesh: axis {axis} "
                 f"requires 0 <= {c} < {k}"
             )

@@ -117,15 +117,27 @@ def test_barrier_catches_rewritable_alias_on_real_cache(
 
 
 def test_frozen_assets_refuse_direct_writes(sanitized_cache_barrier):
-    labelled, mccs, walls = cached_class_assets(small_mask())
+    assets = cached_class_assets(small_mask())
+    labelled, mccs, walls = assets
     with pytest.raises(ValueError):
         labelled.status[0, 0] = 1
     with pytest.raises(ValueError):
         mccs.labels[0, 0] = 1
     assert all(not m.cells.flags.writeable for m in mccs.mccs)
+    assert walls
+    digest = value_digest(assets)
     for wall in walls:
-        assert not wall.forbidden.flags.writeable
-        assert not wall.critical.flags.writeable
+        for heights in (wall.tops, wall.bottoms):
+            assert not heights.flags.writeable
+            with pytest.raises(ValueError):
+                heights[...] = 0
+        assert not wall.safe.flags.writeable
+        # Derived masks are fresh read-only arrays that the wall does
+        # not keep: reading them must not change the entry's digest.
+        for mask in (wall.forbidden, wall.critical, *wall.records.values()):
+            assert not mask.flags.writeable
+    assert value_digest(assets) == digest
+    assert cached_class_assets(small_mask()) is assets  # barrier re-verifies
 
 
 # -- DES session-isolation sanitizer -----------------------------------------

@@ -13,6 +13,7 @@ from repro.util.rng import (
     spawn_seed_sequences,
 )
 from repro.util.validation import (
+    OffMeshError,
     check_index,
     check_positive,
     check_probability,
@@ -112,6 +113,11 @@ class TestValidation:
             check_shape_member("c", (1,), (3, 3))
         with pytest.raises(IndexError):
             check_shape_member("c", (3, 0), (3, 3))
+        # An off-mesh coordinate is both a bad value and a bad index.
+        with pytest.raises(OffMeshError) as info:
+            check_shape_member("c", (0, -1), (3, 3))
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, IndexError)
 
 
 class TestLRUCacheEviction:

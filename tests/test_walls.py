@@ -1,13 +1,19 @@
 """Tests for boundary walls and chain merging."""
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.rfb import rfb_labelled
 from repro.core.components import extract_mccs
+from repro.core.conditions import blocking_walls, lemma1_region_form
 from repro.core.labelling import label_grid
+from repro.core.shadows import entry_cells, negative_shadow, positive_shadow
 from repro.core.walls import (
     active_walls,
     build_walls,
     forbidden_mask_for_dest,
-    merged_forbidden,
     walls_for,
 )
 from repro.mesh.regions import mask_of_cells
@@ -18,6 +24,101 @@ def _walls(mask):
     lab = label_grid(mask)
     mccs = extract_mccs(lab)
     return lab, mccs, build_walls(mccs)
+
+
+def reference_merged_forbidden(mccs, mcc_index, dim):
+    """The chain fixpoint from its definition, on full-grid masks.
+
+    Z := Q_dim(M); while some other MCC occupies an entry cell of Z,
+    Z := Z ∪ Q_dim(M') for every such M', in ascending index order.
+    """
+    labels = mccs.labels
+    merged = [mcc_index]
+    z = negative_shadow(mccs.mask_of(mcc_index), dim)
+    while True:
+        obstructing = set()
+        for axis in range(labels.ndim):
+            if axis != dim:
+                hit = np.unique(labels[entry_cells(z, axis)])
+                obstructing.update(int(i) for i in hit if i != 0)
+        new = [i for i in sorted(obstructing) if i not in merged]
+        if not new:
+            return z, tuple(merged)
+        for idx in new:
+            z |= negative_shadow(mccs.mask_of(idx), dim)
+            merged.append(idx)
+
+
+def reference_walls(mccs):
+    """(mcc index, dim, forbidden, critical, records, chain) per wall."""
+    safe = mccs.labelled.safe_mask
+    ndim = mccs.labels.ndim
+    out = []
+    for mcc in mccs:
+        own = mccs.mask_of(mcc.index)
+        for dim in range(ndim):
+            forbidden, chain = reference_merged_forbidden(mccs, mcc.index, dim)
+            records = {
+                axis: entry_cells(forbidden, axis) & safe
+                for axis in range(ndim)
+                if axis != dim
+            }
+            out.append(
+                (mcc.index, dim, forbidden, positive_shadow(own, dim), records, chain)
+            )
+    return out
+
+
+#: 1-D to 4-D mesh shapes, size-1 axes included.
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 12)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    st.tuples(*[st.integers(1, 6)] * 3),
+    st.tuples(*[st.integers(1, 4)] * 4),
+)
+
+
+class TestHeightsKernel:
+    @given(SHAPES, st.integers(0, 2**32 - 1), st.integers(0, 45))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, shape, seed, percent):
+        mask = np.random.default_rng(seed).random(shape) * 100 < percent
+        for labeller in (label_grid, rfb_labelled):
+            mccs = extract_mccs(labeller(mask))
+            walls = build_walls(mccs)
+            want = reference_walls(mccs)
+            assert len(walls) == len(want)
+            for wall, (index, dim, forbidden, critical, records, chain) in zip(
+                walls, want, strict=True
+            ):
+                assert (wall.mcc_index, wall.dim) == (index, dim)
+                assert wall.forbidden.dtype == forbidden.dtype
+                assert np.array_equal(wall.forbidden, forbidden)
+                assert wall.critical.dtype == critical.dtype
+                assert np.array_equal(wall.critical, critical)
+                got = wall.records
+                assert list(got) == list(records)
+                for axis, mask_want in records.items():
+                    assert got[axis].dtype == mask_want.dtype
+                    assert np.array_equal(got[axis], mask_want)
+                assert wall.chain == chain
+
+    def test_heights_encode_the_regions(self):
+        mask = mask_of_cells([(5, 5), (5, 6), (4, 2)], (9, 9))
+        _, mccs, walls = _walls(mask)
+        m1 = mccs.component_at((5, 5)).index
+        wy = next(w for w in walls_for(walls, m1) if w.dim == 1)
+        assert wy.tops.shape == wy.bottoms.shape == (9,)
+        # Forbidden: below (5,6) in column 5, merged with M2's column 4.
+        assert wy.tops.tolist() == [0, 0, 0, 0, 2, 6, 0, 0, 0]
+        # Critical: above the owner's lowest cell (5,5) only.
+        assert wy.bottoms.tolist() == [9, 9, 9, 9, 9, 6, 9, 9, 9]
+
+    def test_derived_masks_are_read_only(self):
+        _, _, walls = _walls(mask_of_cells([(3, 3)], (8, 8)))
+        for wall in walls:
+            for mask in (wall.forbidden, wall.critical, *wall.records.values()):
+                assert not mask.flags.writeable
 
 
 class TestSingleMCC:
@@ -45,6 +146,40 @@ class TestSingleMCC:
         assert wy.guards((2, 1), 0)
         assert not wy.guards((2, 5), 0)
 
+    def test_guards_agrees_with_records(self, rng):
+        for _ in range(3):
+            _, _, walls = _walls(random_mask(rng, (5, 4, 3), 8))
+            for wall in walls:
+                for axis, records in wall.records.items():
+                    for cell in np.ndindex(records.shape):
+                        assert wall.guards(cell, axis) == records[cell]
+
+
+class TestOffMesh:
+    def test_point_queries_reject_off_mesh_coordinates(self):
+        # numpy reads a negative index from the far end of an axis, so
+        # an unchecked (3, -2) would answer for (3, 6).
+        _, _, walls = _walls(mask_of_cells([(3, 3)], (8, 8)))
+        wy = next(w for w in walls if w.dim == 1)
+        with pytest.raises(ValueError, match="outside mesh"):
+            active_walls(walls, (3, -2))
+        with pytest.raises(ValueError, match="outside mesh"):
+            active_walls(walls, (3, 8))
+        with pytest.raises(ValueError, match="outside mesh"):
+            blocking_walls(walls, (3, -8), (3, 6))
+        with pytest.raises(ValueError, match="outside mesh"):
+            lemma1_region_form(walls, (3, -8), (3, 6))
+        with pytest.raises(ValueError, match="outside mesh"):
+            lemma1_region_form(walls, (3, 0), (9, 6))
+        with pytest.raises(ValueError, match="outside mesh"):
+            wy.guards((2, -7), 0)
+        # The same queries on mesh still answer.
+        assert len(active_walls(walls, (3, 6))) == 1
+        (witness,) = blocking_walls(walls, (3, 0), (3, 6))
+        assert witness is wy
+        assert not lemma1_region_form(walls, (3, 0), (3, 6))
+        assert wy.guards((2, 1), 0)
+
 
 class TestChainMerging:
     def test_obstructed_wall_merges(self):
@@ -66,12 +201,11 @@ class TestChainMerging:
 
     def test_merged_forbidden_direct(self):
         mask = mask_of_cells([(5, 5), (4, 2)], (9, 9))
-        lab = label_grid(mask)
-        mccs = extract_mccs(lab)
+        _, mccs, walls = _walls(mask)
         m1 = mccs.component_at((5, 5)).index
-        z, chain = merged_forbidden(mccs, m1, dim=1)
-        assert set(chain) == {1, 2}
-        assert z[4, 1] and z[5, 4]
+        wy = next(w for w in walls_for(walls, m1) if w.dim == 1)
+        assert set(wy.chain) == {1, 2}
+        assert wy.forbidden[4, 1] and wy.forbidden[5, 4]
 
     def test_chain_is_transitive(self):
         # Three stacked obstructions chain through each other.
