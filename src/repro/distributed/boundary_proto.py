@@ -184,7 +184,7 @@ class BoundaryMixin(NodeProcess):
         payload["retries"] = payload.get("retries", 0) + 1
         if payload["retries"] > _MAX_RETRIES:
             return  # obstructor never identified (e.g. broken ring): drop
-        self.network.sim.schedule(_RETRY_DELAY, lambda: self._wall_arrive(payload))
+        self.network.sim.schedule(_RETRY_DELAY, self._wall_arrive, payload)
 
     # -- helpers -----------------------------------------------------------------------
 

@@ -254,7 +254,7 @@ class IdentificationMixin(NodeProcess):
         payload["contact"] = frozenset(contacts)
         fwd = Message(
             "IDENT", self.coord, cell, payload,
-            hops=msg.hops + 1, ttl=msg.ttl, msg_id=msg.msg_id,
+            hops=msg.hops + 1, ttl=msg.ttl,
         )
         self.network.transmit(fwd)
 

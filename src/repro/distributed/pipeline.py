@@ -233,9 +233,7 @@ class DistributedMCCPipeline:
             }
         else:
             src_node = self.net.nodes[source]
-            self.net.sim.schedule(
-                at, lambda: src_node.start_query(query_id, dest)
-            )
+            self.net.sim.schedule(at, src_node.start_query, query_id, dest)
         self._inflight.append(handle)
         return handle
 
@@ -417,9 +415,7 @@ class DistributedMCCPipeline:
             for n in self.mesh.neighbors(c):
                 if not self.net.is_faulty(n):
                     node = self.net.nodes[n]
-                    self.net.sim.schedule(
-                        0.0, lambda nd=node, cc=c: nd.notice_neighbor_died(cc)
-                    )
+                    self.net.sim.schedule(0.0, node.notice_neighbor_died, c)
         return 0, set()
 
     def _stabilize_repair(
@@ -621,9 +617,7 @@ class DistributedMCCPipeline:
             if self.net.is_faulty(coord):
                 continue
             node = self.net.nodes[coord]
-            self.net.sim.schedule(
-                0.0, lambda nd=node: nd.start_identification(announce_empty=True)
-            )
+            self.net.sim.schedule(0.0, node.start_identification, True)
             count += 1
         return count
 
@@ -641,6 +635,11 @@ class DistributedMCCPipeline:
         return out
 
     def records_at(self, coord: Coord) -> list[dict]:
+        """The boundary records held at ``coord``, in delivery order.
+
+        The order follows the simulator's tie order and is not part of
+        the contract; compare records as a collection.
+        """
         node = self.net.nodes[tuple(coord)]
         return list(node.store.get("records", {}).values())
 

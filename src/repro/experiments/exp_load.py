@@ -105,7 +105,7 @@ def _replay_frames(
         if path is None:
             continue
         injected += 1
-        net.sim.schedule(t, lambda p=path: net.inject_frame(p))
+        net.sim.schedule(t, net.inject_frame, path)
     net.run_to_quiescence()
     delivered = net.stats.frames_delivered
     return {

@@ -56,10 +56,9 @@ class VirtualClock:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        #: Timers ride the simkit :class:`EventQueue`: deadlines are
-        #: pushed with the queue's monotone seq, so same-deadline
-        #: wakeups fire in registration order (deterministic
-        #: tie-breaking).
+        #: Timers ride the simkit :class:`EventQueue`: the queue keeps
+        #: one FIFO per deadline, so same-deadline wakeups fire in
+        #: registration order (deterministic tie-breaking).
         self._timers = EventQueue()
         #: Futures still registered in the queue (for pending counts).
         self._futs: set[asyncio.Future] = set()

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 from repro.mesh.coords import Coord
-
-_MSG_IDS = itertools.count()
 
 
 class Message:
@@ -21,7 +18,7 @@ class Message:
     regions.
     """
 
-    __slots__ = ("kind", "src", "dst", "payload", "hops", "ttl", "msg_id")
+    __slots__ = ("kind", "src", "dst", "payload", "hops", "ttl")
 
     def __init__(
         self,
@@ -31,7 +28,6 @@ class Message:
         payload: dict[str, Any] | None = None,
         hops: int = 0,
         ttl: int | None = None,
-        msg_id: int | None = None,
     ):
         self.kind = kind
         self.src = src
@@ -39,20 +35,18 @@ class Message:
         self.payload = {} if payload is None else payload
         self.hops = hops
         self.ttl = ttl
-        self.msg_id = next(_MSG_IDS) if msg_id is None else msg_id
 
     def __repr__(self) -> str:
         return (
             f"Message(kind={self.kind!r}, src={self.src!r}, dst={self.dst!r}, "
-            f"payload={self.payload!r}, hops={self.hops}, ttl={self.ttl}, "
-            f"msg_id={self.msg_id})"
+            f"payload={self.payload!r}, hops={self.hops}, ttl={self.ttl})"
         )
 
     def expired(self) -> bool:
         return self.ttl is not None and self.hops > self.ttl
 
     def forwarded(self, new_dst: Coord) -> "Message":
-        """Copy for the next hop (same identity, one more hop).
+        """Copy for the next hop (same kind and TTL, one more hop).
 
         The payload is shallow-copied: a downstream node mutating its
         copy must not retroactively rewrite the sender's hop.  Nested
@@ -67,5 +61,4 @@ class Message:
             dict(self.payload),
             self.hops + 1,
             self.ttl,
-            self.msg_id,
         )

@@ -14,10 +14,13 @@ the fault mask (a set membership test instead of a numpy fancy-index per
 check).  The numpy ``fault_mask`` stays the source of truth for bulk
 array consumers; mutate it only through :meth:`inject_fault` /
 :meth:`repair`, which validate the cell and keep the mirror in sync.
+A send schedules the bound ``_deliver`` with the message (and its link
+when contended) as the event's arguments, so no send builds a closure.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -77,6 +80,12 @@ class MeshNetwork:
             )
         if link_capacity is not None and link_capacity < 1:
             raise ValueError(f"link_capacity must be >= 1 or None, got {link_capacity}")
+        # The rule ``Simulator.schedule`` applies to every delay, checked
+        # here so a bad delay fails at construction, not at the first send.
+        if not 0.0 <= link_delay < math.inf:
+            raise ValueError(
+                f"link_delay must be finite and non-negative, got {link_delay}"
+            )
         self.mesh = mesh
         self.fault_mask = np.asarray(fault_mask, dtype=bool).copy()
         self.sim = Simulator()
@@ -145,7 +154,7 @@ class MeshNetwork:
             return
         self.stats.on_send(msg.kind, query=msg.payload.get("query"))
         if self.link_capacity is None:
-            self.sim.schedule(self.link_delay, lambda: self._deliver(msg))
+            self.sim.schedule(self.link_delay, self._deliver, msg)
             return
         # Contended path: reserve the earliest-free server of the
         # directed link at transmit time (FIFO — arrival order is
@@ -167,7 +176,7 @@ class MeshNetwork:
             self.stats.bump("link_wait_total", wait)
         state.depth += 1
         self.stats.note_link_depth(link, state.depth)
-        self.sim.schedule(wait + self.link_delay, lambda: self._deliver(msg, link))
+        self.sim.schedule(wait + self.link_delay, self._deliver, msg, link)
 
     def _deliver(self, msg: Message, link: tuple[Coord, Coord] | None = None) -> None:
         if link is not None:

@@ -74,7 +74,7 @@ class NodeProcess:
         Returns the simulator's opaque handle for
         :meth:`~repro.simkit.simulator.Simulator.cancel`.
         """
-        return self.network.sim.schedule(delay, lambda: self._fire_timer(tag))
+        return self.network.sim.schedule(delay, self._fire_timer, tag)
 
     def _fire_timer(self, tag: str) -> None:
         if self.alive:

@@ -1,4 +1,11 @@
-"""The simulation executive: clock + event loop."""
+"""The simulation executive: clock + event loop.
+
+An event is an action and its positional arguments, scheduled the way
+asyncio's ``call_later`` takes them: ``schedule(delay, action, *args)``
+queues the pair ``(action, args)`` and the loop calls
+``action(*args)``.  A send schedules a bound method and the message, so
+no event builds a closure, and the loop reads the queue once per event.
+"""
 
 from __future__ import annotations
 
@@ -24,8 +31,8 @@ class Simulator:
         #: starting a run, never from inside an event action.
         self.observer = None
 
-    def schedule(self, delay: float, action: Callable[[], Any]) -> object:
-        """Run ``action`` after ``delay`` time units.
+    def schedule(self, delay: float, action: Callable[..., Any], *args: Any) -> object:
+        """Call ``action(*args)`` after ``delay`` time units.
 
         Returns an opaque handle: pass it to :meth:`cancel` and nothing
         else.
@@ -34,7 +41,7 @@ class Simulator:
         # NaN, which a plain ``delay < 0`` would let in.
         if not 0.0 <= delay < math.inf:
             raise ValueError(f"delay must be finite and non-negative, got {delay}")
-        return self.queue.push(self.now + delay, action)
+        return self.queue.push(self.now + delay, (action, args))
 
     def cancel(self, handle: object) -> None:
         self.queue.cancel(handle)
@@ -49,7 +56,9 @@ class Simulator:
         Stops when the queue drains, when the next event would pass
         ``until``, or after ``max_events`` live events (a
         runaway-protocol guard).  Returns the number of events
-        processed by this call.
+        processed by this call.  An action that raises ends the run;
+        ``events_processed`` still counts every event that ran,
+        including the one that raised.
         """
         if max_events is not None and max_events < 0:
             raise ValueError(f"max_events must be non-negative, got {max_events}")
@@ -57,24 +66,30 @@ class Simulator:
         observer = self.observer
         now = self.now
         processed = 0
-        # With ``max_events=None`` this test never fails: no budget.
-        while processed != max_events:
-            time = queue.peek_time()
-            if time is None or (until is not None and time > until):
-                break
-            _, action = queue.pop()
-            if time > now:
-                now = self.now = time
-            if observer is None:
-                action()
-            else:
-                observer.before_event(now)
-                try:
-                    action()
-                finally:
-                    observer.after_event()
-            processed += 1
-        self.events_processed += processed
+        try:
+            # With ``max_events=None`` this test never fails: no budget.
+            while processed != max_events:
+                if until is not None:
+                    time = queue.peek_time()
+                    if time is None or time > until:
+                        break
+                event = queue.pop()
+                if event is None:
+                    break
+                time, (action, args) = event
+                if time > now:
+                    now = self.now = time
+                processed += 1
+                if observer is None:
+                    action(*args)
+                else:
+                    observer.before_event(now)
+                    try:
+                        action(*args)
+                    finally:
+                        observer.after_event()
+        finally:
+            self.events_processed += processed
         return processed
 
     def run_to_quiescence(self, max_events: int = 10_000_000) -> int:
@@ -85,9 +100,12 @@ class Simulator:
         """
         with obs.span("run_to_quiescence", cat="des") as sp:
             sp.set_vt(start=self.now)
-            processed = self.run(max_events=max_events)
-            sp.set_vt(end=self.now)
-            sp.set(events=processed)
+            before = self.events_processed
+            try:
+                processed = self.run(max_events=max_events)
+            finally:
+                sp.set_vt(end=self.now)
+                sp.set(events=self.events_processed - before)
         if self.queue.peek_time() is not None:
             raise RuntimeError(
                 f"simulation did not quiesce within {max_events} events "

@@ -14,9 +14,14 @@ observable and that it stays safe:
   rewritten by a later hop.
 * **IDENT TTL** — the one protocol TTL that can fire: an ``IDENT``
   forwarded past its TTL is dropped and counted under ``dropped[ttl]``.
+* **Tie order** — the same lifecycles under a stand-in queue that
+  shuffles equal-time events reach the same labels, sections, session
+  outcomes and boundary records: the protocols' results do not depend
+  on how the simulator breaks ties.
 """
 
 import hashlib
+import heapq
 from types import MappingProxyType
 
 import numpy as np
@@ -54,15 +59,19 @@ def _canonical_pairs(rng, mask, count):
     return pairs
 
 
-def _lifecycle(shape, faults, seed, on_transmit=None):
+def _lifecycle(shape, faults, seed, on_transmit=None, queue=None):
     """Build, drain a batch, inject one healthy cell, then repair it.
 
     Returns the traced pipeline and the batch's session records.
-    ``on_transmit`` sees every message the network accepts.
+    ``on_transmit`` sees every message the network accepts; ``queue``,
+    if given, replaces the simulator's event queue before the build.
     """
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, shape, faults)
     pipe = DistributedMCCPipeline(Mesh(shape), mask, trace=True)
+    if queue is not None:
+        assert pipe.net.sim.idle
+        pipe.net.sim.queue = queue
     if on_transmit is not None:
         transmit = pipe.net.transmit
 
@@ -96,6 +105,69 @@ def test_lifecycle_replays_exactly(shape, faults, seed, golden):
     assert pipe.net.trace.dropped == 0
     assert len(pipe.net.trace) > 0
     assert _replay_hash(pipe, records) == golden
+
+
+class _ShuffledTies:
+    """Stand-in event queue: time order kept, equal-time order shuffled.
+
+    A heap keyed ``(time, seeded draw, seq)``: events at one time pop in
+    an order set by the seed, and ``seq`` keeps keys unique, so heap
+    comparisons never reach the item.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._heap = []
+        self._seq = 0
+
+    def push(self, time, item):
+        entry = [float(time), self._rng.random(), self._seq, item]
+        self._seq += 1
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, handle):
+        handle[3] = None
+
+    def pop(self):
+        while self._heap:
+            time, _, _, item = heapq.heappop(self._heap)
+            if item is not None:
+                return time, item
+        return None
+
+    def peek_time(self):
+        while self._heap and self._heap[0][3] is None:
+            heapq.heappop(self._heap)
+        return self._heap[0][0] if self._heap else None
+
+
+def _outcome(pipe, records):
+    """What the protocols computed, as values that ignore tie order.
+
+    A node's boundary records are compared as a dict: their order in
+    the store follows delivery order and is not part of the contract.
+    """
+    return (
+        pipe.labels_grid(),
+        pipe.identified_sections(),
+        [(r["status"], r["path"]) for r in records],
+        {coord: node.store.get("records") for coord, node in pipe.net.nodes.items()},
+    )
+
+
+@pytest.mark.parametrize("shape, faults, seed, golden", LIFECYCLES, ids=IDS)
+def test_outcomes_do_not_depend_on_tie_order(shape, faults, seed, golden):
+    labels, sections, sessions, records = _outcome(*_lifecycle(shape, faults, seed))
+    for tie_seed in (1, 2, 3):
+        pipe, batch = _lifecycle(shape, faults, seed, queue=_ShuffledTies(tie_seed))
+        # The stand-in really reorders: the delivery sequence moves.
+        assert _replay_hash(pipe, batch) != golden
+        got_labels, got_sections, got_sessions, got_records = _outcome(pipe, batch)
+        np.testing.assert_array_equal(got_labels, labels)
+        assert got_sections == sections
+        assert got_sessions == sessions
+        assert got_records == records
 
 
 def _immutable(value) -> bool:
