@@ -29,7 +29,7 @@ def test_t5_fidelity_3d(benchmark):
     emit(table)
     for row in table.rows:
         assert row["cond_agree"] >= 0.999
-        assert row["detect_agree"] >= 0.98  # walk form; see EXPERIMENTS.md
+        assert row["detect_agree"] >= 0.98  # walk form; DESIGN.md "Experiment index"
         assert row["router_complete"] >= 0.999
 
     mask = random_fault_mask((8, 8, 8), 20, rng=17)

@@ -16,8 +16,8 @@ Quickstart::
 
 Layers:
 
-* ``repro.mesh`` — topology, direction classes, regions, fault sets;
-* ``repro.core`` — labelling, MCC extraction, shadows, walls,
+* ``repro.mesh`` — topology, direction classes, regions;
+* ``repro.core`` — labelling, MCC extraction, walls,
   existence conditions, detection (the paper's model, centralized);
 * ``repro.routing`` — the oracle and the adaptive routing engine;
 * ``repro.baselines`` — rectangular faulty blocks, e-cube, greedy;
@@ -35,7 +35,7 @@ Layers:
 * ``repro.experiments`` — the evaluation (tables T1–T7s, figures).
 """
 
-from repro.mesh import Box, FaultSet, Mesh, Mesh2D, Mesh3D, Orientation
+from repro.mesh import Box, Mesh, Mesh2D, Mesh3D, Orientation
 from repro.core.labelling import (
     CANT_REACH,
     FAULTY,
@@ -43,16 +43,13 @@ from repro.core.labelling import (
     USELESS,
     LabelledGrid,
     label_grid,
-    label_mesh,
     unsafe_mask,
 )
 from repro.core.components import MCC, MCCSet, extract_mccs
-from repro.core.shadows import shadow_masks
 from repro.core.walls import Wall, build_walls
 from repro.core.conditions import (
     ConditionEvaluator,
     minimal_path_exists_lemma1,
-    minimal_path_exists_theorem,
 )
 from repro.core.detection import detect_canonical, detection_feasible
 from repro.routing.oracle import (
@@ -68,7 +65,7 @@ from repro.routing.policies import (
     RandomPolicy,
     make_policy,
 )
-from repro.baselines import ecube_path, ecube_succeeds, greedy_route, rfb_blocks, rfb_unsafe
+from repro.baselines import ecube_path, ecube_succeeds, greedy_route, rfb_unsafe
 from repro.simkit import MeshNetwork, Simulator
 from repro.distributed import DistributedMCCPipeline
 from repro.online import DynamicFaultModel, FaultEvent, OnlineRoutingService, Ticket
@@ -80,7 +77,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "Box",
-    "FaultSet",
     "Mesh",
     "Mesh2D",
     "Mesh3D",
@@ -91,17 +87,14 @@ __all__ = [
     "CANT_REACH",
     "LabelledGrid",
     "label_grid",
-    "label_mesh",
     "unsafe_mask",
     "MCC",
     "MCCSet",
     "extract_mccs",
-    "shadow_masks",
     "Wall",
     "build_walls",
     "ConditionEvaluator",
     "minimal_path_exists_lemma1",
-    "minimal_path_exists_theorem",
     "detect_canonical",
     "detection_feasible",
     "forward_reachable",
@@ -117,7 +110,6 @@ __all__ = [
     "ecube_path",
     "ecube_succeeds",
     "greedy_route",
-    "rfb_blocks",
     "rfb_unsafe",
     "MeshNetwork",
     "Simulator",

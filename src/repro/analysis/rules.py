@@ -164,7 +164,3 @@ RULES: dict[str, Rule] = {
         ),
     ]
 }
-
-
-def rule(rule_id: str) -> Rule:
-    return RULES[rule_id]

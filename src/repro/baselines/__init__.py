@@ -9,12 +9,11 @@
   local faulty-neighbor knowledge (no fault-information model).
 """
 
-from repro.baselines.rfb import rfb_blocks, rfb_labelled, rfb_unsafe
+from repro.baselines.rfb import rfb_labelled, rfb_unsafe
 from repro.baselines.ecube import ecube_path, ecube_succeeds
 from repro.baselines.greedy import greedy_route
 
 __all__ = [
-    "rfb_blocks",
     "rfb_labelled",
     "rfb_unsafe",
     "ecube_path",

@@ -67,15 +67,6 @@ def _fill_blocks(blocked: np.ndarray) -> np.ndarray:
         blocked = filled
 
 
-def rfb_blocks(fault_mask: np.ndarray) -> list[Box]:
-    """The disjoint rectangular faulty blocks of a fault pattern."""
-    labels, _ = ndimage.label(rfb_unsafe(fault_mask))
-    return [
-        Box(tuple(s.start for s in slc), tuple(s.stop - 1 for s in slc))
-        for slc in ndimage.find_objects(labels)
-    ]
-
-
 def rfb_unsafe(fault_mask: np.ndarray, variant: str = "block") -> np.ndarray:
     """Boolean mask of all nodes inside rectangular faulty blocks.
 

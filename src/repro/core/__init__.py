@@ -3,9 +3,8 @@
 Centralized reference implementations (vectorized with numpy) of:
 
 * unsafe-node labelling (Algorithms 1 and 4, any dimension),
-* MCC component extraction and geometry,
-* forbidden/critical regions (Q, Q'),
-* boundary walls with chain merging,
+* MCC component extraction,
+* boundary walls with chain merging (forbidden/critical regions Q, Q'),
 * the minimal-path existence conditions (Lemma 1, Theorems 1 and 2),
 * the source-side detection walks.
 
@@ -20,16 +19,11 @@ from repro.core.labelling import (
     USELESS,
     LabelledGrid,
     label_grid,
-    label_mesh,
     unsafe_mask,
 )
 from repro.core.components import MCC, extract_mccs
-from repro.core.shadows import shadow_masks
 from repro.core.walls import Wall, build_walls
-from repro.core.conditions import (
-    minimal_path_exists_lemma1,
-    minimal_path_exists_theorem,
-)
+from repro.core.conditions import minimal_path_exists_lemma1
 from repro.core.detection import detection_feasible
 
 __all__ = [
@@ -39,14 +33,11 @@ __all__ = [
     "CANT_REACH",
     "LabelledGrid",
     "label_grid",
-    "label_mesh",
     "unsafe_mask",
     "MCC",
     "extract_mccs",
-    "shadow_masks",
     "Wall",
     "build_walls",
     "minimal_path_exists_lemma1",
-    "minimal_path_exists_theorem",
     "detection_feasible",
 ]

@@ -31,21 +31,6 @@ from repro.core.walls import Wall
 from repro.mesh.orientation import Orientation
 
 
-def lemma1_region_form(
-    walls: list[Wall], source: Sequence[int], dest: Sequence[int]
-) -> bool:
-    """The literal membership form: no wall with s ∈ Q and d ∈ Q'.
-
-    Exact in 2-D (property-tested); in 3-D it is necessary but not quite
-    sufficient — *stacked shadows* (one MCC's shadow abutting another's
-    along the third axis) can trap a source without any single merged
-    wall containing it.  The boundary-information form below (what the
-    routing actually evaluates) covers those; this form is retained for
-    the fidelity ablation.
-    """
-    return not any(wall.blocks(source, dest) for wall in walls)
-
-
 def minimal_path_exists_lemma1(
     walls: list[Wall],
     source: Sequence[int],
@@ -69,12 +54,14 @@ def minimal_path_exists_lemma1(
     the exact content of the theorem ("if there exists no minimal
     routing under the MCC model, there will be absolutely no minimal
     routing", Section 3), equal to the oracle by property P1.  The
-    ``walls`` argument is retained for the region-membership form
-    (:func:`lemma1_region_form`) and witness extraction
-    (:func:`blocking_walls`); our 3-D property tests found rare
-    configurations (stacked shadows, multi-guard-axis escapes) where
-    pure region membership is inexact, so reachability is the canonical
-    evaluation — see EXPERIMENTS.md for the measured agreement rates.
+    ``walls`` argument is not read.  The literal region-membership
+    form ("no wall with s ∈ Q and d ∈ Q'") is exact in 2-D but not in
+    3-D: *stacked shadows* (one MCC's shadow abutting another's along
+    the third axis) can trap a source without any single merged wall
+    containing it, so reachability is the canonical evaluation
+    (DESIGN.md interpretation 3; ``tests/test_conditions.py`` keeps the
+    membership form as a reference).  T5 in DESIGN.md "Experiment
+    index" measures the agreement rates.
     """
     s = tuple(int(c) for c in source)
     d = tuple(int(c) for c in dest)
@@ -88,35 +75,6 @@ def minimal_path_exists_lemma1(
     from repro.routing.oracle import minimal_path_exists
 
     return minimal_path_exists(labelled.safe_mask, s, d)
-
-
-def minimal_path_exists_theorem(
-    fault_mask: np.ndarray,
-    source: Sequence[int],
-    dest: Sequence[int],
-) -> bool:
-    """End-to-end Theorem 1 (2-D) / Theorem 2 (3-D) for an arbitrary pair.
-
-    Orients the mesh so the pair becomes canonical, labels, extracts
-    MCCs, builds walls, and applies the merged Lemma 1.  Raises when an
-    endpoint is not safe in the pair's direction class.
-    """
-    fault_mask = np.asarray(fault_mask, dtype=bool)
-    orientation = Orientation.for_pair(source, dest, fault_mask.shape)
-    labelled, _, walls = cached_class_assets(fault_mask, orientation)
-    return minimal_path_exists_lemma1(
-        walls,
-        orientation.map_coord(source),
-        orientation.map_coord(dest),
-        labelled=labelled,
-    )
-
-
-def blocking_walls(
-    walls: list[Wall], source: Sequence[int], dest: Sequence[int]
-) -> list[Wall]:
-    """The walls witnessing infeasibility (empty iff a minimal path exists)."""
-    return [w for w in walls if w.blocks(source, dest)]
 
 
 class ConditionEvaluator:

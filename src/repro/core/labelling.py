@@ -39,7 +39,6 @@ import numpy as np
 
 from repro import obs
 from repro.mesh.orientation import Orientation
-from repro.mesh.topology import Mesh
 
 SAFE: int = 0
 FAULTY: int = 1
@@ -162,40 +161,6 @@ def closure_region(
             view |= neigh
 
 
-def _closure_reference(fault_mask: np.ndarray, sign: int) -> np.ndarray:
-    """Scalar reference implementation (used by tests, not by callers).
-
-    Literal transcription of Algorithm 1/4: repeatedly scan all nodes and
-    apply the local rule until nothing changes.
-    """
-    shape = fault_mask.shape
-    ndim = fault_mask.ndim
-    blocked = {tuple(c) for c in np.argwhere(fault_mask)}
-    changed = True
-    while changed:
-        changed = False
-        for coord in np.ndindex(shape):
-            if coord in blocked:
-                continue
-            all_blocked = True
-            for axis in range(ndim):
-                n = list(coord)
-                n[axis] += sign
-                if not 0 <= n[axis] < shape[axis]:
-                    all_blocked = False
-                    break
-                if tuple(n) not in blocked:
-                    all_blocked = False
-                    break
-            if all_blocked:
-                blocked.add(coord)
-                changed = True
-    out = np.zeros(shape, dtype=bool)
-    for coord in blocked:
-        out[coord] = True
-    return out & ~fault_mask
-
-
 @dataclass(frozen=True)
 class LabelledGrid:
     """The outcome of the labelling procedure, in the canonical frame.
@@ -234,9 +199,6 @@ class LabelledGrid:
     def shape(self) -> tuple[int, ...]:
         return self.status.shape
 
-    def status_at(self, coord: Sequence[int]) -> int:
-        return int(self.status[tuple(coord)])
-
     def counts(self) -> dict[str, int]:
         """Node counts per status (reporting helper)."""
         return {
@@ -267,26 +229,6 @@ def label_grid(
     status[useless] = USELESS  # USELESS wins ties, see docstring
     status[canonical_faults] = FAULTY
     return LabelledGrid(status=status, orientation=orientation)
-
-
-def label_mesh(
-    mesh: Mesh,
-    fault_mask: np.ndarray,
-    source: Sequence[int] | None = None,
-    dest: Sequence[int] | None = None,
-) -> LabelledGrid:
-    """Label for the direction class of a concrete (source, dest) pair."""
-    if fault_mask.shape != mesh.shape:
-        raise ValueError(
-            f"fault mask shape {fault_mask.shape} != mesh shape {mesh.shape}"
-        )
-    if source is None or dest is None:
-        orientation = Orientation.identity(mesh.shape)
-    else:
-        orientation = Orientation.for_pair(
-            mesh.require(source, "source"), mesh.require(dest, "dest"), mesh.shape
-        )
-    return label_grid(fault_mask, orientation)
 
 
 def unsafe_mask(fault_mask: np.ndarray) -> np.ndarray:

@@ -36,8 +36,8 @@ forbidden side only (Algorithm 5 step 4: "merge Q_Y(v) into Q_Y(u)").
 
 ``forbidden``, ``critical`` and ``records`` are derived from the heights
 on each read, as read-only masks; the point queries (:meth:`Wall.guards`,
-:meth:`Wall.blocks`, :func:`active_walls`) read the heights directly and
-reject off-mesh coordinates.
+:meth:`Wall.blocks`, :meth:`Wall.in_critical`) read the heights directly
+and reject off-mesh coordinates.
 """
 
 from __future__ import annotations
@@ -237,33 +237,3 @@ def build_walls(mccs: MCCSet) -> list[Wall]:
         for row, mcc in enumerate(mccs)
         for dim, (tops, bottoms, chains) in enumerate(per_dim)
     ]
-
-
-def walls_for(walls: list[Wall], mcc_index: int) -> list[Wall]:
-    """The ndim walls belonging to one MCC."""
-    return [w for w in walls if w.mcc_index == mcc_index]
-
-
-def active_walls(walls: list[Wall], dest: Sequence[int]) -> list[Wall]:
-    """Walls whose critical region contains the destination.
-
-    Only these constrain a routing toward ``dest`` (Algorithm 3 step 2b:
-    exclude a direction only when "the destination is in the critical
-    region").
-    """
-    return [w for w in walls if w.in_critical(dest)]
-
-
-def forbidden_mask_for_dest(
-    walls: list[Wall], dest: Sequence[int], shape: Sequence[int]
-) -> np.ndarray:
-    """Union of merged forbidden regions of all walls active for ``dest``.
-
-    This is the model's prediction of the oracle's exact blocked set
-    (restricted to safe cells inside the RMP) — compared head-to-head in
-    the fidelity experiment (T5).
-    """
-    out = np.zeros(tuple(shape), dtype=bool)
-    for wall in active_walls(walls, dest):
-        out |= wall.forbidden
-    return out

@@ -19,11 +19,10 @@ The package is validated against the centralized reference pipeline in
 ``tests/test_dist_*`` (property P4).
 """
 
-from repro.distributed.labelling_proto import LabellingNode, run_distributed_labelling
+from repro.distributed.labelling_proto import LabellingNode
 from repro.distributed.pipeline import DistributedMCCPipeline
 
 __all__ = [
     "LabellingNode",
-    "run_distributed_labelling",
     "DistributedMCCPipeline",
 ]

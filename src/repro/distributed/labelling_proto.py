@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.labelling import CANT_REACH, FAULTY, SAFE, USELESS
 from repro.mesh.coords import Coord
-from repro.mesh.topology import Mesh
 from repro.simkit.message import Message
 from repro.simkit.network import MeshNetwork
 from repro.simkit.node import NodeProcess
@@ -134,20 +133,6 @@ class LabellingNode(NodeProcess):
             for n in self.neighbors():
                 if not self.network.is_faulty(n):
                     self.send(n, "LABEL", {"label": label})
-
-
-def run_distributed_labelling(
-    mesh: Mesh, fault_mask: np.ndarray, trace: bool = False
-) -> MeshNetwork:
-    """Run the labelling protocol to quiescence; returns the network.
-
-    Per-node results are in ``node.store["label"]``; compare with
-    :func:`repro.core.labelling.label_grid` for the equivalence test.
-    """
-    net = MeshNetwork(mesh, fault_mask, node_factory=LabellingNode, trace=trace)
-    net.start()
-    net.run_to_quiescence()
-    return net
 
 
 def labels_as_grid(net: MeshNetwork) -> np.ndarray:

@@ -75,7 +75,7 @@ class ExperimentSpec:
 
     ``experiment`` is a registered name from
     :data:`repro.parallel.sharding.CLI_RUNNERS` or a paper-table alias
-    (``t1``–``t6``, ``a1``, ``a4``).  ``workload`` holds the
+    (``t1``–``t7``, ``a1``, ``a4``).  ``workload`` holds the
     per-experiment knobs (``pairs``, ``queries``, ``epochs``,
     ``churn``, ``des``) and is validated against the experiment's
     registered flag tuple at construction, so a typo'd knob fails
@@ -280,7 +280,3 @@ def run_all(
         key: spec.run(workers=workers, checkpoint=ckpt(key), mode=mode)
         for key, (spec, mode) in plan.items()
     }
-
-
-def render_all(tables: dict[str, ResultTable]) -> str:
-    return "\n\n".join(f"[{key}]\n{table.render()}" for key, table in tables.items())

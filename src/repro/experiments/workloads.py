@@ -9,10 +9,34 @@ correlate spatially — a failed power rail or cooling zone).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.mesh.coords import manhattan
 from repro.util.rng import SeedLike, make_rng, sample_distinct
+
+
+def _protected_cells(
+    shape: tuple[int, ...], count: int, protect: tuple[tuple[int, ...], ...]
+) -> set[int]:
+    """Flat indices of ``protect``, after rejecting an impossible request.
+
+    Axis lengths below 1, a negative ``count`` and a ``count`` above the
+    unprotected cells raise ``ValueError`` before any draw.
+    """
+    if any(k < 1 for k in shape):
+        raise ValueError(f"mesh axis lengths must be >= 1, got {tuple(shape)}")
+    if count < 0:
+        raise ValueError(f"fault count must be >= 0, got {count}")
+    protected = {int(np.ravel_multi_index(p, shape)) for p in protect}
+    size = math.prod(shape)
+    if count > size - len(protected):
+        raise ValueError(
+            f"cannot place {count} faults in mesh of {size} "
+            f"with {len(protected)} protected cells"
+        )
+    return protected
 
 
 def random_fault_mask(
@@ -24,9 +48,7 @@ def random_fault_mask(
     """Uniform random node faults; ``protect`` cells stay healthy."""
     rng = make_rng(rng)
     size = int(np.prod(shape))
-    protected = {int(np.ravel_multi_index(p, shape)) for p in protect}
-    if count > size - len(protected):
-        raise ValueError(f"cannot place {count} faults in mesh of {size}")
+    protected = _protected_cells(shape, count, protect)
     mask = np.zeros(shape, dtype=bool)
     placed = 0
     while placed < count:
@@ -53,6 +75,7 @@ def clustered_fault_mask(
 ) -> np.ndarray:
     """Spatially clustered faults: Gaussian blobs around random centers."""
     rng = make_rng(rng)
+    _protected_cells(shape, count, protect)
     protected = {tuple(p) for p in protect}
     centers = [
         tuple(int(rng.integers(0, k)) for k in shape) for _ in range(max(1, clusters))

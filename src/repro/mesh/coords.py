@@ -17,18 +17,3 @@ def manhattan(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return sum(abs(x - y) for x, y in zip(a, b, strict=True))
-
-
-def is_monotone_path(path: Sequence[Sequence[int]]) -> bool:
-    """True iff every hop of ``path`` moves by +1 along some axis.
-
-    In the canonical orientation a *minimal* path from s to d (d
-    component-wise >= s) is exactly a monotone path; this predicate backs
-    the router's minimality assertions.
-    """
-    for a, b in zip(path, path[1:], strict=False):
-        diffs = [y - x for x, y in zip(a, b, strict=True)]
-        nonzero = [d for d in diffs if d != 0]
-        if len(nonzero) != 1 or nonzero[0] != 1:
-            return False
-    return True

@@ -4,8 +4,8 @@
 paper's RMP (region of minimal paths), of rectangular faulty blocks, and
 of the segments/surfaces in Theorems 1 and 2 (the notation
 ``[0:xd, yd:yd, 0:zd]`` is exactly a degenerate Box).  It is a plain
-value type: the RFB blocks, each MCC's bounding box and the online RFB
-dirty box are all Boxes, but region algebra runs on boolean masks (see
+value type: each MCC's bounding box and the online RFB dirty box are
+Boxes, but region algebra runs on boolean masks (see
 :mod:`repro.baselines.rfb`), so Box keeps only membership.
 """
 
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from repro.mesh.coords import Coord
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,3 @@ def mask_of_cells(cells: Sequence[Sequence[int]], shape: Sequence[int]) -> np.nd
         out[tuple(arr.T)] = True
     return out
 
-
-def cells_of_mask(mask: np.ndarray) -> list[Coord]:
-    """Sorted list of coordinates where ``mask`` is True."""
-    return [tuple(int(c) for c in row) for row in np.argwhere(mask)]

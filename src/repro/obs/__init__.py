@@ -36,7 +36,6 @@ from repro.obs.tracer import (
     SpanHandle,
     Tracer,
     enabled,
-    get_tracer,
     install,
     instant,
     span,
@@ -59,7 +58,6 @@ __all__ = [
     "clockio",
     "enabled",
     "export",
-    "get_tracer",
     "install",
     "instant",
     "metrics",

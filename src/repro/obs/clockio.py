@@ -31,8 +31,3 @@ import time
 def wall_now() -> float:
     """Monotonic wall-clock seconds (arbitrary epoch, never goes back)."""
     return time.perf_counter()
-
-
-def wall_now_ns() -> int:
-    """Monotonic wall-clock nanoseconds (for overhead micro-accounting)."""
-    return time.perf_counter_ns()

@@ -253,11 +253,6 @@ class Tracer:
 _TRACER: Tracer | None = None
 
 
-def get_tracer() -> Tracer | None:
-    """The currently installed tracer (``None`` when tracing is off)."""
-    return _TRACER
-
-
 def enabled() -> bool:
     """True when a tracer is installed."""
     return _TRACER is not None

@@ -40,7 +40,7 @@ point, which gives both update paths:
 
 Repair falls back to a full per-class recompute when the combined
 dirty slabs approach the full-mesh sweep volume
-(``full_recompute_fraction``) — at that size the from-scratch sweep is
+(:data:`FULL_RECOMPUTE_FRACTION`) — at that size the from-scratch sweep is
 no more work and simpler.  Injection never needs the fallback: its
 sweep is warm-started at the old fixed point, so even a full-mesh box
 converges in a couple of cheap iterations.
@@ -69,8 +69,9 @@ from repro.mesh.orientation import Orientation
 #: Combined dirty-slab volume (both signs), as a fraction of the full
 #: 2-sweep volume ``2 * mesh_size``, above which a *repair* falls back
 #: to a from-scratch class relabel instead of slab recomputes (inject
-#: sweeps are warm-started and never benefit from the fallback).
-DEFAULT_FULL_RECOMPUTE_FRACTION = 0.75
+#: sweeps are warm-started and never benefit from the fallback).  Read
+#: when a model is built.
+FULL_RECOMPUTE_FRACTION = 0.75
 
 
 def _corner(cells: Sequence[Coord], ndim: int, pick) -> Coord:
@@ -363,14 +364,10 @@ class DynamicFaultModel:
     describing, per class, the dirty cone caches must invalidate.
     """
 
-    def __init__(
-        self,
-        fault_mask: np.ndarray,
-        full_recompute_fraction: float = DEFAULT_FULL_RECOMPUTE_FRACTION,
-    ):
+    def __init__(self, fault_mask: np.ndarray):
         self.fault_mask = np.array(fault_mask, dtype=bool)  # owned copy
         self.shape = tuple(self.fault_mask.shape)
-        self.full_recompute_fraction = float(full_recompute_fraction)
+        self.full_recompute_fraction = FULL_RECOMPUTE_FRACTION
         self.epoch = 0
         self._classes: dict[tuple[int, ...], _DynamicClass] = {}
         self.stats = {

@@ -46,19 +46,9 @@ from repro.baselines.rfb import DynamicRFBState
 from repro.core.labelling import FAULTY, SAFE, LabelledGrid
 from repro.mesh.coords import Coord
 from repro.mesh.orientation import Orientation
-from repro.online.dynamic_model import (
-    DEFAULT_FULL_RECOMPUTE_FRACTION,
-    DynamicFaultModel,
-    FaultEvent,
-)
+from repro.online.dynamic_model import DynamicFaultModel, FaultEvent
 from repro.routing.batch import RoutingService
-from repro.routing.engine import (
-    DEFAULT_REACH_CACHE_SIZE,
-    AdaptiveRouter,
-    RouteResult,
-    _ClassModel,
-)
-from repro.routing.policies import Policy
+from repro.routing.engine import AdaptiveRouter, RouteResult, _ClassModel
 from repro.util.validation import check_shape_member
 
 
@@ -102,21 +92,10 @@ class _OnlineRouter(AdaptiveRouter):
     mask and its complement: the faults-only labelling.
     """
 
-    def __init__(
-        self,
-        model: DynamicFaultModel,
-        mode: str = "mcc",
-        policy: Policy | None = None,
-        reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
-    ):
+    def __init__(self, model: DynamicFaultModel, mode: str = "mcc"):
         # The asarray in the base constructor keeps the model's own
         # array (no copy for a bool ndarray): router reads stay live.
-        super().__init__(
-            model.fault_mask,
-            mode=mode,
-            policy=policy,
-            reach_cache_size=reach_cache_size,
-        )
+        super().__init__(model.fault_mask, mode=mode)
         assert self.fault_mask is model.fault_mask
         self.model = model
         # Live status and open masks behind the oracle/blind class models.
@@ -222,23 +201,9 @@ class OnlineRoutingService:
     with the epoch they were computed at.
     """
 
-    def __init__(
-        self,
-        fault_mask: np.ndarray,
-        mode: str = "mcc",
-        policy: Policy | None = None,
-        reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
-        full_recompute_fraction: float = DEFAULT_FULL_RECOMPUTE_FRACTION,
-    ):
-        self.model = DynamicFaultModel(
-            fault_mask, full_recompute_fraction=full_recompute_fraction
-        )
-        self.router = _OnlineRouter(
-            self.model,
-            mode=mode,
-            policy=policy,
-            reach_cache_size=reach_cache_size,
-        )
+    def __init__(self, fault_mask: np.ndarray, mode: str = "mcc"):
+        self.model = DynamicFaultModel(fault_mask)
+        self.router = _OnlineRouter(self.model, mode=mode)
         self.service = RoutingService(None, router=self.router)
         self._pending: list[tuple[int, tuple[Coord, Coord]]] = []
         self._done: dict[int, RouteResult] = {}

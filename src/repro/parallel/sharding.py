@@ -73,6 +73,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import multiprocessing as mp
 import os
 import sys
@@ -238,6 +239,15 @@ class SweepSpec:
         object.__setattr__(
             self, "fault_counts", tuple(int(c) for c in self.fault_counts)
         )
+        if any(k < 1 for k in self.shape):
+            raise ValueError(f"mesh axis lengths must be >= 1, got {self.shape}")
+        size = math.prod(self.shape)
+        bad = [c for c in self.fault_counts if not 0 <= c <= size]
+        if bad:
+            raise ValueError(
+                f"fault counts must lie in [0, {size}] on a "
+                f"{'x'.join(map(str, self.shape))} mesh, got {bad}"
+            )
 
     def param(self, name: str, default: Any) -> Any:
         return self.params.get(name, default)
@@ -307,7 +317,7 @@ def legacy_rng(
     """The retired serial sweeps' stateful stream, positioned at ``task``.
 
     The pre-sharding T3/T5/ablation loops drew one generator per fault
-    count (``spawn_rngs``) and threaded it through that count's trials,
+    count and threaded it through that count's trials,
     so trial ``t``'s draws depend on trials ``0..t-1``.  To shard those
     sweeps per-pattern *without changing their published numbers*, an
     evaluator re-derives the count generator here and replays the

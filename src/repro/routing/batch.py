@@ -18,8 +18,9 @@ flood on every cache miss.
   ``unsafe`` array and the cached reach mask are indexed at all sources
   of a group in one fancy-index operation each instead of one probe per
   pair;
-* per-destination reach masks are LRU-bounded (``reach_cache_size``),
-  so million-pair workloads do not grow memory without limit.
+* per-destination reach masks are LRU-bounded
+  (:data:`~repro.routing.engine.REACH_CACHE_SIZE`), so million-pair
+  workloads do not grow memory without limit.
 
 Results are element-wise identical to per-pair
 :meth:`AdaptiveRouter.route` for stateless policies (fixed/diagonal —
@@ -37,13 +38,7 @@ import numpy as np
 from repro import obs
 from repro.mesh.coords import Coord
 from repro.mesh.orientation import Orientation
-from repro.routing.engine import (
-    DEFAULT_REACH_CACHE_SIZE,
-    AdaptiveRouter,
-    RouteResult,
-    _ClassModel,
-)
-from repro.routing.policies import Policy
+from repro.routing.engine import AdaptiveRouter, RouteResult, _ClassModel
 from repro.util.validation import check_shape_member
 
 Pair = tuple[Coord, Coord]
@@ -70,28 +65,21 @@ class RoutingService:
     batch decomposition (class -> destination -> vectorized feasibility)
     and result ordering.  ``service.route`` is exactly one-pair routing
     through the same shared caches.  ``router`` adopts a caller-owned
-    router in place of ``fault_mask`` (the online service supplies one
-    whose models track a mutating fault set); the model knobs then live
-    on that router.
+    router in place of ``fault_mask``: the online service supplies one
+    whose models track a mutating fault set, and a router built with a
+    non-default policy is served this way too.
     """
 
     def __init__(
         self,
         fault_mask: np.ndarray | None,
         mode: str = "mcc",
-        policy: Policy | None = None,
-        reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
         router: AdaptiveRouter | None = None,
     ):
         if router is None:
             if fault_mask is None:
                 raise ValueError("RoutingService needs a fault_mask or a router")
-            router = AdaptiveRouter(
-                fault_mask,
-                mode=mode,
-                policy=policy,
-                reach_cache_size=reach_cache_size,
-            )
+            router = AdaptiveRouter(fault_mask, mode=mode)
         self.router = router
 
     @property

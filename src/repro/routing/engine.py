@@ -21,9 +21,10 @@ MCC mode must match (property P3).  "blind" mode uses no model at all
 (baseline).
 
 All model state is cached: one ``_ClassModel`` per direction class and
-one reverse-reachability mask per destination (LRU-bounded, see
-``reach_cache_size``).  :mod:`repro.routing.batch` exploits exactly these
-caches to route many pairs over one pattern without redundant work.
+one reverse-reachability mask per destination (LRU-bounded by
+:data:`REACH_CACHE_SIZE`).  :mod:`repro.routing.batch` exploits exactly
+these caches to route many pairs over one pattern without redundant
+work.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from repro.routing.policies import FixedOrderPolicy, Policy
 from repro.util.caching import LRUCache
 from repro.util.validation import check_shape_member
 
-#: Default bound on cached per-destination reachability masks (per class).
-DEFAULT_REACH_CACHE_SIZE = 1024
+#: Bound on cached per-destination reachability masks (per class),
+#: read when a router is built.
+REACH_CACHE_SIZE = 1024
 
 
 @dataclass
@@ -89,9 +91,11 @@ class _ClassModel:
     evaluates the routing rule in that distilled form — one cached
     reverse flood per destination — while the message-passing layer in
     :mod:`repro.distributed` realizes the same decisions with literal
-    per-node boundary records.  The wall structures stay available for
-    the fidelity experiments (T5), which measure how closely the paper's
-    region-membership forms track this exact rule.
+    per-node boundary records.  No wall reaches this class: the model
+    cache builds walls next to each labelling, but only the labelling
+    is taken here, and T5 too reads labellings alone.  Walls are read
+    by the figures (Figure 3), and the tests compare the paper's
+    region-membership forms against this exact rule.
 
     Can't-reach cells are *not* excluded here: they cannot be entered
     from within the direction class (a safe node's positive neighbor is
@@ -193,9 +197,9 @@ class AdaptiveRouter:
       exclusions are exact reverse reachability (reference);
     * ``"blind"``  — no model; only faulty neighbors are avoided.
 
-    ``reach_cache_size`` bounds the per-destination reachability masks
-    cached by each class model; ``None`` disables the bound.  mcc/rfb
-    labellings come from the content-addressed cross-pattern cache
+    Each class model caches at most :data:`REACH_CACHE_SIZE`
+    per-destination reachability masks.  mcc/rfb labellings come from
+    the content-addressed cross-pattern cache
     (:mod:`repro.core.model_cache`), so sweeps that revisit a pattern —
     or several model consumers over one pattern — label each direction
     class once per process.
@@ -208,14 +212,13 @@ class AdaptiveRouter:
         fault_mask: np.ndarray,
         mode: str = "mcc",
         policy: Policy | None = None,
-        reach_cache_size: int | None = DEFAULT_REACH_CACHE_SIZE,
     ):
         if mode not in self.MODES:
             raise ValueError(f"unknown router mode {mode!r}; pick from {self.MODES}")
         self.fault_mask = np.asarray(fault_mask, dtype=bool)
         self.mode = mode
         self.policy = policy or FixedOrderPolicy()
-        self.reach_cache_size = reach_cache_size
+        self.reach_cache_size = REACH_CACHE_SIZE
         self._models: dict[tuple[int, ...], _ClassModel] = {}
 
     # -- model construction (cached per direction class) -------------------

@@ -139,30 +139,6 @@ def monotone_flood(open_mask: np.ndarray, seed_mask: np.ndarray) -> np.ndarray:
     return monotone_flood_many(open_mask, seed_mask[np.newaxis])[0]
 
 
-def monotone_flood_reference(
-    open_mask: np.ndarray, seed_mask: np.ndarray
-) -> np.ndarray:
-    """Scalar BFS reference used by the test suite."""
-    open_mask = np.asarray(open_mask, dtype=bool)
-    out = np.zeros_like(open_mask, dtype=bool)
-    frontier = [tuple(c) for c in np.argwhere(seed_mask & open_mask)]
-    for c in frontier:
-        out[c] = True
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for axis in range(open_mask.ndim):
-                n = list(c)
-                n[axis] += 1
-                if n[axis] < open_mask.shape[axis]:
-                    n = tuple(n)
-                    if open_mask[n] and not out[n]:
-                        out[n] = True
-                        nxt.append(n)
-        frontier = nxt
-    return out
-
-
 def _seed_at(shape: Sequence[int], coord: Sequence[int], name: str) -> np.ndarray:
     check_shape_member(name, coord, shape)
     seed = np.zeros(tuple(shape), dtype=bool)
@@ -289,13 +265,3 @@ def minimal_path_exists(
             f"oracle requires canonical frame (source {source} <= dest {dest})"
         )
     return bool(forward_reachable(open_mask, source)[dest])
-
-
-def blocked_for_dest(open_mask: np.ndarray, dest: Sequence[int]) -> np.ndarray:
-    """Exact forbidden set for a destination: cells (within the lattice)
-    from which no monotone path reaches ``dest`` through open cells.
-
-    The adaptive router in oracle mode consults this mask; the MCC model
-    must reproduce it inside the RMP (property P2/P3 tests).
-    """
-    return ~reverse_reachable(open_mask, dest)

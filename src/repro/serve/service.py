@@ -131,38 +131,29 @@ class AsyncRoutingService:
             result = await service.route((0, 0, 0), (7, 7, 7))
         service.metrics()                    # pollable SLO snapshot
 
-    ``online=`` adopts a caller-built
-    :class:`~repro.online.OnlineRoutingService` (it must be exclusively
-    owned by this front-end); otherwise one is constructed through
-    :func:`make_service` from ``fault_mask`` and the service knobs.
+    The wrapped :class:`~repro.online.OnlineRoutingService` is built
+    through :func:`make_service` from ``fault_mask`` and ``mode`` and is
+    owned by this front-end alone.
     """
 
     def __init__(
         self,
-        fault_mask: np.ndarray | None = None,
+        fault_mask: np.ndarray,
         *,
         mode: str = "mcc",
         clock: Clock | None = None,
         batch_window: float = DEFAULT_BATCH_WINDOW,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-        online: OnlineRoutingService | None = None,
-        **service_knobs,
     ):
-        if online is None:
-            online = make_service(
-                fault_mask, mode=mode, online=True, **service_knobs
-            )
-        elif fault_mask is not None or service_knobs:
-            raise ValueError(
-                "pass either an online= service or construction knobs, not both"
-            )
         if batch_window <= 0:
             raise ValueError(f"batch_window must be > 0, got {batch_window}")
         if max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}"
             )
-        self.online = online
+        self.online: OnlineRoutingService = make_service(
+            fault_mask, mode=mode, online=True
+        )
         self.clock: Clock = clock if clock is not None else VirtualClock()
         self.batch_window = float(batch_window)
         self.max_queue_depth = int(max_queue_depth)

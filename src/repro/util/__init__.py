@@ -1,21 +1,12 @@
 """Shared utilities: deterministic RNG handling, validation, result records."""
 
-from repro.util.rng import make_rng, spawn_rngs
-from repro.util.validation import (
-    check_index,
-    check_positive,
-    check_probability,
-    check_shape_member,
-)
-from repro.util.records import ParamSweep, ResultTable
+from repro.util.rng import make_rng
+from repro.util.validation import check_positive, check_shape_member
+from repro.util.records import ResultTable
 
 __all__ = [
     "make_rng",
-    "spawn_rngs",
-    "check_index",
     "check_positive",
-    "check_probability",
     "check_shape_member",
-    "ParamSweep",
     "ResultTable",
 ]

@@ -1,8 +1,9 @@
-"""Parameter sweeps, result tables, and their on-disk format.
+"""Result tables and their on-disk format.
 
 ``ResultTable`` is intentionally tiny: rows are dictionaries, columns are
 discovered from the rows, and rendering produces the fixed-width text
-tables that ``EXPERIMENTS.md`` and the benchmark harness print.  No
+tables that the experiments (DESIGN.md "Experiment index") and the
+benchmark harness print.  No
 pandas dependency — the offline environment ships numpy/scipy only.
 
 The durable format is JSON Lines: one header object (format marker,
@@ -22,11 +23,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import itertools
 import json
 import os
-from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -150,29 +149,6 @@ def check_header(
             f"match the expected {fingerprint!r}; this file belongs to a "
             "different sweep specification"
         )
-
-
-@dataclass(frozen=True)
-class ParamSweep:
-    """A cartesian sweep over named parameter axes.
-
-    >>> sweep = ParamSweep({"k": [8, 16], "faults": [1, 2, 3]})
-    >>> len(list(sweep))
-    6
-    """
-
-    axes: Mapping[str, Sequence[Any]]
-
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        names = list(self.axes)
-        for combo in itertools.product(*(self.axes[n] for n in names)):
-            yield dict(zip(names, combo, strict=True))
-
-    def __len__(self) -> int:
-        total = 1
-        for values in self.axes.values():
-            total *= len(values)
-        return total
 
 
 class ResultTable:

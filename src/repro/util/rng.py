@@ -8,7 +8,7 @@ fault patterns, workloads, and adaptive routing choices.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -33,8 +33,7 @@ def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
     spawn counter reset) so that repeated calls spawn the same children
     — ``SeedSequence.spawn`` is stateful, and the sharded sweep runner
     needs positional, replayable derivation.  Generators are consumed
-    for one draw so a fresh sequence is derived from their stream,
-    mirroring :func:`spawn_rngs`.
+    for one draw so a fresh sequence is derived from their stream.
     """
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(
@@ -57,26 +56,6 @@ def spawn_seed_sequences(seed: SeedLike, n: int) -> list[np.random.SeedSequence]
     if n < 0:
         raise ValueError(f"cannot spawn {n} seed sequences")
     return list(as_seed_sequence(seed).spawn(n))
-
-
-def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent child generators.
-
-    Used by parameter sweeps so every grid point gets its own stream and
-    results do not depend on evaluation order (the HPC guides' rule:
-    determinism first, parallelism later).
-
-    A ``SeedSequence`` input is used *statefully*: successive calls on
-    the same sequence keep yielding fresh independent children.  For
-    positional, replayable derivation use :func:`spawn_seed_sequences`.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = as_seed_sequence(seed)
-    return [np.random.default_rng(s) for s in seq.spawn(n)]
 
 
 def replayable_seed_payload(seed: SeedLike) -> Union[int, None, dict]:
@@ -120,16 +99,3 @@ def sample_distinct(
     if k < 0:
         raise ValueError(f"cannot draw a negative number of items ({k})")
     return rng.choice(population, size=k, replace=False).astype(np.int64)
-
-
-def iter_seeds(seed: SeedLike, labels: Iterable[str]) -> dict[str, np.random.Generator]:
-    """Give each label in ``labels`` its own derived generator (by order)."""
-    labels = list(labels)
-    rngs = spawn_rngs(seed, len(labels))
-    return dict(zip(labels, rngs, strict=True))
-
-
-def shuffled(rng: np.random.Generator, items: Sequence) -> list:
-    """Return a shuffled copy of ``items`` (the input is left untouched)."""
-    order = rng.permutation(len(items))
-    return [items[i] for i in order]

@@ -13,18 +13,6 @@ def check_positive(name: str, value: int | float, *, strict: bool = True) -> Non
         raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
-def check_probability(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``0 <= value <= 1``."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-
-def check_index(name: str, value: int, size: int) -> None:
-    """Raise ``IndexError`` unless ``0 <= value < size``."""
-    if not 0 <= value < size:
-        raise IndexError(f"{name}={value!r} out of range [0, {size})")
-
-
 class OffMeshError(ValueError, IndexError):
     """A coordinate outside the mesh.
 

@@ -5,8 +5,9 @@ import pytest
 
 from repro.baselines.ecube import ecube_path, ecube_succeeds
 from repro.baselines.greedy import greedy_route
-from repro.mesh.coords import is_monotone_path, manhattan
+from repro.mesh.coords import manhattan
 from repro.mesh.regions import mask_of_cells
+from tests.test_coords import is_monotone_path
 
 
 class TestEcube:

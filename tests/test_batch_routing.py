@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
+from repro.routing import engine
 from repro.routing.batch import RoutingService
 from repro.routing.engine import AdaptiveRouter
 from repro.routing.oracle import reverse_reachable, reverse_reachable_many
@@ -109,9 +110,10 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(0)
 
-    def test_router_reach_cache_is_bounded(self):
+    def test_router_reach_cache_is_bounded(self, monkeypatch):
         mask = np.zeros((6, 6), dtype=bool)
-        router = AdaptiveRouter(mask, mode="mcc", reach_cache_size=3)
+        monkeypatch.setattr(engine, "REACH_CACHE_SIZE", 3)
+        router = AdaptiveRouter(mask, mode="mcc")
         model = router._model_for(Orientation.identity((6, 6)))
         for x in range(6):
             model.reach_mask((5, x))
@@ -170,12 +172,13 @@ class TestRoutingService:
             s = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
             d = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
             pairs.append((s, d))
-        batched = RoutingService(mask, mode=mode, policy=policy).route_batch(pairs)
+        router = AdaptiveRouter(mask, mode=mode, policy=policy)
+        batched = RoutingService(None, router=router).route_batch(pairs)
         for pair, got in zip(pairs, batched, strict=True):
             want = AdaptiveRouter(mask, mode=mode, policy=policy).route(*pair)
             assert results_equal(got, want), (mode, pair, got, want)
 
-    def test_tiny_lru_still_identical(self):
+    def test_tiny_lru_still_identical(self, monkeypatch):
         # A reach cache far smaller than the destination set must change
         # performance only, never results.
         rng = np.random.default_rng(11)
@@ -185,8 +188,10 @@ class TestRoutingService:
             s = tuple(int(v) for v in rng.integers(0, 6, 3))
             d = tuple(int(v) for v in rng.integers(0, 6, 3))
             pairs.append((s, d))
-        small = RoutingService(mask, reach_cache_size=2).route_batch(pairs)
-        large = RoutingService(mask, reach_cache_size=None).route_batch(pairs)
+        monkeypatch.setattr(engine, "REACH_CACHE_SIZE", 2)
+        small = RoutingService(mask).route_batch(pairs)
+        monkeypatch.setattr(engine, "REACH_CACHE_SIZE", None)
+        large = RoutingService(mask).route_batch(pairs)
         assert all(results_equal(a, b) for a, b in zip(small, large, strict=True))
 
     def test_shared_labelling_with_region_experiment(self):

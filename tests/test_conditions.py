@@ -6,22 +6,41 @@ exhaustively on small meshes and by Monte Carlo on larger ones, in both
 2-D (Theorem 1) and 3-D (Theorem 2), for all direction classes.
 """
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.components import extract_mccs
-from repro.core.conditions import (
-    ConditionEvaluator,
-    blocking_walls,
-    minimal_path_exists_lemma1,
-    minimal_path_exists_theorem,
-)
+from repro.core.conditions import ConditionEvaluator, minimal_path_exists_lemma1
 from repro.core.labelling import label_grid
-from repro.core.walls import build_walls
+from repro.core.walls import Wall, build_walls
 from repro.mesh.regions import mask_of_cells
 from tests.conftest import oracle_feasible, random_mask
+
+
+def lemma1_region_form(
+    walls: list[Wall], source: Sequence[int], dest: Sequence[int]
+) -> bool:
+    """The paper's literal membership form: no wall with s ∈ Q and d ∈ Q'.
+
+    Exact in 2-D (checked against reachability below); in 3-D it is
+    necessary but not quite sufficient — *stacked shadows* (one MCC's
+    shadow abutting another's along the third axis) can trap a source
+    without any single merged wall containing it.  That is why
+    :func:`~repro.core.conditions.minimal_path_exists_lemma1` evaluates
+    reachability instead.
+    """
+    return not any(wall.blocks(source, dest) for wall in walls)
+
+
+def blocking_walls(
+    walls: list[Wall], source: Sequence[int], dest: Sequence[int]
+) -> list[Wall]:
+    """The walls witnessing infeasibility (empty iff a minimal path exists)."""
+    return [w for w in walls if w.blocks(source, dest)]
 
 
 class TestLemma1Exactness2D:
@@ -43,6 +62,7 @@ class TestLemma1Exactness2D:
                 want = minimal_path_exists(open_mask, s, d)
                 got = minimal_path_exists_lemma1(walls, s, d, lab)
                 assert want == got, (s, d, np.argwhere(mask).tolist())
+                assert lemma1_region_form(walls, s, d) == want, (s, d)
 
     def test_blocking_walls_witness(self):
         # Full wall: no minimal path, witnessed by a blocking wall.
@@ -95,10 +115,10 @@ class TestTheoremAllClasses:
             )
 
     def test_theorem_wrapper(self, rng):
-        mask = mask_of_cells([(2, 2, 2)], (5, 5, 5))
-        assert minimal_path_exists_theorem(mask, (0, 0, 0), (4, 4, 4))
+        evaluator = ConditionEvaluator(mask_of_cells([(2, 2, 2)], (5, 5, 5)))
+        assert evaluator.exists((0, 0, 0), (4, 4, 4))
         # Column blocked: x,y fixed, fault directly between.
-        assert not minimal_path_exists_theorem(mask, (2, 2, 0), (2, 2, 4))
+        assert not evaluator.exists((2, 2, 0), (2, 2, 4))
 
 
 class TestKnownScenes:

@@ -1,9 +1,26 @@
 """Unit tests for coordinate primitives and single-hop steps."""
 
+from typing import Sequence
+
 import pytest
 
-from repro.mesh.coords import is_monotone_path, manhattan
+from repro.mesh.coords import manhattan
 from repro.mesh.topology import Mesh
+
+
+def is_monotone_path(path: Sequence[Sequence[int]]) -> bool:
+    """True iff every hop of ``path`` moves by +1 along some axis.
+
+    In the canonical orientation a *minimal* path from s to d (d
+    component-wise >= s) is exactly a monotone path; this predicate backs
+    the routers' minimality assertions.
+    """
+    for a, b in zip(path, path[1:], strict=False):
+        diffs = [y - x for x, y in zip(a, b, strict=True)]
+        nonzero = [d for d in diffs if d != 0]
+        if len(nonzero) != 1 or nonzero[0] != 1:
+            return False
+    return True
 
 
 class TestStepAndDistance:

@@ -5,13 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.labelling import label_grid
-from repro.distributed.labelling_proto import (
-    labels_as_grid,
-    run_distributed_labelling,
-)
+from repro.distributed.labelling_proto import LabellingNode, labels_as_grid
 from repro.mesh.regions import mask_of_cells
-from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.mesh.topology import Mesh, Mesh2D, Mesh3D
+from repro.simkit.network import MeshNetwork
 from tests.conftest import random_mask
+
+
+def run_distributed_labelling(mesh: Mesh, fault_mask: np.ndarray) -> MeshNetwork:
+    """Run the labelling protocol alone to quiescence; returns the network.
+
+    Per-node results are in ``node.store["label"]``, to compare with
+    :func:`repro.core.labelling.label_grid`.
+    """
+    net = MeshNetwork(mesh, fault_mask, node_factory=LabellingNode)
+    net.start()
+    net.run_to_quiescence()
+    return net
 
 
 class TestEquivalence:

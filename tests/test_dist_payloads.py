@@ -8,6 +8,9 @@ observable and that it stays safe:
   mesh reproduces a golden hash of every delivery ``(time, kind, src,
   dst)``, every session record and the per-kind message counts.  A
   change in event order, message count or routing outcome moves it.
+  A second golden digests every node's boundary records, in an order
+  that ignores delivery order, so the rule that a later wall with the
+  same key replaces an earlier record is pinned too.
 * **Payload contract** — every value a handler puts into a payload is
   immutable: a scalar, a tuple or frozenset of immutable values, or a
   read-only mapping.  A value shared across hops can then never be
@@ -32,13 +35,23 @@ from repro.mesh.regions import mask_of_cells
 from repro.mesh.topology import Mesh, Mesh2D
 from tests.conftest import random_mask
 
-#: (shape, fault count, seed, replay hash) per lifecycle.  The hashes
-#: were recorded while every hop still re-encoded its coordinates as
-#: lists, so they also pin that sharing payload values moved nothing.
+#: (shape, fault count, seed, replay hash, records digest) per
+#: lifecycle.  The replay hashes were recorded while every hop still
+#: re-encoded its coordinates as lists, so they also pin that sharing
+#: payload values moved nothing.
 LIFECYCLES = (
-    ((6, 6, 6), 14, 601, "57e7ce9243ca43e5f0644badcd6e8215"),
-    ((8, 8, 8), 40, 802, "afa6dc5482243ecf70c97929223f37cc"),
-    ((9, 9), 12, 903, "64b0852931640b928f95c788ba2b7d28"),
+    (
+        (6, 6, 6), 14, 601,
+        "57e7ce9243ca43e5f0644badcd6e8215", "91870e609e2935eb2883c26e1bd32c36",
+    ),
+    (
+        (8, 8, 8), 40, 802,
+        "afa6dc5482243ecf70c97929223f37cc", "f87a70b0ce1909d2b6c9ed5dc9967b65",
+    ),
+    (
+        (9, 9), 12, 903,
+        "64b0852931640b928f95c788ba2b7d28", "0dc6befcdc5890314e4ddbf14308873a",
+    ),
 )
 IDS = ["x".join(map(str, row[0])) for row in LIFECYCLES]
 QUERIES = 25
@@ -99,12 +112,34 @@ def _replay_hash(pipe, records) -> str:
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
-@pytest.mark.parametrize("shape, faults, seed, golden", LIFECYCLES, ids=IDS)
-def test_lifecycle_replays_exactly(shape, faults, seed, golden):
-    pipe, records = _lifecycle(shape, faults, seed)
+#: Record fields holding a column -> height map.
+HEIGHTS = ("tops", "bottoms")
+
+
+def _records_digest(pipe) -> str:
+    """Every node's boundary records, free of delivery order.
+
+    Nodes and record keys are sorted, and each record's fields are
+    sorted by name with ``tops``/``bottoms`` as sorted plain-dict items.
+    """
+    rows = []
+    for coord, node in sorted(pipe.net.nodes.items()):
+        for key, record in sorted(node.store.get("records", {}).items()):
+            fields = sorted(
+                (name, sorted(dict(value).items()) if name in HEIGHTS else value)
+                for name, value in record.items()
+            )
+            rows.append((coord, key, fields))
+    return hashlib.blake2b(repr(rows).encode(), digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("shape, faults, seed, golden, records", LIFECYCLES, ids=IDS)
+def test_lifecycle_replays_exactly(shape, faults, seed, golden, records):
+    pipe, batch = _lifecycle(shape, faults, seed)
     assert pipe.net.trace.dropped == 0
     assert len(pipe.net.trace) > 0
-    assert _replay_hash(pipe, records) == golden
+    assert _replay_hash(pipe, batch) == golden
+    assert _records_digest(pipe) == records
 
 
 class _ShuffledTies:
@@ -156,7 +191,9 @@ def _outcome(pipe, records):
     )
 
 
-@pytest.mark.parametrize("shape, faults, seed, golden", LIFECYCLES, ids=IDS)
+@pytest.mark.parametrize(
+    "shape, faults, seed, golden", [row[:4] for row in LIFECYCLES], ids=IDS
+)
 def test_outcomes_do_not_depend_on_tie_order(shape, faults, seed, golden):
     labels, sections, sessions, records = _outcome(*_lifecycle(shape, faults, seed))
     for tie_seed in (1, 2, 3):

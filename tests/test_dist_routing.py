@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from repro.core.labelling import SAFE, label_grid
 from repro.distributed.pipeline import DistributedMCCPipeline
-from repro.mesh.coords import is_monotone_path, manhattan
+from repro.mesh.coords import manhattan
 from repro.mesh.regions import mask_of_cells
 from repro.mesh.topology import Mesh2D, Mesh3D
 from repro.routing.oracle import minimal_path_exists
 from tests.conftest import random_mask
+from tests.test_coords import is_monotone_path
 
 
 class TestRouting2D:

@@ -12,7 +12,7 @@ from repro.experiments.exp_region_overhead import (
 )
 from repro.experiments.exp_success_rate import run_success_rate
 from repro.experiments import figures
-from repro.util.records import ParamSweep, ResultTable
+from repro.util.records import ResultTable
 
 
 class TestRegionOverhead:
@@ -116,11 +116,6 @@ class TestFigures:
 
 
 class TestRecords:
-    def test_param_sweep(self):
-        sweep = ParamSweep({"a": [1, 2], "b": "xy"})
-        assert len(sweep) == 4
-        assert {"a": 1, "b": "x"} in list(sweep)
-
     def test_result_table_render_and_csv(self):
         table = ResultTable("demo")
         table.add(x=1, y=0.5)

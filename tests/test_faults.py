@@ -1,4 +1,4 @@
-"""Unit tests for FaultSet and fault generators."""
+"""Unit tests for the fault-pattern and pair generators."""
 
 import numpy as np
 import pytest
@@ -8,56 +8,6 @@ from repro.experiments.workloads import (
     random_fault_mask,
     sample_safe_pair,
 )
-from repro.mesh.faults import FaultSet, faults_from_cells
-from repro.mesh.topology import Mesh2D, Mesh3D
-
-
-class TestFaultSet:
-    def test_add_remove(self):
-        fs = FaultSet(Mesh2D(4), [(1, 1)])
-        assert fs.is_faulty((1, 1)) and fs.count == 1
-        fs.remove((1, 1))
-        assert fs.count == 0
-
-    def test_out_of_mesh_rejected(self):
-        with pytest.raises(IndexError):
-            FaultSet(Mesh2D(4), [(4, 0)])
-
-    def test_link_fault_disables_both_endpoints(self):
-        # Paper Section 1: link faults treated as node faults.
-        fs = FaultSet(Mesh3D(4))
-        fs.add_link_fault((1, 1, 1), (1, 1, 2))
-        assert fs.is_faulty((1, 1, 1)) and fs.is_faulty((1, 1, 2))
-
-    def test_link_fault_requires_adjacency(self):
-        fs = FaultSet(Mesh2D(4))
-        with pytest.raises(ValueError):
-            fs.add_link_fault((0, 0), (1, 1))
-
-    def test_mask_read_only(self):
-        fs = FaultSet(Mesh2D(4), [(0, 0)])
-        with pytest.raises(ValueError):
-            fs.mask[0, 0] = False
-
-    def test_rate_and_contains(self):
-        fs = FaultSet(Mesh2D(4), [(0, 0), (1, 1)])
-        assert fs.rate == 2 / 16
-        assert (0, 0) in fs and (2, 2) not in fs
-        assert len(fs) == 2
-
-    def test_copy_is_independent(self):
-        fs = FaultSet(Mesh2D(4), [(0, 0)])
-        fs2 = fs.copy()
-        fs2.add((1, 1))
-        assert fs.count == 1 and fs2.count == 2
-
-    def test_from_mask_shape_check(self):
-        with pytest.raises(ValueError):
-            FaultSet.from_mask(Mesh2D(4), np.zeros((3, 3), dtype=bool))
-
-    def test_faults_from_cells(self):
-        mask = faults_from_cells(Mesh2D(4), [(1, 2)])
-        assert mask[1, 2] and mask.sum() == 1
 
 
 class TestGenerators:
@@ -73,6 +23,18 @@ class TestGenerators:
     def test_random_too_many_rejected(self, rng):
         with pytest.raises(ValueError):
             random_fault_mask((2, 2), 5, rng=rng)
+
+    @pytest.mark.parametrize("generate", [random_fault_mask, clustered_fault_mask])
+    @pytest.mark.parametrize(
+        "shape, count, protect",
+        [((4, 4), -3, ()), ((0, 4), 0, ()), ((3, 3), 20, ()), ((3, 3), 9, ((1, 1),))],
+        ids=["negative-count", "empty-axis", "above-size", "above-unprotected"],
+    )
+    def test_impossible_request_rejected_up_front(
+        self, generate, shape, count, protect
+    ):
+        with pytest.raises(ValueError):
+            generate(shape, count, rng=0, protect=protect)
 
     def test_clustered_exact_count(self, rng):
         mask = clustered_fault_mask((10, 10), 12, clusters=2, rng=rng)

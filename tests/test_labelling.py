@@ -11,15 +11,46 @@ from repro.core.labelling import (
     SAFE,
     USELESS,
     _closure,
-    _closure_reference,
     label_grid,
-    label_mesh,
     unsafe_mask,
 )
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
-from repro.mesh.topology import Mesh2D
 from tests.conftest import random_mask
+
+
+def _closure_reference(fault_mask: np.ndarray, sign: int) -> np.ndarray:
+    """Scalar reference for ``repro.core.labelling._closure``.
+
+    Literal transcription of Algorithm 1/4: repeatedly scan all nodes and
+    apply the local rule until nothing changes.
+    """
+    shape = fault_mask.shape
+    ndim = fault_mask.ndim
+    blocked = {tuple(c) for c in np.argwhere(fault_mask)}
+    changed = True
+    while changed:
+        changed = False
+        for coord in np.ndindex(shape):
+            if coord in blocked:
+                continue
+            all_blocked = True
+            for axis in range(ndim):
+                n = list(coord)
+                n[axis] += sign
+                if not 0 <= n[axis] < shape[axis]:
+                    all_blocked = False
+                    break
+                if tuple(n) not in blocked:
+                    all_blocked = False
+                    break
+            if all_blocked:
+                blocked.add(coord)
+                changed = True
+    out = np.zeros(shape, dtype=bool)
+    for coord in blocked:
+        out[coord] = True
+    return out & ~fault_mask
 
 
 class TestRules2D:
@@ -151,16 +182,6 @@ class TestOrientationHandling:
             direct = label_grid(mask, o).status
             manual = label_grid(o.to_canonical(mask)).status
             assert np.array_equal(direct, manual)
-
-    def test_label_mesh_picks_pair_class(self, rng):
-        mesh = Mesh2D(8)
-        mask = random_mask(rng, (8, 8), 6)
-        lab = label_mesh(mesh, mask, source=(7, 7), dest=(0, 0))
-        assert lab.orientation.signs == (-1, -1)
-
-    def test_label_mesh_shape_check(self):
-        with pytest.raises(ValueError):
-            label_mesh(Mesh2D(4), np.zeros((5, 5), dtype=bool))
 
 
 class TestAccessors:

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core.labelling import _closure, closure_region, label_grid
 from repro.mesh.orientation import Orientation
-from repro.online import DynamicFaultModel, OnlineRoutingService
+from repro.online import DynamicFaultModel, OnlineRoutingService, dynamic_model
 from repro.online.dynamic_model import _DynamicClass
+from repro.routing import engine
 from repro.routing.batch import RoutingService
 
 
@@ -157,7 +158,9 @@ class TestIncrementalLabels:
     def test_full_recompute_fallback_agrees(self, shape_mask, script):
         """fraction=0 forces the fallback; results must not change."""
         shape, mask = shape_mask
-        always_full = DynamicFaultModel(mask, full_recompute_fraction=0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamic_model, "FULL_RECOMPUTE_FRACTION", 0.0)
+            always_full = DynamicFaultModel(mask)
         for o in Orientation.all_classes(shape)[:2]:
             always_full.labelled_for(o)
 
@@ -222,7 +225,9 @@ class TestOnlineRoutingService:
     def test_parity_with_cold_service(self, shape_mask, script, mode, pyrng):
         """Warm caches + events + scoped invalidation == cold rebuild."""
         shape, mask = shape_mask
-        online = OnlineRoutingService(mask.copy(), mode=mode, reach_cache_size=4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "REACH_CACHE_SIZE", 4)
+            online = OnlineRoutingService(mask.copy(), mode=mode)
         cells = [tuple(c) for c in np.ndindex(shape)]
 
         def pairs():

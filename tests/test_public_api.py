@@ -1,8 +1,80 @@
-"""Integration tests through the top-level public API."""
+"""Integration tests through the top-level public API, and the guard
+that keeps ``src/`` down to code something runs."""
+
+import ast
+import re
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 
 import repro
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "repro"
+#: Trees whose references keep a library name alive: the library, the
+#: benchmarks, the examples and the perf harness.  Tests do not count.
+CALLERS = ("src", "benchmarks", "examples", "perfbench")
+#: Subpackages whose API exists for the tests and CI.
+TEST_FACING = ("obs", "analysis")
+#: Documented entry points nothing in the tree calls: the one call that
+#: regenerates every table, and the live clock (DESIGN.md "Clock
+#: sanctioning").
+ENTRY_POINTS = {"experiments/harness.py:run_all", "serve/clock.py:WallClock"}
+#: A ``"module:attr"`` registry path names ``attr``.
+REGISTRY_PATH = re.compile(r"^[\w.]+:(\w+)$")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _mentions(tree: ast.Module) -> dict[str, set]:
+    """Name -> the top-level defs (``None``: module level) mentioning it.
+
+    A mention is a name, an attribute or a registry path.  Import
+    statements are not mentions, so a re-export keeps nothing alive.
+    """
+    found = defaultdict(set)
+    for top in tree.body:
+        owner = top.name if isinstance(top, DEFS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found[node.id].add(owner)
+            elif isinstance(node, ast.Attribute):
+                found[node.attr].add(owner)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                match = REGISTRY_PATH.match(node.value)
+                if match:
+                    found[match.group(1)].add(owner)
+    return found
+
+
+def _has_caller(name: str, home: Path, mentions: dict[Path, dict]) -> bool:
+    for path, found in mentions.items():
+        owners = found.get(name, set())
+        if path == home:
+            owners = owners - {name}  # its own body is no caller
+        if owners:
+            return True
+    return False
+
+
+def test_every_library_name_has_a_caller():
+    """Each top-level function and class under ``src/repro`` is mentioned
+    outside its own body by the library, a benchmark, an example or the
+    perf harness.  Test-only helpers belong in the tests."""
+    files = [path for root in CALLERS for path in (REPO / root).rglob("*.py")]
+    mentions = {path: _mentions(ast.parse(path.read_text())) for path in files}
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE)
+        if rel.parts[0] in TEST_FACING:
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, DEFS):
+                continue
+            key = f"{rel.as_posix()}:{top.name}"
+            if key not in ENTRY_POINTS and not _has_caller(top.name, path, mentions):
+                unused.append(key)
+    assert not unused, f"no caller outside tests: {unused}"
 
 
 class TestEndToEnd:
@@ -21,9 +93,10 @@ class TestEndToEnd:
         assert repro.__version__ == "1.1.0"
 
     def test_full_pipeline_composes(self):
-        mesh = repro.Mesh3D(8)
-        faults = repro.FaultSet(mesh, [(4, 4, 4), (4, 5, 4), (5, 4, 4)])
-        labelled = repro.label_grid(faults.mask)
+        faults = np.zeros((8, 8, 8), dtype=bool)
+        for cell in [(4, 4, 4), (4, 5, 4), (5, 4, 4)]:
+            faults[cell] = True
+        labelled = repro.label_grid(faults)
         mccs = repro.extract_mccs(labelled)
         walls = repro.build_walls(mccs)
         assert len(walls) == len(mccs) * 3
@@ -32,8 +105,9 @@ class TestEndToEnd:
     def test_theorem_vs_oracle_via_api(self):
         faults = np.zeros((6, 6), dtype=bool)
         faults[2, 3] = True
-        assert repro.minimal_path_exists_theorem(faults, (0, 0), (5, 5))
-        assert not repro.minimal_path_exists_theorem(faults, (2, 0), (2, 5))
+        evaluator = repro.ConditionEvaluator(faults)
+        assert evaluator.exists((0, 0), (5, 5))
+        assert not evaluator.exists((2, 0), (2, 5))
 
     def test_distributed_pipeline_via_api(self):
         faults = np.zeros((6, 6), dtype=bool)
@@ -50,7 +124,6 @@ class TestEndToEnd:
         faults = np.zeros((5, 5), dtype=bool)
         faults[2, 0] = True
         assert not repro.ecube_succeeds(faults, (0, 0), (4, 0))
-        blocks = repro.rfb_blocks(faults)
-        assert len(blocks) == 1
+        assert np.array_equal(repro.rfb_unsafe(faults), faults)
         ok, path = repro.greedy_route(faults, (0, 0), (4, 4))
         assert ok

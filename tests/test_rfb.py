@@ -8,11 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from repro.baselines.rfb import _local_closure, rfb_blocks, rfb_labelled, rfb_unsafe
+from repro.baselines.rfb import _local_closure, rfb_labelled, rfb_unsafe
 from repro.core.labelling import FAULTY, USELESS
 from repro.mesh.orientation import Orientation
-from repro.mesh.regions import mask_of_cells
+from repro.mesh.regions import Box, mask_of_cells
 from tests.conftest import random_mask
+
+
+def rfb_blocks(fault_mask: np.ndarray) -> list[Box]:
+    """The disjoint rectangular faulty blocks of a fault pattern."""
+    labels, _ = ndimage.label(rfb_unsafe(fault_mask))
+    return [
+        Box(tuple(s.start for s in slc), tuple(s.stop - 1 for s in slc))
+        for slc in ndimage.find_objects(labels)
+    ]
 
 
 def chebyshev_gap(a, b):

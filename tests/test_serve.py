@@ -17,7 +17,6 @@ import pytest
 from repro.online import OnlineRoutingService, Ticket
 from repro.routing.batch import RoutingService
 from repro.routing.engine import AdaptiveRouter
-from repro.routing.policies import FixedOrderPolicy
 from repro.serve import (
     AsyncRoutingService,
     ServiceOverloadError,
@@ -292,11 +291,6 @@ class TestAdmissionControl:
             AsyncRoutingService(mask, batch_window=0.0)
         with pytest.raises(ValueError, match="max_queue_depth"):
             AsyncRoutingService(mask, max_queue_depth=0)
-        online = make_service(mask, online=True)
-        with pytest.raises(ValueError, match="not both"):
-            AsyncRoutingService(mask, online=online)
-        adopted = AsyncRoutingService(online=online)
-        assert adopted.online is online
 
 
 class TestFacadeParity:
@@ -361,19 +355,6 @@ class TestMakeServiceFacade:
     def test_online_and_shared_are_exclusive(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
             make_service(small_mask(), online=True, shared=True)
-
-    def test_flavours_reject_foreign_knobs(self):
-        mask = small_mask()
-        with pytest.raises(ValueError, match="cannot honour: policy"):
-            make_service(mask, shared=True, policy=FixedOrderPolicy())
-        with pytest.raises(ValueError, match="cannot honour: full_recompute"):
-            make_service(mask, shared=True, full_recompute_fraction=0.5)
-        with pytest.raises(ValueError, match="full_recompute_fraction"):
-            make_service(mask, full_recompute_fraction=0.5)
-        with pytest.raises(ValueError, match="reach_cache_size"):
-            make_service(mask, shared=True, reach_cache_size=3)
-        with pytest.raises(ValueError, match="needs a fault_mask"):
-            make_service(online=True)
 
     def test_facade_routes_like_direct_construction(self):
         mask = small_mask(seed=9)

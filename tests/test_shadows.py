@@ -1,17 +1,13 @@
-"""Tests for forbidden/critical region (shadow) computation."""
+"""Tests for the forbidden/critical region (shadow) definitions in
+``tests/test_walls.py``, against a scalar reference."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.shadows import (
-    entry_cells,
-    negative_shadow,
-    positive_shadow,
-    shadow_masks,
-)
 from repro.mesh.regions import mask_of_cells
 from tests.conftest import random_mask
+from tests.test_walls import entry_cells, negative_shadow, positive_shadow
 
 
 def shadow_reference(mask: np.ndarray, axis: int, negative: bool) -> np.ndarray:
@@ -33,7 +29,7 @@ class TestShadows:
     def test_rectangle_forbidden_region(self):
         # QY of a rectangle = everything strictly below it, per column.
         mask = mask_of_cells([(2, 3), (3, 3), (2, 4), (3, 4)], (6, 6))
-        forbidden, critical = shadow_masks(mask, axis=1)
+        forbidden, critical = negative_shadow(mask, 1), positive_shadow(mask, 1)
         assert forbidden[2, 0] and forbidden[3, 2]
         assert not forbidden[1, 0] and not forbidden[2, 5]
         assert critical[2, 5] and critical[3, 5]
@@ -41,7 +37,7 @@ class TestShadows:
 
     def test_strictness(self):
         mask = mask_of_cells([(2, 2)], (5, 5))
-        forbidden, critical = shadow_masks(mask, axis=1)
+        forbidden, critical = negative_shadow(mask, 1), positive_shadow(mask, 1)
         assert not forbidden[2, 2] and not critical[2, 2]
         assert forbidden[2, 1] and critical[2, 3]
 

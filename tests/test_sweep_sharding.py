@@ -102,6 +102,18 @@ class TestPlanAndPartition:
         with pytest.raises(ValueError):
             run_sweep(small_spec(), workers=0)
 
+    @pytest.mark.parametrize(
+        "shape, fault_counts",
+        [((0, 5), (1,)), ((6, 6), (-2, 3)), ((2, 2), (5,))],
+        ids=["empty-axis", "negative-count", "count-above-size"],
+    )
+    def test_bad_shape_or_fault_count_rejected(self, shape, fault_counts):
+        with pytest.raises(ValueError):
+            SweepSpec("region_overhead", shape, fault_counts, trials=1)
+        # The CLI's --shape/--fault-counts reach the spec the same way.
+        with pytest.raises(ValueError):
+            run_region_overhead(shape, list(fault_counts), trials=2, seed=1)
+
 
 class TestShardInvariance:
     @given(

@@ -1,4 +1,24 @@
-"""Tests for boundary walls and chain merging."""
+"""Tests for boundary walls and chain merging.
+
+The walls are checked against their definition on full-grid masks.
+For a region ``M`` and a dimension ``dim`` (canonical frame):
+
+* the *forbidden region* ``Q_dim(M)`` is the shadow strictly on the
+  negative side of ``M`` along ``dim``: cells whose remaining coordinates
+  match some M-cell sitting strictly above them in ``dim`` ("the region
+  right below it" in the paper's 2-D prose);
+* the *critical region* ``Q'_dim(M)`` is the shadow strictly on the
+  positive side ("the region right above it").
+
+A routing whose destination lies in ``Q'_dim(M)`` must never enter
+``Q_dim(M)``: it would have to cross ``M`` itself within the shadow
+columns, forcing a detour.  Entry into a negative-side shadow is only
+possible along the *other* axes (moving +dim inside a column only leaves
+the shadow), which is why one wall per (dim, entry-axis) pair — the
+paper's six boundary types in 3-D, two in 2-D — suffices to guard it.
+"""
+
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -7,17 +27,69 @@ from hypothesis import strategies as st
 
 from repro.baselines.rfb import rfb_labelled
 from repro.core.components import extract_mccs
-from repro.core.conditions import blocking_walls, lemma1_region_form
-from repro.core.labelling import label_grid
-from repro.core.shadows import entry_cells, negative_shadow, positive_shadow
-from repro.core.walls import (
-    active_walls,
-    build_walls,
-    forbidden_mask_for_dest,
-    walls_for,
-)
+from repro.core.labelling import _shifted_blocked, label_grid
+from repro.core.walls import Wall, build_walls
 from repro.mesh.regions import mask_of_cells
 from tests.conftest import random_mask
+from tests.test_conditions import blocking_walls, lemma1_region_form
+
+
+def negative_shadow(mask: np.ndarray, axis: int) -> np.ndarray:
+    """Cells strictly below some mask cell along ``axis`` (Q_dim).
+
+    Vectorized as a reversed running-OR along the axis, shifted by one so
+    the region is strict (mask cells with nothing above are excluded).
+    """
+    rev = np.flip(mask, axis=axis)
+    acc = np.logical_or.accumulate(rev, axis=axis)
+    above_or_equal = np.flip(acc, axis=axis)
+    return _shifted_blocked(above_or_equal, axis, 1)
+
+
+def positive_shadow(mask: np.ndarray, axis: int) -> np.ndarray:
+    """Cells strictly above some mask cell along ``axis`` (Q'_dim)."""
+    acc = np.logical_or.accumulate(mask, axis=axis)
+    return _shifted_blocked(acc, axis, -1)
+
+
+def entry_cells(shadow: np.ndarray, entry_axis: int) -> np.ndarray:
+    """Cells just outside ``shadow`` whose +entry_axis neighbor is inside.
+
+    These are exactly the positions where the paper's boundaries place
+    their information: a routing message can only step into the shadow
+    from one of them (or start inside).  Includes unsafe cells — the
+    safe ones are wall *records*, the unsafe ones wall *obstructions*
+    (chain merging).  :mod:`repro.core.walls` finds the same cells from
+    column heights; this mask form is the definition it is checked
+    against.
+    """
+    inside_ahead = _shifted_blocked(shadow, entry_axis, 1)
+    return inside_ahead & ~shadow
+
+
+def walls_for(walls: list[Wall], mcc_index: int) -> list[Wall]:
+    """The ndim walls belonging to one MCC."""
+    return [w for w in walls if w.mcc_index == mcc_index]
+
+
+def active_walls(walls: list[Wall], dest: Sequence[int]) -> list[Wall]:
+    """Walls whose critical region contains the destination.
+
+    Only these constrain a routing toward ``dest`` (Algorithm 3 step 2b:
+    exclude a direction only when "the destination is in the critical
+    region").
+    """
+    return [w for w in walls if w.in_critical(dest)]
+
+
+def forbidden_mask_for_dest(
+    walls: list[Wall], dest: Sequence[int], shape: Sequence[int]
+) -> np.ndarray:
+    """Union of merged forbidden regions of all walls active for ``dest``."""
+    out = np.zeros(tuple(shape), dtype=bool)
+    for wall in active_walls(walls, dest):
+        out |= wall.forbidden
+    return out
 
 
 def _walls(mask):
