@@ -14,7 +14,15 @@ import math
 import numpy as np
 
 from repro.mesh.coords import manhattan
+from repro.util.caching import LRUCache, mask_digest
 from repro.util.rng import SeedLike, make_rng, sample_distinct
+
+#: Bound on cached cell tables.  Callers draw all of a mask's pairs
+#: before they move to the next mask, so a few entries cover every
+#: revisit; a table is the mask's true cells, ``ndim`` ints per cell.
+CELL_TABLE_SIZE = 4
+
+_CELL_TABLES: LRUCache[bytes, np.ndarray] = LRUCache(CELL_TABLE_SIZE)
 
 
 def _protected_cells(
@@ -108,16 +116,34 @@ def sample_safe_pair(
     """A random (source, dest) pair of safe nodes at distance >= minimum.
 
     Returns None when no pair is found (degenerate masks) — callers
-    skip the trial rather than bias the statistics.
+    skip the trial rather than bias the statistics.  The safe cells come
+    from :func:`_cell_table`, so repeated draws from one mask (or from
+    fresh copies of it) find its cells once.
     """
     rng = make_rng(rng)
-    cells = np.argwhere(safe_mask)
+    cells = _cell_table(safe_mask)
     if cells.shape[0] < 2:
         return None
     for _ in range(max_tries):
         i, j = rng.integers(0, cells.shape[0], size=2)
-        a = tuple(int(c) for c in cells[i])
-        b = tuple(int(c) for c in cells[j])
+        a = tuple(cells[i].tolist())
+        b = tuple(cells[j].tolist())
         if manhattan(a, b) >= min_distance:
             return a, b
     return None
+
+
+def _cell_table(mask: np.ndarray) -> np.ndarray:
+    """``np.argwhere(mask)``, read-only and shared by masks of equal content.
+
+    Keyed by :func:`~repro.util.caching.mask_digest` (shape and cell
+    values), so a caller that passes a fresh ``~mask`` per draw still
+    hits; the cells keep ``argwhere``'s row-major order.
+    """
+    key = mask_digest(mask)
+    cells = _CELL_TABLES.get(key)
+    if cells is None:
+        cells = np.argwhere(mask)
+        cells.setflags(write=False)
+        _CELL_TABLES.put(key, cells)
+    return cells

@@ -211,6 +211,33 @@ class PatternTaskError(RuntimeError):
     """A worker failed evaluating one fault pattern (task identified)."""
 
 
+def _checked_sweep(
+    shape: Sequence[int], fault_counts: Sequence[int], trials: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``shape`` and ``fault_counts`` as int tuples, after the sweep rule.
+
+    ``trials`` must be at least 1, every mesh axis length at least 1 and
+    every fault count in ``[0, mesh size]``; anything else raises
+    ``ValueError``.  :class:`SweepSpec` applies the rule at construction
+    and :func:`main` before any runner starts, so the CLI reports a bad
+    value as a usage error.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    shape = tuple(int(k) for k in shape)
+    fault_counts = tuple(int(c) for c in fault_counts)
+    if any(k < 1 for k in shape):
+        raise ValueError(f"mesh axis lengths must be >= 1, got {shape}")
+    size = math.prod(shape)
+    bad = [c for c in fault_counts if not 0 <= c <= size]
+    if bad:
+        raise ValueError(
+            f"fault counts must lie in [0, {size}] on a "
+            f"{'x'.join(map(str, shape))} mesh, got {bad}"
+        )
+    return shape, fault_counts
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A deterministic multi-pattern sweep description (picklable).
@@ -233,21 +260,9 @@ class SweepSpec:
                 f"unknown experiment {self.experiment!r}; "
                 f"pick from {sorted(EXPERIMENTS)}"
             )
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "shape", tuple(int(k) for k in self.shape))
-        object.__setattr__(
-            self, "fault_counts", tuple(int(c) for c in self.fault_counts)
-        )
-        if any(k < 1 for k in self.shape):
-            raise ValueError(f"mesh axis lengths must be >= 1, got {self.shape}")
-        size = math.prod(self.shape)
-        bad = [c for c in self.fault_counts if not 0 <= c <= size]
-        if bad:
-            raise ValueError(
-                f"fault counts must lie in [0, {size}] on a "
-                f"{'x'.join(map(str, self.shape))} mesh, got {bad}"
-            )
+        shape, fault_counts = _checked_sweep(self.shape, self.fault_counts, self.trials)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "fault_counts", fault_counts)
 
     def param(self, name: str, default: Any) -> Any:
         return self.params.get(name, default)
@@ -702,6 +717,10 @@ def main(argv: Sequence[str] | None = None) -> None:
     name = args.experiment_name or args.experiment
     if name is None:
         parser.error("an experiment is required (positional or --experiment)")
+    try:
+        _checked_sweep(args.shape, args.fault_counts, args.trials)
+    except ValueError as exc:
+        parser.error(str(exc))
     # Lazy import: harness imports this module's registries at top
     # level, so the reverse edge must stay inside main().
     from repro.experiments.harness import ExperimentSpec

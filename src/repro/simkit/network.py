@@ -14,8 +14,13 @@ the fault mask (a set membership test instead of a numpy fancy-index per
 check).  The numpy ``fault_mask`` stays the source of truth for bulk
 array consumers; mutate it only through :meth:`inject_fault` /
 :meth:`repair`, which validate the cell and keep the mirror in sync.
-A send schedules the bound ``_deliver`` with the message (and its link
-when contended) as the event's arguments, so no send builds a closure.
+
+A send is one step: :meth:`MeshNetwork.transmit` counts it and pushes
+one ``(deliver, (msg,))`` event onto the simulator's queue at ``now +
+link_delay``, where ``deliver`` is the network's ``_deliver``, bound
+once at construction.  So an uncontended send allocates the message,
+its argument tuple and its event pair, and no closure or bound method.
+A contended send schedules ``_deliver`` with the message and its link.
 """
 
 from __future__ import annotations
@@ -98,6 +103,9 @@ class MeshNetwork:
         self._faulty: set[Coord] = {
             tuple(int(c) for c in cell) for cell in np.argwhere(self.fault_mask)
         }
+        #: ``_deliver`` bound once, shared by every uncontended send's
+        #: event.
+        self._deliver_bound = self._deliver
         factory = node_factory or NodeProcess
         self.nodes: dict[Coord, NodeProcess] = {
             coord: factory(self, coord) for coord in mesh.nodes()
@@ -143,7 +151,10 @@ class MeshNetwork:
     # -- message plumbing ------------------------------------------------------
 
     def transmit(self, msg: Message) -> None:
-        """Queue a message for delivery after one link delay."""
+        """Count a message and queue its delivery after one link delay.
+
+        Every send passes here, and reads ``sim.queue`` when it is made.
+        """
         if msg.dst is None or msg.dst not in self.mesh.adjacency.get(msg.src, ()):
             raise ValueError(
                 f"{msg.kind}: {msg.src} -> {msg.dst} is not a mesh link"
@@ -152,9 +163,12 @@ class MeshNetwork:
             # A node that died mid-action sends nothing (fail-stop).
             self.stats.bump("dropped[src-faulty]")
             return
-        self.stats.on_send(msg.kind, query=msg.payload.get("query"))
+        self.stats.on_send(msg.kind, msg.payload.get("query"))
         if self.link_capacity is None:
-            self.sim.schedule(self.link_delay, self._deliver, msg)
+            # ``__init__`` checked ``link_delay`` by ``schedule``'s rule,
+            # so the event goes straight onto the queue.
+            sim = self.sim
+            sim.queue.push(sim.now + self.link_delay, (self._deliver_bound, (msg,)))
             return
         # Contended path: reserve the earliest-free server of the
         # directed link at transmit time (FIFO — arrival order is

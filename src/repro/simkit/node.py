@@ -59,8 +59,7 @@ class NodeProcess:
 
     def send(self, dst: Coord, kind: str, payload: dict | None = None, ttl: int | None = None) -> None:
         """Send one message to a neighbor (asserts mesh adjacency)."""
-        msg = Message(kind=kind, src=self.coord, dst=dst, payload=payload, ttl=ttl)
-        self.network.transmit(msg)
+        self.network.transmit(Message(kind, self.coord, dst, payload, 0, ttl))
 
     def send_frame(self, path, query=None) -> None:
         """Inject a source-routed data frame starting at this node."""
@@ -68,13 +67,15 @@ class NodeProcess:
             raise ValueError(f"frame path must start at {self.coord}, got {path[0]}")
         self.network.inject_frame(path, query=query)
 
-    def set_timer(self, delay: float, tag: str) -> object:
+    def set_timer(self, delay: float, tag: str) -> None:
         """Fire :meth:`on_timer` with ``tag`` after ``delay``.
 
-        Returns the simulator's opaque handle for
-        :meth:`~repro.simkit.simulator.Simulator.cancel`.
+        A timer cannot be cancelled.  One that outlives its purpose
+        checks the node's state when it fires (the routing protocol's
+        ``detect-timeout:<id>`` does), and a timer of a dead node is
+        dropped then.
         """
-        return self.network.sim.schedule(delay, self._fire_timer, tag)
+        self.network.sim.schedule(delay, self._fire_timer, tag)
 
     def _fire_timer(self, tag: str) -> None:
         if self.alive:

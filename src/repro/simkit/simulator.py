@@ -2,9 +2,12 @@
 
 An event is an action and its positional arguments, scheduled the way
 asyncio's ``call_later`` takes them: ``schedule(delay, action, *args)``
-queues the pair ``(action, args)`` and the loop calls
-``action(*args)``.  A send schedules a bound method and the message, so
-no event builds a closure, and the loop reads the queue once per event.
+queues the pair ``(action, args)`` in one FIFO slot and the loop calls
+``action(*args)``.  No event builds a closure, nothing is cancelled,
+and the loop reads the queue once per event.  Timers and actions come
+through :meth:`Simulator.schedule`; an uncontended message send pushes
+its ``(deliver, (msg,))`` pair onto ``queue`` itself (see
+:meth:`repro.simkit.network.MeshNetwork.transmit`).
 """
 
 from __future__ import annotations
@@ -31,20 +34,13 @@ class Simulator:
         #: starting a run, never from inside an event action.
         self.observer = None
 
-    def schedule(self, delay: float, action: Callable[..., Any], *args: Any) -> object:
-        """Call ``action(*args)`` after ``delay`` time units.
-
-        Returns an opaque handle: pass it to :meth:`cancel` and nothing
-        else.
-        """
+    def schedule(self, delay: float, action: Callable[..., Any], *args: Any) -> None:
+        """Call ``action(*args)`` after ``delay`` time units."""
         # Same guard as EventQueue.push: the chained comparison rejects
         # NaN, which a plain ``delay < 0`` would let in.
         if not 0.0 <= delay < math.inf:
             raise ValueError(f"delay must be finite and non-negative, got {delay}")
-        return self.queue.push(self.now + delay, (action, args))
-
-    def cancel(self, handle: object) -> None:
-        self.queue.cancel(handle)
+        self.queue.push(self.now + delay, (action, args))
 
     def run(
         self,
@@ -54,11 +50,10 @@ class Simulator:
         """Process events in time order.
 
         Stops when the queue drains, when the next event would pass
-        ``until``, or after ``max_events`` live events (a
-        runaway-protocol guard).  Returns the number of events
-        processed by this call.  An action that raises ends the run;
-        ``events_processed`` still counts every event that ran,
-        including the one that raised.
+        ``until``, or after ``max_events`` events (a runaway-protocol
+        guard).  Returns the number of events processed by this call.
+        An action that raises ends the run; ``events_processed`` still
+        counts every event that ran, including the one that raised.
         """
         if max_events is not None and max_events < 0:
             raise ValueError(f"max_events must be non-negative, got {max_events}")

@@ -156,24 +156,16 @@ class _ShuffledTies:
         self._seq = 0
 
     def push(self, time, item):
-        entry = [float(time), self._rng.random(), self._seq, item]
+        heapq.heappush(self._heap, (float(time), self._rng.random(), self._seq, item))
         self._seq += 1
-        heapq.heappush(self._heap, entry)
-        return entry
-
-    def cancel(self, handle):
-        handle[3] = None
 
     def pop(self):
-        while self._heap:
-            time, _, _, item = heapq.heappop(self._heap)
-            if item is not None:
-                return time, item
-        return None
+        if not self._heap:
+            return None
+        time, _, _, item = heapq.heappop(self._heap)
+        return time, item
 
     def peek_time(self):
-        while self._heap and self._heap[0][3] is None:
-            heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
 
@@ -205,6 +197,33 @@ def test_outcomes_do_not_depend_on_tie_order(shape, faults, seed, golden):
         assert got_sections == sections
         assert got_sessions == sessions
         assert got_records == records
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "tie-order race at the paper DES shape: at t = 11.5 the WALL of "
+        "owner (4, 6, 3) can reach (4, 6, 2) before the SHAPE of the "
+        "section cornered at (5, 6, 0); _wall_detour then skips that "
+        "section where _wall_descend would retry, so the records at "
+        "(0..3, 6, 2) depend on the order (DESIGN.md 'DES core')"
+    ),
+)
+@pytest.mark.parametrize("tie_seed", [1, 3])
+def test_paper_shape_records_do_not_depend_on_tie_order(tie_seed):
+    labels, sections, sessions, records = _outcome(*_lifecycle((10, 10, 10), 80, 2005))
+    pipe, batch = _lifecycle((10, 10, 10), 80, 2005, queue=_ShuffledTies(tie_seed))
+    got_labels, got_sections, got_sessions, got_records = _outcome(pipe, batch)
+    # Everything but the records agrees; a difference there is a new
+    # failure, not this race.
+    if not (
+        np.array_equal(got_labels, labels)
+        and got_sections == sections
+        and got_sessions == sessions
+    ):
+        pytest.fail("labels, sections or sessions depend on the tie order")
+    assert got_records == records
 
 
 def _immutable(value) -> bool:

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments import workloads
 from repro.experiments.workloads import (
     clustered_fault_mask,
     random_fault_mask,
     sample_safe_pair,
 )
+from repro.mesh.coords import manhattan
 
 
 class TestGenerators:
@@ -68,3 +72,69 @@ class TestGenerators:
 
     def test_sample_safe_pair_degenerate(self, rng):
         assert sample_safe_pair(np.zeros((3, 3), dtype=bool), rng=rng) is None
+
+
+def _argwhere_pair(safe_mask, rng, min_distance, max_tries):
+    """The per-call form: ``np.argwhere`` over the whole mask every draw."""
+    cells = np.argwhere(safe_mask)
+    if cells.shape[0] < 2:
+        return None
+    for _ in range(max_tries):
+        i, j = rng.integers(0, cells.shape[0], size=2)
+        a = tuple(int(c) for c in cells[i])
+        b = tuple(int(c) for c in cells[j])
+        if manhattan(a, b) >= min_distance:
+            return a, b
+    return None
+
+
+class TestCellTable:
+    """``sample_safe_pair`` reads its cells from a per-mask table."""
+
+    @given(
+        shape=st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+        mask_seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        draw_seed=st.integers(0, 2**32 - 1),
+        draws=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(1, 20)), min_size=1, max_size=8
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_draws_match_per_call_argwhere(
+        self, shape, mask_seed, density, draw_seed, draws
+    ):
+        # Same pairs, same None answers, and the same generator state
+        # after every draw: the table keeps argwhere's cell order and
+        # the draw makes the same ``rng.integers`` calls.  Each draw
+        # gets a fresh copy of the mask, as callers passing ``~mask``
+        # do.
+        safe = np.random.default_rng(mask_seed).random(shape) < density
+        got_rng = np.random.default_rng(draw_seed)
+        want_rng = np.random.default_rng(draw_seed)
+        for min_distance, max_tries in draws:
+            got = sample_safe_pair(
+                safe.copy(), rng=got_rng, min_distance=min_distance, max_tries=max_tries
+            )
+            want = _argwhere_pair(safe, want_rng, min_distance, max_tries)
+            assert got == want
+            assert all(type(v) is int for cell in got or () for v in cell)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_table_is_read_only_shared_and_keyed_by_shape(self):
+        flat = np.array([True, False, True, True, False, True])
+        table = workloads._cell_table(flat.reshape(2, 3))
+        assert not table.flags.writeable
+        assert workloads._cell_table(flat.reshape(2, 3).copy()) is table
+        other = workloads._cell_table(flat.reshape(3, 2))
+        np.testing.assert_array_equal(other, np.argwhere(flat.reshape(3, 2)))
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    def test_table_count_is_bounded(self):
+        for k in range(workloads.CELL_TABLE_SIZE + 3):
+            mask = np.zeros(8, dtype=bool)
+            mask[k % 8] = mask[(k + 3) % 8] = True
+            workloads._cell_table(mask)
+        assert len(workloads._CELL_TABLES) <= workloads.CELL_TABLE_SIZE
+

@@ -36,17 +36,6 @@ class TestEventQueue:
             q.pop()[1]()
         assert out == [0, 1, 2, 3, 4]
 
-    def test_cancel(self):
-        q = EventQueue()
-        out = []
-        handle = q.push(1.0, lambda: out.append("x"))
-        q.push(2.0, lambda: out.append("y"))
-        q.cancel(handle)
-        assert len(q) == 1
-        while q:
-            q.pop()[1]()
-        assert out == ["y"]
-
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             EventQueue().push(-1, lambda: None)
@@ -139,33 +128,21 @@ class TestSimulator:
         assert fired == [(1, 1.0)]
         assert not sim.idle
 
-    def test_until_skips_cancelled_top(self):
-        # The cancelled entry at the top is due before ``until`` and the
-        # next live one after it: nothing fires and the clock stays put.
+    def test_max_events_stops_inside_a_timestamp(self):
+        # A budget that ends inside one time's FIFO leaves the rest of
+        # that FIFO queued, and the next run resumes it in push order.
         def case(sim, fired):
-            sim.cancel(sim.schedule(1.0, _note(sim, fired, "cancelled")))
-            sim.schedule(3.0, _note(sim, fired, "late"))
-            assert sim.run(until=2.0) == 0
-            assert sim.now == 0.0
-            sim.run()
-
-        sim, fired = _run_both(case)
-        assert fired == [("late", 3.0)]
-        assert sim.events_processed == 1
-
-    def test_max_events_counts_only_live_events(self):
-        def case(sim, fired):
-            handles = [sim.schedule(float(i), _note(sim, fired, i)) for i in range(5)]
-            sim.cancel(handles[0])
-            sim.cancel(handles[2])
+            for label in ("a", "b", "c"):
+                sim.schedule(1.0, _note(sim, fired, label))
+            sim.schedule(2.0, _note(sim, fired, "d"))
             assert sim.run(max_events=2) == 2
-            assert [label for label, _ in fired] == [1, 3]
+            assert len(sim.queue) == 2 and sim.queue.peek_time() == 1.0
             assert sim.run(max_events=0) == 0
             sim.run()
 
         sim, fired = _run_both(case)
-        assert fired == [(1, 1.0), (3, 3.0), (4, 4.0)]
-        assert sim.events_processed == 3
+        assert fired == [("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 2.0)]
+        assert sim.events_processed == 4
 
     def test_negative_max_events_rejected(self):
         # A negative budget is an error, never a run whose length
@@ -193,16 +170,6 @@ class TestSimulator:
 
         sim, fired = _run_both(case)
         assert len(fired) == sim.events_processed == 100
-
-    def test_cancel_via_simulator(self):
-        def case(sim, fired):
-            handle = sim.schedule(1.0, _note(sim, fired, 1))
-            sim.cancel(handle)
-            sim.run()
-
-        sim, fired = _run_both(case)
-        assert fired == []
-        assert sim.events_processed == 0
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
@@ -398,58 +365,6 @@ class TestStatsAndTrace:
         assert "K" in text and "hello" in text
 
 
-class TestCancelAccounting:
-    """EventQueue len/bool stay exact through dead-handle cancels."""
-
-    def test_cancel_after_fire_is_noop(self):
-        q = EventQueue()
-        handle = q.push(1.0, lambda: None)
-        assert len(q) == 1
-        q.pop()
-        assert len(q) == 0
-        q.cancel(handle)  # already fired: must not corrupt accounting
-        assert len(q) == 0
-        assert not q
-        q.push(2.0, lambda: None)
-        assert len(q) == 1 and bool(q)
-
-    def test_double_cancel(self):
-        q = EventQueue()
-        keep = q.push(1.0, lambda: None)
-        handle = q.push(2.0, lambda: None)
-        q.cancel(handle)
-        q.cancel(handle)
-        assert len(q) == 1
-        assert q.pop()[0] == 1.0
-        assert len(q) == 0
-        del keep
-
-    def test_unknown_handle_cancel_is_noop(self):
-        q = EventQueue()
-        q.push(1.0, lambda: None)
-        q.cancel(12345)
-        assert len(q) == 1 and bool(q)
-
-    def test_len_never_negative_through_sequences(self):
-        q = EventQueue()
-        handles = [q.push(float(i), lambda: None) for i in range(3)]
-        q.pop()
-        for h in handles:
-            q.cancel(h)
-            q.cancel(h)
-        assert len(q) == 0
-        assert q.pop() is None
-        assert len(q) == 0
-
-    def test_cancel_then_peek_then_len(self):
-        q = EventQueue()
-        first = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        q.cancel(first)
-        assert q.peek_time() == 2.0
-        assert len(q) == 1
-
-
 class TestNonFiniteTimes:
     def test_nan_time_rejected(self):
         with pytest.raises(ValueError):
@@ -633,3 +548,101 @@ class TestFrames:
         net.run_to_quiescence()
         assert net.stats.messages_sent["FRAME"] == 2
         assert net.stats.query_messages[42] == 2
+
+
+class _Relay(NodeProcess):
+    """Test node: floods two tagged PINGs toward the far corner.
+
+    (0, 0) sends PING for queries 1 and 2, then DIE and an untagged
+    HELLO down its busiest link.  A PING is relayed one hop along each
+    increasing axis; a node that receives DIE kills itself and then
+    tries to answer, so its ACK is dropped at the source.
+    """
+
+    def on_start(self):
+        if self.coord == (0, 0):
+            self.send((0, 1), "PING", {"query": 1})
+            self.send((1, 0), "PING", {"query": 2})
+            self.send((0, 1), "DIE")
+            self.send((0, 1), "HELLO", {"query": None})
+
+    def on_message(self, msg):
+        if msg.kind == "PING":
+            for axis in (0, 1):
+                nxt = self.step(axis, 1)
+                if nxt is not None:
+                    self.send(nxt, "PING", msg.payload)
+        elif msg.kind == "DIE":
+            self.network.inject_fault(self.coord)
+            self.send(msg.src, "ACK", {"query": 3})
+
+
+#: Deliveries up to t = 3 on both paths: (time, kind, src, dst).
+_RELAY_HEAD = [
+    (1.0, "PING", (0, 0), (0, 1)), (1.0, "PING", (0, 0), (1, 0)),
+    (1.0, "DIE", (0, 0), (0, 1)),
+    (2.0, "PING", (0, 1), (1, 1)), (2.0, "PING", (0, 1), (0, 2)),
+    (2.0, "PING", (1, 0), (2, 0)), (2.0, "PING", (1, 0), (1, 1)),
+    (3.0, "PING", (1, 1), (2, 1)), (3.0, "PING", (1, 1), (1, 2)),
+    (3.0, "PING", (0, 2), (1, 2)), (3.0, "PING", (2, 0), (2, 1)),
+    (3.0, "PING", (1, 1), (2, 1)), (3.0, "PING", (1, 1), (1, 2)),
+]
+_INTO_CORNER = [(2, 1), (1, 2), (1, 2), (2, 1), (2, 1), (1, 2)]
+
+
+class TestSendAccounting:
+    """What a send counts, queues and rejects, uncontended and contended.
+
+    The values are pinned: a change to the send path must move no
+    count, drop or delivery.
+    """
+
+    @pytest.mark.parametrize(
+        "capacity, corner_times, gauges",
+        [
+            (None, [4.0] * 6, {}),
+            (
+                2,
+                [4.0] * 4 + [5.0] * 2,
+                {"link_peak_depth": 3, "link_wait_total": 3.0},
+            ),
+        ],
+        ids=["uncontended", "capacity-2"],
+    )
+    def test_counts_drops_and_deliveries(self, capacity, corner_times, gauges):
+        net = MeshNetwork(
+            Mesh2D(3), np.zeros((3, 3), dtype=bool), _Relay,
+            link_capacity=capacity, trace=True,
+        )
+        net.start()
+        net.run_to_quiescence()
+        assert net.stats.by_kind() == {"PING": 18, "DIE": 1, "HELLO": 1}
+        assert dict(net.stats.query_messages) == {1: 9, 2: 9}
+        assert dict(net.stats.gauges) == {
+            **gauges, "dropped[src-faulty]": 1.0, "dropped[dst-faulty]": 1.0,
+        }
+        assert net.sim.events_processed == 29
+        deliveries = [(e.time, e.kind, e.src, e.dst) for e in net.trace.events]
+        assert deliveries == _RELAY_HEAD + [
+            (t, "PING", src, (2, 2))
+            for t, src in zip(corner_times, _INTO_CORNER, strict=True)
+        ]
+
+    @pytest.mark.parametrize("capacity", [None, 2], ids=["uncontended", "capacity-2"])
+    def test_non_link_send_raises_and_counts_nothing(self, capacity):
+        net = MeshNetwork(
+            Mesh2D(3), mask_of_cells([(0, 1)], (3, 3)), link_capacity=capacity
+        )
+        for src, dst in [
+            ((0, 0), (2, 2)),  # not adjacent
+            ((0, 0), (0, 0)),  # the sender itself
+            ((0, 0), (-1, 0)),  # off the mesh
+            ((0, 0), None),
+            ((0, 1), (2, 2)),  # a faulty sender still gets the link check
+        ]:
+            with pytest.raises(ValueError, match="is not a mesh link"):
+                net.nodes[src].send(dst, "X", {"query": 9})
+        assert net.stats.total_messages == 0
+        assert not net.stats.query_messages
+        assert not net.stats.gauges
+        assert net.sim.idle

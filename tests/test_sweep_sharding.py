@@ -478,6 +478,35 @@ class TestCLI:
             sharding.main(["--shape", "5", "5"])
         assert "experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--fault-counts", "-2", "3"], "fault counts must lie in [0, 36]"),
+            (["--shape", "6", "0"], "mesh axis lengths must be >= 1"),
+            (["--fault-counts", "3", "37"], "fault counts must lie in [0, 36]"),
+            (["--trials", "0"], "trials must be >= 1"),
+        ],
+        ids=["negative-count", "zero-length-axis", "count-above-size", "no-trials"],
+    )
+    def test_main_reports_bad_sweep_values_as_usage_errors(
+        self, capsys, monkeypatch, flags, message
+    ):
+        # The sweep rule runs before any runner starts: exit status 2
+        # with the usage line, not a traceback from inside the runner.
+        from repro.experiments import harness
+        from repro.parallel import sharding
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a runner started")
+
+        monkeypatch.setattr(harness.ExperimentSpec, "run", no_run)
+        argv = ["t1", "--shape", "6", "6", "--fault-counts", "2", "--trials", "1"]
+        with pytest.raises(SystemExit) as exc:
+            sharding.main(argv + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and message in err
+
     def test_cli_and_python_api_share_fingerprints(self, tmp_path):
         # A checkpoint begun from the CLI must be resumable through the
         # Python wrapper (same spec -> same fingerprint) for T1's
