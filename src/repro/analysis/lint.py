@@ -90,9 +90,7 @@ LABEL_GRID_SANCTIONED = (
 )
 
 #: C203 — cache accessors whose return values are process-shared.
-CACHED_FUNCS = frozenset(
-    {"cached_labelled", "cached_class_assets", "cached_routing_service"}
-)
+CACHED_FUNCS = frozenset({"cached_labelled", "cached_class_assets"})
 #: C203 — ndarray methods that mutate in place.
 ARRAY_MUTATORS = frozenset(
     {"setflags", "fill", "sort", "put", "itemset", "resize", "partition"}

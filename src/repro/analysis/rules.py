@@ -121,9 +121,9 @@ RULES: dict[str, Rule] = {
             summary="in-place mutation of a cache-obtained object",
             rationale=(
                 "values returned by cached_labelled / cached_class_assets "
-                "/ cached_routing_service are shared across every "
-                "consumer in the process; writing into them corrupts "
-                "other patterns' results.  Copy first."
+                "are shared across every consumer in the process; "
+                "writing into them corrupts other patterns' results.  "
+                "Copy first."
             ),
             roles=frozenset({SRC}),
         ),

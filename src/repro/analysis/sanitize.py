@@ -179,8 +179,8 @@ class _BarrierHandle:
 def install_cache_barrier() -> _BarrierHandle:
     """Swap the labelling cache for a digest-verified one (starts empty).
 
-    The service cache (``_SERVICE_CACHE``) is *not* guarded: cached
-    routing services mutate their internal reach caches by design.
+    It is the only process-shared cache: routing services are built
+    per pattern, so their reach caches (mutable by design) stay private.
     """
     from repro.core import model_cache  # deferred: cycle-free by contract
 

@@ -1,14 +1,14 @@
-"""Cross-pattern reuse of canonical-class labellings (content-addressed).
+"""Content-addressed reuse of canonical-class labellings.
 
-Sweeps and ablations revisit fault patterns: the A1/A4 policy ablations
-score the same masks under several variants, and a single T5 pattern is
-labelled by three consumers (``ConditionEvaluator``, the adaptive
-router, and the detection pass) — each previously running its own
-fixed point per direction class.  This module keys the expensive
-per-class derivations by **fault-mask content**
-(:func:`repro.util.caching.mask_digest`), so any consumer that meets a
-(pattern, class, model-kind) combination already labelled anywhere in
-the process skips the work entirely.
+A single T5 pattern is labelled by three consumers
+(``ConditionEvaluator``, the adaptive router, and the detection pass),
+and T7 reads a pattern's safe mask before its mcc service labels the
+same class.  This module keys the expensive per-class derivations by
+**fault-mask content** (:func:`repro.util.caching.mask_digest`), so a
+consumer that meets a (pattern, class, model-kind) combination already
+labelled anywhere in the process skips the work.  In
+``run_all("paper", workers=1)`` every hit comes from those two tiers
+(DESIGN.md "Cross-pattern labelling reuse").
 
 Two granularities share one bounded LRU:
 
@@ -21,7 +21,8 @@ model state as immutable, and the flag turns an accidental in-place
 mutation — which would silently corrupt *other* patterns' results —
 into an immediate error.  The online dynamic-fault subsystem
 (:mod:`repro.online`) deliberately bypasses this cache: it mutates its
-label arrays in place per epoch.
+label arrays in place per epoch.  Routing services are not cached:
+every pattern builds its own (:func:`repro.service.make_service`).
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from repro.util.caching import LRUCache, mask_digest
 #: Bound on cached (pattern, class, kind) entries.  A labelling entry
 #: is one int8 status grid; an assets entry adds the MCC label grid and
 #: cell lists, one shared safe mask, and two column-height arrays per
-#: wall — 64 keeps the ablations' whole revisit window resident without
-#: pinning unbounded sweeps.
+#: wall — 64 holds a 3-D T5 pattern's 16 entries (8 classes, a
+#: labelling and an assets entry each) without pinning unbounded sweeps.
 DEFAULT_LABELLING_CACHE_SIZE = 64
 
 LABELLING_CACHE: LRUCache[tuple, tuple] = LRUCache(DEFAULT_LABELLING_CACHE_SIZE)
@@ -136,43 +137,6 @@ def cached_class_assets(
     return assets
 
 
-#: Bound on cached :class:`~repro.routing.batch.RoutingService`
-#: instances.  A service pins its router's per-class models and
-#: LRU-bounded reach caches, so the bound stays small — enough for the
-#: sweeps' revisit window (T4 scoring, ablation variants) without
-#: pinning every pattern of a long sweep.
-DEFAULT_SERVICE_CACHE_SIZE = 8
-
-_SERVICE_CACHE: LRUCache[tuple, object] = LRUCache(DEFAULT_SERVICE_CACHE_SIZE)
-
-
-def cached_routing_service(fault_mask: np.ndarray, mode: str = "oracle"):
-    """A process-wide :class:`RoutingService`, keyed by mask content.
-
-    The cross-pattern analog of :func:`cached_class_assets` for the
-    *flood* side of the model: oracle-mode scoring keeps no labellings,
-    but its per-destination reverse-reachability masks live in the
-    router's caches, so consumers that revisit a fault pattern (the T4
-    DES scorer, ablation variants re-scoring one mask) reuse the floods
-    instead of re-deriving them.  The mask is copied before keying so a
-    caller mutating its array cannot silently poison the cached service.
-
-    Only stateless-policy modes are safely shareable; the default
-    oracle service is what the DES experiments need.
-    """
-    from repro.routing.batch import RoutingService  # avoid import cycle
-
-    fault_mask = np.asarray(fault_mask, dtype=bool)
-    key = (mask_digest(fault_mask), mode, "service")
-    hit = _SERVICE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    service = RoutingService(fault_mask.copy(), mode=mode)
-    _SERVICE_CACHE.put(key, service)
-    return service
-
-
 def clear_labelling_cache() -> None:
-    """Drop every cached labelling and service (tests, memory pressure)."""
+    """Drop every cached labelling and asset entry (tests, memory pressure)."""
     LABELLING_CACHE.clear()
-    _SERVICE_CACHE.clear()

@@ -14,11 +14,9 @@ retired blocking one-query-at-a-time loop, which
 ``benchmarks/bench_des_concurrent.py`` pins and times.  The oracle
 ground truth comes from one batched
 :meth:`RoutingService.feasible_batch` call per fault pattern (one
-reverse flood per distinct destination) through the process-wide
-content-addressed service cache
-(:func:`repro.core.model_cache.cached_routing_service`), so revisited
-patterns reuse their floods exactly like T5 reuses labellings.  Each
-fault pattern — its DES pipeline build plus query replay — is one
+reverse flood per distinct destination) on a service private to the
+pattern: every pattern is a fresh random mask, so no flood is ever
+reused across patterns.  Each fault pattern — its DES pipeline build plus query replay — is one
 sharded :class:`repro.parallel.sharding.PatternTask`;
 ``run_des_routing(..., workers=N)`` fans the patterns out across
 processes with seed-stable results for any worker/shard count.
@@ -64,11 +62,11 @@ _COUNTERS = (
 def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, float]:
     """Build one pattern's DES pipeline and run its query batch at once.
 
-    The pair draws replay the retired serial loop's RNG stream exactly
-    (routing never consumed random draws), then the whole batch routes
+    The mask and the pairs come from the task's own stream (routing
+    never consumes random draws), then the whole batch routes
     concurrently through a single ``run_to_quiescence`` and is scored
-    with one cached-service ``feasible_batch`` call — so the merged T4
-    table is byte-identical to the serial implementation's.
+    with one oracle ``feasible_batch`` call — so the merged T4 table is
+    byte-identical to the serial implementation's.
     """
     rng = task.rng()
     record: dict[str, float] = {name: 0 for name in _COUNTERS}
@@ -105,7 +103,7 @@ def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, float]:
         else:
             record["stuck"] += 1
     if batch:
-        service = make_service(mask, mode="oracle", shared=True)
+        service = make_service(mask, mode="oracle")
         wants = service.feasible_batch(batch)
         record["oracle_ok"] += int(wants.sum())
         record["agree"] += sum(

@@ -138,7 +138,7 @@ def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, Any]:
             )
         return record
     mesh = Mesh(spec.shape)
-    services = {mode: make_service(mask, mode=mode, shared=True) for mode in MODES}
+    services = {mode: make_service(mask, mode=mode) for mode in MODES}
     pipe = DistributedMCCPipeline(mesh, mask).build()
     # Protocol state is built on uncontended links (its fixed point is
     # the byte-identical T3/T4 one); only the load phase contends.

@@ -1,22 +1,21 @@
-"""One facade over every routing-service flavour: :func:`make_service`.
+"""One facade over both routing-service flavours: :func:`make_service`.
 
-There are three ways to obtain a routing service, each with its own
+There are two ways to obtain a routing service, each with its own
 construction idiom:
 
 * :class:`repro.routing.batch.RoutingService` — batched routing over
   one *static* fault pattern;
 * :class:`repro.online.OnlineRoutingService` — epoch-versioned routing
-  over a *mutating* fault set;
-* :func:`repro.core.model_cache.cached_routing_service` — a
-  process-wide *shared* service keyed by mask content.
+  over a *mutating* fault set.
 
 :func:`make_service` is the single entry point: one signature, with
-``online=`` and ``shared=`` selecting the flavour.  Every flavour takes
-the mask and ``mode`` alone; the reach-cache bound
+``online=`` selecting the flavour.  Both flavours take the mask and
+``mode`` alone; the reach-cache bound
 (:data:`repro.routing.engine.REACH_CACHE_SIZE`) and the repair fallback
 (:data:`repro.online.dynamic_model.FULL_RECOMPUTE_FRACTION`) are module
-constants.  The experiments, the examples, and the async serving layer
-(:mod:`repro.serve`) all construct their services here, so "which
+constants.  Every service is private to its caller: a sweep builds one
+per fault pattern.  The experiments, the examples, and the async serving
+layer (:mod:`repro.serve`) all construct their services here, so "which
 service do I build and what may I pass it" has exactly one answer.
 """
 
@@ -26,7 +25,6 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.model_cache import cached_routing_service
 from repro.online.service import OnlineRoutingService
 from repro.routing.batch import RoutingService
 
@@ -38,28 +36,15 @@ def make_service(
     *,
     mode: str = "mcc",
     online: bool = False,
-    shared: bool = False,
 ) -> AnyRoutingService:
-    """Build (or fetch) the routing service for a fault pattern.
+    """Build the routing service for a fault pattern.
 
     Flavour selection:
 
-    * default — a private :class:`RoutingService` over a static mask;
+    * default — a :class:`RoutingService` over a static mask;
     * ``online=True`` — an :class:`OnlineRoutingService` whose fault set
-      mutates through ``inject``/``repair`` (epoch-stamped results);
-    * ``shared=True`` — the process-wide content-addressed service from
-      :func:`cached_routing_service`.
-
-    ``online`` and ``shared`` together raise ``ValueError``: a mutating
-    fault set cannot be content-addressed.
+      mutates through ``inject``/``repair`` (epoch-stamped results).
     """
-    if online and shared:
-        raise ValueError(
-            "online=True and shared=True are mutually exclusive: a "
-            "mutating fault set cannot be content-addressed"
-        )
     if online:
         return OnlineRoutingService(fault_mask, mode=mode)
-    if shared:
-        return cached_routing_service(fault_mask, mode=mode)
     return RoutingService(fault_mask, mode=mode)

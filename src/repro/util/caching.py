@@ -7,11 +7,11 @@ hundreds of thousands of masks.  ``LRUCache`` keeps the most recently
 used entries and evicts the rest; the batch layer orders work by
 destination, so grouped workloads hit the cache even at tiny capacities.
 
-:func:`mask_digest` supports the *cross-pattern* caches layered on top
-(:mod:`repro.core.model_cache`): sweeps and ablations that revisit a
-fault pattern — e.g. the A1/A4 policy ablations, or T5's three
-consumers labelling the same mask — key canonical-class labellings by
-fault-mask content so the fixed point runs once per (pattern, class).
+:func:`mask_digest` supports the content-addressed caches layered on
+top (:mod:`repro.core.model_cache`): consumers that meet one fault
+pattern — e.g. T5's three consumers labelling the same mask — key
+canonical-class labellings by fault-mask content so the fixed point
+runs once per (pattern, class).
 """
 
 from __future__ import annotations

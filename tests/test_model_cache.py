@@ -108,44 +108,3 @@ class TestAssetsSharing:
             mask.flat[(i * 7 + 3) % 16] = True
             cached_labelled(mask, orientation)
         assert len(LABELLING_CACHE) <= LABELLING_CACHE.maxsize
-
-
-class TestCachedRoutingService:
-    def test_same_mask_content_reuses_service(self):
-        from repro.core.model_cache import cached_routing_service
-
-        a = cached_routing_service(some_mask(), mode="oracle")
-        b = cached_routing_service(some_mask(), mode="oracle")
-        assert a is b
-
-    def test_caller_mutation_cannot_poison_cache(self):
-        from repro.core.model_cache import cached_routing_service
-
-        mask = some_mask()
-        service = cached_routing_service(mask, mode="oracle")
-        want = service.feasible_batch([((0, 0), (5, 5))])
-        mask[0, 1] = True  # caller mutates its own array afterwards
-        again = cached_routing_service(some_mask(), mode="oracle")
-        assert again is service
-        assert np.array_equal(
-            again.feasible_batch([((0, 0), (5, 5))]), want
-        )
-
-    def test_distinct_modes_distinct_services(self):
-        from repro.core.model_cache import cached_routing_service
-
-        a = cached_routing_service(some_mask(), mode="oracle")
-        b = cached_routing_service(some_mask(), mode="mcc")
-        assert a is not b and b.mode == "mcc"
-
-    def test_verdicts_match_fresh_service(self):
-        from repro.core.model_cache import cached_routing_service
-        from repro.routing.batch import RoutingService
-
-        mask = some_mask()
-        pairs = [((0, 0), (5, 5)), ((1, 0), (4, 4)), ((0, 2), (2, 5))]
-        cached = cached_routing_service(mask, mode="oracle")
-        fresh = RoutingService(mask, mode="oracle")
-        assert np.array_equal(
-            cached.feasible_batch(pairs), fresh.feasible_batch(pairs)
-        )

@@ -346,16 +346,6 @@ class TestMakeServiceFacade:
         assert isinstance(service, OnlineRoutingService)
         assert service.epoch == 0
 
-    def test_shared_flavour_is_content_addressed(self):
-        mask = small_mask()
-        a = make_service(mask, shared=True)
-        b = make_service(mask.copy(), shared=True)
-        assert a is b  # same content -> same cached service
-
-    def test_online_and_shared_are_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            make_service(small_mask(), online=True, shared=True)
-
     def test_facade_routes_like_direct_construction(self):
         mask = small_mask(seed=9)
         trace = make_trace((6, 6, 6), 6, rate=300.0, duration=0.1, seed=9)
