@@ -2,9 +2,9 @@
 
 The multi-pattern ablations (A1, A4) run through
 :mod:`repro.parallel.sharding` like the paper tables — ``workers=`` and
-``shards=`` fan their fault patterns across processes with results
-byte-identical to the retired inline trial loops (also pinned in
-``tests/test_serial_parity.py``).
+``shards=`` fan their fault patterns across processes.  Each pattern
+draws from its task's own stream, so the tables are byte-identical for
+any layout (goldens pinned in ``tests/test_sweep_goldens.py``).
 """
 
 import numpy as np

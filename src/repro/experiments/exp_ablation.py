@@ -4,11 +4,11 @@
 serially inline; they are now registered experiments on
 :mod:`repro.parallel.sharding`, so they share the five tables' execution
 path — ``workers=``/``shards=``/``checkpoint=`` all apply, and the CLI
-reaches them as ``python -m repro.parallel a1`` / ``a4``.  Seeding
-replays the retired loops' per-fault-count streams
-(:func:`repro.parallel.sharding.legacy_rng`): the tables are
-byte-identical to the pre-port numbers at any seed (pinned in
-``tests/test_serial_parity.py``).
+reaches them as ``python -m repro.parallel a1`` / ``a4``.  Each
+pattern draws its mask from its task's own stream
+(:meth:`~repro.parallel.sharding.PatternTask.rng`), so the tables are
+byte-identical for any worker/shard layout (goldens in
+``tests/test_sweep_goldens.py``).
 
 * **A1** (``ablation_rfb``) — block expansion vs local-closure-only RFB
   regions: non-faulty nodes captured by each variant, averaged over
@@ -25,7 +25,7 @@ from typing import Any, Mapping, Sequence
 from repro.baselines.rfb import rfb_unsafe
 from repro.core.model_cache import cached_labelled
 from repro.experiments.workloads import random_fault_mask
-from repro.parallel.sharding import PatternTask, SweepSpec, legacy_rng, run_sweep
+from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
 from repro.util.records import ResultTable
 from repro.util.rng import SeedLike
 
@@ -34,15 +34,9 @@ def _dims(spec: SweepSpec) -> str:
     return f"{len(spec.shape)}-D {'x'.join(map(str, spec.shape))}"
 
 
-def _mask_replay(spec: SweepSpec, task: PatternTask):
-    return legacy_rng(
-        spec, task, lambda r: random_fault_mask(spec.shape, task.count, rng=r)
-    )
-
-
 def evaluate_rfb_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
     """A1: non-faulty nodes captured by each RFB variant, one pattern."""
-    mask = random_fault_mask(spec.shape, task.count, rng=_mask_replay(spec, task))
+    mask = random_fault_mask(spec.shape, task.count, rng=task.rng())
     return {
         "local": int(rfb_unsafe(mask, variant="local").sum() - task.count),
         "block": int(rfb_unsafe(mask, variant="block").sum() - task.count),
@@ -93,7 +87,7 @@ def run_rfb_variants(
 
 def evaluate_mesh4d_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
     """A4: MCC-captured non-faulty nodes in one (typically 4-D) pattern."""
-    mask = random_fault_mask(spec.shape, task.count, rng=_mask_replay(spec, task))
+    mask = random_fault_mask(spec.shape, task.count, rng=task.rng())
     labelled = cached_labelled(mask)
     return {"mcc": int(labelled.unsafe_mask.sum() - task.count)}
 

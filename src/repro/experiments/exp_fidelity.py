@@ -15,11 +15,11 @@ Quantifies the paper's exactness claims against the oracle:
 Each fault pattern — its condition evaluator, router, and pair workload
 — is one sharded :class:`repro.parallel.sharding.PatternTask`;
 ``run_fidelity(..., workers=N)`` fans the patterns out across processes
-and ``checkpoint=`` makes long sweeps resumable.  Seeding replays the
-retired serial loop's per-fault-count stream (mask + pair draws only,
-via :func:`repro.parallel.sharding.legacy_rng`), so the sharded tables
-are byte-identical to the pre-port serial outputs at any seed (pinned
-in ``tests/test_serial_parity.py``).
+and ``checkpoint=`` makes long sweeps resumable.  Each pattern draws its
+mask and pair workload from its task's own stream
+(:meth:`~repro.parallel.sharding.PatternTask.rng`), so the table is
+byte-identical for any worker/shard layout (goldens in
+``tests/test_sweep_goldens.py``).
 
 Command line (flags shared with the other sweeps)::
 
@@ -38,7 +38,7 @@ from repro.core.conditions import ConditionEvaluator
 from repro.core.detection import detection_feasible_batch
 from repro.experiments.workloads import random_fault_mask, sample_safe_pair
 from repro.mesh.orientation import Orientation
-from repro.parallel.sharding import PatternTask, SweepSpec, legacy_rng, run_sweep
+from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
 from repro.routing.engine import AdaptiveRouter, explore_all_choices
 from repro.routing.oracle import group_jobs_by_class, probe_reverse_reachable
 from repro.util.records import ResultTable
@@ -113,25 +113,17 @@ def _candidate_sets_match(
 def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
     """Model-vs-oracle agreement counters for one fault pattern.
 
-    The pair workload is drawn exactly as the retired serial loop drew
-    it (RNG parity), then scored in batches: ground truth and the
-    condition form each run one batched reverse flood per destination
-    group (:func:`_batched_reach`), detection goes through
+    The mask and the pair workload come from the task's own stream,
+    then are scored in batches: ground truth and the condition form
+    each run one batched reverse flood per destination group
+    (:func:`_batched_reach`), detection goes through
     :func:`detection_feasible_batch`, and the oracle reach masks are
     reused as the exclusion records of the candidate-set comparison —
-    no per-pair floods anywhere.  The counters are byte-identical to
-    the per-pair evaluation (pinned in tests/test_serial_parity.py).
+    no per-pair floods anywhere.
     """
     shape = spec.shape
     pairs = int(spec.param("pairs", 60))
-
-    def replay(rng):
-        # One earlier trial's draws: its mask, then its full pair loop.
-        mask = random_fault_mask(shape, task.count, rng=rng)
-        for _ in range(pairs):
-            sample_safe_pair(~mask, rng=rng, min_distance=2)
-
-    rng = legacy_rng(spec, task, replay)
+    rng = task.rng()
     mask = random_fault_mask(shape, task.count, rng=rng)
     evaluator = ConditionEvaluator(mask)
     router = AdaptiveRouter(mask, mode="mcc")
@@ -229,8 +221,7 @@ def run_fidelity(
     """Sweep fault counts; agreement rates between model and oracle.
 
     ``workers`` shards the fault patterns across processes (1 =
-    in-process serial fallback); results are identical for any value
-    and byte-identical to the retired serial implementation.
+    in-process serial fallback); results are identical for any value.
     ``checkpoint`` journals per-pattern records for resumable runs.
     """
     spec = SweepSpec(

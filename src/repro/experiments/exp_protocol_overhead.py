@@ -8,11 +8,11 @@ random fault patterns and report messages per phase and per kind.
 Each fault pattern — one pipeline build plus its message audit — is one
 sharded :class:`repro.parallel.sharding.PatternTask`;
 ``run_protocol_overhead(..., workers=N)`` fans the patterns out across
-processes and ``checkpoint=`` makes long sweeps resumable.  Seeding
-replays the retired serial loop's per-fault-count stream
-(:func:`repro.parallel.sharding.legacy_rng`), so the sharded tables are
-byte-identical to the pre-port serial outputs at any seed (pinned in
-``tests/test_serial_parity.py``).
+processes and ``checkpoint=`` makes long sweeps resumable.  Each
+pattern draws its mask from its task's own stream
+(:meth:`~repro.parallel.sharding.PatternTask.rng`), so the table is
+byte-identical for any worker/shard layout (goldens in
+``tests/test_sweep_goldens.py``).
 
 Command line (flags shared with the other sweeps)::
 
@@ -30,17 +30,14 @@ import numpy as np
 from repro.distributed.pipeline import DistributedMCCPipeline
 from repro.experiments.workloads import random_fault_mask
 from repro.mesh.topology import Mesh
-from repro.parallel.sharding import PatternTask, SweepSpec, legacy_rng, run_sweep
+from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
 from repro.util.records import ResultTable
 from repro.util.rng import SeedLike
 
 
 def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, Any]:
     """Protocol message counts for one sampled fault pattern."""
-    rng = legacy_rng(
-        spec, task, lambda r: random_fault_mask(spec.shape, task.count, rng=r)
-    )
-    mask = random_fault_mask(spec.shape, task.count, rng=rng)
+    mask = random_fault_mask(spec.shape, task.count, rng=task.rng())
     pipe = DistributedMCCPipeline(Mesh(spec.shape), mask).build()
     return {"msgs": {kind: int(n) for kind, n in pipe.message_counts().items()}}
 
@@ -94,8 +91,7 @@ def run_protocol_overhead(
     """Sweep fault counts; mean protocol message counts per phase.
 
     ``workers`` shards the fault patterns across processes (1 =
-    in-process serial fallback); results are identical for any value
-    and byte-identical to the retired serial implementation.
+    in-process serial fallback); results are identical for any value.
     ``checkpoint`` journals per-pattern records for resumable runs.
     """
     spec = SweepSpec(

@@ -30,7 +30,6 @@ from repro.parallel.sharding import (
     PatternTask,
     PatternTaskError,
     SweepSpec,
-    legacy_rng,
     load_checkpoint,
     partition_tasks,
     plan_tasks,
@@ -41,7 +40,6 @@ __all__ = [
     "PatternTask",
     "PatternTaskError",
     "SweepSpec",
-    "legacy_rng",
     "load_checkpoint",
     "partition_tasks",
     "plan_tasks",

@@ -324,29 +324,6 @@ def _resolve(path: str | Callable) -> Callable:
     return getattr(importlib.import_module(module_name), attr)
 
 
-def legacy_rng(
-    spec: SweepSpec,
-    task: PatternTask,
-    replay: Callable[[np.random.Generator], None],
-) -> np.random.Generator:
-    """The retired serial sweeps' stateful stream, positioned at ``task``.
-
-    The pre-sharding T3/T5/ablation loops drew one generator per fault
-    count and threaded it through that count's trials,
-    so trial ``t``'s draws depend on trials ``0..t-1``.  To shard those
-    sweeps per-pattern *without changing their published numbers*, an
-    evaluator re-derives the count generator here and replays the
-    earlier trials' draws via ``replay(rng)`` — draws only (masks, pair
-    samples), never the expensive scoring, so the replay cost is
-    O(trials) cheap RNG calls per task.
-    """
-    seqs = spawn_seed_sequences(spec.seed, len(spec.fault_counts))
-    rng = np.random.default_rng(seqs[task.count_index])
-    for _ in range(task.trial):
-        replay(rng)
-    return rng
-
-
 def plan_tasks(spec: SweepSpec) -> list[PatternTask]:
     """All pattern tasks of the sweep, in global (reduce) order.
 

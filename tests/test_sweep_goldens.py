@@ -1,11 +1,11 @@
-"""Regression pins: ported sweeps reproduce the retired serial outputs.
+"""Regression pins: the T3, T5, A1 and A4 sweeps at fixed seeds.
 
-T3 (protocol overhead), T5 (fidelity), and the A1/A4 ablations were
-moved from inline serial trial loops onto the sharded runner.  The
-golden CSVs below were captured from the serial implementations at
-fixed seeds *before* the port; the ported sweeps must reproduce them
-byte-for-byte — serial and with workers=2 across shard counts 1/2/4 —
-so the execution-path change cannot silently move published numbers.
+Every pattern draws its mask and workload from its task's own stream
+(``PatternTask.rng``), so these tables depend only on the arguments.
+The golden CSVs below were captured when the sweeps moved onto those
+streams; each sweep must reproduce them byte for byte, in-process and
+with workers=2 across shard counts 1/2/4, so neither an execution-path
+change nor a seeding change can silently move published numbers.
 """
 
 import pytest
@@ -14,31 +14,28 @@ from repro.experiments.exp_ablation import run_mesh4d_extension, run_rfb_variant
 from repro.experiments.exp_fidelity import run_fidelity
 from repro.experiments.exp_protocol_overhead import run_protocol_overhead
 
-# Captured from the pre-port serial run_protocol_overhead/run_fidelity
-# (commit 0e5771f) with exactly these arguments.
 GOLDEN_T3_2D = (
     "faults,label,edge,ident,shape,wall,total,per_node\n"
-    "2,0.0,14.5,9.5,10.0,5.0,39.0,1.0833333333333333\n"
-    "4,0.0,29.0,20.5,27.0,8.0,84.5,2.3472222222222223\n"
+    "2,0.0,10.5,5.0,2.0,3.5,21.0,0.5833333333333334\n"
+    "4,3.0,27.0,15.0,5.5,4.0,54.5,1.5138888888888888\n"
 )
 GOLDEN_T3_3D = (
     "faults,label,edge,ident,shape,wall,total,per_node\n"
-    "2,0.0,40.5,48.5,50.0,15.5,154.5,1.236\n"
-    "4,0.0,56.5,58.0,46.5,23.5,184.5,1.476\n"
+    "2,0.0,44.0,48.0,56.0,13.0,161.0,1.288\n"
+    "4,0.0,62.5,44.0,42.0,14.0,162.5,1.3\n"
 )
 GOLDEN_T5_2D = (
     "faults,pairs,cond_agree,detect_agree,feasible,router_complete,"
     "exclusion_exact\n"
-    "3,20,1.0,1.0,19,1.0,1.0\n"
-    "5,18,1.0,1.0,18,1.0,1.0\n"
+    "3,20,1.0,1.0,17,1.0,1.0\n"
+    "5,19,1.0,1.0,19,1.0,1.0\n"
 )
 GOLDEN_T5_3D = (
     "faults,pairs,cond_agree,detect_agree,feasible,router_complete,"
     "exclusion_exact\n"
-    "4,16,1.0,1.0,16,1.0,1.0\n"
+    "4,16,1.0,1.0,15,1.0,1.0\n"
 )
-# Captured from bench_ablation's pre-port inline loops (same seeds).
-GOLDEN_A1 = [(10, 1.1, 2.9), (40, 194.3, 499.3), (90, 1638.0, 1638.0)]
+GOLDEN_A1 = [(10, 1.0, 1.6), (40, 13.3, 136.8), (90, 1594.3, 1594.3)]
 GOLDEN_A4 = [(24, 0.0), (120, 0.0)]
 
 
@@ -46,13 +43,13 @@ def csv_lf(table) -> str:
     return table.to_csv().replace("\r\n", "\n")
 
 
-class TestProtocolOverheadParity:
-    def test_serial_matches_golden_2d(self):
+class TestProtocolOverheadGoldens:
+    def test_in_process_matches_golden_2d(self):
         table = run_protocol_overhead((6, 6), [2, 4], trials=2, seed=6)
         assert csv_lf(table) == GOLDEN_T3_2D
         assert table.title == "T3 protocol message overhead — 2-D 6x6 mesh, 2 trials"
 
-    def test_serial_matches_golden_3d(self):
+    def test_in_process_matches_golden_3d(self):
         table = run_protocol_overhead((5, 5, 5), [2, 4], trials=2, seed=2005)
         assert csv_lf(table) == GOLDEN_T3_3D
 
@@ -64,13 +61,13 @@ class TestProtocolOverheadParity:
         assert csv_lf(table) == GOLDEN_T3_2D
 
 
-class TestFidelityParity:
-    def test_serial_matches_golden_2d(self):
+class TestFidelityGoldens:
+    def test_in_process_matches_golden_2d(self):
         table = run_fidelity((6, 6), [3, 5], pairs=10, trials=2, seed=8)
         assert csv_lf(table) == GOLDEN_T5_2D
         assert table.title == "T5 model fidelity vs oracle — 2-D 6x6 mesh"
 
-    def test_serial_matches_golden_3d(self):
+    def test_in_process_matches_golden_3d(self):
         table = run_fidelity((5, 5, 5), [4], pairs=8, trials=2, seed=9)
         assert csv_lf(table) == GOLDEN_T5_3D
 
@@ -82,8 +79,8 @@ class TestFidelityParity:
         assert csv_lf(table) == GOLDEN_T5_2D
 
 
-class TestAblationParity:
-    def test_a1_matches_inline_loop(self):
+class TestAblationGoldens:
+    def test_a1_matches_golden(self):
         table = run_rfb_variants((12, 12, 12), [10, 40, 90], trials=10, seed=11)
         got = [
             (r["faults"], r["local_nonfaulty"], r["block_nonfaulty"])
@@ -95,7 +92,7 @@ class TestAblationParity:
         )
         assert sharded.to_csv() == table.to_csv()
 
-    def test_a4_matches_inline_loop(self):
+    def test_a4_matches_golden(self):
         table = run_mesh4d_extension((7, 7, 7, 7), [24, 120], trials=5, seed=41)
         got = [(r["faults"], r["mcc_nonfaulty"]) for r in table.rows]
         assert got == GOLDEN_A4
