@@ -130,15 +130,10 @@ class DistributedMCCPipeline:
         mesh: Mesh,
         fault_mask: np.ndarray,
         trace: bool = False,
-        link_capacity: int | None = None,
     ):
         self.mesh = mesh
         self.net = MeshNetwork(
-            mesh,
-            fault_mask,
-            node_factory=MCCProtocolNode,
-            link_capacity=link_capacity,
-            trace=trace,
+            mesh, fault_mask, node_factory=MCCProtocolNode, trace=trace
         )
         self._query_ids = itertools.count(1)
         self._phase_messages: dict[str, int] = {}

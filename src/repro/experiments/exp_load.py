@@ -52,6 +52,7 @@ from repro.service import make_service
 from repro.simkit.network import MeshNetwork
 from repro.util.records import ResultTable
 from repro.util.rng import SeedLike
+from repro.util.validation import check_workload
 
 #: Routing modes compared by the frame replay (``blind`` has no
 #: feasibility story worth a latency curve).
@@ -74,8 +75,10 @@ def poisson_schedule(
     arrival draws a safe (source, dest) pair at Manhattan distance >= 1
     and canonicalizes it (source <= dest component-wise, the pipeline's
     frame).  Arrivals whose pair draw fails (degenerate masks) are
-    skipped, not redrawn — the offered process stays Poisson.
+    skipped, not redrawn — the offered process stays Poisson.  ``rate``
+    and ``duration`` must be finite and > 0, or the loop never ends.
     """
+    check_workload({"rate": rate, "duration": duration})
     out: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = []
     t = 0.0
     while True:

@@ -40,24 +40,17 @@ from repro.baselines.rfb import rfb_unsafe
 from repro.core.model_cache import cached_labelled
 from repro.experiments.workloads import clustered_fault_mask, random_fault_mask
 from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
-from repro.routing.batch import RoutingService
 from repro.util.records import ResultTable
 from repro.util.rng import SeedLike
 
 
-def region_overhead_once(
-    fault_mask: np.ndarray, service: RoutingService | None = None
-) -> tuple[int, int]:
+def region_overhead_once(fault_mask: np.ndarray) -> tuple[int, int]:
     """(mcc_nonfaulty, rfb_nonfaulty) for one fault pattern.
 
-    Pass the :class:`RoutingService` that will route over this pattern
-    to share its cached canonical-class labelling instead of labelling
-    the grid a second time; with no service the grid is labelled
-    directly (no wall construction).
+    The canonical-class labelling comes from the content-addressed cache
+    (no wall construction), so a router over the same pattern reuses it.
     """
-    labelled = (
-        service.labelled() if service is not None else cached_labelled(fault_mask)
-    )
+    labelled = cached_labelled(fault_mask)
     mcc_nonfaulty = int(labelled.unsafe_mask.sum() - fault_mask.sum())
     rfb = rfb_unsafe(fault_mask)
     rfb_nonfaulty = int(rfb.sum() - fault_mask.sum())

@@ -25,51 +25,29 @@ CELL_TABLE_SIZE = 4
 _CELL_TABLES: LRUCache[bytes, np.ndarray] = LRUCache(CELL_TABLE_SIZE)
 
 
-def _protected_cells(
-    shape: tuple[int, ...], count: int, protect: tuple[tuple[int, ...], ...]
-) -> set[int]:
-    """Flat indices of ``protect``, after rejecting an impossible request.
+def _check_count(shape: tuple[int, ...], count: int) -> None:
+    """Reject an impossible request before any draw.
 
     Axis lengths below 1, a negative ``count`` and a ``count`` above the
-    unprotected cells raise ``ValueError`` before any draw.
+    mesh size raise ``ValueError``.
     """
     if any(k < 1 for k in shape):
         raise ValueError(f"mesh axis lengths must be >= 1, got {tuple(shape)}")
     if count < 0:
         raise ValueError(f"fault count must be >= 0, got {count}")
-    protected = {int(np.ravel_multi_index(p, shape)) for p in protect}
     size = math.prod(shape)
-    if count > size - len(protected):
-        raise ValueError(
-            f"cannot place {count} faults in mesh of {size} "
-            f"with {len(protected)} protected cells"
-        )
-    return protected
+    if count > size:
+        raise ValueError(f"cannot place {count} faults in mesh of {size}")
 
 
 def random_fault_mask(
-    shape: tuple[int, ...],
-    count: int,
-    rng: SeedLike = None,
-    protect: tuple[tuple[int, ...], ...] = (),
+    shape: tuple[int, ...], count: int, rng: SeedLike = None
 ) -> np.ndarray:
-    """Uniform random node faults; ``protect`` cells stay healthy."""
+    """Uniform random node faults: ``count`` distinct cells."""
     rng = make_rng(rng)
-    size = int(np.prod(shape))
-    protected = _protected_cells(shape, count, protect)
+    _check_count(shape, count)
     mask = np.zeros(shape, dtype=bool)
-    placed = 0
-    while placed < count:
-        draw = sample_distinct(rng, size, min(count - placed + len(protected), size))
-        for flat in draw:
-            if int(flat) in protected:
-                continue
-            coord = np.unravel_index(int(flat), shape)
-            if not mask[coord]:
-                mask[coord] = True
-                placed += 1
-                if placed == count:
-                    break
+    mask.flat[sample_distinct(rng, mask.size, count)] = True
     return mask
 
 
@@ -79,12 +57,10 @@ def clustered_fault_mask(
     clusters: int = 3,
     spread: float = 1.5,
     rng: SeedLike = None,
-    protect: tuple[tuple[int, ...], ...] = (),
 ) -> np.ndarray:
     """Spatially clustered faults: Gaussian blobs around random centers."""
     rng = make_rng(rng)
-    _protected_cells(shape, count, protect)
-    protected = {tuple(p) for p in protect}
+    _check_count(shape, count)
     centers = [
         tuple(int(rng.integers(0, k)) for k in shape) for _ in range(max(1, clusters))
     ]
@@ -100,7 +76,7 @@ def clustered_fault_mask(
             int(np.clip(round(rng.normal(c, spread)), 0, k - 1))
             for c, k in zip(center, shape, strict=True)
         )
-        if coord in protected or mask[coord]:
+        if mask[coord]:
             continue
         mask[coord] = True
         placed += 1

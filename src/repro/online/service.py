@@ -225,10 +225,6 @@ class OnlineRoutingService:
         """The live fault mask (mutate only via inject/repair)."""
         return self.model.fault_mask
 
-    def labelled(self, orientation: Orientation | None = None) -> LabelledGrid:
-        """The live labelled grid for a direction class (mcc mode)."""
-        return self.service.labelled(orientation)
-
     # -- routing -----------------------------------------------------------
 
     def _stamp(self, results: list[RouteResult]) -> list[RouteResult]:

@@ -96,6 +96,7 @@ from repro.util.rng import (
     replayable_seed_payload,
     spawn_seed_sequences,
 )
+from repro.util.validation import check_workload
 
 #: Registered experiments: name -> (evaluator path, reducer path).
 #: An evaluator maps ``(spec, task) -> dict`` of plain numbers for one
@@ -219,6 +220,7 @@ def _checked_sweep(
     ``trials`` must be at least 1, every mesh axis length at least 1 and
     every fault count in ``[0, mesh size]``; anything else raises
     ``ValueError``.  :class:`SweepSpec` applies the rule at construction
+    (with :func:`~repro.util.validation.check_workload` on its params)
     and :func:`main` before any runner starts, so the CLI reports a bad
     value as a usage error.
     """
@@ -261,6 +263,7 @@ class SweepSpec:
                 f"pick from {sorted(EXPERIMENTS)}"
             )
         shape, fault_counts = _checked_sweep(self.shape, self.fault_counts, self.trials)
+        check_workload(self.params)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "fault_counts", fault_counts)
 
@@ -509,6 +512,8 @@ def run_sweep(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if shards is not None and shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
     tasks = plan_tasks(spec)
     done: dict[int, dict[str, Any]] = {}
     journal = None
@@ -694,30 +699,32 @@ def main(argv: Sequence[str] | None = None) -> None:
     name = args.experiment_name or args.experiment
     if name is None:
         parser.error("an experiment is required (positional or --experiment)")
-    try:
-        _checked_sweep(args.shape, args.fault_counts, args.trials)
-    except ValueError as exc:
-        parser.error(str(exc))
-    # Lazy import: harness imports this module's registries at top
-    # level, so the reverse edge must stay inside main().
-    from repro.experiments.harness import ExperimentSpec
-
     experiment = CLI_ALIASES.get(name, name)
     if experiment == "churn_des":
         # Selecting the DES variant by name is the same as ``t6 --des``.
         experiment, args.des = "churn", True
     _, workload_flags = CLI_RUNNERS[experiment]
+    workload = {flag: getattr(args, flag) for flag in workload_flags if flag != "mode"}
+    try:
+        _checked_sweep(args.shape, args.fault_counts, args.trials)
+        check_workload(workload)
+    except ValueError as exc:
+        parser.error(str(exc))
+    for flag in ("workers", "shards"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            parser.error(f"--{flag} must be >= 1, got {value}")
+    # Lazy import: harness imports this module's registries at top
+    # level, so the reverse edge must stay inside main().
+    from repro.experiments.harness import ExperimentSpec
+
     spec = ExperimentSpec(
         experiment,
         tuple(args.shape),
         tuple(args.fault_counts),
         trials=args.trials,
         seed=args.seed,
-        workload={
-            flag: getattr(args, flag)
-            for flag in workload_flags
-            if flag != "mode"
-        },
+        workload=workload,
     )
     table = spec.run(
         workers=args.workers,

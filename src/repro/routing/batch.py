@@ -90,18 +90,6 @@ class RoutingService:
     def mode(self) -> str:
         return self.router.mode
 
-    def labelled(self, orientation: Orientation | None = None):
-        """The cached :class:`LabelledGrid` for a direction class.
-
-        Shares the router's per-class models, so e.g. the region
-        experiments and a subsequent batch over the same pattern label
-        the grid once.  Not available in blind mode for "mcc"/"rfb"
-        semantics — it returns whatever grid the mode builds.
-        """
-        if orientation is None:
-            orientation = Orientation.identity(self.router.fault_mask.shape)
-        return self.router._model_for(orientation).labelled
-
     # -- single pair -------------------------------------------------------
 
     def route(self, source: Sequence[int], dest: Sequence[int]) -> RouteResult:

@@ -8,6 +8,7 @@ from typing import Sequence
 
 def main(argv: Sequence[str] | None = None) -> None:
     from repro.serve.loadgen import PROFILES, run_offered_load_sweep
+    from repro.util.validation import check_workload
 
     parser = argparse.ArgumentParser(
         description=(
@@ -41,6 +42,17 @@ def main(argv: Sequence[str] | None = None) -> None:
                         help="write a Perfetto trace-event JSON of the sweep")
     parser.add_argument("--csv", action="store_true", help="emit CSV")
     args = parser.parse_args(argv)
+    try:
+        check_workload(
+            {
+                "rates": args.rates,
+                "duration": args.duration,
+                "churn": args.churn,
+                "events": args.events,
+            }
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     table = run_offered_load_sweep(
         tuple(args.shape),
         args.faults,

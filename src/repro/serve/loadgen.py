@@ -42,6 +42,7 @@ from repro.serve.clock import VirtualClock
 from repro.serve.service import AsyncRoutingService, ServiceOverloadError
 from repro.util.records import ResultTable
 from repro.util.rng import SeedLike, as_seed_sequence, make_rng
+from repro.util.validation import check_workload
 
 PROFILES = ("soak", "ramp", "spike")
 
@@ -113,11 +114,14 @@ def make_trace(
     some mid-run — that is the point: those requests exercise the
     endpoint-faulty path).  ``events`` fault events are spread evenly
     across the run, each churning ``churn`` cells when replayed.
+    ``rate`` and ``duration`` must be finite and > 0, ``churn`` at least
+    1 and ``events`` at least 0 (:func:`check_workload`).
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; pick from {PROFILES}")
-    if rate <= 0 or duration <= 0:
-        raise ValueError("rate and duration must be > 0")
+    check_workload(
+        {"rate": rate, "duration": duration, "churn": churn, "events": events}
+    )
     rng = make_rng(seed)
     shape = tuple(int(k) for k in shape)
     mask = random_fault_mask(shape, int(fault_count), rng=rng)
@@ -310,7 +314,13 @@ def run_offered_load_sweep(
     spans (one track per offered rate: serve ticks, preemptions, and
     everything the online model does beneath them).  Tracing never
     changes the table.
+
+    Every rate, ``duration``, ``churn`` and ``events`` go through
+    :func:`check_workload` before the first rate runs.
     """
+    check_workload(
+        {"rates": rates, "duration": duration, "churn": churn, "events": events}
+    )
     tracer = obs.Tracer() if trace_out is not None else None
     seqs = as_seed_sequence(seed).spawn(len(rates))
     table = ResultTable(

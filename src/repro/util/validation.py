@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Any, Mapping, Sequence
 
 
 def check_positive(name: str, value: int | float, *, strict: bool = True) -> None:
@@ -11,6 +12,26 @@ def check_positive(name: str, value: int | float, *, strict: bool = True) -> Non
         raise ValueError(f"{name} must be positive, got {value!r}")
     if not strict and value < 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
+
+
+def check_workload(knobs: Mapping[str, Any]) -> None:
+    """Raise ``ValueError`` unless every load knob in ``knobs`` is in range.
+
+    The one rule for sweep and trace knobs: ``rate``, each of ``rates``
+    and ``duration`` finite and > 0 (a Poisson arrival loop never ends
+    on NaN or inf); ``capacity`` and ``churn`` at least 1; the counts
+    ``pairs``, ``queries``, ``epochs`` and ``events`` at least 0.  Other
+    keys pass unchecked.
+    """
+    for name, value in knobs.items():
+        if name in ("rate", "rates", "duration"):
+            values = value if name == "rates" else (value,)
+            if not all(math.isfinite(v) and v > 0 for v in values):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        elif name in ("capacity", "churn") and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+        elif name in ("pairs", "queries", "epochs", "events") and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 class OffMeshError(ValueError, IndexError):

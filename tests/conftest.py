@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -71,3 +74,27 @@ def fig5_mask() -> np.ndarray:
     ]:
         mask[cell] = True
     return mask
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds):`` fails a body that runs too long.
+
+    A SIGALRM raises ``TimeoutError`` inside the body, so a call that
+    would loop forever fails the test instead of hanging the suite.
+    """
+
+    @contextlib.contextmanager
+    def arm(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return arm

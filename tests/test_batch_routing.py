@@ -195,11 +195,14 @@ class TestRoutingService:
         assert all(results_equal(a, b) for a, b in zip(small, large, strict=True))
 
     def test_shared_labelling_with_region_experiment(self):
+        from repro.core.model_cache import cached_labelled
         from repro.experiments.exp_region_overhead import region_overhead_once
 
         mask = mask_of_cells([(2, 2), (3, 3)], (8, 8))
-        service = RoutingService(mask, mode="mcc")
-        mcc, rfb = region_overhead_once(mask, service=service)
+        mcc, rfb = region_overhead_once(mask)
         assert mcc >= 0 and rfb >= mcc
-        # The canonical class model was built once and is reused.
-        assert ((1, 1)) in service.router._models
+        # A service over the same pattern routes on the labelling the
+        # region experiment cached: the canonical class is labelled once.
+        service = RoutingService(mask, mode="mcc")
+        service.route_batch([((0, 0), (7, 7))])
+        assert service.router._models[(1, 1)].labelled is cached_labelled(mask)

@@ -51,6 +51,27 @@ class TestPoissonSchedule:
         fast = poisson_schedule(np.random.default_rng(5), 2.0, 100.0, safe)
         assert len(fast) > len(slow)
 
+    @pytest.mark.parametrize(
+        "rate, duration",
+        [
+            (float("nan"), 10.0),
+            (float("inf"), 10.0),
+            (0.0, 10.0),
+            (-1.0, 10.0),
+            (1.0, float("inf")),
+            (1.0, float("nan")),
+            (1.0, 0.0),
+        ],
+        ids=["nan-rate", "inf-rate", "zero-rate", "negative-rate",
+             "inf-duration", "nan-duration", "zero-duration"],
+    )
+    def test_bad_rate_or_duration_rejected(self, deadline, rate, duration):
+        # NaN and inf used to loop forever: the deadline turns a hang
+        # into a failure.
+        safe = np.ones((6, 6), dtype=bool)
+        with deadline(2), pytest.raises(ValueError, match="finite and > 0"):
+            poisson_schedule(np.random.default_rng(5), rate, duration, safe)
+
 
 class TestLoadTable:
     def test_columns_and_shape(self, tiny_table):

@@ -19,26 +19,19 @@ class TestGenerators:
         mask = random_fault_mask((8, 8), 10, rng=rng)
         assert mask.sum() == 10
 
-    def test_random_respects_protect(self, rng):
-        for _ in range(20):
-            mask = random_fault_mask((4, 4), 14, rng=rng, protect=((0, 0), (3, 3)))
-            assert not mask[0, 0] and not mask[3, 3]
-
     def test_random_too_many_rejected(self, rng):
         with pytest.raises(ValueError):
             random_fault_mask((2, 2), 5, rng=rng)
 
     @pytest.mark.parametrize("generate", [random_fault_mask, clustered_fault_mask])
     @pytest.mark.parametrize(
-        "shape, count, protect",
-        [((4, 4), -3, ()), ((0, 4), 0, ()), ((3, 3), 20, ()), ((3, 3), 9, ((1, 1),))],
-        ids=["negative-count", "empty-axis", "above-size", "above-unprotected"],
+        "shape, count",
+        [((4, 4), -3), ((0, 4), 0), ((3, 3), 20)],
+        ids=["negative-count", "empty-axis", "above-size"],
     )
-    def test_impossible_request_rejected_up_front(
-        self, generate, shape, count, protect
-    ):
+    def test_impossible_request_rejected_up_front(self, generate, shape, count):
         with pytest.raises(ValueError):
-            generate(shape, count, rng=0, protect=protect)
+            generate(shape, count, rng=0)
 
     def test_clustered_exact_count(self, rng):
         mask = clustered_fault_mask((10, 10), 12, clusters=2, rng=rng)

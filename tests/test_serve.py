@@ -4,7 +4,7 @@ Covers the four ISSUE-mandated serving contracts — batching-window
 determinism under a seeded clock, fault-event preemption vs in-flight
 requests (epoch parity with ``OnlineRoutingService.flush``),
 admission-control shedding, and facade parity with a direct
-``RoutingService`` — plus the :func:`make_service` flavour validation,
+``RoutingService`` — plus the :func:`make_service` flavours, the load-knob rule,
 the :class:`Ticket` compatibility shim, and off-mesh endpoint rejection
 at every routing entry point.
 """
@@ -353,6 +353,72 @@ class TestMakeServiceFacade:
         via_facade = make_service(mask, mode="mcc").route_batch(pairs)
         direct = RoutingService(mask, mode="mcc").route_batch(pairs)
         assert via_facade == direct
+
+
+class TestLoadKnobRule:
+    """Rates and durations finite and > 0, churn >= 1, counts >= 0."""
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"rate": float("nan")},
+            {"rate": float("inf")},
+            {"rate": 0.0},
+            {"duration": float("inf")},
+            {"duration": float("nan")},
+            {"churn": 0},
+            {"events": -1},
+        ],
+        ids=["nan-rate", "inf-rate", "zero-rate", "inf-duration",
+             "nan-duration", "zero-churn", "negative-events"],
+    )
+    def test_make_trace_rejects_bad_knobs(self, deadline, knobs):
+        # NaN and inf used to loop forever: the deadline turns a hang
+        # into a failure.
+        kwargs = {"rate": 200.0, "duration": 0.05, "seed": 5, **knobs}
+        with deadline(2), pytest.raises(ValueError):
+            make_trace((6, 6, 6), 6, **kwargs)
+
+    def test_sweep_rejects_a_bad_rate_before_any_rate_runs(self, monkeypatch):
+        from repro.serve import loadgen
+
+        async def no_run(*args, **kwargs):
+            raise AssertionError("a rate ran")
+
+        monkeypatch.setattr(loadgen, "run_load", no_run)
+        with pytest.raises(ValueError, match="rates must be finite and > 0"):
+            run_offered_load_sweep(
+                (6, 6, 6), 6, [100.0, float("nan")], duration=0.05
+            )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rates", "nan"], "rates must be finite and > 0"),
+            (["--rates", "100", "inf"], "rates must be finite and > 0"),
+            (["--duration", "inf"], "duration must be finite and > 0"),
+            (["--duration", "nan"], "duration must be finite and > 0"),
+            (["--churn", "0"], "churn must be >= 1"),
+            (["--events", "-1"], "events must be >= 0"),
+        ],
+        ids=["nan-rate", "inf-rate", "inf-duration", "nan-duration",
+             "zero-churn", "negative-events"],
+    )
+    def test_cli_reports_bad_knobs_as_usage_errors(
+        self, capsys, monkeypatch, flags, message
+    ):
+        from repro.serve import __main__ as cli
+        from repro.serve import loadgen
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(loadgen, "run_offered_load_sweep", no_run)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and message in err
 
 
 class TestTicket:

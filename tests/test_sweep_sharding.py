@@ -115,6 +115,57 @@ class TestPlanAndPartition:
             run_region_overhead(shape, list(fault_counts), trials=2, seed=1)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestWorkloadRule:
+    """Bad workload knobs raise ``ValueError`` before any pattern runs."""
+
+    @pytest.mark.parametrize(
+        "experiment, runner, kwargs, message",
+        [
+            ("load", "exp_load:run_load_sweep", {"rates": [NAN]}, "rates"),
+            ("load", "exp_load:run_load_sweep", {"rates": [INF]}, "rates"),
+            ("load", "exp_load:run_load_sweep", {"rates": [0.5, 0.0]}, "rates"),
+            ("load", "exp_load:run_load_sweep", {"rates": [-1.0]}, "rates"),
+            ("load", "exp_load:run_load_sweep", {"duration": INF}, "duration"),
+            ("load", "exp_load:run_load_sweep", {"duration": NAN}, "duration"),
+            ("load", "exp_load:run_load_sweep", {"capacity": 0}, "capacity"),
+            ("churn", "exp_churn:run_churn", {"churn": 0}, "churn"),
+            ("churn", "exp_churn:run_churn", {"epochs": -1}, "epochs"),
+            ("churn", "exp_churn:run_churn", {"pairs": -1}, "pairs"),
+            ("success_rate", "exp_success_rate:run_success_rate",
+             {"pairs": -1}, "pairs"),
+            ("des_routing", "exp_des_routing:run_des_routing",
+             {"queries": -1}, "queries"),
+            ("fidelity", "exp_fidelity:run_fidelity", {"pairs": -1}, "pairs"),
+        ],
+        ids=["nan-rate", "inf-rate", "zero-rate", "negative-rate",
+             "inf-duration", "nan-duration", "zero-capacity", "zero-churn",
+             "negative-epochs", "negative-churn-pairs", "negative-pairs",
+             "negative-queries", "negative-fidelity-pairs"],
+    )
+    def test_python_api_rejects_before_any_pattern(
+        self, monkeypatch, experiment, runner, kwargs, message
+    ):
+        from repro.parallel.sharding import _resolve
+
+        def no_pattern(spec, task):
+            raise AssertionError("a pattern ran")
+
+        reducer = EXPERIMENTS[experiment][1]
+        monkeypatch.setitem(EXPERIMENTS, experiment, (no_pattern, reducer))
+        run = _resolve(f"repro.experiments.{runner}")
+        with pytest.raises(ValueError, match=message):
+            run((6, 6), [2], trials=1, seed=1, **kwargs)
+
+    def test_zero_shards_rejected_before_the_checkpoint_opens(self, tmp_path):
+        journal = tmp_path / "ck.jsonl"
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            run_sweep(small_spec(), shards=0, checkpoint=journal)
+        assert not journal.exists()
+
+
 class TestShardInvariance:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -479,20 +530,38 @@ class TestCLI:
         assert "experiment" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "argv, message",
         [
-            (["--fault-counts", "-2", "3"], "fault counts must lie in [0, 36]"),
-            (["--shape", "6", "0"], "mesh axis lengths must be >= 1"),
-            (["--fault-counts", "3", "37"], "fault counts must lie in [0, 36]"),
-            (["--trials", "0"], "trials must be >= 1"),
+            (["t1", "--fault-counts", "-2", "3"], "fault counts must lie in [0, 36]"),
+            (["t1", "--shape", "6", "0"], "mesh axis lengths must be >= 1"),
+            (["t1", "--fault-counts", "3", "37"], "fault counts must lie in [0, 36]"),
+            (["t1", "--trials", "0"], "trials must be >= 1"),
+            (["t7", "--rates", "nan"], "rates must be finite and > 0"),
+            (["t7", "--rates", "inf"], "rates must be finite and > 0"),
+            (["t7", "--rates", "0.5", "0"], "rates must be finite and > 0"),
+            (["t7", "--rates", "-1"], "rates must be finite and > 0"),
+            (["t7", "--duration", "inf"], "duration must be finite and > 0"),
+            (["t7", "--duration", "nan"], "duration must be finite and > 0"),
+            (["t7", "--capacity", "0"], "capacity must be >= 1"),
+            (["t6", "--churn", "0"], "churn must be >= 1"),
+            (["t6", "--epochs", "-1"], "epochs must be >= 0"),
+            (["t2", "--pairs", "-1"], "pairs must be >= 0"),
+            (["t4", "--queries", "-1"], "queries must be >= 0"),
+            (["t1", "--workers", "0"], "--workers must be >= 1"),
+            (["t1", "--shards", "0"], "--shards must be >= 1"),
         ],
-        ids=["negative-count", "zero-length-axis", "count-above-size", "no-trials"],
+        ids=["negative-count", "zero-length-axis", "count-above-size", "no-trials",
+             "nan-rate", "inf-rate", "zero-rate", "negative-rate", "inf-duration",
+             "nan-duration", "zero-capacity", "zero-churn", "negative-epochs",
+             "negative-pairs", "negative-queries", "zero-workers", "zero-shards"],
     )
     def test_main_reports_bad_sweep_values_as_usage_errors(
-        self, capsys, monkeypatch, flags, message
+        self, capsys, monkeypatch, argv, message
     ):
         # The sweep rule runs before any runner starts: exit status 2
-        # with the usage line, not a traceback from inside the runner.
+        # with the usage line, not a traceback from inside the runner, a
+        # table of zeros, or (NaN or inf rates and durations) a Poisson
+        # loop that never ends.
         from repro.experiments import harness
         from repro.parallel import sharding
 
@@ -500,9 +569,9 @@ class TestCLI:
             raise AssertionError("a runner started")
 
         monkeypatch.setattr(harness.ExperimentSpec, "run", no_run)
-        argv = ["t1", "--shape", "6", "6", "--fault-counts", "2", "--trials", "1"]
+        grid = ["--shape", "6", "6", "--fault-counts", "2", "--trials", "1"]
         with pytest.raises(SystemExit) as exc:
-            sharding.main(argv + flags)
+            sharding.main(grid + argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and message in err
