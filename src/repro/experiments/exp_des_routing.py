@@ -15,9 +15,8 @@ retired blocking one-query-at-a-time loop, which
 ground truth comes from one batched
 :meth:`RoutingService.feasible_batch` call per fault pattern (one
 reverse flood per distinct destination) on a service private to the
-pattern: every pattern is a fresh random mask, so no flood is ever
-reused across patterns.  Each fault pattern — its DES pipeline build plus query replay — is one
-sharded :class:`repro.parallel.sharding.PatternTask`;
+pattern.  Each fault pattern — its DES pipeline build plus query
+replay — is one sharded :class:`repro.parallel.sharding.PatternTask`;
 ``run_des_routing(..., workers=N)`` fans the patterns out across
 processes with seed-stable results for any worker/shard count.
 
