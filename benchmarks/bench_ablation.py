@@ -12,10 +12,9 @@ import numpy as np
 from benchmarks.conftest import emit
 from repro.baselines.rfb import rfb_unsafe
 from repro.core.labelling import label_grid
-from repro.experiments.exp_ablation import run_mesh4d_extension, run_rfb_variants
-from repro.experiments.exp_region_overhead import run_region_overhead
 from repro.experiments.workloads import random_fault_mask
 from repro.mesh.coords import manhattan
+from repro.parallel.sharding import SweepSpec, run_sweep
 from repro.routing.engine import AdaptiveRouter
 from repro.routing.policies import make_policy
 from repro.util.records import ResultTable
@@ -23,11 +22,10 @@ from repro.util.records import ResultTable
 
 def test_a1_rfb_variants(benchmark):
     """Block expansion vs local-closure-only RFB regions."""
-    table = run_rfb_variants((12, 12, 12), [10, 40, 90], trials=10, seed=11)
+    spec = SweepSpec("a1", (12, 12, 12), [10, 40, 90], trials=10, seed=11)
+    table = run_sweep(spec)
     emit(table)
-    sharded = run_rfb_variants(
-        (12, 12, 12), [10, 40, 90], trials=10, seed=11, workers=2, shards=4
-    )
+    sharded = run_sweep(spec, workers=2, shards=4)
     assert sharded.to_csv() == table.to_csv()
     for row in table.rows:
         assert row["local_nonfaulty"] <= row["block_nonfaulty"]
@@ -77,9 +75,11 @@ def test_a2_policies(benchmark):
 
 def test_a3_clustering(benchmark):
     """Clustered faults: fewer, larger regions; overhead gap persists."""
-    uniform = run_region_overhead((12, 12, 12), [60], trials=10, seed=31)
-    clustered = run_region_overhead(
-        (12, 12, 12), [60], trials=10, seed=31, clustered=True
+    uniform = run_sweep(SweepSpec("t1", (12, 12, 12), [60], trials=10, seed=31))
+    clustered = run_sweep(
+        SweepSpec(
+            "t1", (12, 12, 12), [60], trials=10, seed=31, params={"clustered": True}
+        )
     )
     table = ResultTable("A3 fault clustering — 12^3 mesh, 60 faults")
     table.add(workload="uniform", **{k: v for k, v in uniform.rows[0].items()})
@@ -93,11 +93,10 @@ def test_a3_clustering(benchmark):
 
 def test_a4_4d_extension(benchmark):
     """The paper's future work: higher-dimension meshes (4-D labelling)."""
-    table = run_mesh4d_extension((7, 7, 7, 7), [24, 120], trials=5, seed=41)
+    spec = SweepSpec("a4", (7, 7, 7, 7), [24, 120], trials=5, seed=41)
+    table = run_sweep(spec)
     emit(table)
-    sharded = run_mesh4d_extension(
-        (7, 7, 7, 7), [24, 120], trials=5, seed=41, workers=2, shards=2
-    )
+    sharded = run_sweep(spec, workers=2, shards=2)
     assert sharded.to_csv() == table.to_csv()
     # 4-D labelling needs 4 blocked neighbors: fills are rarer than 3-D.
     assert table.rows[0]["mcc_nonfaulty"] < 5

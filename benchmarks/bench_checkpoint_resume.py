@@ -49,13 +49,15 @@ def main(argv=None) -> None:
     parser.add_argument("--check-shards", type=int, nargs="+", default=[1, 2, 4])
     args = parser.parse_args(argv)
 
+    # --pairs sizes the workload of the experiments that take it.
+    takes_pairs = "pairs" in EXPERIMENTS[args.experiment].knobs
     spec = SweepSpec(
         experiment=args.experiment,
         shape=tuple(args.shape),
         fault_counts=tuple(args.fault_counts),
         trials=args.trials,
         seed=args.seed,
-        params={"pairs": args.pairs},
+        params={"pairs": args.pairs} if takes_pairs else {},
     )
     n_tasks = len(plan_tasks(spec))
     clean = run_sweep(spec, workers=args.workers)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.exp_churn import run_churn
+from repro.parallel.sharding import SweepSpec, run_sweep
 
 
 def fail(message: str) -> None:
@@ -43,18 +43,20 @@ def main() -> None:
     args = parser.parse_args()
 
     def run(mode: str, workers: int, shards: int | None):
-        return run_churn(
+        spec = SweepSpec(
+            "t6",
             tuple(args.shape),
-            list(args.fault_counts),
-            pairs=args.pairs,
-            epochs=args.epochs,
-            churn=args.churn,
+            tuple(args.fault_counts),
             trials=args.trials,
             seed=args.seed,
-            workers=workers,
-            shards=shards,
-            mode=mode,
+            params={
+                "pairs": args.pairs,
+                "epochs": args.epochs,
+                "churn": args.churn,
+                "mode": mode,
+            },
         )
+        return run_sweep(spec, workers=workers, shards=shards)
 
     for mode in ("mcc", "rfb"):
         serial = run(mode, workers=1, shards=1)

@@ -23,7 +23,7 @@ Four checks over the concurrent simulation engine:
    scoped path measures ~3-5x on a 10^3 mesh).  Exactness is asserted
    on every event: incremental labels == from-scratch ``label_grid``.
 4. **Churn-DES shard invariance** — a small ``churn_des`` sweep (the
-   ``t6 --des`` table) must be byte-identical across worker/shard
+   ``t6d`` table) must be byte-identical across worker/shard
    layouts.  (Checkpoint resume for ``churn_des`` is covered by
    ``bench_checkpoint_resume.py --experiment churn_des``.)
 
@@ -45,9 +45,9 @@ import numpy as np
 
 from repro.core.labelling import SAFE, label_grid
 from repro.distributed.pipeline import DistributedMCCPipeline
-from repro.experiments.exp_churn import run_churn
 from repro.experiments.workloads import random_fault_mask
 from repro.mesh.topology import Mesh
+from repro.parallel.sharding import SweepSpec, run_sweep
 from repro.routing.batch import RoutingService
 
 
@@ -173,19 +173,21 @@ def check_churn_speedup(args) -> None:
 
 
 def check_des_sweep_invariance(args) -> None:
+    spec = SweepSpec(
+        "t6d",
+        tuple(args.sweep_shape),
+        tuple(args.sweep_fault_counts),
+        trials=args.sweep_trials,
+        seed=args.seed,
+        params={
+            "pairs": args.sweep_pairs,
+            "epochs": args.sweep_epochs,
+            "churn": args.churn,
+        },
+    )
+
     def run(workers, shards):
-        return run_churn(
-            tuple(args.sweep_shape),
-            list(args.sweep_fault_counts),
-            pairs=args.sweep_pairs,
-            epochs=args.sweep_epochs,
-            churn=args.churn,
-            trials=args.sweep_trials,
-            seed=args.seed,
-            workers=workers,
-            shards=shards,
-            des=True,
-        )
+        return run_sweep(spec, workers=workers, shards=shards)
 
     base = run(1, 1)
     print(base.render())

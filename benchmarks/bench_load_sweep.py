@@ -29,9 +29,7 @@ import os
 import sys
 import tempfile
 
-from repro.experiments.exp_des_routing import run_des_routing
-from repro.experiments.exp_load import run_load_sweep
-from repro.experiments.exp_protocol_overhead import run_protocol_overhead
+from repro.parallel.sharding import SweepSpec, run_sweep
 
 #: Uncontended goldens (fixed args, fixed seeds).  Any drift means the
 #: ``link_capacity=None`` path is no longer byte-identical.  GOLDEN_T3 is
@@ -71,25 +69,28 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--check-shards", type=int, nargs="+", default=[1, 2, 4])
     args = parser.parse_args()
-    kw = dict(
-        shape=tuple(args.shape),
-        fault_counts=list(args.fault_counts),
+    spec = SweepSpec(
+        "t7",
+        tuple(args.shape),
+        tuple(args.fault_counts),
         trials=args.trials,
-        rates=list(args.rates),
-        duration=args.duration,
-        capacity=args.capacity,
         seed=args.seed,
+        params={
+            "rates": list(args.rates),
+            "duration": args.duration,
+            "capacity": args.capacity,
+        },
     )
 
     # 1. Shard/worker invariance.
     with tempfile.TemporaryDirectory() as tmp:
         base_path = os.path.join(tmp, "base.jsonl")
-        base = run_load_sweep(**kw, save=base_path)
+        base = run_sweep(spec, save=base_path)
         with open(base_path, "rb") as fh:
             base_bytes = fh.read()
         for shards in args.check_shards:
             path = os.path.join(tmp, f"s{shards}.jsonl")
-            run_load_sweep(**kw, workers=2, shards=shards, save=path)
+            run_sweep(spec, workers=2, shards=shards, save=path)
             with open(path, "rb") as fh:
                 got = fh.read()
             if got != base_bytes:
@@ -102,7 +103,7 @@ def main() -> None:
         # 2. Checkpoint resume byte-identity: truncate the journal after
         # every completed-record prefix and resume each time.
         clean_ck = os.path.join(tmp, "clean.jsonl")
-        run_load_sweep(**kw, checkpoint=clean_ck)
+        run_sweep(spec, checkpoint=clean_ck)
         with open(clean_ck, encoding="utf-8") as fh:
             journal_lines = fh.readlines()
         n_records = len(journal_lines) - 1  # header line first
@@ -110,7 +111,7 @@ def main() -> None:
             ck = os.path.join(tmp, f"resume{keep}.jsonl")
             with open(ck, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(journal_lines[: 1 + keep])
-            resumed = run_load_sweep(**kw, checkpoint=ck, workers=2)
+            resumed = run_sweep(spec, checkpoint=ck, workers=2)
             if csv_lf(resumed) != csv_lf(base):
                 fail(f"t7 resume after {keep}/{n_records} records diverged")
         print(
@@ -121,11 +122,13 @@ def main() -> None:
 
     # 3. Uncontended golden parity: T3/T4 with default links reproduce
     # their goldens exactly (fixed args regardless of CLI).
-    t3 = run_protocol_overhead((6, 6), [2, 4], trials=2, seed=6)
+    t3 = run_sweep(SweepSpec("t3", (6, 6), [2, 4], trials=2, seed=6))
     if csv_lf(t3) != GOLDEN_T3:
         fail("T3 table drifted from its regression pin")
     print("PASS: T3 uncontended golden parity")
-    t4 = run_des_routing((5, 5, 5), [2, 4], queries=8, trials=2, seed=2005)
+    t4 = run_sweep(
+        SweepSpec("t4", (5, 5, 5), [2, 4], trials=2, seed=2005, params={"queries": 8})
+    )
     if csv_lf(t4) != GOLDEN_T4:
         fail("T4 table drifted from the pre-contention golden")
     print("PASS: T4 uncontended golden parity")

@@ -39,7 +39,7 @@ import time
 
 from repro import obs
 from repro.core.model_cache import clear_labelling_cache
-from repro.experiments.exp_des_routing import run_des_routing
+from repro.parallel.sharding import SweepSpec, run_sweep
 
 
 def fail(message: str) -> None:
@@ -82,17 +82,18 @@ def main() -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "t4_small.perfetto.json")
 
+    spec = SweepSpec(
+        "t4",
+        shape,
+        tuple(args.fault_counts),
+        trials=args.trials,
+        seed=args.seed,
+        params={"queries": args.queries},
+    )
+
     def sweep(save=None, trace=None):
         clear_labelling_cache()
-        return run_des_routing(
-            shape,
-            list(args.fault_counts),
-            queries=args.queries,
-            trials=args.trials,
-            seed=args.seed,
-            save=save,
-            trace=trace,
-        )
+        return run_sweep(spec, save=save, trace=trace)
 
     # Untraced reference run: runtime + golden table bytes.
     untraced_save = os.path.join(args.out_dir, "t4_untraced.jsonl")

@@ -7,16 +7,14 @@ Expected shape: MCC << RFB, gap widening with fault rate and dimension.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.exp_region_overhead import (
-    region_overhead_once,
-    run_region_overhead,
-)
+from repro.experiments.exp_region_overhead import region_overhead_once
 from repro.experiments.workloads import random_fault_mask
+from repro.parallel.sharding import SweepSpec, run_sweep
 
 
 def test_t1a_2d(benchmark):
-    table = run_region_overhead(
-        (32, 32), [10, 26, 51, 102, 154], trials=25, seed=2005
+    table = run_sweep(
+        SweepSpec("t1", (32, 32), [10, 26, 51, 102, 154], trials=25, seed=2005)
     )
     emit(table)
     for row in table.rows:
@@ -27,8 +25,8 @@ def test_t1a_2d(benchmark):
 
 
 def test_t1b_3d(benchmark):
-    table = run_region_overhead(
-        (16, 16, 16), [20, 82, 205, 410], trials=15, seed=2005
+    table = run_sweep(
+        SweepSpec("t1", (16, 16, 16), [20, 82, 205, 410], trials=15, seed=2005)
     )
     emit(table)
     for row in table.rows:
@@ -41,8 +39,11 @@ def test_t1b_3d(benchmark):
 
 
 def test_t1_clustered_ablation(benchmark):
-    table = run_region_overhead(
-        (16, 16, 16), [40, 120], trials=10, seed=2005, clustered=True
+    table = run_sweep(
+        SweepSpec(
+            "t1", (16, 16, 16), [40, 120], trials=10, seed=2005,
+            params={"clustered": True},
+        )
     )
     emit(table)
     mask = random_fault_mask((16, 16, 16), 120, rng=9)

@@ -6,14 +6,17 @@ fault rate grows.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.exp_success_rate import run_success_rate
 from repro.experiments.workloads import random_fault_mask
+from repro.parallel.sharding import SweepSpec, run_sweep
 from repro.routing.oracle import minimal_path_exists
 
 
 def test_t2a_2d(benchmark):
-    table = run_success_rate(
-        (32, 32), [10, 26, 51, 102], pairs=150, trials=4, seed=2005
+    table = run_sweep(
+        SweepSpec(
+            "t2", (32, 32), [10, 26, 51, 102], trials=4, seed=2005,
+            params={"pairs": 150},
+        )
     )
     emit(table)
     for row in table.rows:
@@ -27,8 +30,11 @@ def test_t2a_2d(benchmark):
 
 
 def test_t2b_3d(benchmark):
-    table = run_success_rate(
-        (16, 16, 16), [20, 82, 205, 410], pairs=150, trials=3, seed=2005
+    table = run_sweep(
+        SweepSpec(
+            "t2", (16, 16, 16), [20, 82, 205, 410], trials=3, seed=2005,
+            params={"pairs": 150},
+        )
     )
     emit(table)
     for row in table.rows:

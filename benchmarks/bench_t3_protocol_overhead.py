@@ -6,13 +6,13 @@ limited-global-information), with per-node cost far below flooding.
 
 from benchmarks.conftest import emit
 from repro.distributed.pipeline import DistributedMCCPipeline
-from repro.experiments.exp_protocol_overhead import run_protocol_overhead
 from repro.experiments.workloads import random_fault_mask
 from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.parallel.sharding import SweepSpec, run_sweep
 
 
 def test_t3_2d(benchmark):
-    table = run_protocol_overhead((24, 24), [4, 12, 28], trials=4, seed=2005)
+    table = run_sweep(SweepSpec("t3", (24, 24), [4, 12, 28], trials=4, seed=2005))
     emit(table)
     assert table.rows[0]["total"] <= table.rows[-1]["total"]
 
@@ -24,7 +24,7 @@ def test_t3_2d(benchmark):
 
 
 def test_t3_3d(benchmark):
-    table = run_protocol_overhead((9, 9, 9), [4, 12, 24], trials=3, seed=2005)
+    table = run_sweep(SweepSpec("t3", (9, 9, 9), [4, 12, 24], trials=3, seed=2005))
     emit(table)
     # Message cost stays a small multiple of the node count even at the
     # highest fault rate (no flooding).

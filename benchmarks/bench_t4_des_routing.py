@@ -7,14 +7,16 @@ is minimal, and per-query message cost is a few times the path length
 
 from benchmarks.conftest import emit
 from repro.distributed.pipeline import DistributedMCCPipeline
-from repro.experiments.exp_des_routing import run_des_routing
 from repro.experiments.workloads import random_fault_mask
 from repro.mesh.topology import Mesh3D
+from repro.parallel.sharding import SweepSpec, run_sweep
 
 
 def test_t4_des_routing(benchmark):
-    table = run_des_routing(
-        (8, 8, 8), [4, 12, 25], queries=20, trials=2, seed=2005
+    table = run_sweep(
+        SweepSpec(
+            "t4", (8, 8, 8), [4, 12, 25], trials=2, seed=2005, params={"queries": 20}
+        )
     )
     emit(table)
     for row in table.rows:

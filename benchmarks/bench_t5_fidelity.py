@@ -7,12 +7,14 @@ exclusion exactness (properties P2/P3).
 
 from benchmarks.conftest import emit
 from repro.core.conditions import ConditionEvaluator
-from repro.experiments.exp_fidelity import run_fidelity
 from repro.experiments.workloads import random_fault_mask
+from repro.parallel.sharding import SweepSpec, run_sweep
 
 
 def test_t5_fidelity_2d(benchmark):
-    table = run_fidelity((12, 12), [6, 14], pairs=40, trials=4, seed=2005)
+    table = run_sweep(
+        SweepSpec("t5", (12, 12), [6, 14], trials=4, seed=2005, params={"pairs": 40})
+    )
     emit(table)
     for row in table.rows:
         assert row["cond_agree"] >= 0.999
@@ -25,7 +27,9 @@ def test_t5_fidelity_2d(benchmark):
 
 
 def test_t5_fidelity_3d(benchmark):
-    table = run_fidelity((8, 8, 8), [8, 25], pairs=30, trials=3, seed=2005)
+    table = run_sweep(
+        SweepSpec("t5", (8, 8, 8), [8, 25], trials=3, seed=2005, params={"pairs": 30})
+    )
     emit(table)
     for row in table.rows:
         assert row["cond_agree"] >= 0.999

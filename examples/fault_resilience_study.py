@@ -7,8 +7,7 @@ compact version of the paper's evaluation (experiment T2), including
 the clustered-fault variant that models correlated hardware failures.
 """
 
-from repro.experiments.exp_region_overhead import run_region_overhead
-from repro.experiments.exp_success_rate import run_success_rate
+from repro import SweepSpec, run_sweep
 
 
 def main() -> None:
@@ -16,18 +15,22 @@ def main() -> None:
     counts = [8, 17, 43, 86, 130]  # ~0.5% to 7.5%
 
     print("Minimal-routing success rate (uniform faults):")
-    table = run_success_rate(shape, counts, pairs=120, trials=4, seed=42)
+    table = run_sweep(
+        SweepSpec("t2", shape, counts, trials=4, seed=42, params={"pairs": 120})
+    )
     print(table.render())
     print()
 
     print("Non-faulty nodes captured per fault region model:")
-    overhead = run_region_overhead(shape, counts, trials=10, seed=42)
+    overhead = run_sweep(SweepSpec("t1", shape, counts, trials=10, seed=42))
     print(overhead.render())
     print()
 
     print("Same, with clustered faults (correlated failures):")
-    clustered = run_region_overhead(
-        shape, counts[:3], trials=10, seed=42, clustered=True
+    clustered = run_sweep(
+        SweepSpec(
+            "t1", shape, counts[:3], trials=10, seed=42, params={"clustered": True}
+        )
     )
     print(clustered.render())
 

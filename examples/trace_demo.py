@@ -14,8 +14,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from repro import obs
-from repro.experiments.exp_des_routing import run_des_routing
+from repro import SweepSpec, obs, run_sweep
 from repro.simkit.stats import StatsCollector
 
 SHAPE = (5, 5, 5)
@@ -23,14 +22,14 @@ FAULT_COUNTS = [2, 4]
 
 
 def main() -> None:
-    # 1. Any experiment entry point takes trace= (the CLIs expose it as
-    #    --trace): the sweep runs normally and also writes its spans.
+    # 1. run_sweep takes trace= (the CLIs expose it as --trace): the
+    #    sweep runs normally and also writes its spans.
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = Path(tmp) / "t4_small.perfetto.json"
-        table = run_des_routing(
-            SHAPE, FAULT_COUNTS, queries=4, trials=1, seed=7,
-            trace=str(trace_path),
+        spec = SweepSpec(
+            "t4", SHAPE, FAULT_COUNTS, trials=1, seed=7, params={"queries": 4}
         )
+        table = run_sweep(spec, trace=str(trace_path))
         events = json.loads(trace_path.read_text())["traceEvents"]
     print(table.render())
 

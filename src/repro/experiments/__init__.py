@@ -1,9 +1,13 @@
-"""The paper's evaluation: workloads, harness, experiments T1–T6, figures.
+"""The paper's evaluation: workloads, harness, experiments T1–T7, figures.
 
-Each experiment module exposes a ``run_*`` function returning a
-:class:`repro.util.records.ResultTable`; the benchmark harness under
-``benchmarks/`` regenerates every table/figure from DESIGN.md's index
-and prints the rows the paper's evaluation reports.
+Each experiment module holds an evaluator (one fault pattern) and a
+reducer (the merged table), registered in
+:data:`repro.parallel.sharding.EXPERIMENTS` with the experiment's
+workload knobs and their defaults; ``run_sweep(SweepSpec(...))`` runs
+any of them, and :func:`run_all` regenerates every table.  The
+benchmark harness under ``benchmarks/`` regenerates every table/figure
+from DESIGN.md's index and prints the rows the paper's evaluation
+reports.
 """
 
 from repro.experiments.workloads import (
@@ -11,27 +15,11 @@ from repro.experiments.workloads import (
     clustered_fault_mask,
     sample_safe_pair,
 )
-from repro.experiments.exp_region_overhead import run_region_overhead
-from repro.experiments.exp_success_rate import run_success_rate
-from repro.experiments.exp_protocol_overhead import run_protocol_overhead
-from repro.experiments.exp_des_routing import run_des_routing
-from repro.experiments.exp_fidelity import run_fidelity
-from repro.experiments.exp_ablation import run_mesh4d_extension, run_rfb_variants
-from repro.experiments.exp_churn import run_churn
-from repro.experiments.harness import ExperimentSpec, run_all
+from repro.experiments.harness import run_all
 
 __all__ = [
-    "ExperimentSpec",
     "run_all",
     "random_fault_mask",
     "clustered_fault_mask",
     "sample_safe_pair",
-    "run_region_overhead",
-    "run_success_rate",
-    "run_protocol_overhead",
-    "run_des_routing",
-    "run_fidelity",
-    "run_churn",
-    "run_rfb_variants",
-    "run_mesh4d_extension",
 ]

@@ -2,10 +2,11 @@
 
 ``benchmarks/bench_ablation.py`` used to iterate these trial loops
 serially inline; they are now registered experiments on
-:mod:`repro.parallel.sharding`, so they share the five tables' execution
-path — ``workers=``/``shards=``/``checkpoint=`` all apply, and the CLI
-reaches them as ``python -m repro.parallel a1`` / ``a4``.  Each
-pattern draws its mask from its task's own stream
+:mod:`repro.parallel.sharding`, so they share the tables' execution
+path — ``run_sweep(SweepSpec("a1", ...), workers=N)`` with
+``shards=``/``checkpoint=`` all applying, and the CLI reaches them as
+``python -m repro.parallel a1`` / ``a4``.  Each pattern draws its mask
+from its task's own stream
 (:meth:`~repro.parallel.sharding.PatternTask.rng`), so the tables are
 byte-identical for any worker/shard layout (goldens in
 ``tests/test_sweep_goldens.py``).
@@ -25,9 +26,8 @@ from typing import Any, Mapping, Sequence
 from repro.baselines.rfb import rfb_unsafe
 from repro.core.model_cache import cached_labelled
 from repro.experiments.workloads import random_fault_mask
-from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
+from repro.parallel.sharding import PatternTask, SweepSpec
 from repro.util.records import ResultTable
-from repro.util.rng import SeedLike
 
 
 def _dims(spec: SweepSpec) -> str:
@@ -60,31 +60,6 @@ def reduce_rfb_records(
     return table
 
 
-def run_rfb_variants(
-    shape: tuple[int, ...],
-    fault_counts: list[int],
-    trials: int = 10,
-    seed: SeedLike = 11,
-    workers: int = 1,
-    shards: int | None = None,
-    checkpoint: str | None = None,
-    save: str | None = None,
-    trace: str | None = None,
-) -> ResultTable:
-    """A1 sweep: average captured nodes per RFB variant per fault count."""
-    spec = SweepSpec(
-        experiment="ablation_rfb",
-        shape=tuple(shape),
-        fault_counts=tuple(fault_counts),
-        trials=trials,
-        seed=seed,
-    )
-    return run_sweep(
-        spec, workers=workers, shards=shards, checkpoint=checkpoint,
-        save=save, trace=trace,
-    )
-
-
 def evaluate_mesh4d_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
     """A4: MCC-captured non-faulty nodes in one (typically 4-D) pattern."""
     mask = random_fault_mask(spec.shape, task.count, rng=task.rng())
@@ -104,28 +79,3 @@ def reduce_mesh4d_records(
             mcc_nonfaulty=sum(r["mcc"] for r in rows) / spec.trials,
         )
     return table
-
-
-def run_mesh4d_extension(
-    shape: tuple[int, ...],
-    fault_counts: list[int],
-    trials: int = 5,
-    seed: SeedLike = 41,
-    workers: int = 1,
-    shards: int | None = None,
-    checkpoint: str | None = None,
-    save: str | None = None,
-    trace: str | None = None,
-) -> ResultTable:
-    """A4 sweep: average MCC capture in higher-dimension meshes."""
-    spec = SweepSpec(
-        experiment="ablation_4d",
-        shape=tuple(shape),
-        fault_counts=tuple(fault_counts),
-        trials=trials,
-        seed=seed,
-    )
-    return run_sweep(
-        spec, workers=workers, shards=shards, checkpoint=checkpoint,
-        save=save, trace=trace,
-    )

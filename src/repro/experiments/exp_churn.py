@@ -21,7 +21,7 @@ under churn: the paper's ``"mcc"`` (default) or the baseline ``"rfb"``
 (incremental block-local recompute) — the first direct comparison of
 the two models in a *dynamic* fault regime.
 
-The ``--des`` variant (experiment ``churn_des``) drives the
+The ``churn_des`` experiment (alias ``t6d``) drives the
 **distributed stack** with the same event stream: every epoch submits
 the same canonical pairs to a churn-aware
 :class:`~repro.distributed.pipeline.DistributedMCCPipeline` (query
@@ -32,15 +32,17 @@ protocol next to both centralized models under identical churn.
 
 Each pattern (initial mask + its whole churn history) is one sharded
 :class:`repro.parallel.sharding.PatternTask` — every draw comes from
-the task's private stream, so ``run_churn(..., workers=N)`` is
-seed-stable for any worker/shard count, and ``checkpoint=`` makes long
-churn sweeps resumable like every other tier.
+the task's private stream, so ``run_sweep(SweepSpec("t6", ...),
+workers=N)`` is seed-stable for any worker/shard count, and
+``checkpoint=`` makes long churn sweeps resumable like every other tier.
 
 Command line (flags shared with the other sweeps)::
 
     PYTHONPATH=src python -m repro.parallel t6 --shape 12 12 12 \
         --fault-counts 20 60 --trials 4 --pairs 100 --epochs 6 \
-        --churn 2 --workers 4 [--mode rfb] [--des]
+        --churn 2 --workers 4 [--mode rfb]
+
+``t6d`` takes the same flags except ``--mode``.
 """
 
 from __future__ import annotations
@@ -54,9 +56,8 @@ from repro.experiments.workloads import random_fault_mask, sample_safe_pair
 from repro.mesh.topology import Mesh
 from repro.online import FaultEventStream
 from repro.service import make_service
-from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
+from repro.parallel.sharding import PatternTask, SweepSpec
 from repro.util.records import ResultTable
-from repro.util.rng import SeedLike
 
 _COUNTERS = (
     "pairs",
@@ -90,10 +91,10 @@ def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
     """Run one pattern's churn history; delivery + relabel-cost counters."""
     rng = task.rng()
     mask = random_fault_mask(spec.shape, task.count, rng=rng)
-    online = make_service(mask, mode=str(spec.param("mode", "mcc")), online=True)
-    pairs = int(spec.param("pairs", 60))
-    epochs = int(spec.param("epochs", 6))
-    stream = FaultEventStream(int(spec.param("churn", 2)), rng)
+    online = make_service(mask, mode=str(spec.params["mode"]), online=True)
+    pairs = int(spec.params["pairs"])
+    epochs = int(spec.params["epochs"])
+    stream = FaultEventStream(int(spec.params["churn"]), rng)
     record = {name: 0 for name in _COUNTERS}
     for epoch in range(epochs):
         submitted_at = online.epoch
@@ -143,9 +144,9 @@ def evaluate_des_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
     pipe = DistributedMCCPipeline(Mesh(spec.shape), mask.copy()).build()
     svc_mcc = make_service(mask, mode="mcc", online=True)
     svc_rfb = make_service(mask, mode="rfb", online=True)
-    pairs = int(spec.param("pairs", 60))
-    epochs = int(spec.param("epochs", 6))
-    stream = FaultEventStream(int(spec.param("churn", 2)), rng)
+    pairs = int(spec.params["pairs"])
+    epochs = int(spec.params["epochs"])
+    stream = FaultEventStream(int(spec.params["churn"]), rng)
     record = {name: 0 for name in _DES_COUNTERS}
     for epoch in range(epochs):
         submitted_at = pipe.epoch
@@ -212,13 +213,13 @@ def reduce_records(
 ) -> ResultTable:
     """Merge per-pattern churn counters into the T6 table."""
     dims = f"{len(spec.shape)}-D {'x'.join(map(str, spec.shape))}"
-    mode = str(spec.param("mode", "mcc"))
+    mode = str(spec.params["mode"])
     table = ResultTable(
         title=(
             f"T6 routing under churn — {dims} mesh, "
-            f"{spec.param('epochs', 6)} epochs x "
-            f"{spec.param('pairs', 60)} pairs, "
-            f"churn {spec.param('churn', 2)}"
+            f"{spec.params['epochs']} epochs x "
+            f"{spec.params['pairs']} pairs, "
+            f"churn {spec.params['churn']}"
             + (f", model {mode}" if mode != "mcc" else "")
         )
     )
@@ -254,9 +255,9 @@ def reduce_des_records(
     table = ResultTable(
         title=(
             f"T6d distributed stack under churn — {dims} mesh, "
-            f"{spec.param('epochs', 6)} epochs x "
-            f"{spec.param('pairs', 60)} pairs, "
-            f"churn {spec.param('churn', 2)}; des vs online mcc/rfb"
+            f"{spec.params['epochs']} epochs x "
+            f"{spec.params['pairs']} pairs, "
+            f"churn {spec.params['churn']}; des vs online mcc/rfb"
         )
     )
     for count_index, count in enumerate(spec.fault_counts):
@@ -281,48 +282,3 @@ def reduce_des_records(
             ),
         )
     return table
-
-
-def run_churn(
-    shape: tuple[int, ...],
-    fault_counts: list[int],
-    pairs: int = 60,
-    epochs: int = 6,
-    churn: int = 2,
-    trials: int = 4,
-    seed: SeedLike = 2005,
-    workers: int = 1,
-    shards: int | None = None,
-    checkpoint: str | None = None,
-    save: str | None = None,
-    trace: str | None = None,
-    mode: str = "mcc",
-    des: bool = False,
-) -> ResultTable:
-    """Sweep fault counts; delivery and relabel cost under churn.
-
-    ``pairs`` queries queue per epoch, ``epochs`` alternating
-    inject/repair events of ``churn`` cells churn each pattern.
-    ``mode`` picks the centralized fault-information model ("mcc" or
-    "rfb"); ``des=True`` instead runs the distributed stack next to
-    *both* centralized models on the same event streams (the ``mode``
-    flag is ignored there).  ``workers`` shards the patterns across
-    processes (1 = in-process serial fallback); results are identical
-    for any value.  ``checkpoint`` journals per-pattern records for
-    resumable runs.
-    """
-    params: dict[str, Any] = {"pairs": pairs, "epochs": epochs, "churn": churn}
-    if mode != "mcc" and not des:
-        params["mode"] = mode
-    spec = SweepSpec(
-        experiment="churn_des" if des else "churn",
-        shape=tuple(shape),
-        fault_counts=tuple(fault_counts),
-        trials=trials,
-        seed=seed,
-        params=params,
-    )
-    return run_sweep(
-        spec, workers=workers, shards=shards, checkpoint=checkpoint,
-        save=save, trace=trace,
-    )

@@ -17,18 +17,18 @@ ground truth comes from one batched
 reverse flood per distinct destination) on a service private to the
 pattern.  Each fault pattern — its DES pipeline build plus query
 replay — is one sharded :class:`repro.parallel.sharding.PatternTask`;
-``run_des_routing(..., workers=N)`` fans the patterns out across
-processes with seed-stable results for any worker/shard count.
+``run_sweep(SweepSpec("t4", ...), workers=N)`` fans the patterns out
+across processes with seed-stable results for any worker/shard count.
 
 Command line (flags shared with the other sweeps)::
 
     PYTHONPATH=src python -m repro.parallel \
-        --experiment des_routing --shape 7 7 7 \
+        t4 --shape 7 7 7 \
         --fault-counts 2 6 12 --trials 3 --queries 30 --workers 4
 
-``--queries`` sets the routed queries per pattern; ``--workers`` the
-process count (1 = in-process); ``--shards`` overrides the partition
-count for shard-invariance checks.
+``--queries`` sets the routed queries per pattern (default 30);
+``--workers`` the process count (1 = in-process); ``--shards``
+overrides the partition count for shard-invariance checks.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ from repro.distributed.pipeline import DistributedMCCPipeline
 from repro.experiments.workloads import random_fault_mask
 from repro.mesh.coords import manhattan
 from repro.mesh.topology import Mesh
-from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
+from repro.parallel.sharding import PatternTask, SweepSpec
 from repro.service import make_service
 from repro.util.records import ResultTable
-from repro.util.rng import SeedLike
 
 _COUNTERS = (
     "delivered",
@@ -77,7 +76,7 @@ def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, float]:
     pipe = DistributedMCCPipeline(Mesh(spec.shape), mask).build()
     cells = np.argwhere(safe)
     batch = []
-    for _ in range(int(spec.param("queries", 30))):
+    for _ in range(int(spec.params["queries"])):
         i, j = rng.integers(0, cells.shape[0], size=2)
         s = tuple(int(c) for c in np.minimum(cells[i], cells[j]))
         d = tuple(int(c) for c in np.maximum(cells[i], cells[j]))
@@ -120,7 +119,7 @@ def reduce_records(
     table = ResultTable(
         title=(
             f"T4 DES routing — {dims} mesh, {spec.trials} patterns x "
-            f"{spec.param('queries', 30)} queries"
+            f"{spec.params['queries']} queries"
         )
     )
     for count_index, count in enumerate(spec.fault_counts):
@@ -144,36 +143,3 @@ def reduce_records(
             msgs_per_query=sums["msg_cost"] / total if total else 0.0,
         )
     return table
-
-
-def run_des_routing(
-    shape: tuple[int, ...],
-    fault_counts: list[int],
-    queries: int = 30,
-    trials: int = 3,
-    seed: SeedLike = 2005,
-    workers: int = 1,
-    shards: int | None = None,
-    checkpoint: str | None = None,
-    save: str | None = None,
-    trace: str | None = None,
-) -> ResultTable:
-    """Sweep fault counts; distributed routing quality metrics.
-
-    ``workers`` shards the fault patterns (pipeline build + query
-    replay) across processes (1 = in-process serial fallback); results
-    are identical for any value.  ``checkpoint`` journals per-pattern
-    records for resumable runs.
-    """
-    spec = SweepSpec(
-        experiment="des_routing",
-        shape=tuple(shape),
-        fault_counts=tuple(fault_counts),
-        trials=trials,
-        seed=seed,
-        params={"queries": queries},
-    )
-    return run_sweep(
-        spec, workers=workers, shards=shards, checkpoint=checkpoint,
-        save=save, trace=trace,
-    )

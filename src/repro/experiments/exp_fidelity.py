@@ -14,9 +14,9 @@ Quantifies the paper's exactness claims against the oracle:
 
 Each fault pattern — its condition evaluator, router, and pair workload
 — is one sharded :class:`repro.parallel.sharding.PatternTask`;
-``run_fidelity(..., workers=N)`` fans the patterns out across processes
-and ``checkpoint=`` makes long sweeps resumable.  Each pattern draws its
-mask and pair workload from its task's own stream
+``run_sweep(SweepSpec("t5", ...), workers=N)`` fans the patterns out
+across processes and ``checkpoint=`` makes long sweeps resumable.  Each
+pattern draws its mask and pair workload from its task's own stream
 (:meth:`~repro.parallel.sharding.PatternTask.rng`), so the table is
 byte-identical for any worker/shard layout (goldens in
 ``tests/test_sweep_goldens.py``).
@@ -38,11 +38,10 @@ from repro.core.conditions import ConditionEvaluator
 from repro.core.detection import detection_feasible_batch
 from repro.experiments.workloads import random_fault_mask, sample_safe_pair
 from repro.mesh.orientation import Orientation
-from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
+from repro.parallel.sharding import PatternTask, SweepSpec
 from repro.routing.engine import AdaptiveRouter, explore_all_choices
 from repro.routing.oracle import group_jobs_by_class, probe_reverse_reachable
 from repro.util.records import ResultTable
-from repro.util.rng import SeedLike
 
 
 def _batched_reach(open_for_class, pairs, shape, keep: bool = False):
@@ -122,7 +121,7 @@ def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
     no per-pair floods anywhere.
     """
     shape = spec.shape
-    pairs = int(spec.param("pairs", 60))
+    pairs = int(spec.params["pairs"])
     rng = task.rng()
     mask = random_fault_mask(shape, task.count, rng=rng)
     evaluator = ConditionEvaluator(mask)
@@ -204,35 +203,3 @@ def reduce_records(
             ),
         )
     return table
-
-
-def run_fidelity(
-    shape: tuple[int, ...],
-    fault_counts: list[int],
-    pairs: int = 60,
-    trials: int = 5,
-    seed: SeedLike = 2005,
-    workers: int = 1,
-    shards: int | None = None,
-    checkpoint: str | None = None,
-    save: str | None = None,
-    trace: str | None = None,
-) -> ResultTable:
-    """Sweep fault counts; agreement rates between model and oracle.
-
-    ``workers`` shards the fault patterns across processes (1 =
-    in-process serial fallback); results are identical for any value.
-    ``checkpoint`` journals per-pattern records for resumable runs.
-    """
-    spec = SweepSpec(
-        experiment="fidelity",
-        shape=tuple(shape),
-        fault_counts=tuple(fault_counts),
-        trials=trials,
-        seed=seed,
-        params={"pairs": pairs},
-    )
-    return run_sweep(
-        spec, workers=workers, shards=shards, checkpoint=checkpoint,
-        save=save, trace=trace,
-    )

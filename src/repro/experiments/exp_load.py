@@ -26,7 +26,7 @@ Per fault pattern and offered rate the same Poisson session schedule
   queue against each other — end-to-end session latency including
   control-plane congestion.
 
-Command line::
+Command line (``run_sweep(SweepSpec("t7", ...), workers=N)`` in Python)::
 
     PYTHONPATH=src python -m repro.parallel t7 --shape 8 8 8 \
         --fault-counts 10 30 --trials 4 --rates 0.2 0.5 1.0 \
@@ -47,20 +47,15 @@ from repro.core.model_cache import cached_labelled
 from repro.distributed.pipeline import DistributedMCCPipeline
 from repro.experiments.workloads import random_fault_mask, sample_safe_pair
 from repro.mesh.topology import Mesh
-from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
+from repro.parallel.sharding import PatternTask, SweepSpec
 from repro.service import make_service
 from repro.simkit.network import MeshNetwork
 from repro.util.records import ResultTable
-from repro.util.rng import SeedLike
 from repro.util.validation import check_workload
 
 #: Routing modes compared by the frame replay (``blind`` has no
 #: feasibility story worth a latency curve).
 MODES = ("mcc", "rfb", "oracle")
-
-DEFAULT_RATES = (0.2, 0.5, 1.0)
-DEFAULT_DURATION = 40.0
-DEFAULT_CAPACITY = 1
 
 
 def poisson_schedule(
@@ -129,9 +124,9 @@ def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, Any]:
     """
     rng = task.rng()
     mask = random_fault_mask(spec.shape, task.count, rng=rng)
-    rates = [float(r) for r in spec.param("rates", DEFAULT_RATES)]
-    duration = float(spec.param("duration", DEFAULT_DURATION))
-    capacity = int(spec.param("capacity", DEFAULT_CAPACITY))
+    rates = [float(r) for r in spec.params["rates"]]
+    duration = float(spec.params["duration"])
+    capacity = int(spec.params["capacity"])
     safe = cached_labelled(mask).safe_mask
     record: dict[str, Any] = {"rates": []}
     if int(safe.sum()) < 2:
@@ -204,14 +199,14 @@ def reduce_records(
     makespan, and ``sat_<mode>`` repeats the fault count's saturation
     throughput (max over rates) on each of its rows.
     """
-    rates = [float(r) for r in spec.param("rates", DEFAULT_RATES)]
+    rates = [float(r) for r in spec.params["rates"]]
     dims = f"{len(spec.shape)}-D {'x'.join(map(str, spec.shape))}"
     table = ResultTable(
         title=(
             f"T7 load sweep — {dims} mesh, capacity "
-            f"{int(spec.param('capacity', DEFAULT_CAPACITY))}, "
+            f"{int(spec.params['capacity'])}, "
             f"{spec.trials} patterns, duration "
-            f"{float(spec.param('duration', DEFAULT_DURATION))}"
+            f"{float(spec.params['duration'])}"
         )
     )
     for count_index, count in enumerate(spec.fault_counts):
@@ -286,43 +281,3 @@ def reduce_records(
             )
             table.add(**row)
     return table
-
-
-def run_load_sweep(
-    shape: tuple[int, ...],
-    fault_counts: list[int],
-    rates: Sequence[float] = DEFAULT_RATES,
-    duration: float = DEFAULT_DURATION,
-    capacity: int = DEFAULT_CAPACITY,
-    trials: int = 3,
-    seed: SeedLike = 2005,
-    workers: int = 1,
-    shards: int | None = None,
-    checkpoint: str | None = None,
-    save: str | None = None,
-    trace: str | None = None,
-) -> ResultTable:
-    """Sweep offered load over fault counts on contended links.
-
-    ``rates`` are offered session arrivals per time unit (open-loop
-    Poisson), ``duration`` the arrival window per rate, ``capacity``
-    the per-directed-link message capacity per ``link_delay``.  Shares
-    the sharded runner's contract: byte-identical tables for any
-    ``workers``/``shards`` split and for checkpoint resume.
-    """
-    spec = SweepSpec(
-        experiment="load",
-        shape=tuple(shape),
-        fault_counts=tuple(fault_counts),
-        trials=trials,
-        seed=seed,
-        params={
-            "rates": [float(r) for r in rates],
-            "duration": float(duration),
-            "capacity": int(capacity),
-        },
-    )
-    return run_sweep(
-        spec, workers=workers, shards=shards, checkpoint=checkpoint,
-        save=save, trace=trace,
-    )

@@ -7,8 +7,8 @@ random fault patterns and report messages per phase and per kind.
 
 Each fault pattern — one pipeline build plus its message audit — is one
 sharded :class:`repro.parallel.sharding.PatternTask`;
-``run_protocol_overhead(..., workers=N)`` fans the patterns out across
-processes and ``checkpoint=`` makes long sweeps resumable.  Each
+``run_sweep(SweepSpec("t3", ...), workers=N)`` fans the patterns out
+across processes and ``checkpoint=`` makes long sweeps resumable.  Each
 pattern draws its mask from its task's own stream
 (:meth:`~repro.parallel.sharding.PatternTask.rng`), so the table is
 byte-identical for any worker/shard layout (goldens in
@@ -30,9 +30,8 @@ import numpy as np
 from repro.distributed.pipeline import DistributedMCCPipeline
 from repro.experiments.workloads import random_fault_mask
 from repro.mesh.topology import Mesh
-from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
+from repro.parallel.sharding import PatternTask, SweepSpec
 from repro.util.records import ResultTable
-from repro.util.rng import SeedLike
 
 
 def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, Any]:
@@ -75,33 +74,3 @@ def reduce_records(
             / mesh_size,
         )
     return table
-
-
-def run_protocol_overhead(
-    shape: tuple[int, ...],
-    fault_counts: list[int],
-    trials: int = 5,
-    seed: SeedLike = 2005,
-    workers: int = 1,
-    shards: int | None = None,
-    checkpoint: str | None = None,
-    save: str | None = None,
-    trace: str | None = None,
-) -> ResultTable:
-    """Sweep fault counts; mean protocol message counts per phase.
-
-    ``workers`` shards the fault patterns across processes (1 =
-    in-process serial fallback); results are identical for any value.
-    ``checkpoint`` journals per-pattern records for resumable runs.
-    """
-    spec = SweepSpec(
-        experiment="protocol_overhead",
-        shape=tuple(shape),
-        fault_counts=tuple(fault_counts),
-        trials=trials,
-        seed=seed,
-    )
-    return run_sweep(
-        spec, workers=workers, shards=shards, checkpoint=checkpoint,
-        save=save, trace=trace,
-    )

@@ -14,20 +14,20 @@ trials:
 * their ratio (RFB / MCC, the paper's improvement factor).
 
 Each trial's fault pattern is one sharded
-:class:`repro.parallel.sharding.PatternTask`; ``run_region_overhead(...,
-workers=N)`` fans the patterns out across processes with seed-stable
-results for any worker/shard count.
+:class:`repro.parallel.sharding.PatternTask`; ``run_sweep(SweepSpec("t1",
+...), workers=N)`` fans the patterns out across processes with
+seed-stable results for any worker/shard count.
 
 Command line (flags shared with the other sweeps)::
 
     PYTHONPATH=src python -m repro.parallel \
-        --experiment region_overhead --shape 12 12 12 \
+        t1 --shape 12 12 12 \
         --fault-counts 20 60 120 --trials 40 --workers 4
 
 ``--workers`` sets the process count (1 = in-process); ``--shards``
 overrides the partition count for shard-invariance checks.  The
 clustered-fault variant is reachable through the Python API
-(``run_region_overhead(..., clustered=True)``).
+(``SweepSpec("t1", ..., params={"clustered": True})``).
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ import numpy as np
 from repro.baselines.rfb import rfb_unsafe
 from repro.core.model_cache import cached_labelled
 from repro.experiments.workloads import clustered_fault_mask, random_fault_mask
-from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
+from repro.parallel.sharding import PatternTask, SweepSpec
 from repro.util.records import ResultTable
-from repro.util.rng import SeedLike
 
 
 def region_overhead_once(fault_mask: np.ndarray) -> tuple[int, int]:
@@ -60,7 +59,7 @@ def region_overhead_once(fault_mask: np.ndarray) -> tuple[int, int]:
 def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
     """Region overhead of one sampled fault pattern."""
     rng = task.rng()
-    if spec.param("clustered", False):
+    if spec.params["clustered"]:
         mask = clustered_fault_mask(spec.shape, task.count, rng=rng)
     else:
         mask = random_fault_mask(spec.shape, task.count, rng=rng)
@@ -73,7 +72,7 @@ def reduce_records(
 ) -> ResultTable:
     """Merge per-pattern overheads into the region-overhead table."""
     dims = f"{len(spec.shape)}-D {'x'.join(map(str, spec.shape))}"
-    kind = "clustered" if spec.param("clustered", False) else "uniform"
+    kind = "clustered" if spec.params["clustered"] else "uniform"
     table = ResultTable(
         title=(
             f"T1 region overhead — {dims} mesh, {kind} faults, "
@@ -95,35 +94,3 @@ def reduce_records(
             rfb_over_mcc=(rfb_avg / mcc_avg) if mcc_avg else float("inf"),
         )
     return table
-
-
-def run_region_overhead(
-    shape: tuple[int, ...],
-    fault_counts: list[int],
-    trials: int = 40,
-    seed: SeedLike = 2005,
-    clustered: bool = False,
-    workers: int = 1,
-    shards: int | None = None,
-    checkpoint: str | None = None,
-    save: str | None = None,
-    trace: str | None = None,
-) -> ResultTable:
-    """Sweep fault counts; average region overhead per model.
-
-    ``workers`` shards the fault patterns across processes (1 =
-    in-process serial fallback); results are identical for any value.
-    ``checkpoint`` journals per-pattern records for resumable runs.
-    """
-    spec = SweepSpec(
-        experiment="region_overhead",
-        shape=tuple(shape),
-        fault_counts=tuple(fault_counts),
-        trials=trials,
-        seed=seed,
-        params={"clustered": clustered},
-    )
-    return run_sweep(
-        spec, workers=workers, shards=shards, checkpoint=checkpoint,
-        save=save, trace=trace,
-    )

@@ -21,18 +21,19 @@ its verdicts come from one :meth:`RoutingService.feasible_batch` call
 per model, which shares each direction class's ``LabelledGrid`` and one
 reverse flood per distinct destination across the whole pattern.  The
 pattern axis itself is sharded across processes by
-:func:`repro.parallel.sharding.run_sweep` — ``run_success_rate(...,
-workers=N)`` — with seed-stable results for any worker/shard count.
+``run_sweep(SweepSpec("t2", ...), workers=N)``
+(:mod:`repro.parallel.sharding`), with seed-stable results for any
+worker/shard count.
 
 Command line (flags shared with the other sweeps)::
 
     PYTHONPATH=src python -m repro.parallel \
-        --experiment success_rate --shape 12 12 12 \
+        t2 --shape 12 12 12 \
         --fault-counts 20 60 120 --trials 8 --pairs 200 --workers 4
 
-``--pairs`` sets the pair workload sampled per pattern; ``--workers``
-the process count (1 = in-process); ``--shards`` overrides the
-partition count for shard-invariance checks.
+``--pairs`` sets the pair workload sampled per pattern (default 200);
+``--workers`` the process count (1 = in-process); ``--shards``
+overrides the partition count for shard-invariance checks.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ import numpy as np
 
 from repro.baselines.ecube import ecube_succeeds
 from repro.experiments.workloads import random_fault_mask, sample_safe_pair
-from repro.parallel.sharding import PatternTask, SweepSpec, run_sweep
+from repro.parallel.sharding import PatternTask, SweepSpec
 from repro.service import make_service
 from repro.util.records import ResultTable
-from repro.util.rng import SeedLike
 
 
 def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
@@ -54,7 +54,7 @@ def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
     rng = task.rng()
     mask = random_fault_mask(spec.shape, task.count, rng=rng)
     batch = []
-    for _ in range(int(spec.param("pairs", 200))):
+    for _ in range(int(spec.params["pairs"])):
         pair = sample_safe_pair(~mask, rng=rng, min_distance=2)
         if pair is not None:
             batch.append(pair)
@@ -78,7 +78,7 @@ def reduce_records(
     table = ResultTable(
         title=(
             f"T2 minimal-routing success rate — {dims} mesh, "
-            f"{spec.trials} fault patterns x {spec.param('pairs', 200)} pairs"
+            f"{spec.trials} fault patterns x {spec.params['pairs']} pairs"
         )
     )
     mesh_size = float(np.prod(spec.shape))
@@ -99,35 +99,3 @@ def reduce_records(
             ecube=wins["ecube"] / total if total else 0.0,
         )
     return table
-
-
-def run_success_rate(
-    shape: tuple[int, ...],
-    fault_counts: list[int],
-    pairs: int = 200,
-    trials: int = 10,
-    seed: SeedLike = 2005,
-    workers: int = 1,
-    shards: int | None = None,
-    checkpoint: str | None = None,
-    save: str | None = None,
-    trace: str | None = None,
-) -> ResultTable:
-    """Sweep fault counts; success rate per model over random pairs.
-
-    ``workers`` shards the fault patterns across processes (1 =
-    in-process serial fallback); results are identical for any value.
-    ``checkpoint`` journals per-pattern records for resumable runs.
-    """
-    spec = SweepSpec(
-        experiment="success_rate",
-        shape=tuple(shape),
-        fault_counts=tuple(fault_counts),
-        trials=trials,
-        seed=seed,
-        params={"pairs": pairs},
-    )
-    return run_sweep(
-        spec, workers=workers, shards=shards, checkpoint=checkpoint,
-        save=save, trace=trace,
-    )

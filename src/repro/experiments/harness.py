@@ -2,34 +2,21 @@
 
 ``run_all(profile="quick")`` keeps everything laptop-fast (seconds to a
 couple of minutes); ``profile="paper"`` uses the larger meshes and
-trial counts recorded in DESIGN.md's experiment index.  All tiers —
-including the churn comparisons T6 (mcc), T6r (rfb baseline), and T6d
-(distributed stack vs both centralized models) — run through
-:mod:`repro.parallel.sharding`, so ``workers=`` fans every table's
-fault patterns across processes and ``checkpoint_dir=`` makes the
-whole evaluation resumable (one journal per table).
-
-:class:`ExperimentSpec` is the shared-kwargs contract every ``run_*``
-entry point honours: the **workload** (shape, fault counts, trials,
-seed, per-experiment knobs like ``pairs``/``queries``/``epochs``) is
-fixed at construction, while the **execution** kwargs — ``workers``,
-``shards``, ``checkpoint``, ``save``, ``trace``, ``mode`` — are passed to
-:meth:`ExperimentSpec.run` and forwarded uniformly.  The
-``python -m repro.parallel`` CLI and :func:`run_all` both dispatch
-through it, so every tier accepts the same flags and builds its
-:class:`~repro.parallel.sharding.SweepSpec` in exactly one place
-(fingerprints are shared by construction).
+trial counts recorded in DESIGN.md's experiment index.  Every table is
+one :class:`~repro.parallel.sharding.SweepSpec` run by
+:func:`~repro.parallel.sharding.run_sweep` — including the churn
+comparisons T6 (mcc), T6r (T6 with ``mode="rfb"``), and T6d
+(distributed stack vs both centralized models) — so ``workers=`` fans
+every table's fault patterns across processes and ``checkpoint_dir=``
+makes the whole evaluation resumable (one journal per table).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any, Mapping
 
-from repro.parallel.sharding import CLI_ALIASES, CLI_RUNNERS, _resolve
+from repro.parallel.sharding import SweepSpec, run_sweep
 from repro.util.records import ResultTable
-from repro.util.rng import SeedLike
 
 PROFILES = {
     "quick": {
@@ -65,95 +52,6 @@ PROFILES = {
 }
 
 
-#: Execution kwargs shared by every experiment entry point.
-SHARED_KWARGS = ("workers", "shards", "checkpoint", "save", "trace", "mode")
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One experiment invocation under the shared kwargs contract.
-
-    ``experiment`` is a registered name from
-    :data:`repro.parallel.sharding.CLI_RUNNERS` or a paper-table alias
-    (``t1``–``t7``, ``a1``, ``a4``).  ``workload`` holds the
-    per-experiment knobs (``pairs``, ``queries``, ``epochs``,
-    ``churn``, ``des``) and is validated against the experiment's
-    registered flag tuple at construction, so a typo'd knob fails
-    before any work is done.  ``trials``/``seed`` default to the
-    underlying ``run_*`` defaults when left ``None``.
-
-    :meth:`run` forwards the execution kwargs — exactly
-    :data:`SHARED_KWARGS` — to the experiment's ``run_*`` wrapper (the
-    one place its :class:`~repro.parallel.sharding.SweepSpec` is
-    built), so CLI- and Python-started runs of the same spec share
-    checkpoints and fingerprints by construction.
-    """
-
-    experiment: str
-    shape: tuple[int, ...]
-    fault_counts: tuple[int, ...]
-    trials: int | None = None
-    seed: SeedLike | None = None
-    workload: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        name = self.resolved
-        if name not in CLI_RUNNERS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; pick from "
-                f"{sorted(CLI_RUNNERS)} or aliases {sorted(CLI_ALIASES)}"
-            )
-        _, flags = CLI_RUNNERS[name]
-        allowed = set(flags) - {"mode"}  # mode is an execution kwarg
-        unknown = set(self.workload) - allowed
-        if unknown:
-            raise ValueError(
-                f"experiment {name!r} does not take workload knobs "
-                f"{sorted(unknown)}; it takes {sorted(allowed)}"
-            )
-
-    @property
-    def resolved(self) -> str:
-        """The registered experiment name (aliases expanded)."""
-        return CLI_ALIASES.get(self.experiment, self.experiment)
-
-    def run(
-        self,
-        *,
-        workers: int = 1,
-        shards: int | None = None,
-        checkpoint: str | None = None,
-        save: str | None = None,
-        trace: str | None = None,
-        mode: str | None = None,
-    ) -> ResultTable:
-        """Execute via the experiment's ``run_*`` wrapper; return the table."""
-        name = self.resolved
-        runner_path, flags = CLI_RUNNERS[name]
-        if mode is not None and "mode" not in flags:
-            raise ValueError(
-                f"experiment {name!r} does not take mode= (only the "
-                "churn tiers route through a switchable online model)"
-            )
-        kwargs: dict[str, Any] = dict(self.workload)
-        if self.trials is not None:
-            kwargs["trials"] = self.trials
-        if self.seed is not None:
-            kwargs["seed"] = self.seed
-        if mode is not None:
-            kwargs["mode"] = mode
-        return _resolve(runner_path)(
-            tuple(self.shape),
-            list(self.fault_counts),
-            workers=workers,
-            shards=shards,
-            checkpoint=checkpoint,
-            save=save,
-            trace=trace,
-            **kwargs,
-        )
-
-
 def run_all(
     profile: str = "quick",
     seed: int = 2005,
@@ -179,104 +77,47 @@ def run_all(
             return None
         return os.path.join(checkpoint_dir, f"{key}.jsonl")
 
-    churn_spec = ExperimentSpec(
-        "t6",
-        p["shape3d"],
-        tuple(p["faults3d"][:3]),
-        trials=max(2, p["trials"] // 4),
-        seed=seed,
-        workload={"pairs": max(20, p["pairs"] // 5), "epochs": p["churn_epochs"]},
-    )
-    plan: dict[str, tuple[ExperimentSpec, str | None]] = {
-        "T1a": (
-            ExperimentSpec(
-                "t1", p["shape2d"], tuple(p["faults2d"]),
-                trials=p["trials"], seed=seed,
-            ),
-            None,
+    few = max(2, p["trials"] // 4)
+    churn_grid = (p["shape3d"], p["faults3d"][:3], few, seed)
+    churn = {"pairs": max(20, p["pairs"] // 5), "epochs": p["churn_epochs"]}
+    des_grid = (p["des_shape"], p["des_faults"], p["des_trials"], seed)
+    small_des_grid = (p["des_shape"], p["des_faults"][:2], p["des_trials"], seed)
+    specs = {
+        "T1a": SweepSpec("t1", p["shape2d"], p["faults2d"], p["trials"], seed),
+        "T1b": SweepSpec("t1", p["shape3d"], p["faults3d"], p["trials"], seed),
+        "T2a": SweepSpec(
+            "t2", p["shape2d"], p["faults2d"], few, seed, {"pairs": p["pairs"]}
         ),
-        "T1b": (
-            ExperimentSpec(
-                "t1", p["shape3d"], tuple(p["faults3d"]),
-                trials=p["trials"], seed=seed,
-            ),
-            None,
+        "T2b": SweepSpec(
+            "t2", p["shape3d"], p["faults3d"], few, seed, {"pairs": p["pairs"]}
         ),
-        "T2a": (
-            ExperimentSpec(
-                "t2", p["shape2d"], tuple(p["faults2d"]),
-                trials=max(2, p["trials"] // 4), seed=seed,
-                workload={"pairs": p["pairs"]},
-            ),
-            None,
+        "T3": SweepSpec("t3", *des_grid),
+        "T4": SweepSpec("t4", *des_grid, {"queries": p["des_queries"]}),
+        "T5": SweepSpec(
+            "t5",
+            p["shape3d"] if profile == "quick" else (10, 10, 10),
+            p["faults3d"][:3],
+            few,
+            seed,
+            {"pairs": max(20, p["pairs"] // 5)},
         ),
-        "T2b": (
-            ExperimentSpec(
-                "t2", p["shape3d"], tuple(p["faults3d"]),
-                trials=max(2, p["trials"] // 4), seed=seed,
-                workload={"pairs": p["pairs"]},
-            ),
-            None,
+        "T6": SweepSpec("t6", *churn_grid, churn),
+        "T6r": SweepSpec("t6", *churn_grid, {**churn, "mode": "rfb"}),
+        "T7": SweepSpec(
+            "t7",
+            *small_des_grid,
+            {"rates": list(p["load_rates"]), "duration": p["load_duration"]},
         ),
-        "T3": (
-            ExperimentSpec(
-                "t3", p["des_shape"], tuple(p["des_faults"]),
-                trials=p["des_trials"], seed=seed,
-            ),
-            None,
-        ),
-        "T4": (
-            ExperimentSpec(
-                "t4", p["des_shape"], tuple(p["des_faults"]),
-                trials=p["des_trials"], seed=seed,
-                workload={"queries": p["des_queries"]},
-            ),
-            None,
-        ),
-        "T5": (
-            ExperimentSpec(
-                "t5",
-                p["shape3d"] if profile == "quick" else (10, 10, 10),
-                tuple(p["faults3d"][:3]),
-                trials=max(2, p["trials"] // 4),
-                seed=seed,
-                workload={"pairs": max(20, p["pairs"] // 5)},
-            ),
-            None,
-        ),
-        "T6": (churn_spec, None),
-        "T6r": (churn_spec, "rfb"),
-        "T7": (
-            ExperimentSpec(
-                "t7",
-                p["des_shape"],
-                tuple(p["des_faults"][:2]),
-                trials=p["des_trials"],
-                seed=seed,
-                workload={
-                    "rates": list(p["load_rates"]),
-                    "duration": p["load_duration"],
-                },
-            ),
-            None,
-        ),
-        "T6d": (
-            ExperimentSpec(
-                "t6",
-                p["des_shape"],
-                tuple(p["des_faults"][:2]),
-                trials=p["des_trials"],
-                seed=seed,
-                workload={
-                    "pairs": max(8, p["pairs"] // 10),
-                    "epochs": max(3, p["churn_epochs"] // 2),
-                    "des": True,
-                },
-            ),
-            None,
+        "T6d": SweepSpec(
+            "t6d",
+            *small_des_grid,
+            {
+                "pairs": max(8, p["pairs"] // 10),
+                "epochs": max(3, p["churn_epochs"] // 2),
+            },
         ),
     }
     return {
-        key: spec.run(workers=workers, checkpoint=ckpt(key), mode=mode)
-        for key, (spec, mode) in plan.items()
+        key: run_sweep(spec, workers=workers, checkpoint=ckpt(key))
+        for key, spec in specs.items()
     }

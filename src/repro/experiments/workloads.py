@@ -9,13 +9,12 @@ correlate spatially — a failed power rail or cooling zone).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.mesh.coords import manhattan
 from repro.util.caching import LRUCache, mask_digest
 from repro.util.rng import SeedLike, make_rng, sample_distinct
+from repro.util.validation import check_fault_count
 
 #: Bound on cached cell tables.  Callers draw all of a mask's pairs
 #: before they move to the next mask, so a few entries cover every
@@ -25,27 +24,12 @@ CELL_TABLE_SIZE = 4
 _CELL_TABLES: LRUCache[bytes, np.ndarray] = LRUCache(CELL_TABLE_SIZE)
 
 
-def _check_count(shape: tuple[int, ...], count: int) -> None:
-    """Reject an impossible request before any draw.
-
-    Axis lengths below 1, a negative ``count`` and a ``count`` above the
-    mesh size raise ``ValueError``.
-    """
-    if any(k < 1 for k in shape):
-        raise ValueError(f"mesh axis lengths must be >= 1, got {tuple(shape)}")
-    if count < 0:
-        raise ValueError(f"fault count must be >= 0, got {count}")
-    size = math.prod(shape)
-    if count > size:
-        raise ValueError(f"cannot place {count} faults in mesh of {size}")
-
-
 def random_fault_mask(
     shape: tuple[int, ...], count: int, rng: SeedLike = None
 ) -> np.ndarray:
     """Uniform random node faults: ``count`` distinct cells."""
     rng = make_rng(rng)
-    _check_count(shape, count)
+    check_fault_count(shape, count)
     mask = np.zeros(shape, dtype=bool)
     mask.flat[sample_distinct(rng, mask.size, count)] = True
     return mask
@@ -60,7 +44,7 @@ def clustered_fault_mask(
 ) -> np.ndarray:
     """Spatially clustered faults: Gaussian blobs around random centers."""
     rng = make_rng(rng)
-    _check_count(shape, count)
+    check_fault_count(shape, count)
     centers = [
         tuple(int(rng.integers(0, k)) for k in shape) for _ in range(max(1, clusters))
     ]

@@ -4,9 +4,9 @@ The experiments average over many independently sampled fault patterns;
 :mod:`repro.parallel.sharding` partitions that pattern axis across
 ``multiprocessing`` workers (one :class:`repro.routing.batch.RoutingService`
 per pattern inside each worker) and merges the per-pattern records into
-the experiment's summary table, seed-stably for any shard count.  All
-five paper tables (T1–T5) and the A1/A4 ablations run through this one
-execution path.
+the experiment's summary table, seed-stably for any shard count.  Every
+table (T1–T7, T6d) and the A1/A4 ablations is one :class:`SweepSpec`
+run by :func:`run_sweep`, the one execution path.
 
 Checkpoint & resume
 -------------------

@@ -18,10 +18,13 @@ with one batched call — so the sweep scales on the *pattern* axis:
    table is byte-identical for any shard or worker count (float
    summation order is fixed; property-tested in test_sweep_sharding).
 
-Experiments register themselves in :data:`EXPERIMENTS` as dotted
-``module:function`` paths (resolved lazily, so worker processes under
-the ``spawn`` start method re-import them cleanly and there is no
-import cycle with :mod:`repro.experiments`).
+A sweep is one :class:`SweepSpec` run by :func:`run_sweep`; there is no
+other entry point.  Experiments register in :data:`EXPERIMENTS`: the
+evaluator and reducer as dotted ``module:function`` paths (resolved
+lazily, so worker processes under the ``spawn`` start method re-import
+them cleanly and there is no import cycle with
+:mod:`repro.experiments`), and each workload knob with its one default,
+which the spec fills in when its ``params`` leave the knob out.
 
 Command-line interface (also see ``benchmarks/bench_sweep_sharding.py``)::
 
@@ -32,17 +35,21 @@ Command-line interface (also see ``benchmarks/bench_sweep_sharding.py``)::
 
 The positional experiment accepts registered names (``success_rate``,
 ``region_overhead``, ``des_routing``, ``protocol_overhead``,
-``fidelity``, ``churn``, ``load``, ``ablation_rfb``, ``ablation_4d``)
-or the table aliases (``t1``–``t7``, ``a1``, ``a4``; ``t6`` is the
-fault-churn workload and ``t7`` the contended-link load sweep, both
-added on top of the paper); ``--experiment NAME`` is kept
-for scripts.  ``--shape``/``--fault-counts``/``--trials``/``--seed``
-define the pattern grid; ``--pairs`` (T1/T2/T5) or ``--queries`` (T4)
-size the per-pattern workload; ``--workers`` sets the process count
-(1 = in-process) and ``--shards`` overrides the partition count
-(defaults to ``workers``) for shard-invariance checks; ``--csv`` emits
-CSV instead of the text table; ``--save PATH`` writes the merged table
-in the durable JSONL format.
+``fidelity``, ``churn``, ``churn_des``, ``load``, ``ablation_rfb``,
+``ablation_4d``) or the table aliases (``t1``–``t7``, ``t6d``, ``a1``,
+``a4``; ``t6``/``t6d`` are the fault-churn workloads and ``t7`` the
+contended-link load sweep, all added on top of the paper).
+``--shape``/``--fault-counts``/``--trials``/``--seed`` define the
+pattern grid.  The workload knob flags (``--pairs``, ``--queries``,
+``--epochs``, ``--churn``, ``--mode``, ``--rates``, ``--duration``,
+``--capacity``) go into the spec's ``params`` only when given, so the
+CLI and ``SweepSpec(...)`` with the same grid and knobs build the same
+spec and share checkpoint fingerprints; a knob the experiment does not
+take, like any value the sweep rule rejects, is a usage error (exit 2).
+``--workers`` sets the process count (1 = in-process) and ``--shards``
+overrides the partition count (defaults to ``workers``) for
+shard-invariance checks; ``--csv`` emits CSV instead of the text table;
+``--save PATH`` writes the merged table in the durable JSONL format.
 
 Checkpoint & resume
 -------------------
@@ -78,7 +85,8 @@ import multiprocessing as mp
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,109 +106,89 @@ from repro.util.rng import (
 )
 from repro.util.validation import check_workload
 
-#: Registered experiments: name -> (evaluator path, reducer path).
-#: An evaluator maps ``(spec, task) -> dict`` of plain numbers for one
-#: fault pattern; a reducer maps ``(spec, records) -> ResultTable`` with
-#: the records already sorted in global task order.
-EXPERIMENTS: dict[str, tuple[str, str]] = {
-    "success_rate": (
+
+class Experiment(NamedTuple):
+    """One registered sweep: how to score a pattern, merge, and its knobs.
+
+    ``evaluator`` maps ``(spec, task) -> dict`` of plain numbers for one
+    fault pattern; ``reducer`` maps ``(spec, records) -> ResultTable``
+    with the records already sorted in global task order.  Both are
+    dotted ``module:function`` paths (or plain callables).  ``knobs``
+    names every workload knob the experiment reads, with its default.
+    """
+
+    evaluator: str | Callable
+    reducer: str | Callable
+    knobs: Mapping[str, Any] = MappingProxyType({})
+
+
+_CHURN_KNOBS = {"pairs": 60, "epochs": 6, "churn": 2}
+
+#: Registered experiments by name.  Each knob default is written here
+#: and nowhere else: :class:`SweepSpec` fills every knob its ``params``
+#: leave out, so evaluators and reducers read ``spec.params[name]``.
+EXPERIMENTS: dict[str, Experiment] = {
+    "success_rate": Experiment(
         "repro.experiments.exp_success_rate:evaluate_pattern",
         "repro.experiments.exp_success_rate:reduce_records",
+        {"pairs": 200},
     ),
-    "region_overhead": (
+    "region_overhead": Experiment(
         "repro.experiments.exp_region_overhead:evaluate_pattern",
         "repro.experiments.exp_region_overhead:reduce_records",
+        {"clustered": False},
     ),
-    "des_routing": (
+    "des_routing": Experiment(
         "repro.experiments.exp_des_routing:evaluate_pattern",
         "repro.experiments.exp_des_routing:reduce_records",
+        {"queries": 30},
     ),
-    "protocol_overhead": (
+    "protocol_overhead": Experiment(
         "repro.experiments.exp_protocol_overhead:evaluate_pattern",
         "repro.experiments.exp_protocol_overhead:reduce_records",
     ),
-    "fidelity": (
+    "fidelity": Experiment(
         "repro.experiments.exp_fidelity:evaluate_pattern",
         "repro.experiments.exp_fidelity:reduce_records",
+        {"pairs": 60},
     ),
-    "ablation_rfb": (
+    "ablation_rfb": Experiment(
         "repro.experiments.exp_ablation:evaluate_rfb_pattern",
         "repro.experiments.exp_ablation:reduce_rfb_records",
     ),
-    "ablation_4d": (
+    "ablation_4d": Experiment(
         "repro.experiments.exp_ablation:evaluate_mesh4d_pattern",
         "repro.experiments.exp_ablation:reduce_mesh4d_records",
     ),
-    "churn": (
+    "churn": Experiment(
         "repro.experiments.exp_churn:evaluate_pattern",
         "repro.experiments.exp_churn:reduce_records",
+        {**_CHURN_KNOBS, "mode": "mcc"},
     ),
-    "churn_des": (
+    "churn_des": Experiment(
         "repro.experiments.exp_churn:evaluate_des_pattern",
         "repro.experiments.exp_churn:reduce_des_records",
+        _CHURN_KNOBS,
     ),
-    "load": (
+    "load": Experiment(
         "repro.experiments.exp_load:evaluate_pattern",
         "repro.experiments.exp_load:reduce_records",
+        {"rates": (0.2, 0.5, 1.0), "duration": 40.0, "capacity": 1},
     ),
 }
 
-#: Paper-table shorthands accepted by the CLI's positional argument.
-CLI_ALIASES: dict[str, str] = {
+#: Paper-table shorthands, accepted wherever an experiment is named.
+ALIASES: dict[str, str] = {
     "t1": "region_overhead",
     "t2": "success_rate",
     "t3": "protocol_overhead",
     "t4": "des_routing",
     "t5": "fidelity",
     "t6": "churn",
+    "t6d": "churn_des",
     "t7": "load",
     "a1": "ablation_rfb",
     "a4": "ablation_4d",
-}
-
-#: CLI dispatch: experiment -> (``run_*`` wrapper path, workload flags).
-#: The wrapper is the one place the experiment's SweepSpec is built, so
-#: CLI- and Python-started checkpoints share fingerprints by
-#: construction.  The parser's experiment choices derive from this dict
-#: (plus :data:`CLI_ALIASES`), so an experiment registered only in
-#: :data:`EXPERIMENTS` is cleanly rejected by argparse instead of
-#: crashing at dispatch; ``tests/test_sweep_sharding.py`` pins the two
-#: registries to the same key set.
-CLI_RUNNERS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "success_rate": (
-        "repro.experiments.exp_success_rate:run_success_rate",
-        ("pairs",),
-    ),
-    "region_overhead": (
-        "repro.experiments.exp_region_overhead:run_region_overhead",
-        (),
-    ),
-    "des_routing": (
-        "repro.experiments.exp_des_routing:run_des_routing",
-        ("queries",),
-    ),
-    "protocol_overhead": (
-        "repro.experiments.exp_protocol_overhead:run_protocol_overhead",
-        (),
-    ),
-    "fidelity": ("repro.experiments.exp_fidelity:run_fidelity", ("pairs",)),
-    "ablation_rfb": ("repro.experiments.exp_ablation:run_rfb_variants", ()),
-    "ablation_4d": ("repro.experiments.exp_ablation:run_mesh4d_extension", ()),
-    "churn": (
-        "repro.experiments.exp_churn:run_churn",
-        ("pairs", "epochs", "churn", "mode", "des"),
-    ),
-    # ``churn_des`` is reached through ``run_churn(des=True)`` — the CLI
-    # exposes it as ``t6 --des`` so the sweep spec is built in exactly
-    # one place and CLI/Python checkpoints share fingerprints.
-    "churn_des": (
-        "repro.experiments.exp_churn:run_churn",
-        ("pairs", "epochs", "churn", "mode", "des"),
-    ),
-    "load": (
-        "repro.experiments.exp_load:run_load_sweep",
-        ("rates", "duration", "capacity"),
-    ),
 }
 
 #: Format marker + schema version of the sweep-checkpoint JSONL header.
@@ -212,41 +200,21 @@ class PatternTaskError(RuntimeError):
     """A worker failed evaluating one fault pattern (task identified)."""
 
 
-def _checked_sweep(
-    shape: Sequence[int], fault_counts: Sequence[int], trials: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``shape`` and ``fault_counts`` as int tuples, after the sweep rule.
-
-    ``trials`` must be at least 1, every mesh axis length at least 1 and
-    every fault count in ``[0, mesh size]``; anything else raises
-    ``ValueError``.  :class:`SweepSpec` applies the rule at construction
-    (with :func:`~repro.util.validation.check_workload` on its params)
-    and :func:`main` before any runner starts, so the CLI reports a bad
-    value as a usage error.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    shape = tuple(int(k) for k in shape)
-    fault_counts = tuple(int(c) for c in fault_counts)
-    if any(k < 1 for k in shape):
-        raise ValueError(f"mesh axis lengths must be >= 1, got {shape}")
-    size = math.prod(shape)
-    bad = [c for c in fault_counts if not 0 <= c <= size]
-    if bad:
-        raise ValueError(
-            f"fault counts must lie in [0, {size}] on a "
-            f"{'x'.join(map(str, shape))} mesh, got {bad}"
-        )
-    return shape, fault_counts
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A deterministic multi-pattern sweep description (picklable).
 
-    ``params`` carries experiment-specific knobs (e.g. ``pairs`` for the
-    success-rate sweep, ``queries`` for the DES sweep); evaluators read
-    them with :meth:`param`.
+    ``experiment`` is a registered name or a paper alias (``t1``–``t7``,
+    ``t6d``, ``a1``, ``a4``) and is stored resolved.  ``params`` sets
+    workload knobs (e.g. ``pairs`` for the success-rate sweep,
+    ``queries`` for the DES sweep): a knob the experiment does not take
+    raises ``ValueError``, and every knob left out takes its
+    :data:`EXPERIMENTS` default, so the stored ``params`` is complete.
+
+    Construction also applies the sweep rule: ``trials`` at least 1,
+    every mesh axis length at least 1, every fault count in
+    ``[0, mesh size]``, and :func:`~repro.util.validation.check_workload`
+    on the knob values; anything else raises ``ValueError``.
     """
 
     experiment: str
@@ -257,18 +225,38 @@ class SweepSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        experiment = ALIASES.get(self.experiment, self.experiment)
+        if experiment not in EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {self.experiment!r}; "
-                f"pick from {sorted(EXPERIMENTS)}"
+                f"unknown experiment {self.experiment!r}; pick from "
+                f"{sorted(EXPERIMENTS)} or aliases {sorted(ALIASES)}"
             )
-        shape, fault_counts = _checked_sweep(self.shape, self.fault_counts, self.trials)
-        check_workload(self.params)
+        knobs = EXPERIMENTS[experiment].knobs
+        unknown = sorted(set(self.params) - set(knobs))
+        if unknown:
+            raise ValueError(
+                f"experiment {experiment!r} does not take knobs {unknown}; "
+                f"it takes {sorted(knobs)}"
+            )
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        shape = tuple(int(k) for k in self.shape)
+        fault_counts = tuple(int(c) for c in self.fault_counts)
+        if any(k < 1 for k in shape):
+            raise ValueError(f"mesh axis lengths must be >= 1, got {shape}")
+        size = math.prod(shape)
+        bad = [c for c in fault_counts if not 0 <= c <= size]
+        if bad:
+            raise ValueError(
+                f"fault counts must lie in [0, {size}] on a "
+                f"{'x'.join(map(str, shape))} mesh, got {bad}"
+            )
+        params = {**knobs, **self.params}
+        check_workload(params)
+        object.__setattr__(self, "experiment", experiment)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "fault_counts", fault_counts)
-
-    def param(self, name: str, default: Any) -> Any:
-        return self.params.get(name, default)
+        object.__setattr__(self, "params", params)
 
     def fingerprint(self) -> str:
         """Canonical digest of the sweep: same spec ⇔ same fingerprint.
@@ -380,7 +368,7 @@ def evaluate_shard(
     as ``"_spans"`` — plain dicts, popped again by :func:`run_sweep`
     before any journaling so checkpoint bytes never change.
     """
-    evaluator = _resolve(EXPERIMENTS[spec.experiment][0])
+    evaluator = _resolve(EXPERIMENTS[spec.experiment].evaluator)
     records = []
     for task in tasks:
         tracer = None
@@ -427,7 +415,7 @@ def reduce_records(
     including float accumulation — happens in one canonical order
     regardless of how many shards (or processes) produced them.
     """
-    reducer = _resolve(EXPERIMENTS[spec.experiment][1])
+    reducer = _resolve(EXPERIMENTS[spec.experiment].reducer)
     ordered = sorted(records, key=lambda r: r["_index"])
     return reducer(spec, ordered)
 
@@ -497,9 +485,7 @@ def run_sweep(
     point.  Records pass through the JSON codec even on the first run,
     so fresh and reloaded records are the same plain types.
 
-    ``save`` writes the merged table as durable JSONL — the same flag
-    every ``run_*`` entry point and the CLI expose (the shared kwargs
-    contract normalized by ``repro.experiments.harness.ExperimentSpec``).
+    ``save`` writes the merged table as durable JSONL (CLI ``--save``).
 
     ``trace`` names a Perfetto trace-event JSON output: every evaluated
     pattern runs under a per-task tracer (one trace track per pattern)
@@ -621,54 +607,43 @@ def main(argv: Sequence[str] | None = None) -> None:
         description="Run a sharded multi-pattern experiment sweep."
     )
     parser.add_argument(
-        "experiment_name",
-        nargs="?",
-        metavar="experiment",
-        choices=sorted(CLI_RUNNERS) + sorted(CLI_ALIASES),
-        help="registered experiment or paper-table alias (t1..t7, a1, a4)",
-    )
-    parser.add_argument(
-        "--experiment",
-        choices=sorted(CLI_RUNNERS),
-        help="registered experiment (script-friendly form of the positional)",
+        "experiment",
+        choices=sorted(EXPERIMENTS) + sorted(ALIASES),
+        help="registered experiment or paper-table alias (t1..t7, t6d, a1, a4)",
     )
     parser.add_argument("--shape", type=int, nargs="+", default=[12, 12, 12])
     parser.add_argument(
         "--fault-counts", type=int, nargs="+", default=[20, 60, 120]
     )
     parser.add_argument("--trials", type=int, default=8)
-    parser.add_argument("--pairs", type=int, default=200)
-    parser.add_argument("--queries", type=int, default=30)
-    parser.add_argument(
-        "--epochs", type=int, default=6,
-        help="fault events per pattern (churn/t6 sweep)",
+    parser.add_argument("--seed", type=int, default=2005)
+    knobs = parser.add_argument_group(
+        "workload knobs",
+        "an unset knob takes the experiment's registered default; a knob "
+        "the experiment does not take is a usage error",
     )
-    parser.add_argument(
-        "--churn", type=int, default=2,
-        help="cells injected/repaired per event (churn/t6 sweep)",
+    knobs.add_argument(
+        "--pairs", type=int, help="pairs per pattern (t2, t5) or per epoch (t6, t6d)"
     )
-    parser.add_argument(
-        "--mode", choices=["mcc", "rfb", "oracle", "blind"], default="mcc",
+    knobs.add_argument("--queries", type=int, help="routed queries per pattern (t4)")
+    knobs.add_argument("--epochs", type=int, help="fault events per pattern (t6, t6d)")
+    knobs.add_argument(
+        "--churn", type=int, help="cells injected/repaired per event (t6, t6d)"
+    )
+    knobs.add_argument(
+        "--mode", choices=["mcc", "rfb", "oracle", "blind"],
         help="fault-information model the online service maintains (t6)",
     )
-    parser.add_argument(
-        "--des", action="store_true",
-        help="score the distributed stack under churn next to the "
-        "centralized mcc/rfb services (t6 --des)",
+    knobs.add_argument(
+        "--rates", type=float, nargs="+",
+        help="offered session arrivals per time unit (t7)",
     )
-    parser.add_argument(
-        "--rates", type=float, nargs="+", default=[0.2, 0.5, 1.0],
-        help="offered session arrivals per time unit (load/t7 sweep)",
+    knobs.add_argument(
+        "--duration", type=float, help="Poisson arrival window per rate (t7)"
     )
-    parser.add_argument(
-        "--duration", type=float, default=40.0,
-        help="Poisson arrival window per rate (load/t7 sweep)",
+    knobs.add_argument(
+        "--capacity", type=int, help="messages per directed link per link delay (t7)"
     )
-    parser.add_argument(
-        "--capacity", type=int, default=1,
-        help="messages per directed link per link delay (load/t7 sweep)",
-    )
-    parser.add_argument("--seed", type=int, default=2005)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--shards", type=int, default=None)
     parser.add_argument(
@@ -691,48 +666,35 @@ def main(argv: Sequence[str] | None = None) -> None:
     )
     parser.add_argument("--csv", action="store_true", help="emit CSV")
     args = parser.parse_args(argv)
-    if args.experiment_name and args.experiment:
-        parser.error(
-            "give the experiment either positionally or via --experiment, "
-            "not both"
-        )
-    name = args.experiment_name or args.experiment
-    if name is None:
-        parser.error("an experiment is required (positional or --experiment)")
-    experiment = CLI_ALIASES.get(name, name)
-    if experiment == "churn_des":
-        # Selecting the DES variant by name is the same as ``t6 --des``.
-        experiment, args.des = "churn", True
-    _, workload_flags = CLI_RUNNERS[experiment]
-    workload = {flag: getattr(args, flag) for flag in workload_flags if flag != "mode"}
+    # Only the knob flags actually given reach the spec; it fills the rest.
+    knob_names = {name for entry in EXPERIMENTS.values() for name in entry.knobs}
+    given = {
+        name: value
+        for name, value in vars(args).items()
+        if name in knob_names and value is not None
+    }
     try:
-        _checked_sweep(args.shape, args.fault_counts, args.trials)
-        check_workload(workload)
+        spec = SweepSpec(
+            args.experiment,
+            tuple(args.shape),
+            tuple(args.fault_counts),
+            trials=args.trials,
+            seed=args.seed,
+            params=given,
+        )
     except ValueError as exc:
         parser.error(str(exc))
     for flag in ("workers", "shards"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             parser.error(f"--{flag} must be >= 1, got {value}")
-    # Lazy import: harness imports this module's registries at top
-    # level, so the reverse edge must stay inside main().
-    from repro.experiments.harness import ExperimentSpec
-
-    spec = ExperimentSpec(
-        experiment,
-        tuple(args.shape),
-        tuple(args.fault_counts),
-        trials=args.trials,
-        seed=args.seed,
-        workload=workload,
-    )
-    table = spec.run(
+    table = run_sweep(
+        spec,
         workers=args.workers,
         shards=args.shards,
         checkpoint=args.checkpoint,
         save=args.save,
         trace=args.trace,
-        mode=args.mode if "mode" in workload_flags else None,
     )
     print(table.to_csv() if args.csv else table.render())
 

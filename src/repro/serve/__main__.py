@@ -8,7 +8,7 @@ from typing import Sequence
 
 def main(argv: Sequence[str] | None = None) -> None:
     from repro.serve.loadgen import PROFILES, run_offered_load_sweep
-    from repro.util.validation import check_workload
+    from repro.util.validation import check_fault_count, check_workload
 
     parser = argparse.ArgumentParser(
         description=(
@@ -43,16 +43,20 @@ def main(argv: Sequence[str] | None = None) -> None:
     parser.add_argument("--csv", action="store_true", help="emit CSV")
     args = parser.parse_args(argv)
     try:
+        check_fault_count(args.shape, args.faults)
         check_workload(
             {
                 "rates": args.rates,
                 "duration": args.duration,
                 "churn": args.churn,
                 "events": args.events,
+                "batch_window": args.batch_window,
             }
         )
     except ValueError as exc:
         parser.error(str(exc))
+    if args.depth < 1:
+        parser.error(f"--depth must be >= 1, got {args.depth}")
     table = run_offered_load_sweep(
         tuple(args.shape),
         args.faults,

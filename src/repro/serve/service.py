@@ -45,7 +45,7 @@ from repro.online.service import OnlineRoutingService
 from repro.routing.engine import RouteResult
 from repro.serve.clock import Clock, VirtualClock
 from repro.service import make_service
-from repro.util.validation import check_shape_member
+from repro.util.validation import check_shape_member, check_workload
 
 #: Default batching window (clock units; seconds on a WallClock).
 DEFAULT_BATCH_WINDOW = 0.001
@@ -145,8 +145,7 @@ class AsyncRoutingService:
         batch_window: float = DEFAULT_BATCH_WINDOW,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
     ):
-        if batch_window <= 0:
-            raise ValueError(f"batch_window must be > 0, got {batch_window}")
+        check_workload({"batch_window": batch_window})
         if max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}"

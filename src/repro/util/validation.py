@@ -17,14 +17,15 @@ def check_positive(name: str, value: int | float, *, strict: bool = True) -> Non
 def check_workload(knobs: Mapping[str, Any]) -> None:
     """Raise ``ValueError`` unless every load knob in ``knobs`` is in range.
 
-    The one rule for sweep and trace knobs: ``rate``, each of ``rates``
-    and ``duration`` finite and > 0 (a Poisson arrival loop never ends
-    on NaN or inf); ``capacity`` and ``churn`` at least 1; the counts
-    ``pairs``, ``queries``, ``epochs`` and ``events`` at least 0.  Other
-    keys pass unchecked.
+    The one rule for sweep, trace and serving knobs: ``rate``, each of
+    ``rates``, ``duration`` and ``batch_window`` finite and > 0 (a
+    Poisson arrival loop or a batching clock never ends on NaN or inf);
+    ``capacity`` and ``churn`` at least 1; the counts ``pairs``,
+    ``queries``, ``epochs`` and ``events`` at least 0.  Other keys pass
+    unchecked.
     """
     for name, value in knobs.items():
-        if name in ("rate", "rates", "duration"):
+        if name in ("rate", "rates", "duration", "batch_window"):
             values = value if name == "rates" else (value,)
             if not all(math.isfinite(v) and v > 0 for v in values):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -32,6 +33,21 @@ def check_workload(knobs: Mapping[str, Any]) -> None:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
         elif name in ("pairs", "queries", "epochs", "events") and value < 0:
             raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
+def check_fault_count(shape: Sequence[int], count: int) -> None:
+    """Reject an impossible fault-pattern request before any draw.
+
+    Axis lengths below 1, a negative ``count`` and a ``count`` above the
+    mesh size raise ``ValueError``.
+    """
+    if any(k < 1 for k in shape):
+        raise ValueError(f"mesh axis lengths must be >= 1, got {tuple(shape)}")
+    if count < 0:
+        raise ValueError(f"fault count must be >= 0, got {count}")
+    size = math.prod(shape)
+    if count > size:
+        raise ValueError(f"cannot place {count} faults in mesh of {size}")
 
 
 class OffMeshError(ValueError, IndexError):

@@ -31,6 +31,19 @@ class TestExamples:
         assert "MCC count (paper grouping): 2" in out
         assert "feasible=False" in out  # the NO detection case
 
+    def test_fault_resilience_study(self):
+        out = run_example("fault_resilience_study.py")
+        assert "T2 minimal-routing success rate" in out
+        assert "clustered faults, 10 trials" in out
+        # Seeded sweeps: the closing summary replays exactly.
+        assert "At 7.5% faults: the MCC model still routes 99% of pairs" in out
+
+    def test_supercomputer_job_traffic(self):
+        out = run_example("supercomputer_job_traffic.py")
+        assert "Partition (16, 16, 16): 100 failed nodes" in out
+        assert "minimal-path feasible (Theorem 2): 398" in out
+        assert "delivered minimally by MCC router:  398" in out
+
     def test_distributed_protocol_demo(self):
         out = run_example("distributed_protocol_demo.py")
         assert "matches centralized labelling: True" in out

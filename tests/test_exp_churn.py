@@ -2,10 +2,9 @@
 
 import numpy as np
 
-from repro.experiments.exp_churn import evaluate_pattern, run_churn
+from repro.experiments.exp_churn import evaluate_pattern
 from repro.parallel.sharding import (
-    CLI_ALIASES,
-    CLI_RUNNERS,
+    ALIASES,
     EXPERIMENTS,
     SweepSpec,
     plan_tasks,
@@ -29,14 +28,19 @@ def tiny_spec(**overrides):
 class TestRegistration:
     def test_registered_everywhere(self):
         assert "churn" in EXPERIMENTS
-        assert "churn" in CLI_RUNNERS
-        assert CLI_ALIASES["t6"] == "churn"
-
-    def test_cli_workload_flags(self):
-        assert CLI_RUNNERS["churn"][1] == (
-            "pairs", "epochs", "churn", "mode", "des"
-        )
         assert "churn_des" in EXPERIMENTS
+        assert ALIASES["t6"] == "churn"
+        assert ALIASES["t6d"] == "churn_des"
+        # The knobs each churn tier takes (and the CLI flags it accepts).
+        assert set(EXPERIMENTS["churn"].knobs) == {"pairs", "epochs", "churn", "mode"}
+        assert set(EXPERIMENTS["churn_des"].knobs) == {"pairs", "epochs", "churn"}
+
+    def test_t6d_and_churn_des_build_the_same_spec(self):
+        grid = ((5, 5), (2,), 1)
+        assert SweepSpec("t6d", *grid) == SweepSpec("churn_des", *grid)
+        assert SweepSpec("t6d", *grid).fingerprint() == (
+            SweepSpec("churn_des", *grid).fingerprint()
+        )
 
 
 class TestEvaluatePattern:
@@ -79,9 +83,12 @@ class TestSweep:
         resumed = run_sweep(spec, workers=1, checkpoint=str(journal))
         assert resumed.render() == clean.render()
 
-    def test_run_churn_wrapper(self):
-        table = run_churn(
-            (5, 5), [2], pairs=8, epochs=2, churn=1, trials=1, seed=3
+    def test_small_t6_sweep(self):
+        table = run_sweep(
+            SweepSpec(
+                "t6", (5, 5), [2], trials=1, seed=3,
+                params={"pairs": 8, "epochs": 2, "churn": 1},
+            )
         )
         rows = table.rows
         assert len(rows) == 1
@@ -126,10 +133,12 @@ class TestDESVariant:
             other = run_sweep(spec, workers=workers, shards=shards)
             assert other.to_csv() == base.to_csv()
 
-    def test_run_churn_des_wrapper(self):
-        table = run_churn(
-            (5, 5), [2], pairs=6, epochs=2, churn=1, trials=1, seed=3,
-            des=True,
+    def test_small_t6d_sweep(self):
+        table = run_sweep(
+            SweepSpec(
+                "t6d", (5, 5), [2], trials=1, seed=3,
+                params={"pairs": 6, "epochs": 2, "churn": 1},
+            )
         )
         row = table.rows[0]
         assert {"des", "mcc", "rfb", "agree_des_mcc"} <= set(table.columns)
@@ -138,7 +147,11 @@ class TestDESVariant:
     def test_des_golden(self):
         # Golden T6d table: the distributed stack's verdicts, per-query
         # message cost and re-stabilization cost under churn.
-        table = run_churn((7, 7, 7), [6, 20], pairs=8, epochs=3, trials=1, des=True)
+        table = run_sweep(
+            SweepSpec(
+                "t6d", (7, 7, 7), [6, 20], trials=1, params={"pairs": 8, "epochs": 3}
+            )
+        )
         assert table.to_csv().replace("\r\n", "\n") == (
             "faults,pairs,des,mcc,rfb,agree_des_mcc,des_stuck,msgs_per_query,"
             "stabilize_msgs_per_event,restart_cells_per_event\n"
@@ -152,9 +165,11 @@ class TestDESVariant:
         # Golden T6r cost columns: the 6-fault row recomputes cropped
         # regions only, the 20-fault row hits the full fallback, and
         # cache_retained pins eviction by the dirty box.
-        table = run_churn(
-            (8, 8, 8), [6, 20], pairs=20, epochs=6, churn=2, trials=2, seed=5,
-            mode="rfb",
+        table = run_sweep(
+            SweepSpec(
+                "t6", (8, 8, 8), [6, 20], trials=2, seed=5,
+                params={"pairs": 20, "epochs": 6, "churn": 2, "mode": "rfb"},
+            )
         )
         assert "model rfb" in table.title
         assert table.to_csv().replace("\r\n", "\n") == (

@@ -6,26 +6,19 @@ import numpy as np
 import pytest
 
 from repro.distributed.pipeline import DistributedMCCPipeline
-from repro.experiments.exp_load import (
-    MODES,
-    poisson_schedule,
-    run_load_sweep,
-)
+from repro.experiments.exp_load import MODES, poisson_schedule
 from repro.mesh.topology import Mesh2D
+from repro.parallel.sharding import SweepSpec, run_sweep
 
-TINY = dict(
-    shape=(6, 6),
-    fault_counts=[2, 4],
-    trials=2,
-    rates=[0.3, 1.0],
-    duration=12,
-    seed=7,
+TINY = SweepSpec(
+    "t7", (6, 6), [2, 4], trials=2, seed=7,
+    params={"rates": [0.3, 1.0], "duration": 12.0},
 )
 
 
 @pytest.fixture(scope="module")
 def tiny_table():
-    return run_load_sweep(**TINY)
+    return run_sweep(TINY)
 
 
 class TestPoissonSchedule:
@@ -85,12 +78,14 @@ class TestLoadTable:
                     "des_p99", "des_thr"):
             assert col in header
         # One row per (fault count, rate).
-        assert len(csv.splitlines()) == 1 + len(TINY["fault_counts"]) * len(TINY["rates"])
+        assert len(csv.splitlines()) == 1 + len(TINY.fault_counts) * len(
+            TINY.params["rates"]
+        )
 
     def test_saturation_is_max_throughput(self, tiny_table):
         rows = tiny_table.rows
         for m in MODES:
-            for faults in TINY["fault_counts"]:
+            for faults in TINY.fault_counts:
                 group = [r for r in rows if r["faults"] == faults]
                 assert group
                 sats = {r[f"sat_{m}"] for r in group}
@@ -108,8 +103,11 @@ class TestGolden:
     def test_des_load_golden(self):
         # Golden T7 table: contended-link latencies of the three
         # centralized models and the distributed stack (des_* columns).
-        table = run_load_sweep(
-            (6, 6, 6), [4, 12], rates=[0.5, 2.0], duration=12.0, trials=1
+        table = run_sweep(
+            SweepSpec(
+                "t7", (6, 6, 6), [4, 12], trials=1,
+                params={"rates": [0.5, 2.0], "duration": 12.0},
+            )
         )
         assert table.to_csv().replace("\r\n", "\n") == (
             "faults,rate,offered,"
@@ -149,18 +147,18 @@ class TestInvariance:
     def test_shard_and_worker_invariance(self, tiny_table):
         base = tiny_table.to_csv()
         for shards in (2, 3):
-            got = run_load_sweep(**TINY, workers=2, shards=shards).to_csv()
+            got = run_sweep(TINY, workers=2, shards=shards).to_csv()
             assert got == base
 
     def test_checkpoint_resume_byte_identical(self, tiny_table, tmp_path):
         base = tiny_table.to_csv()
         ck = os.path.join(tmp_path, "t7.jsonl")
-        assert run_load_sweep(**TINY, checkpoint=ck).to_csv() == base
+        assert run_sweep(TINY, checkpoint=ck).to_csv() == base
         with open(ck) as fh:
             lines = fh.readlines()
         with open(ck, "w") as fh:
             fh.writelines(lines[:2])  # header + one pattern record
-        assert run_load_sweep(**TINY, checkpoint=ck, workers=2).to_csv() == base
+        assert run_sweep(TINY, checkpoint=ck, workers=2).to_csv() == base
 
 
 class TestSessionLatency:

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.experiments.exp_des_routing import run_des_routing
-from repro.experiments.exp_fidelity import run_fidelity
-from repro.experiments.exp_protocol_overhead import run_protocol_overhead
-from repro.experiments.exp_region_overhead import (
-    region_overhead_once,
-    run_region_overhead,
-)
-from repro.experiments.exp_success_rate import run_success_rate
+from repro.experiments.exp_region_overhead import region_overhead_once
 from repro.experiments import figures
+from repro.parallel.sharding import SweepSpec, run_sweep
 from repro.util.records import ResultTable
 
 
@@ -28,7 +22,7 @@ class TestRegionOverhead:
         assert mcc == 2 and rfb == 4
 
     def test_table_shape_t1(self):
-        table = run_region_overhead((10, 10), [2, 8], trials=4, seed=1)
+        table = run_sweep(SweepSpec("t1", (10, 10), [2, 8], trials=4, seed=1))
         assert len(table) == 2
         assert {"faults", "mcc_nonfaulty", "rfb_nonfaulty", "rfb_over_mcc"} <= set(
             table.columns
@@ -38,21 +32,23 @@ class TestRegionOverhead:
             assert row["mcc_nonfaulty"] <= row["rfb_nonfaulty"]
 
     def test_3d_gap_grows_with_faults(self):
-        table = run_region_overhead((8, 8, 8), [4, 32], trials=6, seed=2)
+        table = run_sweep(SweepSpec("t1", (8, 8, 8), [4, 32], trials=6, seed=2))
         low, high = table.rows
         assert high["rfb_nonfaulty"] > low["rfb_nonfaulty"]
         assert high["rfb_nonfaulty"] >= high["mcc_nonfaulty"]
 
     def test_clustered_variant(self):
-        table = run_region_overhead(
-            (10, 10), [6], trials=4, seed=3, clustered=True
+        table = run_sweep(
+            SweepSpec("t1", (10, 10), [6], trials=4, seed=3, params={"clustered": True})
         )
         assert len(table) == 1
 
 
 class TestSuccessRate:
     def test_ordering_oracle_mcc_rfb_ecube(self):
-        table = run_success_rate((8, 8, 8), [8, 30], pairs=40, trials=3, seed=4)
+        table = run_sweep(
+            SweepSpec("t2", (8, 8, 8), [8, 30], trials=3, seed=4, params={"pairs": 40})
+        )
         for row in table.rows:
             # MCC == oracle (the paper's exactness), RFB below, e-cube lowest-ish.
             assert row["mcc"] == pytest.approx(row["oracle"], abs=1e-9)
@@ -60,20 +56,24 @@ class TestSuccessRate:
             assert row["ecube"] <= row["oracle"] + 1e-9
 
     def test_success_degrades_with_faults(self):
-        table = run_success_rate((8, 8), [2, 20], pairs=60, trials=3, seed=5)
+        table = run_sweep(
+            SweepSpec("t2", (8, 8), [2, 20], trials=3, seed=5, params={"pairs": 60})
+        )
         assert table.rows[0]["oracle"] >= table.rows[1]["oracle"]
 
 
 class TestProtocolOverhead:
     def test_schema_and_scaling(self):
-        table = run_protocol_overhead((8, 8), [2, 10], trials=2, seed=6)
+        table = run_sweep(SweepSpec("t3", (8, 8), [2, 10], trials=2, seed=6))
         assert {"label", "ident", "wall", "total"} <= set(table.columns)
         assert table.rows[1]["total"] >= table.rows[0]["total"]
 
 
 class TestDESRouting:
     def test_schema_and_agreement(self):
-        table = run_des_routing((6, 6), [2, 5], queries=8, trials=2, seed=7)
+        table = run_sweep(
+            SweepSpec("t4", (6, 6), [2, 5], trials=2, seed=7, params={"queries": 8})
+        )
         for row in table.rows:
             assert row["agreement"] >= 0.99  # P4: distributed == oracle
             assert row["minimal_of_delivered"] == pytest.approx(1.0)
@@ -81,7 +81,9 @@ class TestDESRouting:
 
 class TestFidelity:
     def test_perfect_agreement_small(self):
-        table = run_fidelity((6, 6), [4], pairs=25, trials=3, seed=8)
+        table = run_sweep(
+            SweepSpec("t5", (6, 6), [4], trials=3, seed=8, params={"pairs": 25})
+        )
         row = table.rows[0]
         assert row["cond_agree"] == pytest.approx(1.0)
         assert row["detect_agree"] == pytest.approx(1.0)
@@ -128,42 +130,28 @@ class TestRecords:
 
 
 class TestExperimentSpec:
-    def test_alias_resolution_and_validation(self):
-        from repro.experiments import ExperimentSpec
+    """An experiment as a ``SweepSpec`` names it: alias, knobs, run."""
 
-        spec = ExperimentSpec("t2", (8, 8), (4,), workload={"pairs": 10})
-        assert spec.resolved == "success_rate"
+    def test_alias_resolution_and_validation(self):
+        spec = SweepSpec("t2", (8, 8), (4,), trials=1, params={"pairs": 10})
+        assert spec.experiment == "success_rate"
         with pytest.raises(ValueError, match="unknown experiment"):
-            ExperimentSpec("t99", (8, 8), (4,))
-        with pytest.raises(ValueError, match="workload knobs"):
-            ExperimentSpec("t2", (8, 8), (4,), workload={"queries": 10})
-        with pytest.raises(ValueError, match="mode="):
-            ExperimentSpec("t1", (8, 8), (4,)).run(mode="rfb")
+            SweepSpec("t99", (8, 8), (4,), trials=1)
+        with pytest.raises(ValueError, match="does not take knobs"):
+            SweepSpec("t2", (8, 8), (4,), trials=1, params={"queries": 10})
+        with pytest.raises(ValueError, match="mode"):
+            SweepSpec("t1", (8, 8), (4,), trials=1, params={"mode": "rfb"})
 
     def test_run_matches_direct_entry_point(self, tmp_path):
-        from repro.experiments import ExperimentSpec
-
-        spec = ExperimentSpec(
-            "t2", (8, 8), (4, 8), trials=2, seed=3, workload={"pairs": 12}
-        )
+        spec = SweepSpec("t2", (8, 8), (4, 8), trials=2, seed=3, params={"pairs": 12})
         saved = tmp_path / "t2.jsonl"
-        via_spec = spec.run(save=str(saved))
-        direct = run_success_rate((8, 8), [4, 8], pairs=12, trials=2, seed=3)
+        via_spec = run_sweep(spec, save=str(saved))
+        direct = run_sweep(
+            SweepSpec(
+                "success_rate", (8, 8), [4, 8], trials=2, seed=3, params={"pairs": 12}
+            )
+        )
         assert via_spec.rows == direct.rows
         assert via_spec.fingerprint == direct.fingerprint
-        # The shared save= kwarg wrote the durable JSONL table.
+        # The save= kwarg wrote the durable JSONL table.
         assert ResultTable.load(str(saved)).rows == direct.rows
-
-    def test_shared_kwargs_contract_is_universal(self):
-        import inspect
-
-        from repro.experiments import harness
-        from repro.parallel.sharding import CLI_RUNNERS, _resolve
-
-        for name, (runner_path, _flags) in CLI_RUNNERS.items():
-            params = inspect.signature(_resolve(runner_path)).parameters
-            for kwarg in ("workers", "shards", "checkpoint", "save", "trace"):
-                assert kwarg in params, f"{name} run_* lacks {kwarg}="
-        assert harness.SHARED_KWARGS == (
-            "workers", "shards", "checkpoint", "save", "trace", "mode",
-        )

@@ -23,7 +23,7 @@ import pytest
 
 from repro import obs
 from repro.core.model_cache import clear_labelling_cache
-from repro.experiments.exp_des_routing import run_des_routing
+from repro.parallel.sharding import SweepSpec, run_sweep
 from repro.serve.service import MetricsSnapshot
 from repro.simkit.stats import StatsCollector
 from repro.simkit.trace import TraceLog
@@ -203,15 +203,16 @@ class TestPerfettoExport:
 # -- integration: traced T4-small run ----------------------------------------
 
 
-T4_KWARGS = dict(queries=4, trials=1, seed=7)
+def t4_spec(fault_counts=(2, 4)):
+    return SweepSpec(
+        "t4", (5, 5, 5), fault_counts, trials=1, seed=7, params={"queries": 4}
+    )
 
 
 def _traced_t4(tmp_path, tag, workers):
     clear_labelling_cache()
     out = tmp_path / f"{tag}.json"
-    table = run_des_routing(
-        (5, 5, 5), [2, 4], workers=workers, trace=str(out), **T4_KWARGS
-    )
+    table = run_sweep(t4_spec(), workers=workers, trace=str(out))
     doc = json.loads(out.read_text())
     return table, doc["traceEvents"]
 
@@ -241,14 +242,14 @@ class TestTracedSweep:
 
     def test_tables_unchanged_by_tracing(self, tmp_path):
         clear_labelling_cache()
-        untraced = run_des_routing((5, 5, 5), [2, 4], workers=1, **T4_KWARGS)
+        untraced = run_sweep(t4_spec(), workers=1)
         traced, _events = _traced_t4(tmp_path, "traced", workers=1)
         assert traced.render() == untraced.render()
 
     def test_zero_spans_when_disabled(self):
         tracer = obs.Tracer()
         clear_labelling_cache()
-        run_des_routing((5, 5, 5), [2], workers=1, **T4_KWARGS)
+        run_sweep(t4_spec([2]), workers=1)
         assert len(tracer) == 0 and not obs.enabled()
 
 

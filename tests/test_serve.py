@@ -292,6 +292,13 @@ class TestAdmissionControl:
         with pytest.raises(ValueError, match="max_queue_depth"):
             AsyncRoutingService(mask, max_queue_depth=0)
 
+    @pytest.mark.parametrize("window", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_constructor_rejects_a_non_finite_batch_window(self, window):
+        # NaN used to fail only inside the event queue, and inf stalled
+        # the load run: the window follows the rule for durations.
+        with pytest.raises(ValueError, match="batch_window must be finite and > 0"):
+            AsyncRoutingService(small_mask(), batch_window=window)
+
 
 class TestFacadeParity:
     def test_served_results_match_direct_routing_service(self):
@@ -400,9 +407,19 @@ class TestLoadKnobRule:
             (["--duration", "nan"], "duration must be finite and > 0"),
             (["--churn", "0"], "churn must be >= 1"),
             (["--events", "-1"], "events must be >= 0"),
+            (["--faults", "-1"], "fault count must be >= 0"),
+            (["--faults", "100000"], "cannot place 100000 faults in mesh of 512"),
+            (["--shape", "8", "0", "8"], "mesh axis lengths must be >= 1"),
+            (["--depth", "0"], "--depth must be >= 1"),
+            (["--batch-window", "nan"], "batch_window must be finite and > 0"),
+            (["--batch-window", "inf"], "batch_window must be finite and > 0"),
+            (["--batch-window", "0"], "batch_window must be finite and > 0"),
+            (["--batch-window", "-1"], "batch_window must be finite and > 0"),
         ],
         ids=["nan-rate", "inf-rate", "inf-duration", "nan-duration",
-             "zero-churn", "negative-events"],
+             "zero-churn", "negative-events", "negative-faults",
+             "faults-above-size", "zero-length-axis", "zero-depth",
+             "nan-window", "inf-window", "zero-window", "negative-window"],
     )
     def test_cli_reports_bad_knobs_as_usage_errors(
         self, capsys, monkeypatch, flags, message

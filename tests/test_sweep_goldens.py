@@ -10,9 +10,7 @@ change nor a seeding change can silently move published numbers.
 
 import pytest
 
-from repro.experiments.exp_ablation import run_mesh4d_extension, run_rfb_variants
-from repro.experiments.exp_fidelity import run_fidelity
-from repro.experiments.exp_protocol_overhead import run_protocol_overhead
+from repro.parallel.sharding import SweepSpec, run_sweep
 
 GOLDEN_T3_2D = (
     "faults,label,edge,ident,shape,wall,total,per_node\n"
@@ -45,54 +43,59 @@ def csv_lf(table) -> str:
 
 class TestProtocolOverheadGoldens:
     def test_in_process_matches_golden_2d(self):
-        table = run_protocol_overhead((6, 6), [2, 4], trials=2, seed=6)
+        table = run_sweep(SweepSpec("t3", (6, 6), [2, 4], trials=2, seed=6))
         assert csv_lf(table) == GOLDEN_T3_2D
         assert table.title == "T3 protocol message overhead — 2-D 6x6 mesh, 2 trials"
 
     def test_in_process_matches_golden_3d(self):
-        table = run_protocol_overhead((5, 5, 5), [2, 4], trials=2, seed=2005)
+        table = run_sweep(SweepSpec("t3", (5, 5, 5), [2, 4], trials=2, seed=2005))
         assert csv_lf(table) == GOLDEN_T3_3D
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_sharded_workers_match_golden(self, shards):
-        table = run_protocol_overhead(
-            (6, 6), [2, 4], trials=2, seed=6, workers=2, shards=shards
+        table = run_sweep(
+            SweepSpec("t3", (6, 6), [2, 4], trials=2, seed=6), workers=2, shards=shards
         )
         assert csv_lf(table) == GOLDEN_T3_2D
 
 
 class TestFidelityGoldens:
     def test_in_process_matches_golden_2d(self):
-        table = run_fidelity((6, 6), [3, 5], pairs=10, trials=2, seed=8)
+        table = run_sweep(
+            SweepSpec("t5", (6, 6), [3, 5], trials=2, seed=8, params={"pairs": 10})
+        )
         assert csv_lf(table) == GOLDEN_T5_2D
         assert table.title == "T5 model fidelity vs oracle — 2-D 6x6 mesh"
 
     def test_in_process_matches_golden_3d(self):
-        table = run_fidelity((5, 5, 5), [4], pairs=8, trials=2, seed=9)
+        table = run_sweep(
+            SweepSpec("t5", (5, 5, 5), [4], trials=2, seed=9, params={"pairs": 8})
+        )
         assert csv_lf(table) == GOLDEN_T5_3D
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_sharded_workers_match_golden(self, shards):
-        table = run_fidelity(
-            (6, 6), [3, 5], pairs=10, trials=2, seed=8, workers=2, shards=shards
+        table = run_sweep(
+            SweepSpec("t5", (6, 6), [3, 5], trials=2, seed=8, params={"pairs": 10}),
+            workers=2,
+            shards=shards,
         )
         assert csv_lf(table) == GOLDEN_T5_2D
 
 
 class TestAblationGoldens:
     def test_a1_matches_golden(self):
-        table = run_rfb_variants((12, 12, 12), [10, 40, 90], trials=10, seed=11)
+        spec = SweepSpec("a1", (12, 12, 12), [10, 40, 90], trials=10, seed=11)
+        table = run_sweep(spec)
         got = [
             (r["faults"], r["local_nonfaulty"], r["block_nonfaulty"])
             for r in table.rows
         ]
         assert got == GOLDEN_A1
-        sharded = run_rfb_variants(
-            (12, 12, 12), [10, 40, 90], trials=10, seed=11, workers=2, shards=4
-        )
+        sharded = run_sweep(spec, workers=2, shards=4)
         assert sharded.to_csv() == table.to_csv()
 
     def test_a4_matches_golden(self):
-        table = run_mesh4d_extension((7, 7, 7, 7), [24, 120], trials=5, seed=41)
+        table = run_sweep(SweepSpec("a4", (7, 7, 7, 7), [24, 120], trials=5, seed=41))
         got = [(r["faults"], r["mcc_nonfaulty"]) for r in table.rows]
         assert got == GOLDEN_A4

@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.exp_des_routing import run_des_routing
-from repro.experiments.exp_region_overhead import run_region_overhead
-from repro.experiments.exp_success_rate import run_success_rate
+from repro.parallel import sharding
 from repro.parallel.sharding import (
+    ALIASES,
     CHECKPOINT_SCHEMA,
     EXPERIMENTS,
+    Experiment,
     PatternTaskError,
     SweepSpec,
     evaluate_shard,
@@ -40,6 +40,7 @@ from repro.util.records import (
     TablePersistenceError,
     json_line,
 )
+from repro.util.validation import check_workload
 
 
 def small_spec(seed=7, **overrides):
@@ -111,8 +112,11 @@ class TestPlanAndPartition:
         with pytest.raises(ValueError):
             SweepSpec("region_overhead", shape, fault_counts, trials=1)
         # The CLI's --shape/--fault-counts reach the spec the same way.
-        with pytest.raises(ValueError):
-            run_region_overhead(shape, list(fault_counts), trials=2, seed=1)
+        with pytest.raises(SystemExit):
+            sharding.main(
+                ["t1", "--shape", *map(str, shape),
+                 "--fault-counts", *map(str, fault_counts), "--trials", "2"]
+            )
 
 
 NAN, INF = float("nan"), float("inf")
@@ -122,23 +126,21 @@ class TestWorkloadRule:
     """Bad workload knobs raise ``ValueError`` before any pattern runs."""
 
     @pytest.mark.parametrize(
-        "experiment, runner, kwargs, message",
+        "experiment, kwargs, message",
         [
-            ("load", "exp_load:run_load_sweep", {"rates": [NAN]}, "rates"),
-            ("load", "exp_load:run_load_sweep", {"rates": [INF]}, "rates"),
-            ("load", "exp_load:run_load_sweep", {"rates": [0.5, 0.0]}, "rates"),
-            ("load", "exp_load:run_load_sweep", {"rates": [-1.0]}, "rates"),
-            ("load", "exp_load:run_load_sweep", {"duration": INF}, "duration"),
-            ("load", "exp_load:run_load_sweep", {"duration": NAN}, "duration"),
-            ("load", "exp_load:run_load_sweep", {"capacity": 0}, "capacity"),
-            ("churn", "exp_churn:run_churn", {"churn": 0}, "churn"),
-            ("churn", "exp_churn:run_churn", {"epochs": -1}, "epochs"),
-            ("churn", "exp_churn:run_churn", {"pairs": -1}, "pairs"),
-            ("success_rate", "exp_success_rate:run_success_rate",
-             {"pairs": -1}, "pairs"),
-            ("des_routing", "exp_des_routing:run_des_routing",
-             {"queries": -1}, "queries"),
-            ("fidelity", "exp_fidelity:run_fidelity", {"pairs": -1}, "pairs"),
+            ("load", {"rates": [NAN]}, "rates"),
+            ("load", {"rates": [INF]}, "rates"),
+            ("load", {"rates": [0.5, 0.0]}, "rates"),
+            ("load", {"rates": [-1.0]}, "rates"),
+            ("load", {"duration": INF}, "duration"),
+            ("load", {"duration": NAN}, "duration"),
+            ("load", {"capacity": 0}, "capacity"),
+            ("churn", {"churn": 0}, "churn"),
+            ("churn", {"epochs": -1}, "epochs"),
+            ("churn", {"pairs": -1}, "pairs"),
+            ("success_rate", {"pairs": -1}, "pairs"),
+            ("des_routing", {"queries": -1}, "queries"),
+            ("fidelity", {"pairs": -1}, "pairs"),
         ],
         ids=["nan-rate", "inf-rate", "zero-rate", "negative-rate",
              "inf-duration", "nan-duration", "zero-capacity", "zero-churn",
@@ -146,18 +148,19 @@ class TestWorkloadRule:
              "negative-queries", "negative-fidelity-pairs"],
     )
     def test_python_api_rejects_before_any_pattern(
-        self, monkeypatch, experiment, runner, kwargs, message
+        self, monkeypatch, experiment, kwargs, message
     ):
-        from repro.parallel.sharding import _resolve
-
         def no_pattern(spec, task):
             raise AssertionError("a pattern ran")
 
-        reducer = EXPERIMENTS[experiment][1]
-        monkeypatch.setitem(EXPERIMENTS, experiment, (no_pattern, reducer))
-        run = _resolve(f"repro.experiments.{runner}")
+        entry = EXPERIMENTS[experiment]
+        monkeypatch.setitem(
+            EXPERIMENTS, experiment, entry._replace(evaluator=no_pattern)
+        )
         with pytest.raises(ValueError, match=message):
-            run((6, 6), [2], trials=1, seed=1, **kwargs)
+            run_sweep(
+                SweepSpec(experiment, (6, 6), [2], trials=1, seed=1, params=kwargs)
+            )
 
     def test_zero_shards_rejected_before_the_checkpoint_opens(self, tmp_path):
         journal = tmp_path / "ck.jsonl"
@@ -179,9 +182,8 @@ class TestShardInvariance:
         ``shards`` ranges past the task count (2 counts x 2 trials = 4
         tasks), so empty shards are exercised by construction.
         """
-        spec = small_spec(
-            seed=seed, experiment=experiment, trials=2, params={"pairs": 8}
-        )
+        params = {"pairs": 8} if experiment == "success_rate" else {}
+        spec = small_spec(seed=seed, experiment=experiment, trials=2, params=params)
         baseline = run_sweep(spec, workers=1, shards=1)
         sharded = run_sweep(spec, workers=1, shards=shards)
         assert sharded.to_csv() == baseline.to_csv()
@@ -212,24 +214,21 @@ class TestShardInvariance:
 
 class TestPortedExperiments:
     def test_success_rate_workers_invariant(self):
-        serial = run_success_rate((6, 6), [2, 5], pairs=10, trials=2, seed=9)
-        parallel = run_success_rate(
-            (6, 6), [2, 5], pairs=10, trials=2, seed=9, workers=2
-        )
+        spec = SweepSpec("t2", (6, 6), [2, 5], trials=2, seed=9, params={"pairs": 10})
+        serial = run_sweep(spec)
+        parallel = run_sweep(spec, workers=2)
         assert serial.to_csv() == parallel.to_csv()
 
     def test_region_overhead_workers_invariant(self):
-        serial = run_region_overhead((8, 8), [3, 6], trials=3, seed=11)
-        parallel = run_region_overhead(
-            (8, 8), [3, 6], trials=3, seed=11, workers=2, shards=3
-        )
+        spec = SweepSpec("t1", (8, 8), [3, 6], trials=3, seed=11)
+        serial = run_sweep(spec)
+        parallel = run_sweep(spec, workers=2, shards=3)
         assert serial.to_csv() == parallel.to_csv()
 
     def test_des_routing_workers_invariant(self):
-        serial = run_des_routing((5, 5), [2], queries=6, trials=2, seed=13)
-        parallel = run_des_routing(
-            (5, 5), [2], queries=6, trials=2, seed=13, workers=2
-        )
+        spec = SweepSpec("t4", (5, 5), [2], trials=2, seed=13, params={"queries": 6})
+        serial = run_sweep(spec)
+        parallel = run_sweep(spec, workers=2)
         assert serial.to_csv() == parallel.to_csv()
         assert serial.rows[0]["agreement"] >= 0.99
 
@@ -237,23 +236,19 @@ class TestPortedExperiments:
         # Every registered evaluator/reducer path imports cleanly.
         from repro.parallel.sharding import _resolve
 
-        for evaluator_path, reducer_path in EXPERIMENTS.values():
-            assert callable(_resolve(evaluator_path))
-            assert callable(_resolve(reducer_path))
+        for entry in EXPERIMENTS.values():
+            assert callable(_resolve(entry.evaluator))
+            assert callable(_resolve(entry.reducer))
 
     def test_cli_registries_cover_all_experiments(self):
-        # CLI_RUNNERS (dispatch + parser choices) and CLI_ALIASES must
-        # track EXPERIMENTS: add an experiment, add its CLI runner.
-        from repro.parallel.sharding import CLI_ALIASES, CLI_RUNNERS, _resolve
-
-        assert set(CLI_RUNNERS) == set(EXPERIMENTS)
-        assert set(CLI_ALIASES.values()) <= set(CLI_RUNNERS)
-        for runner_path, workload_flags in CLI_RUNNERS.values():
-            assert callable(_resolve(runner_path))
-            assert set(workload_flags) <= {
-                "pairs", "queries", "epochs", "churn", "mode", "des",
-                "rates", "duration", "capacity",
-            }
+        # Every alias names a registered experiment, and every registered
+        # default passes the knob rule, so a spec that sets no knob is
+        # valid for every experiment the CLI offers.
+        assert set(ALIASES.values()) <= set(EXPERIMENTS)
+        for name, experiment in ALIASES.items():
+            assert SweepSpec(name, (4, 4), (1,), trials=1).experiment == experiment
+        for entry in EXPERIMENTS.values():
+            check_workload(entry.knobs)
 
 
 def journal_lines(path) -> list[str]:
@@ -313,7 +308,7 @@ class TestCheckpointResume:
             fh.writelines(lines[:3])  # header + records 0..1 complete
 
         evaluated = []
-        real_evaluator = EXPERIMENTS[spec.experiment]
+        real_entry = EXPERIMENTS[spec.experiment]
 
         def counting(spec_, task):
             evaluated.append(task.index)
@@ -322,7 +317,7 @@ class TestCheckpointResume:
             return evaluate_pattern(spec_, task)
 
         monkeypatch.setitem(
-            EXPERIMENTS, spec.experiment, (counting, real_evaluator[1])
+            EXPERIMENTS, spec.experiment, real_entry._replace(evaluator=counting)
         )
         resumed = run_sweep(spec, workers=1, checkpoint=journal)
         assert resumed.to_csv() == expect.to_csv()
@@ -426,7 +421,7 @@ class TestFailureSurfacing:
                 table.add(x=record["x"])
             return table
 
-        monkeypatch.setitem(EXPERIMENTS, "poisoned", (poison, reduce_))
+        monkeypatch.setitem(EXPERIMENTS, "poisoned", Experiment(poison, reduce_))
         spec = SweepSpec("poisoned", (4, 4), (1, 2), trials=2, seed=77)
         with pytest.raises(PatternTaskError) as err:
             run_sweep(spec, workers=1)
@@ -453,7 +448,7 @@ class TestFailureSurfacing:
                 table.add(x=record["x"])
             return table
 
-        monkeypatch.setitem(EXPERIMENTS, "poisoned", (poison, reduce_))
+        monkeypatch.setitem(EXPERIMENTS, "poisoned", Experiment(poison, reduce_))
         spec = SweepSpec("poisoned", (4, 4), (1, 2), trials=2, seed=5)
         journal = tmp_path / "sweep.jsonl"
         with pytest.raises(PatternTaskError):
@@ -466,11 +461,9 @@ class TestFailureSurfacing:
 
 class TestCLI:
     def test_main_renders_table(self, capsys):
-        from repro.parallel import sharding
-
         sharding.main(
             [
-                "--experiment", "region_overhead",
+                "region_overhead",
                 "--shape", "6", "6",
                 "--fault-counts", "2",
                 "--trials", "2",
@@ -481,11 +474,9 @@ class TestCLI:
         assert "T1 region overhead" in out and "rfb_over_mcc" in out
 
     def test_main_csv(self, capsys):
-        from repro.parallel import sharding
-
         sharding.main(
             [
-                "--experiment", "success_rate",
+                "success_rate",
                 "--shape", "5", "5",
                 "--fault-counts", "2",
                 "--trials", "1",
@@ -497,8 +488,6 @@ class TestCLI:
         assert out.splitlines()[0].startswith("faults,")
 
     def test_main_accepts_paper_alias_checkpoint_and_save(self, capsys, tmp_path):
-        from repro.parallel import sharding
-
         journal = tmp_path / "t3.jsonl"
         saved = tmp_path / "t3.table.jsonl"
         argv = [
@@ -523,8 +512,6 @@ class TestCLI:
         assert loaded.to_csv() + "\n" == first  # print() added the newline
 
     def test_main_requires_an_experiment(self, capsys):
-        from repro.parallel import sharding
-
         with pytest.raises(SystemExit):
             sharding.main(["--shape", "5", "5"])
         assert "experiment" in capsys.readouterr().err
@@ -549,26 +536,29 @@ class TestCLI:
             (["t4", "--queries", "-1"], "queries must be >= 0"),
             (["t1", "--workers", "0"], "--workers must be >= 1"),
             (["t1", "--shards", "0"], "--shards must be >= 1"),
+            (["t1", "--mode", "rfb"], "does not take knobs ['mode']"),
+            (["t1", "--pairs", "5"], "does not take knobs ['pairs']"),
+            (["t4", "--rates", "1"], "does not take knobs ['rates']"),
+            (["t6d", "--mode", "rfb"], "does not take knobs ['mode']"),
         ],
         ids=["negative-count", "zero-length-axis", "count-above-size", "no-trials",
              "nan-rate", "inf-rate", "zero-rate", "negative-rate", "inf-duration",
              "nan-duration", "zero-capacity", "zero-churn", "negative-epochs",
-             "negative-pairs", "negative-queries", "zero-workers", "zero-shards"],
+             "negative-pairs", "negative-queries", "zero-workers", "zero-shards",
+             "t1-mode", "t1-pairs", "t4-rates", "t6d-mode"],
     )
     def test_main_reports_bad_sweep_values_as_usage_errors(
         self, capsys, monkeypatch, argv, message
     ):
-        # The sweep rule runs before any runner starts: exit status 2
-        # with the usage line, not a traceback from inside the runner, a
-        # table of zeros, or (NaN or inf rates and durations) a Poisson
-        # loop that never ends.
-        from repro.experiments import harness
-        from repro.parallel import sharding
-
+        # The sweep rule runs before any sweep starts: exit status 2
+        # with the usage line, not a traceback from inside the sweep, a
+        # table of zeros, (NaN or inf rates and durations) a Poisson
+        # loop that never ends, or a knob the experiment never reads
+        # dropped in silence.
         def no_run(*args, **kwargs):
-            raise AssertionError("a runner started")
+            raise AssertionError("a sweep started")
 
-        monkeypatch.setattr(harness.ExperimentSpec, "run", no_run)
+        monkeypatch.setattr(sharding, "run_sweep", no_run)
         grid = ["--shape", "6", "6", "--fault-counts", "2", "--trials", "1"]
         with pytest.raises(SystemExit) as exc:
             sharding.main(grid + argv)
@@ -578,11 +568,8 @@ class TestCLI:
 
     def test_cli_and_python_api_share_fingerprints(self, tmp_path):
         # A checkpoint begun from the CLI must be resumable through the
-        # Python wrapper (same spec -> same fingerprint) for T1's
-        # default params.
-        from repro.experiments.exp_region_overhead import run_region_overhead
-        from repro.parallel import sharding
-
+        # Python API (same spec -> same fingerprint) for T1's default
+        # params.
         journal = tmp_path / "t1.jsonl"
         sharding.main(
             [
@@ -594,8 +581,29 @@ class TestCLI:
                 "--checkpoint", str(journal),
             ]
         )
-        plain = run_region_overhead((6, 6), [2], trials=2, seed=3)
-        resumed = run_region_overhead(
-            (6, 6), [2], trials=2, seed=3, checkpoint=journal
-        )
+        spec = SweepSpec("t1", (6, 6), [2], trials=2, seed=3)
+        plain = run_sweep(spec)
+        resumed = run_sweep(spec, checkpoint=journal)
         assert resumed.to_csv() == plain.to_csv()
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS) + sorted(ALIASES))
+    def test_cli_builds_the_python_spec_for_every_experiment(
+        self, capsys, monkeypatch, name
+    ):
+        # With no knob flag the CLI and SweepSpec fill the same registered
+        # defaults, so their checkpoints share one fingerprint.
+        built = []
+
+        def capture(spec, **kwargs):
+            built.append(spec)
+            return ResultTable("captured")
+
+        monkeypatch.setattr(sharding, "run_sweep", capture)
+        sharding.main(
+            [name, "--shape", "6", "6", "--fault-counts", "2", "--trials", "2",
+             "--seed", "3"]
+        )
+        capsys.readouterr()
+        spec = SweepSpec(name, (6, 6), (2,), trials=2, seed=3)
+        assert built == [spec]
+        assert built[0].fingerprint() == spec.fingerprint()
