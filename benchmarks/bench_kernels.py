@@ -1,9 +1,9 @@
 """K: micro-benchmarks of the core kernels (HPC-guide driven).
 
 Tracks the vectorized hot paths: labelling fixed point, the monotone
-wavefront flood (single and batched reverse floods), component
-extraction, wall construction, and the full per-class model build the
-router amortizes per direction class.
+wavefront flood (single, batched, and the serve tick's mixed-class
+reverse floods), component extraction, wall construction, and the full
+per-class model build the router amortizes per direction class.
 
 Two front ends over the same kernel cases:
 
@@ -26,6 +26,7 @@ from repro.core.components import extract_mccs
 from repro.core.labelling import label_grid
 from repro.core.walls import build_walls
 from repro.experiments.workloads import random_fault_mask
+from repro.mesh.orientation import Orientation
 from repro.routing.oracle import (
     monotone_flood,
     reverse_reachable,
@@ -62,8 +63,8 @@ def test_kernel_reverse_reachable_3d(benchmark):
 def flood_batch_case(batch: int):
     """The 16³ mesh with 205 faults, and ``batch`` healthy destinations.
 
-    B=1 is the serving layer's per-tick flood; B=64 is the batched
-    service's cold flood of one destination chunk.
+    B=1 is a single-destination flood; B=64 is the batched service's
+    cold flood of one destination chunk.
     """
     mask = random_fault_mask((16, 16, 16), 205, rng=6)
     healthy = np.argwhere(~mask)
@@ -71,10 +72,32 @@ def flood_batch_case(batch: int):
     return ~mask, [tuple(int(c) for c in healthy[i]) for i in picks]
 
 
+def flood_mixed_case():
+    """The serve tick's flood: 4 destinations in 4 direction classes.
+
+    The B=4 case's destinations, each mapped into its own class and
+    flooding through that class's canonical open mask, as one routing
+    batch's cross-class chunk does.
+    """
+    open_mask, dests = flood_batch_case(4)
+    frames = [
+        Orientation(signs, open_mask.shape)
+        for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
+    ]
+    opens = [frame.to_canonical(open_mask) for frame in frames]
+    return opens, [frame.map_coord(d) for frame, d in zip(frames, dests, strict=True)]
+
+
 def test_kernel_reverse_reachable_many_16_b1(benchmark):
     open_mask, dests = flood_batch_case(1)
     out = benchmark(reverse_reachable_many, open_mask, dests)
     assert out[(0, *dests[0])]
+
+
+def test_kernel_reverse_reachable_many_16_mix4(benchmark):
+    opens, dests = flood_mixed_case()
+    out = benchmark(reverse_reachable_many, opens, dests)
+    assert all(out[(b, *dest)] for b, dest in enumerate(dests))
 
 
 def test_kernel_reverse_reachable_many_16_b64(benchmark):
@@ -116,6 +139,7 @@ def build_cases() -> dict:
     seeds[0, 0, 0] = True
     rev_mask = random_fault_mask((20, 20, 20), 400, rng=3)
     open_b1, dests_b1 = flood_batch_case(1)
+    opens_mixed, dests_mixed = flood_mixed_case()
     open_b64, dests_b64 = flood_batch_case(64)
     comp_lab = label_grid(random_fault_mask((20, 20, 20), 400, rng=4))
     wall_mccs = extract_mccs(label_grid(random_fault_mask((12, 12, 12), 80, rng=5)))
@@ -127,6 +151,9 @@ def build_cases() -> dict:
         "reverse_reachable_3d": lambda: reverse_reachable(~rev_mask, (19, 19, 19)),
         "reverse_reachable_many_16_b1": lambda: reverse_reachable_many(
             open_b1, dests_b1
+        ),
+        "reverse_reachable_many_16_mix4": lambda: reverse_reachable_many(
+            opens_mixed, dests_mixed
         ),
         "reverse_reachable_many_16_b64": lambda: reverse_reachable_many(
             open_b64, dests_b64

@@ -200,6 +200,35 @@ class PatternTaskError(RuntimeError):
     """A worker failed evaluating one fault pattern (task identified)."""
 
 
+def _as_knob_type(name: str, value: Any, default: Any) -> Any:
+    """``value`` cast to the type of the knob's registered ``default``.
+
+    One value, one fingerprint: ``duration=12`` and ``--duration 12``
+    (parsed as 12.0) must name the same sweep.  Int knobs take integral
+    numbers only, float knobs take any real number, a sequence knob
+    casts each element like its default's first one, and a bool or str
+    knob takes only its own type; anything else raises ``ValueError``.
+    """
+    if isinstance(default, tuple):
+        if isinstance(value, str) or not isinstance(value, (Sequence, np.ndarray)):
+            raise ValueError(f"{name} must be a sequence, got {value!r}")
+        return tuple(_as_knob_type(name, v, default[0]) for v in value)
+    if isinstance(default, bool):
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
+        return bool(value)
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a str, got {value!r}")
+        return value
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, (bool, np.bool_)) or not real:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(default, int) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return type(default)(value)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A deterministic multi-pattern sweep description (picklable).
@@ -211,10 +240,13 @@ class SweepSpec:
     raises ``ValueError``, and every knob left out takes its
     :data:`EXPERIMENTS` default, so the stored ``params`` is complete.
 
-    Construction also applies the sweep rule: ``trials`` at least 1,
-    every mesh axis length at least 1, every fault count in
-    ``[0, mesh size]``, and :func:`~repro.util.validation.check_workload`
-    on the knob values; anything else raises ``ValueError``.
+    Each knob value is stored as its default's type (``pairs=12.0`` as
+    12), so equal sweeps share a fingerprint however their knobs were
+    typed.  Construction also applies the sweep rule: ``trials`` at
+    least 1, an int ``seed`` at least 0, every mesh axis length at least
+    1, every fault count in ``[0, mesh size]``, and
+    :func:`~repro.util.validation.check_workload` on the knob values;
+    anything else raises ``ValueError``.
     """
 
     experiment: str
@@ -240,6 +272,8 @@ class SweepSpec:
             )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         shape = tuple(int(k) for k in self.shape)
         fault_counts = tuple(int(c) for c in self.fault_counts)
         if any(k < 1 for k in shape):
@@ -251,7 +285,10 @@ class SweepSpec:
                 f"fault counts must lie in [0, {size}] on a "
                 f"{'x'.join(map(str, shape))} mesh, got {bad}"
             )
-        params = {**knobs, **self.params}
+        params = {
+            name: _as_knob_type(name, self.params.get(name, default), default)
+            for name, default in knobs.items()
+        }
         check_workload(params)
         object.__setattr__(self, "experiment", experiment)
         object.__setattr__(self, "shape", shape)

@@ -14,6 +14,12 @@ flood on every cache miss.
 * within a class, pairs are grouped by **destination**, so one reverse
   flood serves every pair headed there — and the grouped order makes
   the engine's LRU-bounded reach caches hit even at tiny capacities;
+* the (class, destination) groups whose reach masks are not cached
+  flood together in **cross-class chunks** of up to
+  :data:`~repro.routing.oracle.WORD_BITS`: the kernel packs one bit per
+  flood, each through its own class's open mask, so a batch spanning
+  several direction classes pays one kernel call per chunk, not one
+  per class;
 * the batch **feasibility check is vectorized**: the class model's
   ``unsafe`` array and the cached reach mask are indexed at all sources
   of a group in one fancy-index operation each instead of one probe per
@@ -31,22 +37,28 @@ while delivery verdicts still agree with the model.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.mesh.coords import Coord
 from repro.mesh.orientation import Orientation
-from repro.routing.engine import AdaptiveRouter, RouteResult, _ClassModel
+from repro.routing.engine import AdaptiveRouter, RouteResult, _ClassModel, prime_reach
+from repro.routing.oracle import WORD_BITS
 from repro.util.validation import check_shape_member
 
 Pair = tuple[Coord, Coord]
 
-#: Destinations per batched reverse-flood kernel call.  Bounds the
-#: transient stacked-mask memory (chunk x mesh bools) while amortizing
-#: the DP's Python loops across the chunk.
-PRIME_CHUNK = 64
+
+class _Group(NamedTuple):
+    """The pairs of one direction class headed to one destination."""
+
+    orientation: Orientation
+    model: _ClassModel
+    indices: np.ndarray  # input positions
+    sources: list[Coord]  # canonical frame
+    dest: Coord  # canonical frame
 
 
 def _as_pair(pair: Sequence[Sequence[int]]) -> Pair:
@@ -105,8 +117,8 @@ class RoutingService:
         pairs = [_as_pair(p) for p in pairs]
         with obs.span("route_batch", cat="routing", n=len(pairs)) as sp:
             results: list[RouteResult | None] = [None] * len(pairs)
-            for orientation, model, members in self._grouped(pairs, results):
-                self._route_group(orientation, model, members, results)
+            for group in self._primed(self._grouped(pairs, results)):
+                self._route_group(group, results)
             sp.set(delivered=sum(1 for r in results if r is not None and r.delivered))
         return results  # type: ignore[return-value]
 
@@ -125,29 +137,28 @@ class RoutingService:
         with obs.span("feasible_batch", cat="routing", n=len(pairs)) as sp:
             out = np.zeros(len(pairs), dtype=bool)
             results: list[RouteResult | None] = [None] * len(pairs)
-            for _orientation, model, members in self._grouped(pairs, results):
-                for chunk in self._primed_chunks(model, members):
-                    for indices, sources, dest in chunk:
-                        out[indices] = self._group_feasible(model, sources, dest)
+            for group in self._primed(self._grouped(pairs, results)):
+                out[group.indices] = self._group_feasible(group)
             sp.set(feasible=int(out.sum()))
         return out
 
     # -- batch decomposition -----------------------------------------------
 
-    def _grouped(self, pairs: list[Pair], results: list[RouteResult | None]):
-        """Split pairs into per-direction-class groups.
+    def _grouped(
+        self, pairs: list[Pair], results: list[RouteResult | None]
+    ) -> list[_Group]:
+        """Split pairs into (direction class, destination) groups.
 
         Off-mesh endpoints raise as in :meth:`AdaptiveRouter.route`.
         Faulty-endpoint pairs are resolved immediately into ``results``
         (vectorized mesh-frame check) and excluded from the groups.
-        Yields ``(orientation, model, members)`` per class where
-        ``members`` is a list of (input_index, canonical_src,
-        canonical_dst, mesh_src).
+        Groups come class-major, classes and then destinations in order
+        of first appearance.
         """
         fault_mask = self.router.fault_mask
         shape = fault_mask.shape
         if not pairs:
-            return
+            return []
         arr = np.asarray(pairs, dtype=np.intp)  # (n, 2, ndim)
         if arr.shape[2] != len(shape) or ((arr < 0) | (arr >= shape)).any():
             # Negative indices would wrap to the far side of the mesh;
@@ -171,94 +182,81 @@ class RoutingService:
                 continue
             signs = Orientation.for_pair(source, dest, shape).signs
             by_class.setdefault(signs, []).append((i, source, dest))
+        groups = []
         for signs, items in by_class.items():
             orientation = Orientation(signs, tuple(shape))
             model = self.router._model_for(orientation)
-            members = [
-                (i, orientation.map_coord(src), orientation.map_coord(dst), src)
-                for i, src, dst in items
+            by_dest: dict[Coord, tuple[list[int], list[Coord]]] = {}
+            for i, src, dst in items:
+                indices, sources = by_dest.setdefault(
+                    orientation.map_coord(dst), ([], [])
+                )
+                indices.append(i)
+                sources.append(orientation.map_coord(src))
+            groups += [
+                _Group(orientation, model, np.asarray(ids, dtype=np.intp), sources, d)
+                for d, (ids, sources) in by_dest.items()
             ]
-            yield orientation, model, members
+        return groups
+
+    def _primed(self, groups: list[_Group]) -> Iterator[_Group]:
+        """The groups in order, each chunk's reach misses flooded first.
+
+        A chunk is a run of groups holding at most
+        :data:`~repro.routing.oracle.WORD_BITS` reach-cache misses, which
+        may span direction classes, and never more groups than one class
+        cache holds.  Its misses flood in one
+        :func:`~repro.routing.engine.prime_reach` call.  Probing a hit
+        refreshes it, so the chunk's primed misses evict none of the
+        chunk's masks before its groups run.  Blind mode floods nothing.
+        """
+        if self.mode == "blind":
+            yield from groups
+            return
+        bound = self.router.reach_cache_size
+        chunk: list[_Group] = []
+        misses: list[tuple[_ClassModel, Coord]] = []
+        for group in groups:
+            if group.model._reach.get(group.dest) is None:
+                misses.append((group.model, group.dest))
+            chunk.append(group)
+            if len(misses) == WORD_BITS or len(chunk) == bound:
+                prime_reach(misses)
+                yield from chunk
+                chunk, misses = [], []
+        prime_reach(misses)
+        yield from chunk
 
     @staticmethod
-    def _dest_groups(members: list):
-        """Regroup one class's members by canonical destination.
-
-        Yields ``(indices, sources, dest)`` with ``indices`` an int array
-        of input positions and ``sources`` the canonical source coords.
-        """
-        by_dest: dict[Coord, list] = {}
-        for i, s, d, src in members:
-            by_dest.setdefault(d, []).append((i, s, src))
-        for dest, group in by_dest.items():
-            indices = np.asarray([g[0] for g in group], dtype=np.intp)
-            sources = [g[1] for g in group]
-            yield indices, sources, dest
-
-    def _group_feasible(
-        self, model: _ClassModel, sources: list[Coord], dest: Coord
-    ) -> np.ndarray:
-        """Model verdicts for many sources sharing one destination.
+    def _group_feasible(group: _Group) -> np.ndarray:
+        """Model verdicts for the sources of one group.
 
         Safe endpoints, then model reachability: one cached flood and
         one fancy-index per group instead of a mask probe per pair.
         """
-        if model.unsafe[dest]:
-            return np.zeros(len(sources), dtype=bool)
-        coords = tuple(np.asarray(sources, dtype=np.intp).T)
+        model = group.model
+        if model.unsafe[group.dest]:
+            return np.zeros(len(group.sources), dtype=bool)
+        coords = tuple(np.asarray(group.sources, dtype=np.intp).T)
         ok = ~model.unsafe[coords]
         if ok.any():
-            ok &= model.reach_mask(dest)[coords]
+            ok &= model.reach_mask(group.dest)[coords]
         return ok
 
-    def _route_group(
-        self,
-        orientation: Orientation,
-        model: _ClassModel,
-        members: list,
-        results: list[RouteResult | None],
-    ) -> None:
-        """Route one direction-class group, destination-major."""
+    def _route_group(self, group: _Group, results: list[RouteResult | None]) -> None:
+        """Route the pairs of one (class, destination) group."""
         router = self.router
-        by_index = {m[0]: m for m in members}
-        for chunk in self._primed_chunks(model, members):
-            for indices, sources, dest in chunk:
-                if self.mode == "blind":
-                    feasible = None
-                else:
-                    feasible = self._group_feasible(model, sources, dest)
-                for k, idx in enumerate(indices):
-                    _, s, d, src = by_index[int(idx)]
-                    if feasible is not None and not feasible[k]:
-                        # Match route()'s refusal reason exactly.
-                        reason = router._infeasible_reason(model, s, d)
-                        results[int(idx)] = RouteResult(
-                            delivered=False,
-                            path=[src],
-                            feasible=False,
-                            reason=reason or "infeasible",
-                        )
-                        continue
-                    results[int(idx)] = router._forward(model, orientation, s, d)
-
-    def _primed_chunks(self, model: _ClassModel, members: list):
-        """Destination groups in chunks, reach caches pre-warmed per chunk.
-
-        Each chunk's reverse floods run as ONE batched DP
-        (:func:`repro.routing.oracle.reverse_reachable_many`) instead of
-        one Python-loop flood per destination; the chunk size never
-        exceeds the LRU bound, so a primed mask cannot be evicted before
-        its group is processed.
-        """
-        groups = list(self._dest_groups(members))
-        chunk = PRIME_CHUNK
-        cache_bound = self.router.reach_cache_size
-        if cache_bound is not None:
-            chunk = min(chunk, cache_bound)
-        for start in range(0, len(groups), chunk):
-            block = groups[start : start + chunk]
-            dests = [dest for _indices, _sources, dest in block]
-            if self.mode != "blind":
-                model.prime_reach(dests)
-            yield block
-
+        orientation, model, _, sources, d = group
+        feasible = None if self.mode == "blind" else self._group_feasible(group)
+        for k, (idx, s) in enumerate(zip(group.indices.tolist(), sources, strict=True)):
+            if feasible is not None and not feasible[k]:
+                # Match route()'s refusal reason exactly.
+                reason = router._infeasible_reason(model, s, d)
+                results[idx] = RouteResult(
+                    delivered=False,
+                    path=[orientation.unmap_coord(s)],
+                    feasible=False,
+                    reason=reason or "infeasible",
+                )
+                continue
+            results[idx] = router._forward(model, orientation, s, d)

@@ -145,17 +145,6 @@ class _ClassModel:
             self._reach.put(dest, mask)
         return mask
 
-    def prime_reach(self, dests: Sequence[Coord]) -> None:
-        """Warm the reach cache for many destinations with one batched DP."""
-        missing = [d for d in dests if d not in self._reach]
-        if not missing:
-            return
-        stacked = reverse_reachable_many(self._open, missing)
-        for dest, mask in zip(missing, stacked, strict=True):
-            mask = np.ascontiguousarray(mask)
-            mask.setflags(write=False)
-            self._reach.put(dest, mask)
-
     def candidates(self, pos: Coord, dest: Coord) -> list[int]:
         """Surviving preferred axes at ``pos`` for ``dest`` (canonical).
 
@@ -184,6 +173,26 @@ class _ClassModel:
 
     def endpoints_safe(self, source: Coord, dest: Coord) -> bool:
         return not (self.unsafe[source] or self.unsafe[dest])
+
+
+def prime_reach(misses: Sequence[tuple[_ClassModel, Coord]]) -> None:
+    """Fill the reach caches of many (class model, destination) misses.
+
+    One :func:`reverse_reachable_many` call floods them all, each
+    destination through its own class's open mask, so the misses of
+    several direction classes share one kernel call.  Each mask is
+    cached as its own frozen copy: a view would keep the whole stacked
+    result alive for as long as any one mask stays cached.
+    """
+    if not misses:
+        return
+    stacked = reverse_reachable_many(
+        [model._open for model, _ in misses], [dest for _, dest in misses]
+    )
+    for (model, dest), mask in zip(misses, stacked, strict=True):
+        mask = mask.copy()
+        mask.setflags(write=False)
+        model._reach.put(dest, mask)
 
 
 class AdaptiveRouter:

@@ -57,6 +57,8 @@ def main(argv: Sequence[str] | None = None) -> None:
         parser.error(str(exc))
     if args.depth < 1:
         parser.error(f"--depth must be >= 1, got {args.depth}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     table = run_offered_load_sweep(
         tuple(args.shape),
         args.faults,

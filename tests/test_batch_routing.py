@@ -2,9 +2,12 @@
 
 Covers the two routing-engine regressions (blind-mode feasibility
 verdict, faulty-endpoint handling), the batched flood kernel, the LRU
-bound on reach caches, and the headline property: ``route_batch`` is
-element-wise identical to per-call ``AdaptiveRouter.route``.
+bound on reach caches, the cross-class flood chunks, and the headline
+property: ``route_batch`` is element-wise identical to per-call
+``AdaptiveRouter.route``.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,8 +19,8 @@ from repro.mesh.regions import mask_of_cells
 from repro.routing import engine
 from repro.routing.batch import RoutingService
 from repro.routing.engine import AdaptiveRouter
-from repro.routing.oracle import reverse_reachable, reverse_reachable_many
-from repro.routing.policies import DiagonalPolicy, FixedOrderPolicy
+from repro.routing.oracle import WORD_BITS, reverse_reachable, reverse_reachable_many
+from repro.routing.policies import DiagonalPolicy, FixedOrderPolicy, RandomPolicy
 from repro.util.caching import LRUCache
 from tests.conftest import random_mask
 
@@ -206,3 +209,74 @@ class TestRoutingService:
         service = RoutingService(mask, mode="mcc")
         service.route_batch([((0, 0), (7, 7))])
         assert service.router._models[(1, 1)].labelled is cached_labelled(mask)
+
+
+def all_class_batch(count: int, seed: int = 11):
+    """A 6³ mask with 12 faults and ``count`` random pairs over it."""
+    rng = np.random.default_rng(seed)
+    mask = random_mask(rng, (6, 6, 6), 12)
+    pairs = [
+        tuple(tuple(int(v) for v in rng.integers(0, 6, 3)) for _ in range(2))
+        for _ in range(count)
+    ]
+    return mask, pairs
+
+
+def counting_floods(monkeypatch):
+    """Record every ``(open masks, dests)`` kernel call the engine makes."""
+    calls = []
+
+    def counting(open_mask, dests):
+        calls.append((open_mask, list(dests)))
+        return reverse_reachable_many(open_mask, dests)
+
+    monkeypatch.setattr(engine, "reverse_reachable_many", counting)
+    return calls
+
+
+#: Paths of ``all_class_batch(60)`` under ``RandomPolicy(5)``, captured
+#: before the floods moved into cross-class chunks: the policy draws in
+#: the batch's group order, which the chunks must not change.
+GOLDEN_RANDOM_PATHS = "eee78f810b6867f7"
+
+
+class TestCrossClassPriming:
+    def test_one_kernel_call_per_word_of_misses(self, monkeypatch):
+        mask, pairs = all_class_batch(300)
+        calls = counting_floods(monkeypatch)
+        service = RoutingService(mask)
+        service.route_batch(pairs)
+        live = [(s, d) for s, d in pairs if not (mask[s] or mask[d])]
+        frames = [Orientation.for_pair(s, d, mask.shape) for s, d in live]
+        assert len({o.signs for o in frames}) == 8
+        misses = {
+            (o.signs, o.map_coord(d)) for o, (_, d) in zip(frames, live, strict=True)
+        }
+        assert len(calls) == -(-len(misses) // WORD_BITS) > 1
+        assert sum(len(dests) for _, dests in calls) == len(misses)
+        # Each destination floods through its own class's open mask, and
+        # one call carries several classes.
+        assert all(isinstance(opens, list) for opens, _ in calls)
+        assert any(len({id(m) for m in opens}) > 1 for opens, _ in calls)
+        models = service.router._models.values()
+        assert sum(len(m._reach) for m in models) == len(misses)
+        for model in models:
+            for dest in model._reach.keys():
+                assert not model._reach.get(dest).flags.writeable
+
+    def test_tiny_cache_matches_per_pair_routing(self, monkeypatch):
+        mask, pairs = all_class_batch(120)
+        calls = counting_floods(monkeypatch)
+        monkeypatch.setattr(engine, "REACH_CACHE_SIZE", 3)
+        batched = RoutingService(mask).route_batch(pairs)
+        # A chunk never primes more masks than a class cache holds.
+        assert calls and max(len(dests) for _, dests in calls) <= 3
+        for pair, got in zip(pairs, batched, strict=True):
+            assert results_equal(got, AdaptiveRouter(mask).route(*pair)), pair
+
+    def test_seeded_random_policy_paths_are_pinned(self):
+        mask, pairs = all_class_batch(60)
+        router = AdaptiveRouter(mask, policy=RandomPolicy(5))
+        results = RoutingService(None, router=router).route_batch(pairs)
+        paths = repr([r.path for r in results]).encode()
+        assert hashlib.sha256(paths).hexdigest()[:16] == GOLDEN_RANDOM_PATHS

@@ -22,9 +22,13 @@ from tests.conftest import random_mask
 
 
 def monotone_flood_reference(
-    open_mask: np.ndarray, seed_mask: np.ndarray
+    open_mask: np.ndarray, seed_mask: np.ndarray, step: int = 1
 ) -> np.ndarray:
-    """Scalar BFS reference for ``monotone_flood``."""
+    """Scalar BFS reference for ``monotone_flood``.
+
+    ``step=-1`` moves backwards instead: the open cells that reach a
+    seed, the reference for ``reverse_reachable``.
+    """
     open_mask = np.asarray(open_mask, dtype=bool)
     out = np.zeros_like(open_mask, dtype=bool)
     frontier = [tuple(c) for c in np.argwhere(seed_mask & open_mask)]
@@ -35,8 +39,8 @@ def monotone_flood_reference(
         for c in frontier:
             for axis in range(open_mask.ndim):
                 n = list(c)
-                n[axis] += 1
-                if n[axis] < open_mask.shape[axis]:
+                n[axis] += step
+                if 0 <= n[axis] < open_mask.shape[axis]:
                     n = tuple(n)
                     if open_mask[n] and not out[n]:
                         out[n] = True
@@ -107,6 +111,52 @@ class TestFloodCorrectness:
         assert minimal_path_exists(open_mask, s, d) == nx_monotone_feasible(
             open_mask, s, d
         )
+
+    @given(
+        shape=st.sampled_from(FLOOD_SHAPES),
+        batch=st.sampled_from([0, 1, 63, 64, 65, 130]),
+        per_entry=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bit_packed_batches_match_per_cell_reference(
+        self, shape, batch, per_entry, seed
+    ):
+        # Widths around the 64-bit word edge; per-entry open masks mix
+        # shared objects and a strided view, as cross-class batches do.
+        rng = np.random.default_rng(seed)
+        size = math.prod(shape)
+        masks = [
+            ~random_mask(rng, shape, int(rng.integers(0, size + 1))) for _ in range(3)
+        ]
+        masks.append(np.flip(masks[0]))
+        opens = [masks[k] for k in rng.integers(0, len(masks), batch)]
+        if not per_entry:
+            opens = [masks[0]] * batch
+        open_arg = opens if per_entry else masks[0]
+        # Entries seed 0 to 3 cells, closed ones included.
+        seeds = np.zeros((batch, *shape), dtype=bool)
+        for entry in seeds:
+            entry |= random_mask(rng, shape, int(rng.integers(0, 4)))
+        if per_entry and batch == 0:
+            # An empty per-entry list names no mesh shape to flood.
+            with pytest.raises(ValueError, match="no mesh shape"):
+                monotone_flood_many([], seeds)
+            with pytest.raises(ValueError, match="no mesh shape"):
+                reverse_reachable_many([], [])
+            return
+        flooded = monotone_flood_many(open_arg, seeds)
+        assert flooded.shape == seeds.shape
+        for got, open_mask, seed_mask in zip(flooded, opens, seeds, strict=True):
+            assert np.array_equal(got, monotone_flood_reference(open_mask, seed_mask))
+        dests = [tuple(int(rng.integers(0, k)) for k in shape) for _ in range(batch)]
+        reach = reverse_reachable_many(open_arg, dests)
+        assert reach.shape == seeds.shape
+        for got, open_mask, dest in zip(reach, opens, dests, strict=True):
+            seed_mask = np.zeros(shape, dtype=bool)
+            seed_mask[dest] = True
+            want = monotone_flood_reference(open_mask, seed_mask, step=-1)
+            assert np.array_equal(got, want)
 
     def test_1d(self):
         open_mask = np.array([True, True, False, True])

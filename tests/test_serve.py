@@ -411,6 +411,7 @@ class TestLoadKnobRule:
             (["--faults", "100000"], "cannot place 100000 faults in mesh of 512"),
             (["--shape", "8", "0", "8"], "mesh axis lengths must be >= 1"),
             (["--depth", "0"], "--depth must be >= 1"),
+            (["--seed", "-1"], "--seed must be >= 0"),
             (["--batch-window", "nan"], "batch_window must be finite and > 0"),
             (["--batch-window", "inf"], "batch_window must be finite and > 0"),
             (["--batch-window", "0"], "batch_window must be finite and > 0"),
@@ -419,7 +420,8 @@ class TestLoadKnobRule:
         ids=["nan-rate", "inf-rate", "inf-duration", "nan-duration",
              "zero-churn", "negative-events", "negative-faults",
              "faults-above-size", "zero-length-axis", "zero-depth",
-             "nan-window", "inf-window", "zero-window", "negative-window"],
+             "negative-seed", "nan-window", "inf-window", "zero-window",
+             "negative-window"],
     )
     def test_cli_reports_bad_knobs_as_usage_errors(
         self, capsys, monkeypatch, flags, message

@@ -98,6 +98,8 @@ class TestPlanAndPartition:
             SweepSpec("nope", (4, 4), (1,), trials=1)
         with pytest.raises(ValueError):
             SweepSpec("success_rate", (4, 4), (1,), trials=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SweepSpec("success_rate", (4, 4), (1,), trials=1, seed=-1)
         with pytest.raises(ValueError):
             partition_tasks([], 0)
         with pytest.raises(ValueError):
@@ -523,6 +525,7 @@ class TestCLI:
             (["t1", "--shape", "6", "0"], "mesh axis lengths must be >= 1"),
             (["t1", "--fault-counts", "3", "37"], "fault counts must lie in [0, 36]"),
             (["t1", "--trials", "0"], "trials must be >= 1"),
+            (["t1", "--seed", "-1"], "seed must be >= 0"),
             (["t7", "--rates", "nan"], "rates must be finite and > 0"),
             (["t7", "--rates", "inf"], "rates must be finite and > 0"),
             (["t7", "--rates", "0.5", "0"], "rates must be finite and > 0"),
@@ -542,10 +545,10 @@ class TestCLI:
             (["t6d", "--mode", "rfb"], "does not take knobs ['mode']"),
         ],
         ids=["negative-count", "zero-length-axis", "count-above-size", "no-trials",
-             "nan-rate", "inf-rate", "zero-rate", "negative-rate", "inf-duration",
-             "nan-duration", "zero-capacity", "zero-churn", "negative-epochs",
-             "negative-pairs", "negative-queries", "zero-workers", "zero-shards",
-             "t1-mode", "t1-pairs", "t4-rates", "t6d-mode"],
+             "negative-seed", "nan-rate", "inf-rate", "zero-rate", "negative-rate",
+             "inf-duration", "nan-duration", "zero-capacity", "zero-churn",
+             "negative-epochs", "negative-pairs", "negative-queries", "zero-workers",
+             "zero-shards", "t1-mode", "t1-pairs", "t4-rates", "t6d-mode"],
     )
     def test_main_reports_bad_sweep_values_as_usage_errors(
         self, capsys, monkeypatch, argv, message
@@ -565,6 +568,29 @@ class TestCLI:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and message in err
+
+    def test_knobs_take_their_default_type(self, capsys, monkeypatch):
+        # argparse reads --duration 12 as 12.0; duration=12 from Python
+        # names the same sweep, so both share one fingerprint.
+        built = []
+
+        def capture(spec, **kwargs):
+            built.append(spec)
+            return ResultTable("captured")
+
+        monkeypatch.setattr(sharding, "run_sweep", capture)
+        sharding.main(
+            ["t7", "--shape", "6", "6", "6", "--fault-counts", "2", "--trials", "1",
+             "--duration", "12"]
+        )
+        capsys.readouterr()
+        spec = SweepSpec("t7", (6, 6, 6), (2,), trials=1, params={"duration": 12})
+        assert built[0].fingerprint() == spec.fingerprint()
+        assert type(spec.params["duration"]) is float
+        pairs = SweepSpec("t2", (6, 6), (2,), trials=1, params={"pairs": 12.0})
+        assert type(pairs.params["pairs"]) is int
+        with pytest.raises(ValueError, match="pairs must be an integer"):
+            SweepSpec("t2", (6, 6), (2,), trials=1, params={"pairs": 12.5})
 
     def test_cli_and_python_api_share_fingerprints(self, tmp_path):
         # A checkpoint begun from the CLI must be resumable through the
