@@ -2,8 +2,9 @@
 
 Tracks the vectorized hot paths: labelling fixed point, the monotone
 wavefront flood (single, batched, and the serve tick's mixed-class
-reverse floods), component extraction, wall construction, and the full
-per-class model build the router amortizes per direction class.
+reverse floods), component extraction, wall construction, and the
+routing service's batch decomposition with its verdicts, at a serve
+tick's and a static sweep's batch size (printed per pair as well).
 
 Two front ends over the same kernel cases:
 
@@ -25,8 +26,9 @@ import numpy as np
 from repro.core.components import extract_mccs
 from repro.core.labelling import label_grid
 from repro.core.walls import build_walls
-from repro.experiments.workloads import random_fault_mask
+from repro.experiments.workloads import random_fault_mask, sample_safe_pair
 from repro.mesh.orientation import Orientation
+from repro.routing.batch import RoutingService
 from repro.routing.oracle import (
     monotone_flood,
     reverse_reachable,
@@ -130,6 +132,38 @@ def test_kernel_walls_3d_16(benchmark):
     assert len(walls) == len(mccs) * 3
 
 
+def batch_decompose_case(count: int):
+    """A warm mcc service over the 16³ mesh with 205 faults, ``count`` pairs.
+
+    The service's class models and reach caches already hold every
+    pair's class and destination, so one ``feasible_batch`` call is the
+    batch decomposition plus the verdicts: B=4 is a serve tick, B=300 a
+    static-sweep batch.
+    """
+    mask = random_fault_mask((16, 16, 16), 205, rng=6)
+    rng = np.random.default_rng(6)
+    pairs = [sample_safe_pair(~mask, rng=rng, min_distance=2) for _ in range(count)]
+    service = RoutingService(mask)
+    service.feasible_batch(pairs)
+    return service, pairs
+
+
+def test_kernel_batch_decompose_16_b4(benchmark):
+    service, pairs = batch_decompose_case(4)
+    out = benchmark(service.feasible_batch, pairs)
+    assert out.shape == (4,)
+
+
+def test_kernel_batch_decompose_16_b300(benchmark):
+    service, pairs = batch_decompose_case(300)
+    out = benchmark(service.feasible_batch, pairs)
+    assert out.shape == (300,)
+
+
+#: Cases that time one call over a batch of pairs: name -> batch size.
+PAIRS_PER_CALL = {"batch_decompose_16_b4": 4, "batch_decompose_16_b300": 300}
+
+
 def build_cases() -> dict:
     """Name -> zero-arg callable, mirroring the pytest cases above."""
     mask_2d = random_fault_mask((64, 64), 200, rng=1)
@@ -144,6 +178,8 @@ def build_cases() -> dict:
     comp_lab = label_grid(random_fault_mask((20, 20, 20), 400, rng=4))
     wall_mccs = extract_mccs(label_grid(random_fault_mask((12, 12, 12), 80, rng=5)))
     dense_mccs = dense_wall_mccs()
+    service_b4, pairs_b4 = batch_decompose_case(4)
+    service_b300, pairs_b300 = batch_decompose_case(300)
     return {
         "labelling_2d_64": lambda: label_grid(mask_2d),
         "labelling_3d_20": lambda: label_grid(mask_3d),
@@ -161,6 +197,8 @@ def build_cases() -> dict:
         "components_3d": lambda: extract_mccs(comp_lab),
         "walls_3d": lambda: build_walls(wall_mccs),
         "walls_3d_16": lambda: build_walls(dense_mccs),
+        "batch_decompose_16_b4": lambda: service_b4.feasible_batch(pairs_b4),
+        "batch_decompose_16_b300": lambda: service_b300.feasible_batch(pairs_b300),
     }
 
 
@@ -191,11 +229,15 @@ def main() -> None:
     args = parser.parse_args()
     kernels = {}
     for name, fn in build_cases().items():
-        kernels[name] = time_case(fn, args.repeats)
-        print(
-            f"{name:30s}  best {kernels[name]['best_s'] * 1e3:8.2f} ms   "
-            f"median {kernels[name]['median_s'] * 1e3:8.2f} ms"
+        kernels[name] = timed = time_case(fn, args.repeats)
+        line = (
+            f"{name:30s}  best {timed['best_s'] * 1e3:8.2f} ms   "
+            f"median {timed['median_s'] * 1e3:8.2f} ms"
         )
+        if name in PAIRS_PER_CALL:
+            timed["best_s_per_pair"] = timed["best_s"] / PAIRS_PER_CALL[name]
+            line += f"   best {timed['best_s_per_pair'] * 1e6:6.2f} us/pair"
+        print(line)
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "BENCH_kernels.json")
     with open(out, "w") as fh:

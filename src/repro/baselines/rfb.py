@@ -35,6 +35,7 @@ import numpy as np
 from scipy import ndimage
 
 from repro.core.labelling import FAULTY, LabelledGrid, SAFE, USELESS, _shifted_blocked
+from repro.core.model_cache import cached_mesh_status
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import Box
 
@@ -81,6 +82,15 @@ def rfb_unsafe(fault_mask: np.ndarray, variant: str = "block") -> np.ndarray:
     return _fill_blocks(_local_closure(fault_mask))
 
 
+def _rfb_status(fault_mask: np.ndarray) -> np.ndarray:
+    """Mesh-frame status grid: FAULTY faults, USELESS other block members."""
+    unsafe = rfb_unsafe(fault_mask)
+    status = np.zeros(fault_mask.shape, dtype=np.int8)
+    status[unsafe] = USELESS
+    status[fault_mask] = FAULTY
+    return status
+
+
 class DynamicRFBState:
     """Incrementally maintained RFB region over a mutating fault mask.
 
@@ -88,8 +98,8 @@ class DynamicRFBState:
     the MCC model's :class:`repro.online.dynamic_model.DynamicFaultModel`):
     ``unsafe``/``open``/``status`` are mesh-frame arrays mutated **in
     place**, so router-side model state may alias them (per direction
-    class via orientation views — RFB regions are direction-independent,
-    which is itself an 8x saving over the cold per-class labeller).
+    class via orientation views, as :func:`rfb_labelled` shares one
+    frozen grid per mask: RFB regions are direction-independent).
 
     :meth:`apply` is a **block-local recompute**.  Its region is the
     fill rule seeded with the event: the component of
@@ -122,15 +132,12 @@ class DynamicRFBState:
 
         Returns the cells (region-relative) whose unsafe bit changed.
         """
-        faults = self.fault_mask[region]
         old = self.unsafe[region].copy()
-        new = rfb_unsafe(faults)
+        status = _rfb_status(self.fault_mask[region])
+        new = status != SAFE
         self.unsafe[region] = new
         self.open[region] = ~new
-        status = self.status[region]
-        status[...] = SAFE
-        status[new & ~faults] = USELESS
-        status[faults] = FAULTY
+        self.status[region] = status
         return np.argwhere(old != new)
 
     def apply(self, cells, kind: str) -> tuple[Box | None, int, bool]:
@@ -180,16 +187,15 @@ def rfb_labelled(
     Non-faulty block members get status USELESS so the whole MCC
     machinery (components, shadows, walls, conditions, router records)
     runs unchanged on the baseline model — only the regions differ.
-    RFB regions are direction-independent, but the grid is still mapped
-    into the requested orientation for frame consistency.
+    RFB regions are direction-independent: the mask's mesh-frame status
+    is computed once per mask content
+    (:func:`~repro.core.model_cache.cached_mesh_status`), and each
+    class's grid is a read-only orientation view of it.
     """
     fault_mask = np.asarray(fault_mask, dtype=bool)
     if orientation is None:
         orientation = Orientation.identity(fault_mask.shape)
-    unsafe = rfb_unsafe(fault_mask)
-    status = np.zeros(fault_mask.shape, dtype=np.int8)
-    status[unsafe] = USELESS
-    status[fault_mask] = FAULTY
+    status = cached_mesh_status(fault_mask, _rfb_status, kind="rfb")
     return LabelledGrid(
-        status=orientation.to_canonical(status).copy(), orientation=orientation
+        status=orientation.to_canonical(status), orientation=orientation
     )

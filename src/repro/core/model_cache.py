@@ -10,11 +10,15 @@ labelled anywhere in the process skips the work.  In
 ``run_all("paper", workers=1)`` every hit comes from those two tiers
 (DESIGN.md "Cross-pattern labelling reuse").
 
-Two granularities share one bounded LRU:
+Three kinds of entry share one bounded LRU:
 
 * :func:`cached_labelled` — just the :class:`LabelledGrid` fixed point;
 * :func:`cached_class_assets` — labelled grid + extracted MCCs + walls
-  (what the engine and the condition evaluator consume).
+  (what the engine and the condition evaluator consume);
+* :func:`cached_mesh_status` — one mesh-frame status grid per mask for
+  a direction-independent model (RFB): every class's labelling is an
+  orientation view of it, so the model runs once per mask, not once per
+  class.
 
 Cached arrays are frozen (``writeable=False``): every consumer treats
 model state as immutable, and the flag turns an accidental in-place
@@ -38,10 +42,12 @@ from repro.mesh.orientation import Orientation
 from repro.util.caching import LRUCache, mask_digest
 
 #: Bound on cached (pattern, class, kind) entries.  A labelling entry
-#: is one int8 status grid; an assets entry adds the MCC label grid and
-#: cell lists, one shared safe mask, and two column-height arrays per
-#: wall — 64 holds a 3-D T5 pattern's 16 entries (8 classes, a
-#: labelling and an assets entry each) without pinning unbounded sweeps.
+#: is one int8 status grid (an RFB one a view of its mask's mesh-frame
+#: entry); an assets entry adds the MCC label grid and cell lists, one
+#: shared safe mask, and two column-height arrays per wall — 64 holds a
+#: 3-D pattern's 17 RFB entries (8 classes, a labelling and an assets
+#: entry each, plus the mesh-frame grid) without pinning unbounded
+#: sweeps.
 DEFAULT_LABELLING_CACHE_SIZE = 64
 
 LABELLING_CACHE: LRUCache[tuple, tuple] = LRUCache(DEFAULT_LABELLING_CACHE_SIZE)
@@ -137,6 +143,27 @@ def cached_class_assets(
     return assets
 
 
+def cached_mesh_status(
+    fault_mask: np.ndarray,
+    model: Callable[[np.ndarray], np.ndarray],
+    kind: str,
+) -> np.ndarray:
+    """``model(fault_mask)``, a mesh-frame status grid, once per mask content.
+
+    For fault models whose regions do not depend on the direction class
+    (RFB): each class labelling is a read-only orientation view of this
+    one frozen grid, not a copy.  ``kind`` namespaces the models.
+    """
+    key = (mask_digest(fault_mask), kind, "mesh")
+    hit = LABELLING_CACHE.get(key)
+    if hit is not None:
+        return hit[0]
+    status = model(fault_mask)
+    status.setflags(write=False)
+    LABELLING_CACHE.put(key, (status,))
+    return status
+
+
 def clear_labelling_cache() -> None:
-    """Drop every cached labelling and asset entry (tests, memory pressure)."""
+    """Drop every cached entry of all three kinds (tests, memory pressure)."""
     LABELLING_CACHE.clear()

@@ -204,10 +204,12 @@ def _as_knob_type(name: str, value: Any, default: Any) -> Any:
     """``value`` cast to the type of the knob's registered ``default``.
 
     One value, one fingerprint: ``duration=12`` and ``--duration 12``
-    (parsed as 12.0) must name the same sweep.  Int knobs take integral
-    numbers only, float knobs take any real number, a sequence knob
-    casts each element like its default's first one, and a bool or str
-    knob takes only its own type; anything else raises ``ValueError``.
+    (parsed as 12.0) must name the same sweep.  The sweep grid's
+    ``trials``, ``shape`` and ``fault_counts`` go through the same rule
+    with an int stand-in default.  Int knobs take integral numbers
+    only, float knobs take any real number, a sequence knob casts each
+    element like its default's first one, and a bool or str knob takes
+    only its own type; anything else raises ``ValueError``.
     """
     if isinstance(default, tuple):
         if isinstance(value, str) or not isinstance(value, (Sequence, np.ndarray)):
@@ -241,8 +243,10 @@ class SweepSpec:
     :data:`EXPERIMENTS` default, so the stored ``params`` is complete.
 
     Each knob value is stored as its default's type (``pairs=12.0`` as
-    12), so equal sweeps share a fingerprint however their knobs were
-    typed.  Construction also applies the sweep rule: ``trials`` at
+    12), and ``trials``, ``shape`` and ``fault_counts`` as ints by the
+    same rule (``trials=2.0`` as 2; ``trials=2.5`` or ``shape=(4.5, 4)``
+    raises), so equal sweeps share a fingerprint however their values
+    were typed.  Construction also applies the sweep rule: ``trials`` at
     least 1, an int ``seed`` at least 0, every mesh axis length at least
     1, every fault count in ``[0, mesh size]``, and
     :func:`~repro.util.validation.check_workload` on the knob values;
@@ -270,12 +274,13 @@ class SweepSpec:
                 f"experiment {experiment!r} does not take knobs {unknown}; "
                 f"it takes {sorted(knobs)}"
             )
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        trials = _as_knob_type("trials", self.trials, 1)
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
         if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        shape = tuple(int(k) for k in self.shape)
-        fault_counts = tuple(int(c) for c in self.fault_counts)
+        shape = _as_knob_type("shape", self.shape, (1,))
+        fault_counts = _as_knob_type("fault_counts", self.fault_counts, (0,))
         if any(k < 1 for k in shape):
             raise ValueError(f"mesh axis lengths must be >= 1, got {shape}")
         size = math.prod(shape)
@@ -291,6 +296,7 @@ class SweepSpec:
         }
         check_workload(params)
         object.__setattr__(self, "experiment", experiment)
+        object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "fault_counts", fault_counts)
         object.__setattr__(self, "params", params)

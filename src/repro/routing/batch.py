@@ -9,6 +9,10 @@ flood on every cache miss.
 
 :class:`RoutingService` shares all of it:
 
+* the **decomposition builds no per-pair object**: each pair's
+  direction class, canonical coordinates and flat cell indices come
+  from a few array operations over the whole batch, and one pass over
+  the resulting rows buckets the pairs;
 * pairs are grouped by **direction class**, so each ``LabelledGrid`` is
   built once per class (at most 2^n builds per batch);
 * within a class, pairs are grouped by **destination**, so one reverse
@@ -21,9 +25,9 @@ flood on every cache miss.
   several direction classes pays one kernel call per chunk, not one
   per class;
 * the batch **feasibility check is vectorized**: the class model's
-  ``unsafe`` array and the cached reach mask are indexed at all sources
-  of a group in one fancy-index operation each instead of one probe per
-  pair;
+  ``unsafe`` array, flattened once per batch, and the cached reach mask
+  are gathered at the flat indices of all sources of a group in one
+  operation each instead of one probe per pair;
 * per-destination reach masks are LRU-bounded
   (:data:`~repro.routing.engine.REACH_CACHE_SIZE`), so million-pair
   workloads do not grow memory without limit.
@@ -48,25 +52,24 @@ from repro.routing.engine import AdaptiveRouter, RouteResult, _ClassModel, prime
 from repro.routing.oracle import WORD_BITS
 from repro.util.validation import check_shape_member
 
-Pair = tuple[Coord, Coord]
-
 
 class _Group(NamedTuple):
-    """The pairs of one direction class headed to one destination."""
+    """The pairs of one direction class headed to one destination.
+
+    Coordinates are in the class's canonical frame.  Flat indices count
+    cells in C order over the mesh shape, which is the layout of
+    ``unsafe``: the class model's unsafe mask, flattened once per batch
+    (a copy for an online class's flipped view) and shared by all of the
+    class's groups.
+    """
 
     orientation: Orientation
     model: _ClassModel
+    unsafe: np.ndarray  # flat unsafe mask of the class model
     indices: np.ndarray  # input positions
-    sources: list[Coord]  # canonical frame
-    dest: Coord  # canonical frame
-
-
-def _as_pair(pair: Sequence[Sequence[int]]) -> Pair:
-    source, dest = pair
-    return (
-        tuple(int(c) for c in source),
-        tuple(int(c) for c in dest),
-    )
+    sources: np.ndarray  # flat source indices
+    dest: Coord
+    dest_flat: int
 
 
 class RoutingService:
@@ -93,6 +96,13 @@ class RoutingService:
                 raise ValueError("RoutingService needs a fault_mask or a router")
             router = AdaptiveRouter(fault_mask, mode=mode)
         self.router = router
+        # Frame arithmetic for whole-batch decomposition: the far mesh
+        # corner, the C-order cell strides of the mesh shape, and one
+        # class-key bit per axis.
+        shape = router.fault_mask.shape
+        self._far = np.subtract(shape, 1, dtype=np.intp)
+        self._strides = np.cumprod((1,) + shape[:0:-1], dtype=np.intp)[::-1]
+        self._bits = 1 << np.arange(len(shape), dtype=np.intp)
 
     @property
     def fault_mask(self) -> np.ndarray:
@@ -114,7 +124,7 @@ class RoutingService:
         self, pairs: Iterable[Sequence[Sequence[int]]]
     ) -> list[RouteResult]:
         """Route every (source, dest) pair; results in input order."""
-        pairs = [_as_pair(p) for p in pairs]
+        pairs = list(pairs)
         with obs.span("route_batch", cat="routing", n=len(pairs)) as sp:
             results: list[RouteResult | None] = [None] * len(pairs)
             for group in self._primed(self._grouped(pairs, results)):
@@ -133,7 +143,7 @@ class RoutingService:
         """
         if self.mode == "blind":
             raise ValueError("blind mode has no feasibility model")
-        pairs = [_as_pair(p) for p in pairs]
+        pairs = list(pairs)
         with obs.span("feasible_batch", cat="routing", n=len(pairs)) as sp:
             out = np.zeros(len(pairs), dtype=bool)
             results: list[RouteResult | None] = [None] * len(pairs)
@@ -145,58 +155,69 @@ class RoutingService:
     # -- batch decomposition -----------------------------------------------
 
     def _grouped(
-        self, pairs: list[Pair], results: list[RouteResult | None]
+        self, pairs: list, results: list[RouteResult | None]
     ) -> list[_Group]:
         """Split pairs into (direction class, destination) groups.
 
         Off-mesh endpoints raise as in :meth:`AdaptiveRouter.route`.
         Faulty-endpoint pairs are resolved immediately into ``results``
-        (vectorized mesh-frame check) and excluded from the groups.
-        Groups come class-major, classes and then destinations in order
-        of first appearance.
+        and excluded from the groups.  Groups come class-major, classes
+        and then destinations in order of first appearance.  The class
+        of every pair, its canonical coordinates and their flat indices
+        come from whole-batch array operations; the one pass over the
+        pairs only buckets them.
         """
         fault_mask = self.router.fault_mask
         shape = fault_mask.shape
         if not pairs:
             return []
         arr = np.asarray(pairs, dtype=np.intp)  # (n, 2, ndim)
-        if arr.shape[2] != len(shape) or ((arr < 0) | (arr >= shape)).any():
+        if (
+            arr.ndim != 3
+            or arr.shape[1:] != (2, len(shape))
+            or ((arr < 0) | (arr > self._far)).any()
+        ):
             # Negative indices would wrap to the far side of the mesh;
             # name the first bad endpoint the way single-pair routing does.
             for source, dest in pairs:
-                check_shape_member("source", source, shape)
-                check_shape_member("dest", dest, shape)
-        src_idx = tuple(arr[:, 0, a] for a in range(arr.shape[2]))
-        dst_idx = tuple(arr[:, 1, a] for a in range(arr.shape[2]))
-        endpoint_faulty = fault_mask[src_idx] | fault_mask[dst_idx]
-
-        by_class: dict[tuple[int, ...], list] = {}
-        for i, (source, dest) in enumerate(pairs):
-            if endpoint_faulty[i]:
+                check_shape_member("source", [int(c) for c in source], shape)
+                check_shape_member("dest", [int(c) for c in dest], shape)
+        faulty = fault_mask.reshape(-1)[arr @ self._strides].any(axis=1)
+        # A pair's class flips the axes where dest < source, as in
+        # Orientation.for_pair; bit a of its class key is axis a's flip.
+        flip = arr[:, 1] < arr[:, 0]
+        canonical = np.where(flip[:, None], self._far - arr, arr)
+        flat = canonical @ self._strides  # (n, 2)
+        keys = flip @ self._bits
+        by_class: dict[int, dict[int, list[int]]] = {}
+        rows = zip(faulty.tolist(), keys.tolist(), flat[:, 1].tolist(), strict=True)
+        for i, (bad, key, dest) in enumerate(rows):
+            if bad:
                 results[i] = RouteResult(
                     delivered=False,
-                    path=[source],
+                    path=[tuple(arr[i, 0].tolist())],
                     feasible=False,
                     reason="endpoint faulty",
                 )
-                continue
-            signs = Orientation.for_pair(source, dest, shape).signs
-            by_class.setdefault(signs, []).append((i, source, dest))
+            else:
+                by_class.setdefault(key, {}).setdefault(dest, []).append(i)
+
+        dests = canonical[:, 1].tolist()
+        sources = flat[:, 0]
         groups = []
-        for signs, items in by_class.items():
-            orientation = Orientation(signs, tuple(shape))
+        for key, by_dest in by_class.items():
+            signs = tuple(-1 if key >> a & 1 else 1 for a in range(len(shape)))
+            orientation = Orientation(signs, shape)
             model = self.router._model_for(orientation)
-            by_dest: dict[Coord, tuple[list[int], list[Coord]]] = {}
-            for i, src, dst in items:
-                indices, sources = by_dest.setdefault(
-                    orientation.map_coord(dst), ([], [])
+            unsafe = model.unsafe.reshape(-1)
+            for dest, ids in by_dest.items():
+                indices = np.array(ids, dtype=np.intp)
+                groups.append(
+                    _Group(
+                        orientation, model, unsafe, indices, sources[indices],
+                        tuple(dests[ids[0]]), dest,
+                    )
                 )
-                indices.append(i)
-                sources.append(orientation.map_coord(src))
-            groups += [
-                _Group(orientation, model, np.asarray(ids, dtype=np.intp), sources, d)
-                for d, (ids, sources) in by_dest.items()
-            ]
         return groups
 
     def _primed(self, groups: list[_Group]) -> Iterator[_Group]:
@@ -232,22 +253,23 @@ class RoutingService:
         """Model verdicts for the sources of one group.
 
         Safe endpoints, then model reachability: one cached flood and
-        one fancy-index per group instead of a mask probe per pair.
+        one gather by flat index per group instead of a probe per pair.
         """
-        model = group.model
-        if model.unsafe[group.dest]:
+        unsafe = group.unsafe
+        if unsafe[group.dest_flat]:
             return np.zeros(len(group.sources), dtype=bool)
-        coords = tuple(np.asarray(group.sources, dtype=np.intp).T)
-        ok = ~model.unsafe[coords]
-        if ok.any():
-            ok &= model.reach_mask(group.dest)[coords]
+        ok = ~unsafe[group.sources]
+        if np.count_nonzero(ok):
+            ok &= group.model.reach_mask(group.dest).reshape(-1)[group.sources]
         return ok
 
     def _route_group(self, group: _Group, results: list[RouteResult | None]) -> None:
         """Route the pairs of one (class, destination) group."""
         router = self.router
-        orientation, model, _, sources, d = group
+        orientation, model, d = group.orientation, group.model, group.dest
         feasible = None if self.mode == "blind" else self._group_feasible(group)
+        axes = np.unravel_index(group.sources, orientation.shape)
+        sources = zip(*(axis.tolist() for axis in axes), strict=True)
         for k, (idx, s) in enumerate(zip(group.indices.tolist(), sources, strict=True)):
             if feasible is not None and not feasible[k]:
                 # Match route()'s refusal reason exactly.

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.rfb import rfb_unsafe
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
 from repro.routing import engine
@@ -280,3 +281,158 @@ class TestCrossClassPriming:
         results = RoutingService(None, router=router).route_batch(pairs)
         paths = repr([r.path for r in results]).encode()
         assert hashlib.sha256(paths).hexdigest()[:16] == GOLDEN_RANDOM_PATHS
+
+
+#: 1-D to 4-D mesh shapes, size-1 axes included.
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 12)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    st.tuples(*[st.integers(1, 6)] * 3),
+    st.tuples(*[st.integers(1, 4)] * 4),
+)
+
+
+def drawn_batch(rng, shape, percent, count, strided):
+    """A fault mask and ``count`` pairs that hit every endpoint case.
+
+    Besides uniform pairs: pairs sharing coordinates with their source
+    (zero-offset axes), pairs with a faulty endpoint, and pairs with a
+    non-faulty RFB block member (a model-unsafe endpoint).  ``strided``
+    hands the mask over as a non-contiguous view.
+    """
+    mask = rng.random(shape) * 100 < percent
+    if strided:
+        big = np.zeros(tuple(2 * k for k in shape), dtype=bool)
+        big[(slice(None, None, 2),) * len(shape)] = mask
+        mask = big[(slice(None, None, 2),) * len(shape)]
+        assert mask.size == 1 or not mask.flags.c_contiguous
+    special = {
+        "faulty": np.argwhere(mask),
+        "unsafe": np.argwhere(rfb_unsafe(mask) & ~mask),
+    }
+    pairs = []
+    for _ in range(count):
+        s, d = (tuple(int(v) for v in rng.integers(0, shape)) for _ in range(2))
+        kind = rng.choice(["uniform", "zero-offset", "faulty", "unsafe"])
+        if kind == "zero-offset":
+            keep = rng.random(len(shape)) < 0.5
+            d = tuple(a if k else b for a, b, k in zip(s, d, keep, strict=True))
+        elif kind in special and len(special[kind]):
+            cells = special[kind]
+            cell = tuple(int(v) for v in cells[rng.integers(len(cells))])
+            s, d = (cell, d) if rng.random() < 0.5 else (s, cell)
+        pairs.append((s, d))
+    return mask, pairs
+
+
+def reference_groups(mask, pairs):
+    """The batch decomposition, pair by pair.
+
+    ``(class signs, canonical dest, [(input index, canonical source)])``
+    per group: classes and then destinations in order of first
+    appearance among the pairs whose endpoints are not faulty.
+    """
+    by_class = {}
+    for i, (s, d) in enumerate(pairs):
+        if mask[s] or mask[d]:
+            continue
+        o = Orientation.for_pair(s, d, mask.shape)
+        by_dest = by_class.setdefault(o.signs, {})
+        by_dest.setdefault(o.map_coord(d), []).append((i, o.map_coord(s)))
+    return [
+        (signs, dest, items)
+        for signs, by_dest in by_class.items()
+        for dest, items in by_dest.items()
+    ]
+
+
+def observed_run(mask, mode, policy, call, pairs):
+    """Run one batch call on a fresh service; its groups and floods.
+
+    Returns the call's output, the decomposition as
+    :func:`reference_groups` spells it, and the flooded (class signs,
+    destination) sequence, read from every
+    ``engine.reverse_reachable_many`` call the batch makes.  A
+    one-destination flood fails the run: every miss must be primed.
+    """
+    router = AdaptiveRouter(mask, mode=mode, policy=policy)
+    service = RoutingService(None, router=router)
+    shape = mask.shape
+    groups, floods = [], []
+    grouped = RoutingService._grouped
+
+    def spy(self, batch, results):
+        found = grouped(self, batch, results)
+        for g in found:
+            assert g.dest_flat == np.ravel_multi_index(g.dest, shape)
+            assert np.array_equal(g.unsafe, g.model.unsafe.reshape(-1))
+            axes = np.unravel_index(g.sources, shape)
+            sources = zip(*(a.tolist() for a in axes), strict=True)
+            items = list(zip(g.indices.tolist(), sources, strict=True))
+            groups.append((g.orientation.signs, g.dest, items))
+        return found
+
+    def counting(open_masks, dests):
+        floods.append((open_masks, list(dests)))
+        return reverse_reachable_many(open_masks, dests)
+
+    def single(*args):
+        raise AssertionError("a batch flooded one destination on its own")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RoutingService, "_grouped", spy)
+        patch.setattr(engine, "reverse_reachable_many", counting)
+        patch.setattr(engine, "reverse_reachable", single)
+        out = getattr(service, call)(pairs)
+    assert all(len(dests) <= WORD_BITS for _, dests in floods)
+    signs_of = {id(m._open): signs for signs, m in service.router._models.items()}
+    primed = [
+        (signs_of[id(open_mask)], dest)
+        for open_masks, dests in floods
+        for open_mask, dest in zip(open_masks, dests, strict=True)
+    ]
+    return out, groups, primed
+
+
+class TestOneDecomposition:
+    """``route_batch`` and ``feasible_batch`` against a per-pair reference."""
+
+    @given(
+        SHAPES,
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 35),
+        st.sampled_from([0, 1, 4, 300]),
+        st.booleans(),
+        st.sampled_from(AdaptiveRouter.MODES),
+        st.sampled_from([FixedOrderPolicy, DiagonalPolicy]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_pair_reference(
+        self, shape, seed, percent, count, strided, mode, policy
+    ):
+        rng = np.random.default_rng(seed)
+        mask, pairs = drawn_batch(rng, shape, percent, count, strided)
+        want = [
+            AdaptiveRouter(mask, mode=mode, policy=policy()).route(*p) for p in pairs
+        ]
+        groups = reference_groups(mask, pairs)
+        # Every group floods its destination once, in group order, and
+        # blind mode floods nothing.
+        primed = [] if mode == "blind" else [(signs, dest) for signs, dest, _ in groups]
+
+        got, seen, floods = observed_run(mask, mode, policy(), "route_batch", pairs)
+        assert len(got) == len(pairs)
+        for pair, a, b in zip(pairs, got, want, strict=True):
+            assert results_equal(a, b), (pair, a, b)
+        assert seen == groups
+        assert floods == primed
+
+        if mode == "blind":
+            return
+        verdicts, seen, floods = observed_run(
+            mask, mode, policy(), "feasible_batch", pairs
+        )
+        assert verdicts.dtype == bool and verdicts.shape == (len(pairs),)
+        assert verdicts.tolist() == [r.feasible is True for r in want]
+        assert seen == groups
+        assert floods == primed

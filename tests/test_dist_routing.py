@@ -1,9 +1,11 @@
 """Property P4 (routing): the DES routing agrees with the oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.detection import detect_canonical, detection_feasible
 from repro.core.labelling import SAFE, label_grid
 from repro.distributed.pipeline import DistributedMCCPipeline
 from repro.mesh.coords import manhattan
@@ -133,6 +135,49 @@ class TestRouting3D:
             assert (result["status"] == "delivered") == want, (d, result)
             if want:
                 assert len(result["path"]) - 1 == manhattan((0, 0, 0), d)
+
+
+#: The smallest full-octant pair whose (-X) surface flood fails although
+#: a minimal path exists: (0,0,0) -> (0,0,1) -> (1,0,1) -> (2,0,1) ->
+#: (2,1,1) -> (2,2,1).  On x = 0 the flood twice meets a fault ahead in
+#: +Y, and both times its +X detour cell is faulty too.
+FULL_OCTANT_FAULTS = [(0, 1, 0), (0, 2, 1), (1, 0, 0), (1, 1, 1)]
+FULL_OCTANT_SHAPE = (3, 3, 2)
+FULL_OCTANT_PAIR = ((0, 0, 0), (2, 2, 1))
+
+
+class TestFullOctantSurfaceFloods:
+    """The 3-D surface floods are not necessary for a minimal path."""
+
+    def test_centralized_x_flood_fails_on_a_feasible_pair(self):
+        mask = mask_of_cells(FULL_OCTANT_FAULTS, FULL_OCTANT_SHAPE)
+        s, d = FULL_OCTANT_PAIR
+        report = detect_canonical(label_grid(mask).unsafe_mask, s, d)
+        assert report.messages == {
+            "(-X)-surface": False,
+            "(-Y)-surface": True,
+            "(-Z)-surface": True,
+        }
+        # The centralized verdict comes from exact reachability, so it
+        # still says feasible.
+        assert report.feasible
+        assert minimal_path_exists(~mask, s, d)
+        assert detection_feasible(mask, s, d)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "the DES takes a timed-out (-X) surface flood as a final "
+            "'infeasible' (11 messages), although a minimal path exists "
+            "(ROADMAP 'Full-octant detection can reject a feasible pair')"
+        ),
+    )
+    def test_des_delivers(self):
+        mask = mask_of_cells(FULL_OCTANT_FAULTS, FULL_OCTANT_SHAPE)
+        pipe = DistributedMCCPipeline(Mesh3D(*FULL_OCTANT_SHAPE), mask).build()
+        result = pipe.route(*FULL_OCTANT_PAIR)
+        assert result["status"] == "delivered", result
 
 
 class TestPipelinePlumbing:

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from repro.baselines import rfb
 from repro.baselines.rfb import _local_closure, rfb_labelled, rfb_unsafe
 from repro.core.labelling import FAULTY, USELESS
+from repro.core.model_cache import clear_labelling_cache
 from repro.mesh.orientation import Orientation
+from repro.routing.engine import AdaptiveRouter
 from repro.mesh.regions import Box, mask_of_cells
 from tests.conftest import random_mask
 
@@ -187,6 +190,40 @@ class TestLabelledAdapter:
         o = Orientation((-1, 1), (4, 4))
         lab = rfb_labelled(mask, o)
         assert lab.status[2, 1] == FAULTY  # x flipped: 4-1-1 = 2
+
+    @given(SHAPES, st.integers(0, 2**32 - 1), st.integers(0, 40))
+    @settings(max_examples=25, deadline=None)
+    def test_one_region_per_mask(self, shape, seed, percent):
+        """Every class views one frozen grid; the blocks run once per mask."""
+        mask = drawn_mask(shape, seed, percent)
+        calls = []
+
+        def counted(fault_mask):
+            calls.append(fault_mask.shape)
+            return rfb_unsafe(fault_mask)
+
+        want = np.zeros(shape, dtype=np.int8)
+        want[rfb_unsafe(mask)] = USELESS
+        want[mask] = FAULTY
+        clear_labelling_cache()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rfb, "rfb_unsafe", counted)
+            classes = Orientation.all_classes(shape)
+            for orientation in classes:
+                lab = rfb_labelled(mask, orientation)
+                assert lab.orientation == orientation
+                assert np.array_equal(lab.status, orientation.to_canonical(want))
+                assert not lab.status.flags.writeable
+                with pytest.raises(ValueError):
+                    lab.status[(0,) * len(shape)] = FAULTY
+            # The router's per-class models share the same region.
+            router = AdaptiveRouter(mask.copy(), mode="rfb")
+            for orientation in classes:
+                router._model_for(orientation)
+            assert calls == [shape]
+            clear_labelling_cache()
+            rfb_labelled(mask)
+            assert calls == [shape, shape]
 
 
 class TestDynamicRFBState:

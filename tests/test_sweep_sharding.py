@@ -120,6 +120,31 @@ class TestPlanAndPartition:
                  "--fault-counts", *map(str, fault_counts), "--trials", "2"]
             )
 
+    def test_integral_grid_values_are_stored_as_int(self):
+        # trials=2.0 names the same sweep as trials=2, and numpy ints
+        # fingerprint like Python ints.
+        spec = SweepSpec("t1", (4.0, np.int64(4)), (np.int64(1), 2.0), trials=2.0)
+        plain = SweepSpec("t1", (4, 4), (1, 2), trials=2)
+        assert spec.fingerprint() == plain.fingerprint()
+        assert type(spec.trials) is int
+        assert all(type(v) is int for v in spec.shape + spec.fault_counts)
+        assert len(plan_tasks(spec)) == 4
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+            ({"shape": (4.5, 4)}, "shape must be an integer, got 4.5"),
+            ({"fault_counts": (1.7,)}, "fault_counts must be an integer, got 1.7"),
+        ],
+        ids=["trials", "shape", "fault-counts"],
+    )
+    def test_fractional_grid_values_rejected(self, grid, message):
+        # Neither a late TypeError in plan_tasks nor a silent truncation.
+        args = {"shape": (4, 4), "fault_counts": (1,), "trials": 2, **grid}
+        with pytest.raises(ValueError, match=message):
+            SweepSpec("t1", **args)
+
 
 NAN, INF = float("nan"), float("inf")
 
