@@ -13,11 +13,14 @@ Two front ends over the same kernel cases:
 * ``PYTHONPATH=src python benchmarks/bench_kernels.py`` — dependency-
   free best-of-N timing that writes a machine-readable
   ``BENCH_kernels.json`` to ``--out-dir`` (the same artifact shape as
-  the other benches' ``BENCH_*.json`` summaries).
+  the other benches' ``BENCH_*.json`` summaries): per case, the best
+  and median seconds per call and the number of back-to-back calls
+  each sample times.
 """
 
 import argparse
 import json
+import math
 import os
 import time
 
@@ -202,18 +205,33 @@ def build_cases() -> dict:
     }
 
 
+#: Shortest span one timing sample covers.  A faster case runs back to
+#: back within a sample, so a call of tens of microseconds is not read
+#: against one clock tick and one scheduler hiccup.
+SAMPLE_S = 0.02
+
+
 def time_case(fn, repeats: int) -> dict:
-    """Best/median wall seconds over ``repeats`` single-shot runs."""
-    fn()  # warm caches / JIT-free but first-touch allocations
+    """Best/median wall seconds per call over ``repeats`` samples.
+
+    Each sample times ``calls`` back-to-back calls, with ``calls`` set
+    so that the timed warm-up call, repeated, spans :data:`SAMPLE_S`.
+    """
+    fn()  # first touch: plan builds, allocations
+    t0 = time.perf_counter()
+    fn()
+    calls = max(1, math.ceil(SAMPLE_S / (time.perf_counter() - t0)))
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
+        for _ in range(calls):
+            fn()
+        samples.append((time.perf_counter() - t0) / calls)
     samples.sort()
     return {
         "best_s": samples[0],
         "median_s": samples[len(samples) // 2],
+        "calls": calls,
         "repeats": repeats,
     }
 
@@ -231,8 +249,8 @@ def main() -> None:
     for name, fn in build_cases().items():
         kernels[name] = timed = time_case(fn, args.repeats)
         line = (
-            f"{name:30s}  best {timed['best_s'] * 1e3:8.2f} ms   "
-            f"median {timed['median_s'] * 1e3:8.2f} ms"
+            f"{name:30s}  best {timed['best_s'] * 1e3:8.3f} ms   "
+            f"median {timed['median_s'] * 1e3:8.3f} ms   x{timed['calls']}"
         )
         if name in PAIRS_PER_CALL:
             timed["best_s_per_pair"] = timed["best_s"] / PAIRS_PER_CALL[name]

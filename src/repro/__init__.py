@@ -68,7 +68,7 @@ from repro.routing.policies import (
 from repro.baselines import ecube_path, ecube_succeeds, greedy_route, rfb_unsafe
 from repro.simkit import MeshNetwork, Simulator
 from repro.distributed import DistributedMCCPipeline
-from repro.online import DynamicFaultModel, FaultEvent, OnlineRoutingService, Ticket
+from repro.online import DynamicFaultModel, FaultEvent, OnlineRoutingService
 from repro.service import make_service
 from repro.serve import AsyncRoutingService, VirtualClock, WallClock
 from repro.parallel import SweepSpec, run_sweep
@@ -117,7 +117,6 @@ __all__ = [
     "DynamicFaultModel",
     "FaultEvent",
     "OnlineRoutingService",
-    "Ticket",
     "make_service",
     "AsyncRoutingService",
     "VirtualClock",

@@ -44,11 +44,7 @@ import numpy as np
 
 from repro.core.model_cache import cached_labelled
 from repro.mesh.orientation import Orientation
-from repro.routing.oracle import (
-    group_jobs_by_class,
-    minimal_path_exists,
-    probe_reverse_reachable,
-)
+from repro.routing.oracle import minimal_path_exists
 
 
 @dataclass
@@ -203,8 +199,10 @@ def detection_feasible(
     walks of Algorithm 6 are only meaningful for full-dimensional
     classes (each message verifies one coordinate, vacuous for a
     degenerate axis), so such pairs are detected on the slice problem:
-    3-D pairs with one degenerate axis run the 2-D walks on the slice,
-    two degenerate axes reduce to a fault-free-segment check.
+    3-D pairs with one degenerate axis run the 2-D walks on the slice.
+    A pair with at most one live axis, in a mesh of any dimension, has
+    a segment for its RMP and is feasible iff that segment is
+    fault-free.
     """
     fault_mask = np.asarray(fault_mask, dtype=bool)
     source = tuple(int(c) for c in source)
@@ -212,20 +210,21 @@ def detection_feasible(
     if fault_mask[source] or fault_mask[dest]:
         raise ValueError("detection requires safe source and destination")
     live = tuple(a for a in range(fault_mask.ndim) if source[a] != dest[a])
+    if len(live) <= 1:
+        segment = tuple(
+            slice(min(s, d), max(s, d) + 1) for s, d in zip(source, dest, strict=True)
+        )
+        return not bool(fault_mask[segment].any())
     if len(live) < fault_mask.ndim:
-        if not live:
-            return True  # source == dest, both non-faulty
         idx = tuple(
             slice(None) if a in live else source[a]
             for a in range(fault_mask.ndim)
         )
-        sub_mask = fault_mask[idx]
-        sub_source = tuple(source[a] for a in live)
-        sub_dest = tuple(dest[a] for a in live)
-        if len(live) == 1:
-            lo, hi = sorted((sub_source[0], sub_dest[0]))
-            return not bool(sub_mask[lo : hi + 1].any())
-        return detection_feasible(sub_mask, sub_source, sub_dest)
+        return detection_feasible(
+            fault_mask[idx],
+            tuple(source[a] for a in live),
+            tuple(dest[a] for a in live),
+        )
 
     orientation = Orientation.for_pair(source, dest, fault_mask.shape)
     labelled = cached_labelled(fault_mask, orientation)
@@ -250,49 +249,48 @@ def detection_feasible_batch(
     """Detection verdicts for many pairs over one fault pattern.
 
     Pair-for-pair identical to :func:`detection_feasible`
-    (property-tested), but the per-pair work is batched: one cached
-    labelling per direction class, and the exact-reachability verdicts
-    — both the labelled-safe rule behind :func:`detect_canonical` and
-    the unsafe-endpoint ground-truth fallback — run through the
-    destination-grouped flood kernel
-    (:func:`repro.routing.oracle.probe_reverse_reachable`), one batched
-    DP per destination chunk instead of one flood per pair.  The
-    per-message walk trails of :func:`detect_canonical` are not
-    materialized (they never feed the verdict); degenerate pairs (any
-    zero-offset axis) and meshes without defined walks fall back to the
-    per-pair path, reductions and all.
+    (property-tested).  A full-dimensional pair in a 2-D or 3-D mesh
+    takes the verdict of an mcc
+    :class:`~repro.routing.batch.RoutingService`'s ``feasible_batch``:
+    with class-safe endpoints, the labelled-safe reachability behind
+    :func:`detect_canonical` is the model's reachability, since a
+    monotone path from a class-safe source never enters a can't-reach
+    cell.  A class-unsafe endpoint makes the model say False, where the
+    per-pair form answers with exact reachability; so a False verdict
+    is re-asked per pair exactly where an oracle service says the pair
+    is feasible.  The per-message walk trails are not materialized
+    (they never feed the verdict).  Degenerate pairs (any zero-offset
+    axis) and meshes without defined walks take the per-pair path,
+    reductions and all.
     """
+    from repro.routing.batch import RoutingService  # routing imports core
+
     fault_mask = np.asarray(fault_mask, dtype=bool)
-    ndim = fault_mask.ndim
-    norm = [
-        (
-            tuple(int(c) for c in source),
-            tuple(int(c) for c in dest),
-        )
+    pairs = [
+        (tuple(int(c) for c in source), tuple(int(c) for c in dest))
         for source, dest in pairs
     ]
-    out = np.zeros(len(norm), dtype=bool)
-    eligible: list[int] = []
-    for i, (source, dest) in enumerate(norm):
+    out = np.zeros(len(pairs), dtype=bool)
+    full: list[int] = []
+    for i, (source, dest) in enumerate(pairs):
         if fault_mask[source] or fault_mask[dest]:
             raise ValueError("detection requires safe source and destination")
-        live = sum(1 for a in range(ndim) if source[a] != dest[a])
-        if live < ndim or ndim not in (2, 3):
-            out[i] = detection_feasible(fault_mask, source, dest)
+        if fault_mask.ndim in (2, 3) and all(
+            s != d for s, d in zip(source, dest, strict=True)
+        ):
+            full.append(i)
         else:
-            eligible.append(i)
-    sub = [norm[i] for i in eligible]
-    for orientation, jobs in group_jobs_by_class(sub, fault_mask.shape):
-        labelled = cached_labelled(fault_mask, orientation)
-        unsafe = labelled.unsafe_mask
-        open_masks = {
-            "labelled": labelled.safe_mask,
-            "exact": orientation.to_canonical(~fault_mask),
-        }
-        split: dict[str, list] = {which: [] for which in open_masks}
-        for j, cs, cd in jobs:
-            which = "exact" if unsafe[cs] or unsafe[cd] else "labelled"
-            split[which].append((eligible[j], cs, cd))
-        for which, open_mask in open_masks.items():
-            probe_reverse_reachable(open_mask, split[which], out)
+            out[i] = detection_feasible(fault_mask, source, dest)
+    if not full:
+        return out
+    batch = [pairs[i] for i in full]
+    verdicts = RoutingService(fault_mask, mode="mcc").feasible_batch(batch)
+    refused = np.flatnonzero(~verdicts).tolist()
+    truth = RoutingService(fault_mask, mode="oracle").feasible_batch(
+        [batch[k] for k in refused]
+    )
+    for k, feasible in zip(refused, truth.tolist(), strict=True):
+        if feasible:
+            verdicts[k] = detection_feasible(fault_mask, *batch[k])
+    out[full] = verdicts
     return out

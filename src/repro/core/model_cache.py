@@ -1,14 +1,15 @@
 """Content-addressed reuse of canonical-class labellings.
 
 A single T5 pattern is labelled by three consumers
-(``ConditionEvaluator``, the adaptive router, and the detection pass),
-and T7 reads a pattern's safe mask before its mcc service labels the
-same class.  This module keys the expensive per-class derivations by
-**fault-mask content** (:func:`repro.util.caching.mask_digest`), so a
-consumer that meets a (pattern, class, model-kind) combination already
-labelled anywhere in the process skips the work.  In
-``run_all("paper", workers=1)`` every hit comes from those two tiers
-(DESIGN.md "Cross-pattern labelling reuse").
+(``ConditionEvaluator``'s endpoint check, its mcc routing service, and
+the detection pass), and T7 reads a pattern's safe mask before its mcc
+service labels the same class.  This module keys the expensive
+per-class derivations by **fault-mask content**
+(:func:`repro.util.caching.mask_digest`), so a consumer that meets a
+(pattern, class, model-kind) combination already labelled anywhere in
+the process skips the work.  In ``run_all("paper", workers=1)`` the
+hits come from those two tiers and from T2's RFB class views of one
+mesh-frame grid (DESIGN.md "Cross-pattern labelling reuse").
 
 Three kinds of entry share one bounded LRU:
 

@@ -3,17 +3,28 @@
 Quantifies the paper's exactness claims against the oracle:
 
 * ``cond_agree`` — Theorem 1/2 (merged Lemma 1) verdict vs monotone
-  reachability, over random safe pairs (property P2);
-* ``detect_agree`` — the operational detection walks vs the oracle;
+  reachability, over random class-safe pairs (property P2);
+* ``detect_agree`` — the source-side detection verdict
+  (:func:`repro.core.detection.detection_feasible_batch`) vs the
+  oracle;
 * ``router_complete`` — fraction of feasible pairs where *every*
   adaptive choice sequence of the MCC-guided router reaches the
   destination (adversarial stuck-freedom, property P3);
-* ``exclusion_exact`` — fraction of pairs where the MCC-guided
-  candidate sets equal the oracle candidate sets at every reachable
-  node ("fully adaptive": the model forbids nothing it shouldn't).
+* ``exclusion_exact`` — fraction of feasible pairs where the MCC-guided
+  candidate sets equal the oracle candidate sets at every node the
+  router can reach ("fully adaptive": the model forbids nothing it
+  shouldn't).
 
-Each fault pattern — its condition evaluator, router, and pair workload
-— is one sharded :class:`repro.parallel.sharding.PatternTask`;
+Every verdict goes through one mcc and one oracle
+:class:`~repro.routing.batch.RoutingService` per pattern, the one
+batched path from pairs to the flood kernel: the two services'
+``feasible_batch`` verdicts are the condition and the ground truth,
+and the two router predicates are array floods over the (class,
+destination) groups of the mcc service's batch decomposition
+(:func:`_choice_verdicts`).
+
+Each fault pattern — its services and pair workload — is one sharded
+:class:`repro.parallel.sharding.PatternTask`;
 ``run_sweep(SweepSpec("t5", ...), workers=N)`` fans the patterns out
 across processes and ``checkpoint=`` makes long sweeps resumable.  Each
 pattern draws its mask and pair workload from its task's own stream
@@ -37,95 +48,89 @@ import numpy as np
 from repro.core.conditions import ConditionEvaluator
 from repro.core.detection import detection_feasible_batch
 from repro.experiments.workloads import random_fault_mask, sample_safe_pair
-from repro.mesh.orientation import Orientation
 from repro.parallel.sharding import PatternTask, SweepSpec
-from repro.routing.engine import AdaptiveRouter, explore_all_choices
-from repro.routing.oracle import group_jobs_by_class, probe_reverse_reachable
+from repro.routing.batch import RoutingService
+from repro.routing.oracle import WORD_BITS, monotone_flood_many
+from repro.service import make_service
 from repro.util.records import ResultTable
 
 
-def _batched_reach(open_for_class, pairs, shape, keep: bool = False):
-    """Monotone-reachability verdicts for many mesh-frame pairs.
+def _has_successor(mask: np.ndarray) -> np.ndarray:
+    """Cells whose +1 neighbour along some axis lies in ``mask``."""
+    out = np.zeros_like(mask)
+    for axis in range(mask.ndim):
+        cell = [slice(None)] * mask.ndim
+        step = [slice(None)] * mask.ndim
+        cell[axis], step[axis] = slice(None, -1), slice(1, None)
+        out[tuple(cell)] |= mask[tuple(step)]
+    return out
 
-    Groups the pairs by direction class and runs each class through the
-    destination-grouped flood kernel
-    (:func:`repro.routing.oracle.probe_reverse_reachable`) — the
-    batched form of the per-pair ``minimal_path_exists`` floods the
-    serial evaluator used.  ``open_for_class(orientation)`` supplies
-    the canonical open mask (ground truth: non-faulty; condition form:
-    labelled-safe).  With ``keep=True`` the per-destination reach masks
-    are returned too, keyed ``(signs, dest)``, for reuse as oracle
-    exclusion records.
+
+def _choice_verdicts(
+    mcc: RoutingService, oracle: RoutingService, pairs: Sequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """``router_complete`` and ``exclusion_exact`` per pair, as floods.
+
+    ``pairs`` are mesh-frame pairs with non-faulty endpoints.  In each
+    (class, destination) group of ``mcc``'s batch decomposition, R is
+    the mcc service's reach mask of the destination and O the
+    oracle's.  The router's candidates at a cell are its +1 neighbours
+    in R (R holds no cell beyond the destination, so each such step
+    stays in the box), so every adaptive choice sequence from a source
+    visits only the source and its forward flood through R:
+
+    * ``router_complete`` holds when every visited cell other than the
+      destination has a +1 neighbour in R — no choice strands a packet;
+    * ``exclusion_exact`` holds when R and O agree at every +1
+      neighbour of a visited cell — the mcc candidate set equals the
+      oracle's wherever the router can stand.
+
+    The floods run :data:`~repro.routing.oracle.WORD_BITS` sources per
+    kernel call, each through its own group's R.
     """
-    verdicts = np.zeros(len(pairs), dtype=bool)
-    kept: dict[tuple, np.ndarray] = {}
-    for orientation, jobs in group_jobs_by_class(pairs, shape):
-        class_kept: dict[tuple, np.ndarray] | None = {} if keep else None
-        probe_reverse_reachable(
-            open_for_class(orientation), jobs, verdicts, keep=class_kept
-        )
-        if keep:
-            for dest, reach in class_kept.items():
-                kept[(orientation.signs, dest)] = reach
-    return verdicts, kept
-
-
-def _candidate_sets_match(
-    router: AdaptiveRouter, source: tuple, dest: tuple, blocked: np.ndarray
-) -> bool:
-    """MCC candidate sets == oracle candidate sets on reachable cells.
-
-    ``blocked`` is the precomputed oracle exclusion record for the
-    pair's (class, destination) — shared across pairs by the batched
-    reach pass instead of re-flooded per pair.
-    """
-    orientation = Orientation.for_pair(source, dest, router.fault_mask.shape)
-    s = orientation.map_coord(source)
-    d = orientation.map_coord(dest)
-    model = router._model_for(orientation)
-    stack, seen = [s], {s}
-    while stack:
-        pos = stack.pop()
-        if pos == d:
-            continue
-        mcc_cands = set(model.candidates(pos, d))
-        oracle_cands = set()
-        for axis in range(len(pos)):
-            if pos[axis] >= d[axis]:
-                continue
-            nxt = list(pos)
-            nxt[axis] += 1
-            if not blocked[tuple(nxt)]:
-                oracle_cands.add(axis)
-        if mcc_cands != oracle_cands:
-            return False
-        for axis in sorted(mcc_cands):
-            nxt = list(pos)
-            nxt[axis] += 1
-            nxt = tuple(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return True
+    complete = np.zeros(len(pairs), dtype=bool)
+    exact = np.zeros(len(pairs), dtype=bool)
+    rows = []  # (input index, flat source, R, stuck cells, disputed cells)
+    for group in mcc._primed(mcc._grouped(list(pairs), [None] * len(pairs))):
+        reach = group.model.reach_mask(group.dest)
+        truth = oracle.router._model_for(group.orientation).reach_mask(group.dest)
+        stuck = ~_has_successor(reach).reshape(-1)
+        stuck[group.dest_flat] = False
+        disputed = _has_successor(reach != truth).reshape(-1)
+        for index, source in zip(
+            group.indices.tolist(), group.sources.tolist(), strict=True
+        ):
+            rows.append((index, source, reach, stuck, disputed))
+    for lo in range(0, len(rows), WORD_BITS):
+        chunk = rows[lo : lo + WORD_BITS]
+        indices, sources, reach, stuck, disputed = zip(*chunk, strict=True)
+        indices = list(indices)
+        seeds = np.zeros((len(indices), reach[0].size), dtype=bool)
+        seeds[np.arange(len(indices)), sources] = True
+        visited = monotone_flood_many(
+            list(reach), seeds.reshape(len(indices), *reach[0].shape)
+        ).reshape(len(indices), -1)
+        visited |= seeds
+        complete[indices] = ~(visited & np.stack(stuck)).any(axis=1)
+        exact[indices] = ~(visited & np.stack(disputed)).any(axis=1)
+    return complete, exact
 
 
 def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
     """Model-vs-oracle agreement counters for one fault pattern.
 
-    The mask and the pair workload come from the task's own stream,
-    then are scored in batches: ground truth and the condition form
-    each run one batched reverse flood per destination group
-    (:func:`_batched_reach`), detection goes through
-    :func:`detection_feasible_batch`, and the oracle reach masks are
-    reused as the exclusion records of the candidate-set comparison —
-    no per-pair floods anywhere.
+    The mask and the pair workload come from the task's own stream.
+    The pairs are scored in batches: the mcc and oracle services'
+    ``feasible_batch`` give the condition and the ground truth,
+    :func:`detection_feasible_batch` the detection verdicts, and
+    :func:`_choice_verdicts` the router predicates of the feasible
+    pairs — no per-pair flood or search anywhere.
     """
     shape = spec.shape
     pairs = int(spec.params["pairs"])
     rng = task.rng()
     mask = random_fault_mask(shape, task.count, rng=rng)
     evaluator = ConditionEvaluator(mask)
-    router = AdaptiveRouter(mask, mode="mcc")
     record = {
         "cond_agree": 0,
         "detect_agree": 0,
@@ -143,28 +148,18 @@ def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, int]:
     record["total"] = len(batch)
     if not batch:
         return record
-    wants, oracle_reach = _batched_reach(
-        lambda o: o.to_canonical(~mask), batch, shape, keep=True
-    )
-    conds, _ = _batched_reach(
-        lambda o: evaluator.for_orientation(o)[0].safe_mask, batch, shape
-    )
+    mcc = make_service(mask, mode="mcc")
+    oracle = make_service(mask, mode="oracle")
+    conds = mcc.feasible_batch(batch)
+    wants = oracle.feasible_batch(batch)
     detects = detection_feasible_batch(mask, batch)
+    feasible = [pair for pair, want in zip(batch, wants.tolist(), strict=True) if want]
+    complete, exact = _choice_verdicts(mcc, oracle, feasible)
     record["cond_agree"] = int((conds == wants).sum())
     record["detect_agree"] = int((detects == wants).sum())
-    for i, (source, dest) in enumerate(batch):
-        if not wants[i]:
-            continue
-        record["feasible"] += 1
-        ok, _ = explore_all_choices(router, source, dest)
-        record["router_complete"] += ok
-        orientation = Orientation.for_pair(source, dest, shape)
-        blocked = ~oracle_reach[
-            (orientation.signs, orientation.map_coord(dest))
-        ]
-        record["exclusion_exact"] += _candidate_sets_match(
-            router, source, dest, blocked
-        )
+    record["feasible"] = len(feasible)
+    record["router_complete"] = int(complete.sum())
+    record["exclusion_exact"] = int(exact.sum())
     return record
 
 

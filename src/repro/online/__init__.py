@@ -30,7 +30,7 @@ argument and the invalidation model.
 
 from repro.online.dynamic_model import DynamicFaultModel, FaultEvent
 from repro.online.events import FaultEventStream, StreamEvent
-from repro.online.service import OnlineRoutingService, Ticket
+from repro.online.service import OnlineRoutingService
 
 __all__ = [
     "DynamicFaultModel",
@@ -38,5 +38,4 @@ __all__ = [
     "FaultEventStream",
     "OnlineRoutingService",
     "StreamEvent",
-    "Ticket",
 ]

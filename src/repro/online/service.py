@@ -52,30 +52,6 @@ from repro.routing.engine import AdaptiveRouter, RouteResult, _ClassModel
 from repro.util.validation import check_shape_member
 
 
-class Ticket(int):
-    """A submitted query's handle: the ticket id plus submission epoch.
-
-    Subclasses ``int`` so every pre-existing consumer — dict lookups
-    keyed by the plain integer ticket, arithmetic on ids, JSON dumps —
-    keeps working unchanged while new callers read ``ticket.epoch``
-    instead of re-deriving the service epoch at submission time.
-    """
-
-    epoch: int
-
-    def __new__(cls, ticket_id: int, epoch: int) -> "Ticket":
-        self = super().__new__(cls, ticket_id)
-        self.epoch = int(epoch)
-        return self
-
-    @property
-    def id(self) -> int:
-        return int(self)
-
-    def __repr__(self) -> str:
-        return f"Ticket(id={int(self)}, epoch={self.epoch})"
-
-
 class _OnlineRouter(AdaptiveRouter):
     """An :class:`AdaptiveRouter` whose models track a dynamic fault set.
 
@@ -251,16 +227,14 @@ class OnlineRoutingService:
 
     # -- event-bounded query batching --------------------------------------
 
-    def submit(self, source: Sequence[int], dest: Sequence[int]) -> Ticket:
+    def submit(self, source: Sequence[int], dest: Sequence[int]) -> int:
         """Queue one query; it routes at the next flush or fault event.
 
-        Returns a :class:`Ticket` — an ``int``-compatible handle that
-        also carries the submission epoch, so callers no longer
-        re-derive the epoch a queued query was issued under (plain-int
-        lookups into :meth:`flush`/:meth:`take_completed` results keep
-        working).  Queued queries are guaranteed to be answered at the
-        epoch they were submitted under: fault events flush the queue
-        before mutating the model.
+        Returns the query's ticket, the key of its result in
+        :meth:`flush` and :meth:`take_completed`.  Queued queries are
+        guaranteed to be answered at the epoch they were submitted
+        under: fault events flush the queue before mutating the model,
+        and every result carries its epoch.
         """
         source = tuple(int(c) for c in source)
         dest = tuple(int(c) for c in dest)
@@ -268,7 +242,7 @@ class OnlineRoutingService:
         # every query queued with this one.
         check_shape_member("source", source, self.fault_mask.shape)
         check_shape_member("dest", dest, self.fault_mask.shape)
-        ticket = Ticket(self._tickets, self.model.epoch)
+        ticket = self._tickets
         self._tickets += 1
         self._pending.append((ticket, (source, dest)))
         return ticket

@@ -348,40 +348,3 @@ class AdaptiveRouter:
                 out.append(axis)
         return out
 
-
-def explore_all_choices(
-    router: AdaptiveRouter, source: Sequence[int], dest: Sequence[int]
-) -> tuple[bool, int]:
-    """Adversarial exploration: follow *every* candidate at every node.
-
-    Returns (all_executions_deliver, number_of_distinct_nodes_explored).
-    Used by the P3 property tests: under the MCC model, any adaptive
-    choice sequence must end at the destination when the feasibility
-    check passed.
-    """
-    source = tuple(int(c) for c in source)
-    dest = tuple(int(c) for c in dest)
-    orientation = Orientation.for_pair(source, dest, router.fault_mask.shape)
-    s = orientation.map_coord(source)
-    d = orientation.map_coord(dest)
-    model = router._model_for(orientation)
-    seen: set[Coord] = set()
-    ok = True
-    stack = [s]
-    seen.add(s)
-    while stack:
-        pos = stack.pop()
-        if pos == d:
-            continue
-        candidates = router._candidates(model, pos, d)
-        if not candidates:
-            ok = False
-            continue
-        for axis in candidates:
-            nxt = list(pos)
-            nxt[axis] += 1
-            nxt = tuple(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return ok, len(seen)

@@ -23,6 +23,12 @@ by one dimension-generic wavefront kernel:
 That is at most ``sum(k_i - 1) + 1`` level steps (3k-2 for a k³ mesh)
 per word of floods, in any dimension.
 
+Batched pair verdicts reach the kernel by one path: the batch
+decomposition of :class:`repro.routing.batch.RoutingService`, which
+floods the reach-cache misses of up to :data:`WORD_BITS` (class,
+destination) groups per call through ``engine.prime_reach``.  Routing,
+the sweeps, detection and the fidelity experiment all batch through it.
+
 Every claim of the paper is validated against this module: the labelled
 unsafe region must not change reachability (P1), Theorems 1/2 must agree
 with it (P2), and the router must deliver whenever it says YES (P3).
@@ -38,7 +44,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro import obs
-from repro.mesh.orientation import Orientation
 from repro.util.validation import check_shape_member
 
 #: Mesh shapes whose level plans stay cached.  A plan holds ndim + 3
@@ -270,66 +275,6 @@ def reverse_reachable_many(open_mask, dests: Sequence[Sequence[int]]) -> np.ndar
     flipped = [(flat[::-1], entries) for flat, entries in groups]
     _flood(shape, flipped, np.arange(len(dests)), n - 1 - cells, out[:, ::-1])
     return out.reshape((len(dests), *shape))
-
-
-def group_jobs_by_class(pairs, shape):
-    """Group mesh-frame pairs by direction class as canonical probe jobs.
-
-    Yields ``(orientation, jobs)`` per direction class touched, where
-    ``jobs`` is a list of ``(index, canonical_source, canonical_dest)``
-    ready for :func:`probe_reverse_reachable` — ``index`` is the pair's
-    position in ``pairs``.  The shared front half of every batched
-    reachability consumer (detection pass, fidelity records): one class
-    grouping + coordinate mapping, then each caller picks its own open
-    masks per class.
-    """
-    by_class: dict[tuple[int, ...], list[int]] = {}
-    for i, (source, dest) in enumerate(pairs):
-        signs = Orientation.for_pair(source, dest, shape).signs
-        by_class.setdefault(signs, []).append(i)
-    for signs, members in by_class.items():
-        orientation = Orientation(signs, tuple(shape))
-        yield orientation, [
-            (
-                i,
-                orientation.map_coord(pairs[i][0]),
-                orientation.map_coord(pairs[i][1]),
-            )
-            for i in members
-        ]
-
-
-def probe_reverse_reachable(
-    open_mask: np.ndarray,
-    jobs: Sequence[tuple[int, Sequence[int], Sequence[int]]],
-    out: np.ndarray,
-    keep: dict | None = None,
-) -> None:
-    """Scatter reverse-reachability verdicts for many canonical pairs.
-
-    ``jobs`` is a list of ``(index, source, dest)`` in the canonical
-    frame of ``open_mask``; for each job, ``out[index]`` is set to
-    whether ``dest`` is monotonically reachable from ``source`` through
-    open cells.  Jobs are grouped by destination and flooded through
-    :func:`reverse_reachable_many` in chunks of :data:`WORD_BITS`, so
-    the cost is one sweep per chunk of distinct destinations instead of
-    one flood per pair — the shared kernel behind the batched detection
-    pass and the fidelity experiment's oracle records.  With ``keep``
-    given, the per-destination reach masks are stored there keyed by
-    destination.
-    """
-    by_dest: dict[tuple[int, ...], list] = {}
-    for index, source, dest in jobs:
-        by_dest.setdefault(tuple(dest), []).append((index, tuple(source)))
-    dests = list(by_dest)
-    for start in range(0, len(dests), WORD_BITS):
-        block = dests[start : start + WORD_BITS]
-        stacked = reverse_reachable_many(open_mask, block)
-        for dest, reach in zip(block, stacked, strict=True):
-            for index, source in by_dest[dest]:
-                out[index] = bool(reach[source])
-            if keep is not None:
-                keep[dest] = reach
 
 
 def minimal_path_exists(

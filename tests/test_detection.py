@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.detection import detect_canonical, detection_feasible
 from repro.core.labelling import label_grid
+from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
 from tests.conftest import oracle_feasible, random_mask
 
@@ -41,6 +42,22 @@ class TestDetectionRegressions:
         s, d = (1, 4, 3), (2, 1, 0)
         assert not oracle_feasible(mask, s, d)
         assert not detection_feasible(mask, s, d)
+
+    def test_one_dimensional_mesh(self):
+        # The RMP of a 1-D pair is a segment: feasible iff fault-free.
+        # Class-safe endpoints used to reach the walks, which raised.
+        # A 4-D full-dimensional pair still raises: the walks are
+        # defined for 2-D and 3-D meshes only.
+        free = np.zeros(9, dtype=bool)
+        assert detection_feasible(free, (0,), (8,))
+        assert detection_feasible(free, (7,), (1,))
+        mask = mask_of_cells([(4,)], (9,))
+        assert not detection_feasible(mask, (0,), (8,))
+        assert detection_feasible(mask, (0,), (3,))
+        assert detection_feasible(mask, (8,), (5,))
+        assert detection_feasible(mask, (2,), (2,))
+        with pytest.raises(NotImplementedError):
+            detection_feasible(np.zeros((2,) * 4, dtype=bool), (0,) * 4, (1,) * 4)
 
     def test_degenerate_line_and_point_pairs(self):
         mask = mask_of_cells([(2, 2, 2)], (5, 5, 5))
@@ -170,6 +187,53 @@ class TestDetectionBatch:
         assert got.dtype == bool and got.shape == (len(pairs),)
         for verdict, (s, d) in zip(got, pairs, strict=True):
             assert bool(verdict) == detection_feasible(mask, s, d), (s, d)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(5, 4), (4, 4, 3)]))
+    @settings(max_examples=15, deadline=None)
+    def test_batch_spans_every_direction_class(self, seed, shape):
+        from repro.core.detection import detection_feasible_batch
+
+        rng = np.random.default_rng(seed)
+        mask = random_mask(rng, shape, int(rng.integers(0, np.prod(shape) // 5 + 1)))
+        cells = [tuple(c) for c in np.argwhere(~mask).tolist()]
+        pairs = [(s, d) for s in cells for d in cells if s != d]
+        classes = {
+            Orientation.for_pair(s, d, shape).signs
+            for s, d in pairs
+            if all(a != b for a, b in zip(s, d, strict=True))
+        }
+        assert len(classes) == 2 ** len(shape)
+        got = detection_feasible_batch(mask, pairs)
+        for verdict, (s, d) in zip(got.tolist(), pairs, strict=True):
+            assert verdict == detection_feasible(mask, s, d), (s, d)
+
+    def test_class_unsafe_endpoint_gets_exact_reachability(self):
+        from repro.core.detection import detection_feasible_batch
+        from repro.routing.batch import RoutingService
+
+        # (1, 1) is can't-reach in its class (both -1 neighbours are
+        # faulty), yet a fault-free monotone path leads to (3, 3); (0, 0)
+        # is useless and truly cut off.  The mcc model refuses both
+        # pairs; detection answers with exact reachability, as the
+        # per-pair form does.
+        mask = mask_of_cells([(0, 1), (1, 0)], (5, 5))
+        pairs = [((1, 1), (3, 3)), ((0, 0), (3, 3))]
+        assert not RoutingService(mask).feasible_batch(pairs).any()
+        assert oracle_feasible(mask, *pairs[0])
+        assert not oracle_feasible(mask, *pairs[1])
+        assert detection_feasible_batch(mask, pairs).tolist() == [True, False]
+        assert [detection_feasible(mask, s, d) for s, d in pairs] == [True, False]
+
+    def test_one_dimensional_batch(self):
+        from repro.core.detection import detection_feasible_batch
+
+        pairs = [((0,), (8,)), ((8,), (5,)), ((2,), (2,)), ((3,), (0,))]
+        free = np.zeros(9, dtype=bool)
+        assert detection_feasible_batch(free, pairs).all()
+        mask = mask_of_cells([(4,)], (9,))
+        assert detection_feasible_batch(mask, pairs).tolist() == [
+            False, True, True, True
+        ]
 
     def test_faulty_endpoint_raises_like_per_pair(self):
         from repro.core.detection import detection_feasible_batch

@@ -89,6 +89,16 @@ class TestFidelity:
         assert row["detect_agree"] == pytest.approx(1.0)
         assert row["router_complete"] == pytest.approx(1.0)
 
+    def test_one_dimensional_mesh(self):
+        # Class-safe 1-D pairs used to reach the 2-D/3-D detection walks,
+        # which raised.  With one fault every 1-D cell is class-unsafe.
+        table = run_sweep(
+            SweepSpec("t5", (9,), [0, 1], trials=1, params={"pairs": 50})
+        )
+        assert [row["pairs"] for row in table.rows] == [50, 0]
+        for key in ("cond_agree", "detect_agree", "router_complete", "exclusion_exact"):
+            assert table.rows[0][key] == 1.0
+
 
 class TestFigures:
     def test_figure1_text(self):

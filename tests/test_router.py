@@ -1,4 +1,12 @@
-"""Property P3: the MCC-guided router is minimal and stuck-free."""
+"""Property P3: the MCC-guided router is minimal and stuck-free.
+
+The per-pair searches below, :func:`explore_all_choices` and
+:func:`candidate_sets_match`, are the references for T5's
+``router_complete`` and ``exclusion_exact`` array predicates
+(``repro.experiments.exp_fidelity._choice_verdicts``).
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.labelling import label_grid
+from repro.experiments.exp_fidelity import _choice_verdicts
 from repro.mesh.coords import manhattan
+from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
 from repro.routing.batch import RoutingService
-from repro.routing.engine import AdaptiveRouter, explore_all_choices
+from repro.routing.engine import AdaptiveRouter
+from repro.routing.oracle import reverse_reachable
 from repro.routing.policies import (
     DiagonalPolicy,
     FixedOrderPolicy,
@@ -17,6 +28,79 @@ from repro.routing.policies import (
     make_policy,
 )
 from tests.conftest import oracle_feasible, random_mask
+
+
+def explore_all_choices(router, source, dest) -> tuple[bool, int]:
+    """Adversarial exploration: follow *every* candidate at every node.
+
+    Returns (all_executions_deliver, number_of_distinct_nodes_explored).
+    Under the MCC model, any adaptive choice sequence must end at the
+    destination when the feasibility check passed.
+    """
+    source = tuple(int(c) for c in source)
+    dest = tuple(int(c) for c in dest)
+    orientation = Orientation.for_pair(source, dest, router.fault_mask.shape)
+    s = orientation.map_coord(source)
+    d = orientation.map_coord(dest)
+    model = router._model_for(orientation)
+    seen = {s}
+    ok = True
+    stack = [s]
+    while stack:
+        pos = stack.pop()
+        if pos == d:
+            continue
+        candidates = router._candidates(model, pos, d)
+        if not candidates:
+            ok = False
+            continue
+        for axis in candidates:
+            nxt = list(pos)
+            nxt[axis] += 1
+            nxt = tuple(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return ok, len(seen)
+
+
+def candidate_sets_match(router, source, dest) -> bool:
+    """MCC candidate sets == oracle candidate sets on reachable cells.
+
+    The oracle's candidates at a cell are its in-box +1 neighbours from
+    which ``dest`` is reachable through non-faulty cells.
+    """
+    source = tuple(int(c) for c in source)
+    dest = tuple(int(c) for c in dest)
+    orientation = Orientation.for_pair(source, dest, router.fault_mask.shape)
+    s = orientation.map_coord(source)
+    d = orientation.map_coord(dest)
+    model = router._model_for(orientation)
+    blocked = ~reverse_reachable(orientation.to_canonical(~router.fault_mask), d)
+    stack, seen = [s], {s}
+    while stack:
+        pos = stack.pop()
+        if pos == d:
+            continue
+        mcc_cands = set(model.candidates(pos, d))
+        oracle_cands = set()
+        for axis in range(len(pos)):
+            if pos[axis] >= d[axis]:
+                continue
+            nxt = list(pos)
+            nxt[axis] += 1
+            if not blocked[tuple(nxt)]:
+                oracle_cands.add(axis)
+        if mcc_cands != oracle_cands:
+            return False
+        for axis in sorted(mcc_cands):
+            nxt = list(pos)
+            nxt[axis] += 1
+            nxt = tuple(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return True
 
 
 class TestBasics:
@@ -185,6 +269,79 @@ class TestAdversarialStuckFreedom:
             ok, _ = explore_all_choices(router, s, d)
             assert ok
 
+
+
+def class_safe_pairs(mask: np.ndarray, mode: str = "mcc") -> list:
+    """Every (source, dest) pair whose endpoints ``mode`` calls safe."""
+    router = AdaptiveRouter(mask, mode=mode)
+    cells = [tuple(c) for c in np.argwhere(~mask).tolist()]
+    pairs = []
+    for s in cells:
+        for d in cells:
+            o = Orientation.for_pair(s, d, mask.shape)
+            if router._model_for(o).endpoints_safe(o.map_coord(s), o.map_coord(d)):
+                pairs.append((s, d))
+    return pairs
+
+
+class TestFidelityPredicates:
+    """T5's array predicates equal the per-pair searches they replaced.
+
+    T5 passes an mcc service; the rfb model over-blocks, so its
+    predicates also exercise pairs the model strands or over-excludes.
+    """
+
+    @staticmethod
+    def assert_match(mask, pairs, mode="mcc"):
+        model = RoutingService(mask, mode=mode)
+        oracle = RoutingService(mask, mode="oracle")
+        router = AdaptiveRouter(mask, mode=mode)
+        complete, exact = _choice_verdicts(model, oracle, pairs)
+        assert complete.shape == exact.shape == (len(pairs),)
+        for (s, d), c, e in zip(pairs, complete.tolist(), exact.tolist(), strict=True):
+            assert c == explore_all_choices(router, s, d)[0], (s, d)
+            assert e == candidate_sets_match(router, s, d), (s, d)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
+            lambda shape: math.prod(shape) <= 40
+        ),
+        st.sampled_from(["mcc", "rfb"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_pair_searches(self, seed, shape, mode):
+        # Every class-safe pair, feasible or not: size-1 axes and shared
+        # coordinates give zero-offset axes, and faults cut some pairs.
+        rng = np.random.default_rng(seed)
+        shape = tuple(shape)
+        mask = random_mask(rng, shape, int(rng.integers(0, math.prod(shape) // 3 + 1)))
+        self.assert_match(mask, class_safe_pairs(mask, mode), mode)
+
+    def test_rfb_over_blocking_is_scored(self):
+        # RFB closes the block [1, 3]² around three diagonal faults, so
+        # at (0, 2) the oracle offers +X into the block and RFB does
+        # not: pairs through there fail exclusion_exact, and block cells
+        # reachable only by the oracle's choices stay unvisited.
+        mask = mask_of_cells([(1, 1), (2, 2), (3, 3)], (6, 6))
+        pairs = class_safe_pairs(mask, "rfb")
+        self.assert_match(mask, pairs, "rfb")
+        complete, exact = _choice_verdicts(
+            RoutingService(mask, mode="rfb"),
+            RoutingService(mask, mode="oracle"),
+            pairs,
+        )
+        assert not exact[pairs.index(((0, 0), (5, 5)))]
+        assert complete[pairs.index(((0, 0), (5, 5)))]
+
+    def test_group_wider_than_a_word(self):
+        # 80 sources share the destination (8, 8): one (class,
+        # destination) group spans two kernel words.
+        mask = mask_of_cells([(2, 5), (3, 4), (4, 3), (6, 7), (7, 1)], (9, 9))
+        for mode in ("mcc", "rfb"):
+            pairs = [(s, d) for s, d in class_safe_pairs(mask, mode) if d == (8, 8)]
+            assert len(pairs) > 64
+            self.assert_match(mask, pairs, mode)
 
 class TestPolicies:
     def test_fixed_order(self):

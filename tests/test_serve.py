@@ -5,8 +5,7 @@ determinism under a seeded clock, fault-event preemption vs in-flight
 requests (epoch parity with ``OnlineRoutingService.flush``),
 admission-control shedding, and facade parity with a direct
 ``RoutingService`` — plus the :func:`make_service` flavours, the load-knob rule,
-the :class:`Ticket` compatibility shim, and off-mesh endpoint rejection
-at every routing entry point.
+and off-mesh endpoint rejection at every routing entry point.
 """
 
 import asyncio
@@ -14,7 +13,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.online import OnlineRoutingService, Ticket
+from repro.online import OnlineRoutingService
 from repro.routing.batch import RoutingService
 from repro.routing.engine import AdaptiveRouter
 from repro.serve import (
@@ -438,27 +437,6 @@ class TestLoadKnobRule:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and message in err
-
-
-class TestTicket:
-    def test_ticket_is_int_compatible(self):
-        online = make_service(small_mask(), online=True)
-        ticket = online.submit((0, 0, 0), (5, 5, 5))
-        assert isinstance(ticket, Ticket)
-        assert isinstance(ticket, int)
-        assert ticket.id == int(ticket)
-        assert ticket.epoch == 0
-        results = online.flush()
-        # Plain-int lookups keep working during the deprecation window.
-        assert results[int(ticket)] is results[ticket]
-
-    def test_ticket_epoch_tracks_model(self):
-        mask = small_mask()
-        online = make_service(mask, online=True)
-        online.inject([tuple(np.argwhere(~mask)[0])])
-        ticket = online.submit((0, 0, 0), (5, 5, 5))
-        assert ticket.epoch == 1
-        assert repr(ticket) == f"Ticket(id={int(ticket)}, epoch=1)"
 
 
 class TestOffMeshEndpoints:
