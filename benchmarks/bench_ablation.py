@@ -15,7 +15,7 @@ from repro.core.labelling import label_grid
 from repro.experiments.workloads import random_fault_mask
 from repro.mesh.coords import manhattan
 from repro.parallel.sharding import SweepSpec, run_sweep
-from repro.routing.engine import AdaptiveRouter
+from repro.routing.batch import RoutingService
 from repro.routing.policies import make_policy
 from repro.util.records import ResultTable
 
@@ -48,11 +48,11 @@ def test_a2_policies(benchmark):
         if lab.safe_mask[s] and lab.safe_mask[d] and s != d:
             pairs.append((s, d))
     for name in ("fixed", "diagonal", "random"):
-        router = AdaptiveRouter(mask, mode="mcc", policy=make_policy(name, 3))
+        service = RoutingService(mask, mode="mcc", policy=make_policy(name, 3))
         delivered = minimal = 0
         distinct_first_hops = set()
         for s, d in pairs:
-            result = router.route(s, d)
+            result = service.route(s, d)
             if result.delivered:
                 delivered += 1
                 minimal += result.hops == manhattan(s, d)
@@ -69,8 +69,8 @@ def test_a2_policies(benchmark):
     assert rows["fixed"]["delivered"] == rows["random"]["delivered"]
     for row in table.rows:
         assert row["minimal"] == row["delivered"]
-    router = AdaptiveRouter(mask, mode="mcc")
-    benchmark(router.route, (0, 0, 0), (9, 9, 9))
+    service = RoutingService(mask, mode="mcc")
+    benchmark(service.route, (0, 0, 0), (9, 9, 9))
 
 
 def test_a3_clustering(benchmark):

@@ -1,11 +1,11 @@
 """B: batched routing throughput — route_batch vs per-call routing.
 
 On a 16^3 mesh with 10k random pairs over one fault pattern,
-``RoutingService.route_batch`` measured 2.8–3.4x faster than routing
-each pair through a fresh :class:`AdaptiveRouter` (which builds its
-class models and reachability floods per call), in six runs on a
-2-core VM with Python 3.11.7, while producing element-wise identical
-:class:`RouteResult` outcomes.  The per-call side floods one
+``RoutingService.route_batch`` measured 2.6–3.5x faster than routing
+each pair through ``route`` on a fresh :class:`RoutingService` (which
+builds its class models and reachability floods per call), in four runs
+on a shared 2-core VM with Python 3.11.7, while producing element-wise
+identical :class:`RouteResult` outcomes.  The per-call side floods one
 destination per call through the same bit-packed kernel, so a faster
 kernel speeds both sides up.  The default ``--min-speedup`` of 2.5 is
 a floor under that range, not a target.  Both sides run on a warm
@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.experiments.workloads import random_fault_mask
 from repro.routing.batch import RoutingService
-from repro.routing.engine import AdaptiveRouter
 from repro.util.rng import make_rng
 
 #: Timed rounds per side; the fastest one of each side counts.
@@ -77,7 +76,7 @@ def run_comparison(
         t0 = time.perf_counter()
         batched = RoutingService(mask, mode=mode).route_batch(batch_pairs)
         t1 = time.perf_counter()
-        solo = [AdaptiveRouter(mask, mode=mode).route(s, d) for s, d in batch_pairs]
+        solo = [RoutingService(mask, mode=mode).route(s, d) for s, d in batch_pairs]
         t2 = time.perf_counter()
         t_batch = min(t_batch, t1 - t0)
         t_solo = min(t_solo, t2 - t1)
@@ -106,7 +105,7 @@ def test_batch_routing_throughput(benchmark):
     batch_pairs = sample_pairs(mask, 400, rng)
     service = RoutingService(mask, mode="mcc")
     results = benchmark(service.route_batch, batch_pairs)
-    solo = [AdaptiveRouter(mask).route(s, d) for s, d in batch_pairs]
+    solo = [RoutingService(mask).route(s, d) for s, d in batch_pairs]
     assert all(results_identical(a, b) for a, b in zip(results, solo, strict=True))
 
 
@@ -152,7 +151,7 @@ def main() -> None:
         f"  route_batch   : {stats['t_batch_s']:8.3f} s  "
         f"({stats['batch_pairs_per_s']:,.0f} pairs/s)"
     )
-    print(f"  per-call route: {stats['t_percall_s']:8.3f} s  (fresh router per pair)")
+    print(f"  per-call route: {stats['t_percall_s']:8.3f} s  (fresh service per pair)")
     print(f"  speedup       : {stats['speedup']:8.1f}x")
     print(f"  delivered     : {stats['delivered']} / {stats['pairs']}")
     assert stats["mismatches"] == 0, (

@@ -9,6 +9,9 @@ The identity half of the gate is unconditional.  The speedup half is
 physical: a 4-worker run cannot beat serial on a single-core container,
 so when fewer than 2 CPUs are available the speedup assertion is
 reported but skipped (the CI smoke gate runs on multi-core runners).
+Each side is timed as the fastest of ``ROUNDS`` alternating rounds: a
+single pair of sub-second timings reads host noise on a shared 2-core
+runner.
 
 Run standalone for the full comparison::
 
@@ -35,6 +38,9 @@ from repro.parallel.sharding import SweepSpec, run_sweep
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: Timed rounds per side; the fastest one of each side counts.
+ROUNDS = 3
+
 
 def run_comparison(
     shape=(12, 12, 12),
@@ -54,13 +60,16 @@ def run_comparison(
         seed=seed,
         params={"pairs": pairs},
     )
-    t0 = time.perf_counter()
-    serial = run_sweep(spec, workers=1)
-    t_serial = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sharded = run_sweep(spec, workers=workers)
-    t_sharded = time.perf_counter() - t0
+    t_serial = t_sharded = float("inf")
+    for _ in range(ROUNDS):
+        # The sides alternate, so a noisy spell on the host hits both.
+        t0 = time.perf_counter()
+        serial = run_sweep(spec, workers=1)
+        t1 = time.perf_counter()
+        sharded = run_sweep(spec, workers=workers)
+        t2 = time.perf_counter()
+        t_serial = min(t_serial, t1 - t0)
+        t_sharded = min(t_sharded, t2 - t1)
 
     # shards=1 IS the serial baseline — no point recomputing it.
     identical = all(
@@ -243,10 +252,13 @@ def main() -> None:
         f"\nsharded sweep  mesh={tuple(args.shape)}  "
         f"patterns={stats['patterns']}  pairs/pattern={args.pairs}"
     )
-    print(f"  serial loop   : {stats['t_serial_s']:8.3f} s  (workers=1)")
+    print(
+        f"  serial loop   : {stats['t_serial_s']:8.3f} s  "
+        f"(workers=1, best of {ROUNDS})"
+    )
     print(
         f"  sharded       : {stats['t_sharded_s']:8.3f} s  "
-        f"(workers={stats['workers']})"
+        f"(workers={stats['workers']}, best of {ROUNDS})"
     )
     print(f"  speedup       : {stats['speedup']:8.2f}x")
     assert stats["identical"], (

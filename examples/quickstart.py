@@ -9,9 +9,9 @@ minimal-path condition, and routes a packet adaptively.
 import numpy as np
 
 from repro import (
-    AdaptiveRouter,
     ConditionEvaluator,
     Mesh3D,
+    RoutingService,
     extract_mccs,
     label_grid,
     rfb_unsafe,
@@ -49,9 +49,9 @@ def main() -> None:
     for s, d in [((0, 0, 0), (9, 9, 9)), ((5, 5, 0), (5, 5, 9))]:
         print(f"Minimal path {s} -> {d}: {evaluator.exists(s, d)}")
 
-    # 4. Route a packet with the MCC-guided fully adaptive router.
-    router = AdaptiveRouter(faults, mode="mcc")
-    result = router.route((0, 0, 0), (9, 9, 9))
+    # 4. Route a packet with MCC-guided fully adaptive routing.
+    service = RoutingService(faults, mode="mcc")
+    result = service.route((0, 0, 0), (9, 9, 9))
     print(
         f"Routed (0,0,0) -> (9,9,9): delivered={result.delivered}, "
         f"hops={result.hops} (Manhattan distance 27), "

@@ -6,12 +6,12 @@ Fault-Tolerant Adaptive and Minimal Routing in 3-D Meshes" (ICPP 2005).
 Quickstart::
 
     import numpy as np
-    from repro import Mesh3D, label_grid, extract_mccs, AdaptiveRouter
+    from repro import RoutingService
 
     faults = np.zeros((10, 10, 10), dtype=bool)
     faults[5, 5, 5] = True
-    router = AdaptiveRouter(faults, mode="mcc")
-    result = router.route((0, 0, 0), (9, 9, 9))
+    service = RoutingService(faults, mode="mcc")
+    result = service.route((0, 0, 0), (9, 9, 9))
     assert result.delivered and result.is_minimal()
 
 Layers:
@@ -19,7 +19,7 @@ Layers:
 * ``repro.mesh`` — topology, direction classes, regions;
 * ``repro.core`` — labelling, MCC extraction, walls,
   existence conditions, detection (the paper's model, centralized);
-* ``repro.routing`` — the oracle and the adaptive routing engine;
+* ``repro.routing`` — the oracle and the adaptive routing service;
 * ``repro.baselines`` — rectangular faulty blocks, e-cube, greedy;
 * ``repro.simkit`` / ``repro.distributed`` — the message-passing
   realization of the whole pipeline on a discrete-event network;
@@ -57,7 +57,7 @@ from repro.routing.oracle import (
     minimal_path_exists,
     reverse_reachable,
 )
-from repro.routing.engine import AdaptiveRouter, RouteResult
+from repro.routing.engine import RouteResult
 from repro.routing.batch import RoutingService
 from repro.routing.policies import (
     DiagonalPolicy,
@@ -100,7 +100,6 @@ __all__ = [
     "forward_reachable",
     "reverse_reachable",
     "minimal_path_exists",
-    "AdaptiveRouter",
     "RouteResult",
     "RoutingService",
     "FixedOrderPolicy",

@@ -15,7 +15,6 @@ import numpy as np
 from scipy import ndimage
 
 from repro.core.labelling import LabelledGrid
-from repro.mesh.coords import Coord
 from repro.mesh.regions import Box
 
 
@@ -50,19 +49,6 @@ class MCC:
         out[tuple(self.cells.T)] = True
         return out
 
-    def initialization_corner(self) -> Coord:
-        """The 2-D identification start: diagonally SW of (xmin, ymin).
-
-        The labelling closure guarantees (xmin, ymin) itself belongs to a
-        2-D MCC (tested in test_geometry2d), so this corner is unique.
-        May fall outside the mesh when the MCC touches the low faces.
-        """
-        return tuple(lo - 1 for lo in self.box.lo)
-
-    def opposite_corner(self) -> Coord:
-        """Diagonally NE of (xmax, ymax) (may fall outside the mesh)."""
-        return tuple(h + 1 for h in self.box.hi)
-
     def __repr__(self) -> str:
         return (
             f"MCC(#{self.index}, size={self.size}, box={self.box}, "
@@ -93,24 +79,6 @@ class MCCSet:
         if not 1 <= index <= len(self.mccs):
             raise IndexError(f"MCC index {index} out of range [1, {len(self.mccs)}]")
         return self.mccs[index - 1]
-
-    def component_at(self, coord: Sequence[int]) -> MCC | None:
-        """The MCC containing ``coord``, or None for safe nodes."""
-        idx = int(self.labels[tuple(coord)])
-        return self[idx] if idx else None
-
-    def mask_of(self, index: int) -> np.ndarray:
-        """Boolean mask of one component (vectorized equality test)."""
-        return self.labels == index
-
-    @property
-    def total_nonfaulty(self) -> int:
-        """Total non-faulty nodes captured inside fault regions (T1)."""
-        return sum(m.nonfaulty_count for m in self.mccs)
-
-    @property
-    def total_unsafe(self) -> int:
-        return sum(m.size for m in self.mccs)
 
 
 def extract_mccs(labelled: LabelledGrid, connectivity: int = 1) -> MCCSet:

@@ -5,10 +5,12 @@ source sends detection messages hugging the low faces of the RMP (region
 of minimal paths); each message prefers its surface directions and makes
 the minimal escape turn when an MCC obstructs it.  In 2-D a minimal path
 exists iff both walks reach their target segments; in 3-D the surface
-messages are necessary but not sufficient (three face-reaching paths
-need not combine into one corner-reaching path), so the feasibility
-verdict additionally applies the model's exact reachability rule — see
-:func:`detect_canonical`.
+messages are neither sufficient (three face-reaching paths need not
+combine into one corner-reaching path) nor necessary (a feasible
+3×3×2 pair whose (−X) flood fails is pinned in
+``tests/test_dist_routing.py::TestFullOctantSurfaceFloods``), so the
+feasibility verdict comes from the model's exact reachability rule —
+see :func:`detect_canonical`.
 
 2-D (Algorithm 3): two walks from s —
 
@@ -45,6 +47,7 @@ import numpy as np
 from repro.core.model_cache import cached_labelled
 from repro.mesh.orientation import Orientation
 from repro.routing.oracle import minimal_path_exists
+from repro.util.validation import check_shape_member
 
 
 @dataclass
@@ -175,11 +178,13 @@ def detect_canonical(
         raise NotImplementedError(
             f"detection walks are defined for 2-D and 3-D meshes, not {ndim}-D"
         )
-    # The walk conjunction is exact in 2-D (theorem-tested) but provably
-    # incomplete in 3-D: each surface message certifies that one RMP
-    # face is reachable, yet three face-reaching paths need not combine
-    # into a single corner-reaching path (a diagonal barrier can cut
-    # every s->d path while leaving all three faces reachable).  The
+    # The walk conjunction is exact in 2-D (theorem-tested) but not in
+    # 3-D, either way: each surface message certifies that one RMP face
+    # is reachable, yet three face-reaching paths need not combine into
+    # a single corner-reaching path (a diagonal barrier can cut every
+    # s->d path while leaving all three faces reachable), and a flood
+    # can fail on a feasible pair (the 3x3x2 case pinned in
+    # tests/test_dist_routing.py::TestFullOctantSurfaceFloods).  The
     # verdict therefore comes from the model's distilled exact rule —
     # monotone reachability over the labelled-safe cells, equal to the
     # ground truth for safe endpoints by property P1 — while the
@@ -202,11 +207,14 @@ def detection_feasible(
     3-D pairs with one degenerate axis run the 2-D walks on the slice.
     A pair with at most one live axis, in a mesh of any dimension, has
     a segment for its RMP and is feasible iff that segment is
-    fault-free.
+    fault-free.  An off-mesh endpoint raises
+    :class:`~repro.util.validation.OffMeshError`, as routing does.
     """
     fault_mask = np.asarray(fault_mask, dtype=bool)
     source = tuple(int(c) for c in source)
     dest = tuple(int(c) for c in dest)
+    check_shape_member("source", source, fault_mask.shape)
+    check_shape_member("dest", dest, fault_mask.shape)
     if fault_mask[source] or fault_mask[dest]:
         raise ValueError("detection requires safe source and destination")
     live = tuple(a for a in range(fault_mask.ndim) if source[a] != dest[a])
@@ -270,6 +278,9 @@ def detection_feasible_batch(
         (tuple(int(c) for c in source), tuple(int(c) for c in dest))
         for source, dest in pairs
     ]
+    for source, dest in pairs:
+        check_shape_member("source", source, fault_mask.shape)
+        check_shape_member("dest", dest, fault_mask.shape)
     out = np.zeros(len(pairs), dtype=bool)
     full: list[int] = []
     for i, (source, dest) in enumerate(pairs):

@@ -179,14 +179,6 @@ class LabelledGrid:
         return self.status == FAULTY
 
     @property
-    def useless_mask(self) -> np.ndarray:
-        return self.status == USELESS
-
-    @property
-    def cant_reach_mask(self) -> np.ndarray:
-        return self.status == CANT_REACH
-
-    @property
     def unsafe_mask(self) -> np.ndarray:
         """Faulty or useless or can't-reach (the MCC node set)."""
         return self.status != SAFE

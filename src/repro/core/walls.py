@@ -34,10 +34,9 @@ lists the owner first, then each round's new obstructors in ascending
 order.  The critical region stays the owner's — chains extend the
 forbidden side only (Algorithm 5 step 4: "merge Q_Y(v) into Q_Y(u)").
 
-``forbidden``, ``critical`` and ``records`` are derived from the heights
-on each read, as read-only masks; the point queries (:meth:`Wall.guards`,
-:meth:`Wall.blocks`, :meth:`Wall.in_critical`) read the heights directly
-and reject off-mesh coordinates.
+``records`` is derived from the heights on each read, as read-only
+masks; the point queries (:meth:`Wall.blocks`, :meth:`Wall.in_critical`)
+read the heights directly and reject off-mesh coordinates.
 """
 
 from __future__ import annotations
@@ -87,16 +86,6 @@ class Wall:
         return np.expand_dims(heights, self.dim)
 
     @property
-    def forbidden(self) -> np.ndarray:
-        """The chain-merged Q as a read-only mask."""
-        return _read_only(self._depths() < self._column(self.tops))
-
-    @property
-    def critical(self) -> np.ndarray:
-        """The owner's Q' as a read-only mask."""
-        return _read_only(self._depths() >= self._column(self.bottoms))
-
-    @property
     def records(self) -> dict[int, np.ndarray]:
         """Entry axis -> read-only mask of the safe cells holding a record."""
         depths = self._depths()
@@ -124,19 +113,6 @@ class Wall:
         """Lemma 1's witness: ``source`` in the merged Q, ``dest`` in Q'."""
         s_column, s_depth = self._locate("source", source)
         return self.in_critical(dest) and bool(s_depth < self.tops[s_column])
-
-    def guards(self, coord: Sequence[int], entry_axis: int) -> bool:
-        """True when ``coord`` holds this wall's record for ``entry_axis``."""
-        column, depth = self._locate("coord", coord)
-        if entry_axis == self.dim or not 0 <= entry_axis < self.safe.ndim:
-            raise KeyError(entry_axis)
-        axis = entry_axis - (entry_axis > self.dim)
-        ahead = list(column)
-        ahead[axis] += 1
-        if ahead[axis] == self.tops.shape[axis]:
-            return False
-        inside = self.tops[column] <= depth < self.tops[tuple(ahead)]
-        return bool(inside and self.safe[tuple(coord)])
 
 
 def _ranges(first: np.ndarray, sizes: np.ndarray) -> np.ndarray:

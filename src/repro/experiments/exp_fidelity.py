@@ -93,7 +93,7 @@ def _choice_verdicts(
     rows = []  # (input index, flat source, R, stuck cells, disputed cells)
     for group in mcc._primed(mcc._grouped(list(pairs), [None] * len(pairs))):
         reach = group.model.reach_mask(group.dest)
-        truth = oracle.router._model_for(group.orientation).reach_mask(group.dest)
+        truth = oracle._model_for(group.orientation).reach_mask(group.dest)
         stuck = ~_has_successor(reach).reshape(-1)
         stuck[group.dest_flat] = False
         disputed = _has_successor(reach != truth).reshape(-1)

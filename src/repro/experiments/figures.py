@@ -16,7 +16,7 @@ from repro.core.detection import detect_canonical
 from repro.core.model_cache import cached_labelled
 from repro.core.walls import build_walls
 from repro.mesh.regions import mask_of_cells
-from repro.routing.engine import AdaptiveRouter
+from repro.routing.batch import RoutingService
 from repro.viz.ascii_art import render_grid, render_route, render_slices
 
 # The paper's Figure 5 fault pattern (Section 4).
@@ -118,10 +118,10 @@ def figure4_7_detection(three_d: bool = False) -> str:
 def figure8_routing() -> str:
     """3-D routing samples around the Figure 5 fault pattern."""
     mask = mask_of_cells(FIG5_FAULTS, (10, 10, 10))
-    router = AdaptiveRouter(mask, mode="mcc")
+    service = RoutingService(mask, mode="mcc")
     out = ["Figure 8: adaptive minimal routes around the Figure-5 MCCs."]
     for source, dest in (((0, 0, 0), (9, 9, 9)), ((2, 2, 2), (8, 8, 8))):
-        result = router.route(source, dest)
+        result = service.route(source, dest)
         out.append(
             f"  {source} -> {dest}: delivered={result.delivered} "
             f"hops={result.hops} (Manhattan {sum(abs(a-b) for a, b in zip(source, dest, strict=True))})"

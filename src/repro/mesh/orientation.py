@@ -6,9 +6,9 @@ source.  For any other source/destination pair the same machinery applies
 after reflecting the mesh along the axes where the destination lies on
 the negative side.  ``Orientation`` encapsulates those reflections:
 
-* ``to_canonical(grid)``  — a *view* (numpy flip, zero-copy) of a
-  node-indexed array such that the routing direction becomes all-+.
-* ``from_canonical(grid)``— the inverse view.
+* ``to_canonical(grid)`` — a *view* (numpy flip, zero-copy) of a
+  node-indexed array such that the routing direction becomes all-+;
+  flips are involutions, so the same call maps back;
 * coordinate mappings for points.
 
 There are 2^n orientations in an n-D mesh (4 quadrant classes in 2-D,
@@ -60,16 +60,6 @@ class Orientation:
         )
         return Orientation(signs, tuple(shape))
 
-    @staticmethod
-    def all_classes(shape: Sequence[int]) -> list["Orientation"]:
-        """All 2^n direction classes for a mesh of ``shape``."""
-        n = len(shape)
-        out = []
-        for mask in range(2**n):
-            signs = tuple(-1 if (mask >> a) & 1 else 1 for a in range(n))
-            out.append(Orientation(signs, tuple(shape)))
-        return out
-
     # -- grid views --------------------------------------------------------
 
     def _flip_axes(self) -> tuple[int, ...]:
@@ -84,10 +74,6 @@ class Orientation:
         axes = self._flip_axes()
         return np.flip(grid, axis=axes) if axes else grid
 
-    def from_canonical(self, grid: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_canonical` (flips are involutions)."""
-        return self.to_canonical(grid)
-
     # -- point mappings ------------------------------------------------------
 
     def map_coord(self, coord: Sequence[int]) -> Coord:
@@ -100,10 +86,6 @@ class Orientation:
     def unmap_coord(self, coord: Sequence[int]) -> Coord:
         """Map a canonical-frame coordinate back to the mesh frame."""
         return self.map_coord(coord)  # involution
-
-    @property
-    def is_identity(self) -> bool:
-        return all(s == 1 for s in self.signs)
 
     def __repr__(self) -> str:
         pretty = "".join("+" if s > 0 else "-" for s in self.signs)

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.mesh.coords import Coord, manhattan
+from repro.mesh.coords import Coord
 from repro.util.validation import check_positive, check_shape_member
 
 #: Mesh shapes whose adjacency tables stay cached.  A table holds one
@@ -72,11 +72,6 @@ class Mesh:
         """Total number of nodes (k^n for the uniform case)."""
         return int(np.prod(self.shape))
 
-    @property
-    def diameter(self) -> int:
-        """Network diameter: sum of (k_i - 1)."""
-        return sum(k - 1 for k in self.shape)
-
     @functools.cached_property
     def adjacency(self) -> Mapping[Coord, Row]:
         """This shape's shared neighbor table (see :func:`adjacency_table`)."""
@@ -93,10 +88,6 @@ class Mesh:
         """Validate and canonicalize a node address."""
         check_shape_member(name, coord, self.shape)
         return tuple(int(c) for c in coord)
-
-    def degree(self, coord: Sequence[int]) -> int:
-        """Number of in-mesh neighbors (2n interior, less at faces)."""
-        return len(self.neighbors(coord))
 
     # -- iteration -------------------------------------------------------
 
@@ -120,19 +111,6 @@ class Mesh:
         """
         return self.adjacency[coord][2 * axis + (sign < 0)]
 
-    # -- index <-> coordinate --------------------------------------------
-
-    def index_of(self, coord: Sequence[int]) -> int:
-        """Row-major flat index of a node (used by the DES for node ids)."""
-        coord = self.require(coord)
-        return int(np.ravel_multi_index(coord, self.shape))
-
-    def coord_of(self, index: int) -> Coord:
-        """Inverse of :meth:`index_of`."""
-        if not 0 <= index < self.size:
-            raise IndexError(f"node index {index} out of range [0, {self.size})")
-        return tuple(int(c) for c in np.unravel_index(index, self.shape))
-
     # -- arrays ----------------------------------------------------------
 
     def zeros(self, dtype=np.int8) -> np.ndarray:
@@ -144,10 +122,6 @@ class Mesh:
         return np.full(self.shape, value, dtype=dtype)
 
     # -- misc --------------------------------------------------------------
-
-    def distance(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Manhattan distance D(a, b) between two nodes."""
-        return manhattan(self.require(a, "a"), self.require(b, "b"))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Mesh) and self.shape == other.shape

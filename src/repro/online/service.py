@@ -48,12 +48,12 @@ from repro.mesh.coords import Coord
 from repro.mesh.orientation import Orientation
 from repro.online.dynamic_model import DynamicFaultModel, FaultEvent
 from repro.routing.batch import RoutingService
-from repro.routing.engine import AdaptiveRouter, RouteResult, _ClassModel
+from repro.routing.engine import RouteResult, _ClassModel
 from repro.util.validation import check_shape_member
 
 
-class _OnlineRouter(AdaptiveRouter):
-    """An :class:`AdaptiveRouter` whose models track a dynamic fault set.
+class _OnlineRouter(RoutingService):
+    """A :class:`RoutingService` whose models track a dynamic fault set.
 
     In "mcc" mode each class model *aliases* the dynamic class's arrays
     (the blocked mask of the engine is the + closure mask, its
@@ -70,7 +70,7 @@ class _OnlineRouter(AdaptiveRouter):
 
     def __init__(self, model: DynamicFaultModel, mode: str = "mcc"):
         # The asarray in the base constructor keeps the model's own
-        # array (no copy for a bool ndarray): router reads stay live.
+        # array (no copy for a bool ndarray): routing reads stay live.
         super().__init__(model.fault_mask, mode=mode)
         assert self.fault_mask is model.fault_mask
         self.model = model
@@ -180,7 +180,6 @@ class OnlineRoutingService:
     def __init__(self, fault_mask: np.ndarray, mode: str = "mcc"):
         self.model = DynamicFaultModel(fault_mask)
         self.router = _OnlineRouter(self.model, mode=mode)
-        self.service = RoutingService(None, router=self.router)
         self._pending: list[tuple[int, tuple[Coord, Coord]]] = []
         self._done: dict[int, RouteResult] = {}
         self._tickets = 0
@@ -211,19 +210,19 @@ class OnlineRoutingService:
 
     def route(self, source: Sequence[int], dest: Sequence[int]) -> RouteResult:
         """Route one pair immediately at the current epoch."""
-        return self._stamp([self.service.route(source, dest)])[0]
+        return self._stamp([self.router.route(source, dest)])[0]
 
     def route_batch(
         self, pairs: Iterable[Sequence[Sequence[int]]]
     ) -> list[RouteResult]:
         """Route a batch immediately at the current epoch."""
-        return self._stamp(self.service.route_batch(pairs))
+        return self._stamp(self.router.route_batch(pairs))
 
     def feasible_batch(
         self, pairs: Iterable[Sequence[Sequence[int]]]
     ) -> np.ndarray:
         """Vectorized feasibility verdicts at the current epoch."""
-        return self.service.feasible_batch(pairs)
+        return self.router.feasible_batch(pairs)
 
     # -- event-bounded query batching --------------------------------------
 

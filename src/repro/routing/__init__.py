@@ -8,7 +8,7 @@ from repro.routing.oracle import (
     reverse_reachable,
     reverse_reachable_many,
 )
-from repro.routing.engine import AdaptiveRouter, RouteResult
+from repro.routing.engine import RouteResult
 from repro.routing.batch import RoutingService
 from repro.routing.policies import (
     DiagonalPolicy,
@@ -24,7 +24,6 @@ __all__ = [
     "reverse_reachable",
     "reverse_reachable_many",
     "minimal_path_exists",
-    "AdaptiveRouter",
     "RouteResult",
     "RoutingService",
     "DiagonalPolicy",

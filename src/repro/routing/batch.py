@@ -1,13 +1,24 @@
-"""Batched routing service: many pairs over one fault pattern.
+"""The routing service: one pair or many over one fault pattern.
+
+:class:`RoutingService` is the paper's routing rule (Algorithm 3 /
+Algorithm 6 step 2) for one fault pattern under one fault-information
+model.  It owns the per-class models of :mod:`repro.routing.engine`,
+and routes a pair in four steps:
+
+1. map the pair into its direction class (canonical frame);
+2. feasibility check (model condition; Theorem 1/2);
+3. hop-by-hop forwarding: a candidate direction survives when its
+   neighbor can still reach the destination through permitted nodes —
+   the exact informational content of Algorithm 3 step 2(b)'s boundary
+   records (see ``_ClassModel`` for why this is the distilled form);
+4. a pluggable policy picks among the survivors (step 2c).
 
 The experiment sweeps (T2/T4), the DES workloads, and the fault-block
 literature's evaluation methodology all route *batches* — tens of
 thousands of (source, destination) pairs against a single fault pattern.
 Routing them one call at a time pays per pair for work a batch can
 share: a class-model lookup, a reach-mask probe, and a one-destination
-flood on every cache miss.
-
-:class:`RoutingService` shares all of it:
+flood on every cache miss.  The batch methods share all of it:
 
 * the **decomposition builds no per-pair object**: each pair's
   direction class, canonical coordinates and flat cell indices come
@@ -17,7 +28,7 @@ flood on every cache miss.
   built once per class (at most 2^n builds per batch);
 * within a class, pairs are grouped by **destination**, so one reverse
   flood serves every pair headed there — and the grouped order makes
-  the engine's LRU-bounded reach caches hit even at tiny capacities;
+  the LRU-bounded reach caches hit even at tiny capacities;
 * the (class, destination) groups whose reach masks are not cached
   flood together in **cross-class chunks** of up to
   :data:`~repro.routing.oracle.WORD_BITS`: the kernel packs one bit per
@@ -32,11 +43,11 @@ flood on every cache miss.
   (:data:`~repro.routing.engine.REACH_CACHE_SIZE`), so million-pair
   workloads do not grow memory without limit.
 
-Results are element-wise identical to per-pair
-:meth:`AdaptiveRouter.route` for stateless policies (fixed/diagonal —
-property-tested).  A stateful policy such as ``RandomPolicy`` draws in
-grouped order rather than input order, so individual paths may differ
-while delivery verdicts still agree with the model.
+Batch results are element-wise identical to per-pair :meth:`route` for
+stateless policies (fixed/diagonal — property-tested).  A stateful
+policy such as ``RandomPolicy`` draws in grouped order rather than
+input order, so individual paths may differ while delivery verdicts
+still agree with the model.
 """
 
 from __future__ import annotations
@@ -48,8 +59,10 @@ import numpy as np
 from repro import obs
 from repro.mesh.coords import Coord
 from repro.mesh.orientation import Orientation
-from repro.routing.engine import AdaptiveRouter, RouteResult, _ClassModel, prime_reach
+from repro.routing import engine
+from repro.routing.engine import RouteResult, _ClassModel, class_model, prime_reach
 from repro.routing.oracle import WORD_BITS
+from repro.routing.policies import FixedOrderPolicy, Policy
 from repro.util.validation import check_shape_member
 
 
@@ -73,50 +86,153 @@ class _Group(NamedTuple):
 
 
 class RoutingService:
-    """Routes batches of pairs over one fault pattern with shared state.
+    """Routes pairs over one fault pattern with shared per-class state.
 
-    A thin orchestration layer over :class:`AdaptiveRouter`: the router
-    owns the per-class models and LRU reach caches; the service owns the
-    batch decomposition (class -> destination -> vectorized feasibility)
-    and result ordering.  ``service.route`` is exactly one-pair routing
-    through the same shared caches.  ``router`` adopts a caller-owned
-    router in place of ``fault_mask``: the online service supplies one
-    whose models track a mutating fault set, and a router built with a
-    non-default policy is served this way too.
+    ``mode`` selects the fault-information model:
+
+    * ``"mcc"``    — the paper's model (labelling + walls);
+    * ``"rfb"``    — same machinery over rectangular faulty blocks;
+    * ``"oracle"`` — a labelling that marks faults only, so its
+      exclusions are exact reverse reachability (reference);
+    * ``"blind"``  — no model; only faulty neighbors are avoided.
+
+    ``policy`` picks among the surviving directions (fixed axis order
+    by default).  The service keeps one class model per direction class
+    (:func:`~repro.routing.engine.class_model`), each caching at most
+    :data:`~repro.routing.engine.REACH_CACHE_SIZE` reach masks;
+    :meth:`route` and the batch methods share them.
     """
+
+    MODES = ("mcc", "rfb", "oracle", "blind")
 
     def __init__(
         self,
-        fault_mask: np.ndarray | None,
+        fault_mask: np.ndarray,
         mode: str = "mcc",
-        router: AdaptiveRouter | None = None,
+        policy: Policy | None = None,
     ):
-        if router is None:
-            if fault_mask is None:
-                raise ValueError("RoutingService needs a fault_mask or a router")
-            router = AdaptiveRouter(fault_mask, mode=mode)
-        self.router = router
+        if mode not in self.MODES:
+            raise ValueError(f"unknown router mode {mode!r}; pick from {self.MODES}")
+        self.fault_mask = np.asarray(fault_mask, dtype=bool)
+        self.mode = mode
+        self.policy = policy or FixedOrderPolicy()
+        self.reach_cache_size = engine.REACH_CACHE_SIZE
+        self._models: dict[tuple[int, ...], _ClassModel] = {}
         # Frame arithmetic for whole-batch decomposition: the far mesh
         # corner, the C-order cell strides of the mesh shape, and one
         # class-key bit per axis.
-        shape = router.fault_mask.shape
+        shape = self.fault_mask.shape
         self._far = np.subtract(shape, 1, dtype=np.intp)
         self._strides = np.cumprod((1,) + shape[:0:-1], dtype=np.intp)[::-1]
         self._bits = 1 << np.arange(len(shape), dtype=np.intp)
 
-    @property
-    def fault_mask(self) -> np.ndarray:
-        return self.router.fault_mask
-
-    @property
-    def mode(self) -> str:
-        return self.router.mode
+    def _model_for(self, orientation: Orientation) -> _ClassModel:
+        """The direction class's model, built on first use."""
+        key = orientation.signs
+        if key not in self._models:
+            self._models[key] = class_model(
+                self.fault_mask, orientation, self.mode, self.reach_cache_size
+            )
+        return self._models[key]
 
     # -- single pair -------------------------------------------------------
 
     def route(self, source: Sequence[int], dest: Sequence[int]) -> RouteResult:
-        """Route one pair through the shared model caches."""
-        return self.router.route(source, dest)
+        """Route one packet; returns the mesh-frame path and verdicts."""
+        source = tuple(int(c) for c in source)
+        dest = tuple(int(c) for c in dest)
+        shape = self.fault_mask.shape
+        check_shape_member("source", source, shape)
+        check_shape_member("dest", dest, shape)
+        if self.fault_mask[source] or self.fault_mask[dest]:
+            # A failed result, not an exception: dynamic-fault workloads
+            # (MeshNetwork.inject_fault) route to endpoints that died
+            # mid-run, which must score as failures, not crash the sweep.
+            return RouteResult(
+                delivered=False,
+                path=[source],
+                feasible=False,
+                reason="endpoint faulty",
+            )
+        orientation = Orientation.for_pair(source, dest, shape)
+        s = orientation.map_coord(source)
+        d = orientation.map_coord(dest)
+        model = self._model_for(orientation)
+
+        reason = self._infeasible_reason(model, s, d)
+        if reason is not None:
+            return RouteResult(
+                delivered=False, path=[source], feasible=False, reason=reason
+            )
+        return self._forward(model, orientation, s, d)
+
+    def _infeasible_reason(
+        self, model: _ClassModel, s: Coord, d: Coord
+    ) -> str | None:
+        """The model's refusal reason for a canonical pair, or None (go).
+
+        Blind mode has no feasibility check: it just tries.
+        """
+        if self.mode == "blind":
+            return None
+        if not model.endpoints_safe(s, d):
+            return "endpoint inside fault region"
+        if not model.feasible(s, d):
+            return "infeasible"
+        return None
+
+    def _forward(
+        self, model: _ClassModel, orientation: Orientation, s: Coord, d: Coord
+    ) -> RouteResult:
+        """Hop-by-hop forwarding loop after a passed (or absent) check.
+
+        Every hop moves one step toward ``d``, so the walk either arrives
+        in exactly ``manhattan(s, d)`` hops or stops with no candidate.
+        After a passed model check every hop stays inside ``d``'s reach
+        mask, so only blind mode can stop — and blind mode ran no check,
+        so a stopped walk's verdict is unknown (``feasible=None``).
+        """
+        pos = s
+        canonical_path = [pos]
+        while pos != d:
+            candidates = self._candidates(model, pos, d)
+            if not candidates:
+                path = [orientation.unmap_coord(c) for c in canonical_path]
+                return RouteResult(
+                    delivered=False,
+                    path=path,
+                    feasible=None,
+                    stuck_at=path[-1],
+                    reason="stuck",
+                )
+            axis = self.policy.choose(candidates, pos, d)
+            if axis not in candidates:
+                raise RuntimeError(f"policy chose non-candidate axis {axis}")
+            nxt = list(pos)
+            nxt[axis] += 1
+            pos = tuple(nxt)
+            canonical_path.append(pos)
+        path = [orientation.unmap_coord(c) for c in canonical_path]
+        return RouteResult(delivered=True, path=path, feasible=True)
+
+    def _candidates(self, model: _ClassModel, pos: Coord, dest: Coord) -> list[int]:
+        """Surviving preferred axes at ``pos`` for ``dest`` (canonical).
+
+        Algorithm 3 step 2's one exclusion rule: step onto a neighbor
+        only if it can still reach ``dest`` through permitted cells.
+        ``dest`` itself passes whenever it is permitted, which a routed
+        pair's model-safe destination always is.  Blind mode has no
+        rule: any non-faulty neighbor will do.
+        """
+        allowed = model._open if self.mode == "blind" else model.reach_mask(dest)
+        out = []
+        for axis in range(len(pos)):
+            if pos[axis] < dest[axis]:
+                nxt = list(pos)
+                nxt[axis] += 1
+                if allowed[tuple(nxt)]:
+                    out.append(axis)
+        return out
 
     # -- batched routing ---------------------------------------------------
 
@@ -159,7 +275,7 @@ class RoutingService:
     ) -> list[_Group]:
         """Split pairs into (direction class, destination) groups.
 
-        Off-mesh endpoints raise as in :meth:`AdaptiveRouter.route`.
+        Off-mesh endpoints raise as in :meth:`route`.
         Faulty-endpoint pairs are resolved immediately into ``results``
         and excluded from the groups.  Groups come class-major, classes
         and then destinations in order of first appearance.  The class
@@ -167,7 +283,7 @@ class RoutingService:
         come from whole-batch array operations; the one pass over the
         pairs only buckets them.
         """
-        fault_mask = self.router.fault_mask
+        fault_mask = self.fault_mask
         shape = fault_mask.shape
         if not pairs:
             return []
@@ -208,7 +324,7 @@ class RoutingService:
         for key, by_dest in by_class.items():
             signs = tuple(-1 if key >> a & 1 else 1 for a in range(len(shape)))
             orientation = Orientation(signs, shape)
-            model = self.router._model_for(orientation)
+            model = self._model_for(orientation)
             unsafe = model.unsafe.reshape(-1)
             for dest, ids in by_dest.items():
                 indices = np.array(ids, dtype=np.intp)
@@ -234,7 +350,7 @@ class RoutingService:
         if self.mode == "blind":
             yield from groups
             return
-        bound = self.router.reach_cache_size
+        bound = self.reach_cache_size
         chunk: list[_Group] = []
         misses: list[tuple[_ClassModel, Coord]] = []
         for group in groups:
@@ -265,7 +381,6 @@ class RoutingService:
 
     def _route_group(self, group: _Group, results: list[RouteResult | None]) -> None:
         """Route the pairs of one (class, destination) group."""
-        router = self.router
         orientation, model, d = group.orientation, group.model, group.dest
         feasible = None if self.mode == "blind" else self._group_feasible(group)
         axes = np.unravel_index(group.sources, orientation.shape)
@@ -273,7 +388,7 @@ class RoutingService:
         for k, (idx, s) in enumerate(zip(group.indices.tolist(), sources, strict=True)):
             if feasible is not None and not feasible[k]:
                 # Match route()'s refusal reason exactly.
-                reason = router._infeasible_reason(model, s, d)
+                reason = self._infeasible_reason(model, s, d)
                 results[idx] = RouteResult(
                     delivered=False,
                     path=[orientation.unmap_coord(s)],
@@ -281,4 +396,4 @@ class RoutingService:
                     reason=reason or "infeasible",
                 )
                 continue
-            results[idx] = router._forward(model, orientation, s, d)
+            results[idx] = self._forward(model, orientation, s, d)

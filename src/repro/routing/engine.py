@@ -1,17 +1,18 @@
-"""The adaptive minimal routing engine (Algorithm 3 / Algorithm 6 step 2).
+"""Per-direction-class model state for adaptive minimal routing.
 
-``AdaptiveRouter`` carries a fault-information model ("mcc", "rfb",
-"oracle", or "blind") for one fault pattern and routes arbitrary pairs:
+Routing a pair (Algorithm 3 / Algorithm 6 step 2) maps it into its
+direction class, checks feasibility (Theorems 1–2), and at every hop
+keeps the directions whose neighbour can still reach the destination;
+:class:`repro.routing.batch.RoutingService` runs that procedure, one
+pair or a batch at a time.  This module holds what it runs on:
 
-1. map the pair into its direction class (canonical frame);
-2. feasibility check (model condition; Theorem 1/2);
-3. hop-by-hop forwarding: a candidate direction survives when its
-   neighbor can still reach the destination through permitted nodes —
-   the exact informational content of Algorithm 3 step 2(b)'s boundary
-   records (see _ClassModel for why this is the distilled form and how
-   it relates to the walls);
-
-4. a pluggable policy picks among the survivors (step 2c).
+* :class:`_ClassModel` — one direction class's labelling and its
+  LRU-bounded per-destination reach masks (:data:`REACH_CACHE_SIZE`);
+* :func:`class_model` — the model of a fault pattern's class under a
+  mode ("mcc", "rfb", "oracle" or "blind");
+* :func:`prime_reach` — fills many reach-cache misses in one kernel
+  call;
+* :class:`RouteResult` — the outcome of one routing attempt.
 
 "mcc", "rfb" and "oracle" differ only in the labelling that decides
 which nodes are permitted: "mcc" blocks faulty and useless nodes, "rfb"
@@ -19,12 +20,6 @@ whole rectangular faulty blocks, and "oracle" faulty nodes alone, so
 its exclusion rule is exact reverse reachability — the reference the
 MCC mode must match (property P3).  "blind" mode uses no model at all
 (baseline).
-
-All model state is cached: one ``_ClassModel`` per direction class and
-one reverse-reachability mask per destination (LRU-bounded by
-:data:`REACH_CACHE_SIZE`).  :mod:`repro.routing.batch` exploits exactly
-these caches to route many pairs over one pattern without redundant
-work.
 """
 
 from __future__ import annotations
@@ -40,12 +35,10 @@ from repro.core.model_cache import cached_class_assets
 from repro.mesh.coords import Coord, manhattan
 from repro.mesh.orientation import Orientation
 from repro.routing.oracle import reverse_reachable, reverse_reachable_many
-from repro.routing.policies import FixedOrderPolicy, Policy
 from repro.util.caching import LRUCache
-from repro.util.validation import check_shape_member
 
 #: Bound on cached per-destination reachability masks (per class),
-#: read when a router is built.
+#: read when a routing service is built.
 REACH_CACHE_SIZE = 1024
 
 
@@ -145,24 +138,6 @@ class _ClassModel:
             self._reach.put(dest, mask)
         return mask
 
-    def candidates(self, pos: Coord, dest: Coord) -> list[int]:
-        """Surviving preferred axes at ``pos`` for ``dest`` (canonical).
-
-        Algorithm 3 step 2's one exclusion rule: step onto a neighbor
-        only if it can still reach ``dest`` through permitted cells.
-        ``dest`` itself passes whenever it is permitted, which a routed
-        pair's model-safe destination always is.
-        """
-        reach = self.reach_mask(dest)
-        out = []
-        for axis in range(len(pos)):
-            if pos[axis] < dest[axis]:
-                nxt = list(pos)
-                nxt[axis] += 1
-                if reach[tuple(nxt)]:
-                    out.append(axis)
-        return out
-
     def feasible(self, source: Coord, dest: Coord) -> bool:
         """Theorem 1/2: a minimal path exists iff the model permits one."""
         if source == dest:
@@ -195,156 +170,32 @@ def prime_reach(misses: Sequence[tuple[_ClassModel, Coord]]) -> None:
         model._reach.put(dest, mask)
 
 
-class AdaptiveRouter:
-    """Minimal adaptive router over one fault pattern.
+def class_model(
+    fault_mask: np.ndarray,
+    orientation: Orientation,
+    mode: str,
+    reach_cache_size: int | None,
+) -> _ClassModel:
+    """The model of one direction class of ``fault_mask`` under ``mode``.
 
-    ``mode`` selects the fault-information model:
-
-    * ``"mcc"``    — the paper's model (labelling + walls);
-    * ``"rfb"``    — same machinery over rectangular faulty blocks;
-    * ``"oracle"`` — a labelling that marks faults only, so its
-      exclusions are exact reverse reachability (reference);
-    * ``"blind"``  — no model; only faulty neighbors are avoided.
-
-    Each class model caches at most :data:`REACH_CACHE_SIZE`
-    per-destination reachability masks.  mcc/rfb labellings come from
-    the content-addressed cross-pattern cache
-    (:mod:`repro.core.model_cache`), so sweeps that revisit a pattern —
-    or several model consumers over one pattern — label each direction
-    class once per process.
+    mcc/rfb labellings come from the content-addressed cross-pattern
+    cache (:mod:`repro.core.model_cache`), so sweeps that revisit a
+    pattern — or several model consumers over one pattern — label each
+    direction class once per process.  The digest is taken from the
+    mask as it is *now*, so the cached labelling always matches the
+    labelled content even when a caller mutates its mask array between
+    builds.  oracle/blind consult only the fault mask: they skip the
+    labelling fixed point and mark faults directly.
     """
-
-    MODES = ("mcc", "rfb", "oracle", "blind")
-
-    def __init__(
-        self,
-        fault_mask: np.ndarray,
-        mode: str = "mcc",
-        policy: Policy | None = None,
-    ):
-        if mode not in self.MODES:
-            raise ValueError(f"unknown router mode {mode!r}; pick from {self.MODES}")
-        self.fault_mask = np.asarray(fault_mask, dtype=bool)
-        self.mode = mode
-        self.policy = policy or FixedOrderPolicy()
-        self.reach_cache_size = REACH_CACHE_SIZE
-        self._models: dict[tuple[int, ...], _ClassModel] = {}
-
-    # -- model construction (cached per direction class) -------------------
-
-    def _model_for(self, orientation: Orientation) -> _ClassModel:
-        key = orientation.signs
-        if key not in self._models:
-            if self.mode in ("mcc", "rfb"):
-                # Content-addressed: the digest is taken from the mask as
-                # it is *now*, so the cached labelling always matches the
-                # labelled content even when a caller mutates its mask
-                # array between builds.
-                labelled, _, _ = cached_class_assets(
-                    self.fault_mask,
-                    orientation,
-                    labeller=rfb_labelled if self.mode == "rfb" else label_grid,
-                    kind=self.mode,
-                )
-            else:
-                # oracle/blind consult only the fault mask: skip the
-                # labelling fixed point and mark faults directly.
-                status = orientation.to_canonical(self.fault_mask).astype(np.int8)
-                status *= FAULTY
-                labelled = LabelledGrid(status=status, orientation=orientation)
-            self._models[key] = _ClassModel(labelled, self.reach_cache_size)
-        return self._models[key]
-
-    # -- routing -------------------------------------------------------------
-
-    def route(self, source: Sequence[int], dest: Sequence[int]) -> RouteResult:
-        """Route one packet; returns the mesh-frame path and verdicts."""
-        source = tuple(int(c) for c in source)
-        dest = tuple(int(c) for c in dest)
-        shape = self.fault_mask.shape
-        check_shape_member("source", source, shape)
-        check_shape_member("dest", dest, shape)
-        if self.fault_mask[source] or self.fault_mask[dest]:
-            # A failed result, not an exception: dynamic-fault workloads
-            # (MeshNetwork.inject_fault) route to endpoints that died
-            # mid-run, which must score as failures, not crash the sweep.
-            return RouteResult(
-                delivered=False,
-                path=[source],
-                feasible=False,
-                reason="endpoint faulty",
-            )
-        orientation = Orientation.for_pair(source, dest, shape)
-        s = orientation.map_coord(source)
-        d = orientation.map_coord(dest)
-        model = self._model_for(orientation)
-
-        reason = self._infeasible_reason(model, s, d)
-        if reason is not None:
-            return RouteResult(
-                delivered=False, path=[source], feasible=False, reason=reason
-            )
-        return self._forward(model, orientation, s, d)
-
-    def _infeasible_reason(
-        self, model: _ClassModel, s: Coord, d: Coord
-    ) -> str | None:
-        """The model's refusal reason for a canonical pair, or None (go).
-
-        Blind mode has no feasibility check: it just tries.
-        """
-        if self.mode == "blind":
-            return None
-        if not model.endpoints_safe(s, d):
-            return "endpoint inside fault region"
-        if not model.feasible(s, d):
-            return "infeasible"
-        return None
-
-    def _forward(
-        self, model: _ClassModel, orientation: Orientation, s: Coord, d: Coord
-    ) -> RouteResult:
-        """Hop-by-hop forwarding loop after a passed (or absent) check.
-
-        Every hop moves one step toward ``d``, so the walk either arrives
-        in exactly ``manhattan(s, d)`` hops or stops with no candidate.
-        After a passed model check every hop stays inside ``d``'s reach
-        mask, so only blind mode can stop — and blind mode ran no check,
-        so a stopped walk's verdict is unknown (``feasible=None``).
-        """
-        pos = s
-        canonical_path = [pos]
-        while pos != d:
-            candidates = self._candidates(model, pos, d)
-            if not candidates:
-                path = [orientation.unmap_coord(c) for c in canonical_path]
-                return RouteResult(
-                    delivered=False,
-                    path=path,
-                    feasible=None,
-                    stuck_at=path[-1],
-                    reason="stuck",
-                )
-            axis = self.policy.choose(candidates, pos, d)
-            if axis not in candidates:
-                raise RuntimeError(f"policy chose non-candidate axis {axis}")
-            nxt = list(pos)
-            nxt[axis] += 1
-            pos = tuple(nxt)
-            canonical_path.append(pos)
-        path = [orientation.unmap_coord(c) for c in canonical_path]
-        return RouteResult(delivered=True, path=path, feasible=True)
-
-    def _candidates(self, model: _ClassModel, pos: Coord, dest: Coord) -> list[int]:
-        if self.mode != "blind":
-            return model.candidates(pos, dest)
-        out = []
-        for axis in range(len(pos)):
-            if pos[axis] >= dest[axis]:
-                continue
-            nxt = list(pos)
-            nxt[axis] += 1
-            if not model.labelled.fault_mask[tuple(nxt)]:
-                out.append(axis)
-        return out
-
+    if mode in ("mcc", "rfb"):
+        labelled, _, _ = cached_class_assets(
+            fault_mask,
+            orientation,
+            labeller=rfb_labelled if mode == "rfb" else label_grid,
+            kind=mode,
+        )
+    else:
+        status = orientation.to_canonical(fault_mask).astype(np.int8)
+        status *= FAULTY
+        labelled = LabelledGrid(status=status, orientation=orientation)
+    return _ClassModel(labelled, reach_cache_size)

@@ -69,10 +69,6 @@ class VirtualClock:
     def now(self) -> float:
         return self._now
 
-    def pending_timers(self) -> int:
-        """Live (non-cancelled) timers currently registered."""
-        return sum(1 for fut in self._futs if not fut.cancelled())
-
     def note(self) -> None:
         """Mark externally visible progress (keeps the settle loop going)."""
         self.activity += 1

@@ -61,12 +61,6 @@ class NodeProcess:
         """Send one message to a neighbor (asserts mesh adjacency)."""
         self.network.transmit(Message(kind, self.coord, dst, payload, 0, ttl))
 
-    def send_frame(self, path, query=None) -> None:
-        """Inject a source-routed data frame starting at this node."""
-        if tuple(path[0]) != tuple(self.coord):
-            raise ValueError(f"frame path must start at {self.coord}, got {path[0]}")
-        self.network.inject_frame(path, query=query)
-
     def set_timer(self, delay: float, tag: str) -> None:
         """Fire :meth:`on_timer` with ``tag`` after ``delay``.
 

@@ -93,11 +93,3 @@ class StatsCollector:
             self.frame_latencies_by_query.items(), key=repr
         ):
             registry.histogram("sim_frame_latency", query=query).values.extend(lat)
-
-    def reset(self) -> None:
-        self.messages_sent.clear()
-        self.gauges.clear()
-        self.query_messages.clear()
-        self.link_peak_depth.clear()
-        self.frame_latencies.clear()
-        self.frame_latencies_by_query.clear()

@@ -55,9 +55,6 @@ class TraceLog:
             if note:
                 mark.attrs["note"] = note
 
-    def filter(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self._events if e.kind == kind]
-
     def render(self, max_lines: int = 50) -> str:
         events = self.events
         lines = [

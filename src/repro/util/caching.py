@@ -54,17 +54,12 @@ class LRUCache(Generic[K, V]):
             raise ValueError(f"LRUCache maxsize must be positive, got {maxsize}")
         self.maxsize = maxsize
         self._data: OrderedDict[K, V] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def get(self, key: K) -> V | None:
         """The cached value (refreshing recency), or None."""
         if key in self._data:
             self._data.move_to_end(key)
-            self.hits += 1
             return self._data[key]
-        self.misses += 1
         return None
 
     def put(self, key: K, value: V) -> V:
@@ -72,7 +67,6 @@ class LRUCache(Generic[K, V]):
         self._data.move_to_end(key)
         if self.maxsize is not None and len(self._data) > self.maxsize:
             self._data.popitem(last=False)
-            self.evictions += 1
         return value
 
     def __contains__(self, key: K) -> bool:
@@ -94,8 +88,6 @@ class LRUCache(Generic[K, V]):
         Selective eviction for callers that can scope an invalidation —
         e.g. the online routing service drops only the reachability
         masks a fault event can have changed instead of the whole cache.
-        Does not count as an eviction (it is an invalidation, not a
-        capacity decision) and does not touch the hit/miss counters.
         """
         return self._data.pop(key, None)
 

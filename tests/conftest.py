@@ -22,6 +22,15 @@ def random_mask(rng: np.random.Generator, shape, count) -> np.ndarray:
     return mask
 
 
+def all_classes(shape) -> list[Orientation]:
+    """All 2^n direction classes of a mesh of ``shape``."""
+    n = len(shape)
+    return [
+        Orientation(tuple(-1 if key >> a & 1 else 1 for a in range(n)), tuple(shape))
+        for key in range(2**n)
+    ]
+
+
 def oracle_feasible(fault_mask: np.ndarray, source, dest) -> bool:
     """Ground truth: monotone path avoiding faulty nodes (any pair)."""
     orientation = Orientation.for_pair(source, dest, fault_mask.shape)

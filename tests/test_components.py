@@ -34,14 +34,13 @@ class TestExtraction2D:
     def test_component_at(self, rng):
         lab = label_grid(mask_of_cells([(3, 3)], (6, 6)))
         mccs = extract_mccs(lab)
-        assert mccs.component_at((3, 3)).index == 1
-        assert mccs.component_at((0, 0)) is None
+        assert mccs[int(mccs.labels[3, 3])].index == 1
+        assert mccs.labels[0, 0] == 0
 
     def test_corners(self):
         lab = label_grid(mask_of_cells([(3, 3), (3, 4), (4, 3), (4, 4)], (8, 8)))
         mcc = extract_mccs(lab)[1]
-        assert mcc.initialization_corner() == (2, 2)
-        assert mcc.opposite_corner() == (5, 5)
+        assert (mcc.box.lo, mcc.box.hi) == ((3, 3), (4, 4))
 
     def test_indexing_errors(self, rng):
         mccs = extract_mccs(label_grid(mask_of_cells([(3, 3)], (6, 6))))
@@ -54,8 +53,10 @@ class TestExtraction2D:
         mask = random_mask(rng, (10, 10), 15)
         lab = label_grid(mask)
         mccs = extract_mccs(lab)
-        assert mccs.total_unsafe == int(lab.unsafe_mask.sum())
-        assert mccs.total_nonfaulty == int(lab.unsafe_mask.sum() - mask.sum())
+        assert sum(m.size for m in mccs) == int(lab.unsafe_mask.sum())
+        assert sum(m.nonfaulty_count for m in mccs) == int(
+            lab.unsafe_mask.sum() - mask.sum()
+        )
 
 
 class TestExtraction3D:

@@ -9,6 +9,7 @@ from repro.core.detection import detect_canonical, detection_feasible
 from repro.core.labelling import label_grid
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
+from repro.util.validation import OffMeshError
 from tests.conftest import oracle_feasible, random_mask
 
 
@@ -248,3 +249,30 @@ class TestDetectionBatch:
 
         out = detection_feasible_batch(np.zeros((3, 3), dtype=bool), [])
         assert out.shape == (0,)
+
+
+class TestOffMeshEndpoints:
+    """Both forms reject an off-mesh endpoint before reading the mask.
+
+    numpy reads a negative index from the far end of an axis, so an
+    unchecked (2, -1) would read an empty segment and call the pair
+    feasible, and (-1, 0) would read the fault at (4, 0).
+    """
+
+    MASK = mask_of_cells([(4, 0)], (5, 5))
+
+    @pytest.mark.parametrize(
+        "source, dest",
+        [((2, -1), (2, 3)), ((-1, 0), (3, 3)), ((2, 0), (2, 7))],
+    )
+    def test_per_pair(self, source, dest):
+        with pytest.raises(OffMeshError) as info:
+            detection_feasible(self.MASK, source, dest)
+        assert type(info.value) is OffMeshError
+
+    def test_batch(self):
+        from repro.core.detection import detection_feasible_batch
+
+        with pytest.raises(OffMeshError) as info:
+            detection_feasible_batch(self.MASK, [((2, -1), (2, 3))])
+        assert type(info.value) is OffMeshError

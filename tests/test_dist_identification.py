@@ -115,7 +115,8 @@ class TestSectionIdentification2D:
             touches_border = any(
                 c == 0 or c == 8 for cell in cells for c in cell
             )
-            corner = mcc.initialization_corner()
+            # The 2-D identification start: diagonally SW of (xmin, ymin).
+            corner = tuple(lo - 1 for lo in mcc.box.lo)
             corner_ok = (
                 lab.safe_mask[corner]
                 if all(0 <= c < 9 for c in corner)

@@ -14,9 +14,8 @@ from repro.core.labelling import (
     label_grid,
     unsafe_mask,
 )
-from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
-from tests.conftest import random_mask
+from tests.conftest import all_classes, random_mask
 
 
 def _closure_reference(fault_mask: np.ndarray, sign: int) -> np.ndarray:
@@ -178,7 +177,7 @@ class TestOrientationHandling:
         # Labelling a flipped grid == flipping the labelled grid.
         rng = np.random.default_rng(seed)
         mask = random_mask(rng, (6, 6), 8)
-        for o in Orientation.all_classes((6, 6)):
+        for o in all_classes((6, 6)):
             direct = label_grid(mask, o).status
             manual = label_grid(o.to_canonical(mask)).status
             assert np.array_equal(direct, manual)
@@ -198,8 +197,8 @@ class TestAccessors:
         total = (
             lab.safe_mask.sum()
             + lab.fault_mask.sum()
-            + lab.useless_mask.sum()
-            + lab.cant_reach_mask.sum()
+            + (lab.status == USELESS).sum()
+            + (lab.status == CANT_REACH).sum()
         )
         assert total == 64
         assert np.array_equal(lab.unsafe_mask, ~lab.safe_mask)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.rfb import rfb_unsafe
-from repro.core.labelling import label_grid
+from repro.core.labelling import CANT_REACH, USELESS, label_grid
 from repro.routing.oracle import minimal_path_exists
 from tests.conftest import random_mask
 
@@ -70,7 +70,7 @@ class TestUselessNodesAreTrulyUseless:
         rng = np.random.default_rng(seed)
         mask = random_mask(rng, (6, 6), int(rng.integers(2, 9)))
         lab = label_grid(mask)
-        useless = np.argwhere(lab.useless_mask)
+        useless = np.argwhere(lab.status == USELESS)
         for u in useless:
             u = tuple(int(c) for c in u)
             # Every positive in-mesh neighbor of a useless node is
@@ -88,7 +88,7 @@ class TestUselessNodesAreTrulyUseless:
         rng = np.random.default_rng(seed)
         mask = random_mask(rng, (6, 6), int(rng.integers(2, 9)))
         lab = label_grid(mask)
-        for u in np.argwhere(lab.cant_reach_mask):
+        for u in np.argwhere(lab.status == CANT_REACH):
             u = tuple(int(c) for c in u)
             for axis in range(2):
                 prv = list(u)

@@ -12,7 +12,8 @@ from repro.core.model_cache import (
     clear_labelling_cache,
 )
 from repro.mesh.orientation import Orientation
-from repro.routing.engine import AdaptiveRouter
+from repro.routing.batch import RoutingService
+from tests.conftest import all_classes
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +36,7 @@ class TestCachedLabelled:
         assert a is b  # content-addressed: distinct arrays, one entry
 
     def test_matches_label_grid(self):
-        for orientation in Orientation.all_classes((6, 6)):
+        for orientation in all_classes((6, 6)):
             want = label_grid(some_mask(), orientation)
             got = cached_labelled(some_mask(), orientation)
             assert np.array_equal(want.status, got.status)
@@ -69,17 +70,17 @@ class TestCachedLabelled:
 class TestAssetsSharing:
     def test_router_and_evaluator_share_labelling(self):
         mask = some_mask()
-        router = AdaptiveRouter(mask, mode="mcc")
+        service = RoutingService(mask, mode="mcc")
         evaluator = ConditionEvaluator(mask.copy())
         orientation = Orientation.identity((6, 6))
-        model = router._model_for(orientation)
+        model = service._model_for(orientation)
         labelled, _mccs, _walls = evaluator.for_orientation(orientation)
         assert model.labelled is labelled
 
     def test_two_routers_same_pattern_label_once(self):
         mask = some_mask()
-        r1 = AdaptiveRouter(mask, mode="mcc")
-        r2 = AdaptiveRouter(mask.copy(), mode="mcc")
+        r1 = RoutingService(mask, mode="mcc")
+        r2 = RoutingService(mask.copy(), mode="mcc")
         orientation = Orientation.identity((6, 6))
         assert (
             r1._model_for(orientation).labelled
@@ -94,10 +95,10 @@ class TestAssetsSharing:
 
     def test_routing_results_unchanged_by_cache(self):
         mask = some_mask()
-        AdaptiveRouter(mask, mode="mcc").route((0, 0), (5, 5))  # warm it
-        cached = AdaptiveRouter(mask, mode="mcc").route((0, 0), (5, 5))
+        RoutingService(mask, mode="mcc").route((0, 0), (5, 5))  # warm it
+        cached = RoutingService(mask, mode="mcc").route((0, 0), (5, 5))
         clear_labelling_cache()
-        fresh = AdaptiveRouter(mask, mode="mcc").route((0, 0), (5, 5))
+        fresh = RoutingService(mask, mode="mcc").route((0, 0), (5, 5))
         assert (cached.delivered, cached.path) == (fresh.delivered, fresh.path)
 
     def test_lru_bound_holds(self):

@@ -278,7 +278,7 @@ class TestTraceLogRing:
         log = TraceLog()
         log.record(1.0, "K", (0, 0), (0, 1), note="hello")
         assert "hello" in log.render()
-        assert len(log.filter("K")) == 1
+        assert len([e for e in log.events if e.kind == "K"]) == 1
 
 
 class TestStatsByQuery:
@@ -290,8 +290,6 @@ class TestStatsByQuery:
         stats.on_frame(0.5)  # untagged: overall only
         assert stats.frame_latencies == [1.0, 2.0, 5.0, 0.5]
         assert dict(stats.frame_latencies_by_query) == {7: [1.0, 2.0], 9: [5.0]}
-        stats.reset()
-        assert not stats.frame_latencies_by_query
 
     def test_publish_bridges_to_registry(self):
         stats = StatsCollector()

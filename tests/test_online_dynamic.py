@@ -20,6 +20,7 @@ from repro.online import DynamicFaultModel, OnlineRoutingService, dynamic_model
 from repro.online.dynamic_model import _DynamicClass
 from repro.routing import engine
 from repro.routing.batch import RoutingService
+from tests.conftest import all_classes
 
 
 def apply_script(target, script, on_event=None):
@@ -121,7 +122,7 @@ class TestIncrementalLabels:
         """Incremental labels == label_grid after every event, all classes."""
         shape, mask = shape_mask
         model = DynamicFaultModel(mask)
-        orients = Orientation.all_classes(shape)
+        orients = all_classes(shape)
         # Instantiate one class up front; the rest join mid-sequence to
         # cover lazily built classes receiving later events.
         model.labelled_for(orients[0])
@@ -161,7 +162,7 @@ class TestIncrementalLabels:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamic_model, "FULL_RECOMPUTE_FRACTION", 0.0)
             always_full = DynamicFaultModel(mask)
-        for o in Orientation.all_classes(shape)[:2]:
+        for o in all_classes(shape)[:2]:
             always_full.labelled_for(o)
 
         def check(event, cells):

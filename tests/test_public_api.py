@@ -23,44 +23,68 @@ TEST_FACING = ("obs", "analysis")
 ENTRY_POINTS = {"experiments/harness.py:run_all", "serve/clock.py:WallClock"}
 #: A ``"module:attr"`` registry path names ``attr``.
 REGISTRY_PATH = re.compile(r"^[\w.]+:(\w+)$")
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = (*FUNCS, ast.ClassDef)
+
+
+def _owned(top: ast.stmt):
+    """(owner, node) pairs covering one top-level statement.
+
+    The owner is the top-level def's name, ``Class.method`` inside a
+    method of a top-level class, and ``None`` at module level.
+    """
+    if isinstance(top, ast.ClassDef):
+        for node in top.body:
+            owner = f"{top.name}.{node.name}" if isinstance(node, FUNCS) else top.name
+            yield owner, node
+        for node in (*top.decorator_list, *top.bases, *top.keywords):
+            yield top.name, node
+    else:
+        yield (top.name if isinstance(top, DEFS) else None), top
 
 
 def _mentions(tree: ast.Module) -> dict[str, set]:
-    """Name -> the top-level defs (``None``: module level) mentioning it.
+    """Name -> the owners (see :func:`_owned`) of the code mentioning it.
 
     A mention is a name, an attribute or a registry path.  Import
     statements are not mentions, so a re-export keeps nothing alive.
     """
     found = defaultdict(set)
     for top in tree.body:
-        owner = top.name if isinstance(top, DEFS) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                found[node.id].add(owner)
-            elif isinstance(node, ast.Attribute):
-                found[node.attr].add(owner)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                match = REGISTRY_PATH.match(node.value)
-                if match:
-                    found[match.group(1)].add(owner)
+        for owner, sub in _owned(top):
+            for node in ast.walk(sub):
+                if isinstance(node, ast.Name):
+                    found[node.id].add(owner)
+                elif isinstance(node, ast.Attribute):
+                    found[node.attr].add(owner)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    match = REGISTRY_PATH.match(node.value)
+                    if match:
+                        found[match.group(1)].add(owner)
     return found
 
 
-def _has_caller(name: str, home: Path, mentions: dict[Path, dict]) -> bool:
+def _has_caller(name: str, owner: str, home: Path, mentions: dict[Path, dict]) -> bool:
+    """``name`` is mentioned outside the body of its def ``owner``."""
     for path, found in mentions.items():
         owners = found.get(name, set())
         if path == home:
-            owners = owners - {name}  # its own body is no caller
+            owners = {
+                o for o in owners
+                if o is None or (o != owner and not o.startswith(owner + "."))
+            }
         if owners:
             return True
     return False
 
 
 def test_every_library_name_has_a_caller():
-    """Each top-level function and class under ``src/repro`` is mentioned
-    outside its own body by the library, a benchmark, an example or the
-    perf harness.  Test-only helpers belong in the tests."""
+    """Each top-level function and class under ``src/repro``, and each
+    public method and property of those classes, is mentioned outside
+    its own body by the library, a benchmark, an example or the perf
+    harness.  Test-only helpers belong in the tests.  The rule goes by
+    name: a same-named mention anywhere keeps a method alive.  Dunders
+    and ``_private`` methods are exempt."""
     files = [path for root in CALLERS for path in (REPO / root).rglob("*.py")]
     mentions = {path: _mentions(ast.parse(path.read_text())) for path in files}
     unused = []
@@ -71,9 +95,19 @@ def test_every_library_name_has_a_caller():
         for top in ast.parse(path.read_text()).body:
             if not isinstance(top, DEFS):
                 continue
-            key = f"{rel.as_posix()}:{top.name}"
-            if key not in ENTRY_POINTS and not _has_caller(top.name, path, mentions):
-                unused.append(key)
+            defs = [(top.name, top.name)]
+            if isinstance(top, ast.ClassDef):
+                defs += [
+                    (node.name, f"{top.name}.{node.name}")
+                    for node in top.body
+                    if isinstance(node, FUNCS) and not node.name.startswith("_")
+                ]
+            for name, owner in defs:
+                key = f"{rel.as_posix()}:{owner}"
+                if key not in ENTRY_POINTS and not _has_caller(
+                    name, owner, path, mentions
+                ):
+                    unused.append(key)
     assert not unused, f"no caller outside tests: {unused}"
 
 
@@ -81,8 +115,8 @@ class TestEndToEnd:
     def test_quickstart_from_docstring(self):
         faults = np.zeros((10, 10, 10), dtype=bool)
         faults[5, 5, 5] = True
-        router = repro.AdaptiveRouter(faults, mode="mcc")
-        result = router.route((0, 0, 0), (9, 9, 9))
+        service = repro.RoutingService(faults, mode="mcc")
+        result = service.route((0, 0, 0), (9, 9, 9))
         assert result.delivered and result.is_minimal()
 
     def test_all_exports_resolve(self):

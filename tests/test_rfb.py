@@ -13,9 +13,9 @@ from repro.baselines.rfb import _local_closure, rfb_labelled, rfb_unsafe
 from repro.core.labelling import FAULTY, USELESS
 from repro.core.model_cache import clear_labelling_cache
 from repro.mesh.orientation import Orientation
-from repro.routing.engine import AdaptiveRouter
 from repro.mesh.regions import Box, mask_of_cells
-from tests.conftest import random_mask
+from repro.routing.batch import RoutingService
+from tests.conftest import all_classes, random_mask
 
 
 def rfb_blocks(fault_mask: np.ndarray) -> list[Box]:
@@ -208,7 +208,7 @@ class TestLabelledAdapter:
         clear_labelling_cache()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rfb, "rfb_unsafe", counted)
-            classes = Orientation.all_classes(shape)
+            classes = all_classes(shape)
             for orientation in classes:
                 lab = rfb_labelled(mask, orientation)
                 assert lab.orientation == orientation
@@ -216,10 +216,10 @@ class TestLabelledAdapter:
                 assert not lab.status.flags.writeable
                 with pytest.raises(ValueError):
                     lab.status[(0,) * len(shape)] = FAULTY
-            # The router's per-class models share the same region.
-            router = AdaptiveRouter(mask.copy(), mode="rfb")
+            # The service's per-class models share the same region.
+            service = RoutingService(mask.copy(), mode="rfb")
             for orientation in classes:
-                router._model_for(orientation)
+                service._model_for(orientation)
             assert calls == [shape]
             clear_labelling_cache()
             rfb_labelled(mask)

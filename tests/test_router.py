@@ -19,7 +19,6 @@ from repro.mesh.coords import manhattan
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
 from repro.routing.batch import RoutingService
-from repro.routing.engine import AdaptiveRouter
 from repro.routing.oracle import reverse_reachable
 from repro.routing.policies import (
     DiagonalPolicy,
@@ -82,7 +81,7 @@ def candidate_sets_match(router, source, dest) -> bool:
         pos = stack.pop()
         if pos == d:
             continue
-        mcc_cands = set(model.candidates(pos, d))
+        mcc_cands = set(router._candidates(model, pos, d))
         oracle_cands = set()
         for axis in range(len(pos)):
             if pos[axis] >= d[axis]:
@@ -106,25 +105,25 @@ def candidate_sets_match(router, source, dest) -> bool:
 class TestBasics:
     def test_fault_free_routes_minimally(self):
         mask = np.zeros((6, 6, 6), dtype=bool)
-        result = AdaptiveRouter(mask).route((0, 0, 0), (5, 5, 5))
+        result = RoutingService(mask).route((0, 0, 0), (5, 5, 5))
         assert result.delivered and result.is_minimal()
         assert result.hops == 15
 
     def test_path_is_monotone_per_direction_class(self):
         mask = np.zeros((6, 6), dtype=bool)
-        result = AdaptiveRouter(mask).route((5, 5), (0, 0))
+        result = RoutingService(mask).route((5, 5), (0, 0))
         assert result.delivered
         assert result.hops == 10
 
     def test_infeasible_reported(self):
         mask = mask_of_cells([(2, 2, 3)], (6, 6, 6))
-        result = AdaptiveRouter(mask).route((2, 2, 0), (2, 2, 5))
+        result = RoutingService(mask).route((2, 2, 0), (2, 2, 5))
         assert not result.delivered and not result.feasible
         assert result.reason == "infeasible"
 
     def test_unsafe_endpoint_reported(self):
         mask = mask_of_cells([(2, 3), (3, 2)], (6, 6))
-        router = AdaptiveRouter(mask, mode="mcc")
+        router = RoutingService(mask, mode="mcc")
         result = router.route((2, 2), (5, 5))  # (2,2) is useless
         assert not result.delivered
         assert result.reason == "endpoint inside fault region"
@@ -133,14 +132,14 @@ class TestBasics:
         # A failed result, not an exception: dynamic-fault DES workloads
         # route to endpoints that died mid-run.
         mask = mask_of_cells([(0, 0)], (4, 4))
-        result = AdaptiveRouter(mask).route((0, 0), (3, 3))
+        result = RoutingService(mask).route((0, 0), (3, 3))
         assert not result.delivered and result.feasible is False
         assert result.reason == "endpoint faulty"
         assert result.path == [(0, 0)]
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            AdaptiveRouter(np.zeros((3, 3), dtype=bool), mode="magic")
+            RoutingService(np.zeros((3, 3), dtype=bool), mode="magic")
 
 
 class TestMinimalityAllModes:
@@ -149,7 +148,7 @@ class TestMinimalityAllModes:
     def test_mcc_routes_whenever_oracle_feasible_2d(self, seed):
         rng = np.random.default_rng(seed)
         mask = random_mask(rng, (8, 8), int(rng.integers(1, 12)))
-        router = AdaptiveRouter(mask, mode="mcc", policy=RandomPolicy(seed))
+        router = RoutingService(mask, mode="mcc", policy=RandomPolicy(seed))
         for _ in range(8):
             s = tuple(int(v) for v in rng.integers(0, 8, 2))
             d = tuple(int(v) for v in rng.integers(0, 8, 2))
@@ -173,7 +172,7 @@ class TestMinimalityAllModes:
     def test_mcc_routes_whenever_oracle_feasible_3d(self, seed):
         rng = np.random.default_rng(seed)
         mask = random_mask(rng, (5, 5, 5), int(rng.integers(1, 14)))
-        router = AdaptiveRouter(mask, mode="mcc", policy=DiagonalPolicy())
+        router = RoutingService(mask, mode="mcc", policy=DiagonalPolicy())
         for _ in range(6):
             s = tuple(int(v) for v in rng.integers(0, 5, 3))
             d = tuple(int(v) for v in rng.integers(0, 5, 3))
@@ -196,7 +195,7 @@ class TestMinimalityAllModes:
     )
     def test_oracle_mode_reference(self, rng, shape, faults):
         mask = random_mask(rng, shape, faults)
-        router = AdaptiveRouter(mask, mode="oracle")
+        router = RoutingService(mask, mode="oracle")
         pairs = []
         for _ in range(40):
             s = tuple(int(v) for v in rng.integers(0, shape[0], len(shape)))
@@ -219,8 +218,8 @@ class TestMinimalityAllModes:
         # Dead-end pocket along the bottom row: x-first blind routing
         # walks in and gets cornered; the MCC labels steer around it.
         mask = mask_of_cells([(4, 0), (4, 1), (3, 2), (2, 2)], (8, 8))
-        blind = AdaptiveRouter(mask, mode="blind", policy=FixedOrderPolicy((0, 1)))
-        mcc = AdaptiveRouter(mask, mode="mcc", policy=FixedOrderPolicy((0, 1)))
+        blind = RoutingService(mask, mode="blind", policy=FixedOrderPolicy((0, 1)))
+        mcc = RoutingService(mask, mode="mcc", policy=FixedOrderPolicy((0, 1)))
         d = (7, 7)
         blind_result = blind.route((0, 0), d)
         mcc_result = mcc.route((0, 0), d)
@@ -236,7 +235,7 @@ class TestAdversarialStuckFreedom:
         """Algorithm 3 step 2(c): ANY fully adaptive selection works."""
         rng = np.random.default_rng(seed)
         mask = random_mask(rng, (7, 7), int(rng.integers(1, 10)))
-        router = AdaptiveRouter(mask, mode="mcc")
+        router = RoutingService(mask, mode="mcc")
         lab = label_grid(mask)
         safe = np.argwhere(lab.safe_mask)
         for _ in range(6):
@@ -255,7 +254,7 @@ class TestAdversarialStuckFreedom:
     def test_every_adaptive_choice_delivers_3d(self, seed):
         rng = np.random.default_rng(seed)
         mask = random_mask(rng, (5, 5, 5), int(rng.integers(1, 12)))
-        router = AdaptiveRouter(mask, mode="mcc")
+        router = RoutingService(mask, mode="mcc")
         lab = label_grid(mask)
         safe = np.argwhere(lab.safe_mask)
         for _ in range(5):
@@ -273,7 +272,7 @@ class TestAdversarialStuckFreedom:
 
 def class_safe_pairs(mask: np.ndarray, mode: str = "mcc") -> list:
     """Every (source, dest) pair whose endpoints ``mode`` calls safe."""
-    router = AdaptiveRouter(mask, mode=mode)
+    router = RoutingService(mask, mode=mode)
     cells = [tuple(c) for c in np.argwhere(~mask).tolist()]
     pairs = []
     for s in cells:
@@ -295,7 +294,7 @@ class TestFidelityPredicates:
     def assert_match(mask, pairs, mode="mcc"):
         model = RoutingService(mask, mode=mode)
         oracle = RoutingService(mask, mode="oracle")
-        router = AdaptiveRouter(mask, mode=mode)
+        router = RoutingService(mask, mode=mode)
         complete, exact = _choice_verdicts(model, oracle, pairs)
         assert complete.shape == exact.shape == (len(pairs),)
         for (s, d), c, e in zip(pairs, complete.tolist(), exact.tolist(), strict=True):

@@ -285,7 +285,8 @@ class TestNetwork:
         net.start()
         net.run_to_quiescence()
         assert len(net.trace) == 2
-        assert net.trace.filter("PING")[0].dst == (0, 1)
+        pings = [e for e in net.trace.events if e.kind == "PING"]
+        assert pings[0].dst == (0, 1)
 
     def test_deterministic_replay(self):
         def run():
@@ -349,8 +350,6 @@ class TestStatsAndTrace:
         assert summary["msgs[A]"] == 2
         assert summary["msgs[total]"] == 3
         assert summary["x"] == 2.5
-        stats.reset()
-        assert stats.total_messages == 0
 
     def test_trace_bounded(self):
         trace = TraceLog(limit=2)
@@ -533,14 +532,6 @@ class TestFrames:
         net = MeshNetwork(Mesh2D(2), np.zeros((2, 2), dtype=bool))
         net.inject_frame([(0, 0)])
         assert net.stats.frame_latencies == [0.0]
-
-    def test_send_frame_validates_origin(self):
-        net = MeshNetwork(Mesh2D(2), np.zeros((2, 2), dtype=bool))
-        with pytest.raises(ValueError):
-            net.nodes[(0, 0)].send_frame([(0, 1), (0, 0)])
-        net.nodes[(0, 0)].send_frame([(0, 0), (0, 1)])
-        net.run_to_quiescence()
-        assert net.stats.frames_delivered == 1
 
     def test_frame_counts_as_messages(self):
         net = MeshNetwork(Mesh2D(3), np.zeros((3, 3), dtype=bool))

@@ -91,7 +91,6 @@ class TestLRUCacheEviction:
         assert cache.pop("a") == 1
         assert cache.pop("a") is None  # absent now
         assert cache.pop("never") is None
-        assert cache.evictions == 0
         assert len(cache) == 1 and "b" in cache
 
     def test_keys_snapshot_is_lru_ordered_and_safe_to_mutate_over(self):

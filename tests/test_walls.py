@@ -82,13 +82,23 @@ def active_walls(walls: list[Wall], dest: Sequence[int]) -> list[Wall]:
     return [w for w in walls if w.in_critical(dest)]
 
 
+def wall_forbidden(wall: Wall) -> np.ndarray:
+    """The wall's chain-merged Q: each column's cells below its top."""
+    return wall._depths() < wall._column(wall.tops)
+
+
+def wall_critical(wall: Wall) -> np.ndarray:
+    """The owner's Q': each column's cells at or above its bottom."""
+    return wall._depths() >= wall._column(wall.bottoms)
+
+
 def forbidden_mask_for_dest(
     walls: list[Wall], dest: Sequence[int], shape: Sequence[int]
 ) -> np.ndarray:
     """Union of merged forbidden regions of all walls active for ``dest``."""
     out = np.zeros(tuple(shape), dtype=bool)
     for wall in active_walls(walls, dest):
-        out |= wall.forbidden
+        out |= wall_forbidden(wall)
     return out
 
 
@@ -106,7 +116,7 @@ def reference_merged_forbidden(mccs, mcc_index, dim):
     """
     labels = mccs.labels
     merged = [mcc_index]
-    z = negative_shadow(mccs.mask_of(mcc_index), dim)
+    z = negative_shadow(labels == mcc_index, dim)
     while True:
         obstructing = set()
         for axis in range(labels.ndim):
@@ -117,7 +127,7 @@ def reference_merged_forbidden(mccs, mcc_index, dim):
         if not new:
             return z, tuple(merged)
         for idx in new:
-            z |= negative_shadow(mccs.mask_of(idx), dim)
+            z |= negative_shadow(labels == idx, dim)
             merged.append(idx)
 
 
@@ -127,7 +137,7 @@ def reference_walls(mccs):
     ndim = mccs.labels.ndim
     out = []
     for mcc in mccs:
-        own = mccs.mask_of(mcc.index)
+        own = mccs.labels == mcc.index
         for dim in range(ndim):
             forbidden, chain = reference_merged_forbidden(mccs, mcc.index, dim)
             records = {
@@ -164,10 +174,8 @@ class TestHeightsKernel:
                 walls, want, strict=True
             ):
                 assert (wall.mcc_index, wall.dim) == (index, dim)
-                assert wall.forbidden.dtype == forbidden.dtype
-                assert np.array_equal(wall.forbidden, forbidden)
-                assert wall.critical.dtype == critical.dtype
-                assert np.array_equal(wall.critical, critical)
+                assert np.array_equal(wall_forbidden(wall), forbidden)
+                assert np.array_equal(wall_critical(wall), critical)
                 got = wall.records
                 assert list(got) == list(records)
                 for axis, mask_want in records.items():
@@ -178,7 +186,7 @@ class TestHeightsKernel:
     def test_heights_encode_the_regions(self):
         mask = mask_of_cells([(5, 5), (5, 6), (4, 2)], (9, 9))
         _, mccs, walls = _walls(mask)
-        m1 = mccs.component_at((5, 5)).index
+        m1 = int(mccs.labels[5, 5])
         wy = next(w for w in walls_for(walls, m1) if w.dim == 1)
         assert wy.tops.shape == wy.bottoms.shape == (9,)
         # Forbidden: below (5,6) in column 5, merged with M2's column 4.
@@ -189,7 +197,7 @@ class TestHeightsKernel:
     def test_derived_masks_are_read_only(self):
         _, _, walls = _walls(mask_of_cells([(3, 3)], (8, 8)))
         for wall in walls:
-            for mask in (wall.forbidden, wall.critical, *wall.records.values()):
+            for mask in wall.records.values():
                 assert not mask.flags.writeable
 
 
@@ -203,28 +211,15 @@ class TestSingleMCC:
         mask = mask_of_cells([(3, 3)], (8, 8))
         _, _, walls = _walls(mask)
         wy = next(w for w in walls if w.dim == 1)
-        assert wy.forbidden[3, 0] and wy.forbidden[3, 2]
-        assert not wy.forbidden[3, 4]
-        assert wy.critical[3, 4] and not wy.critical[3, 3]
+        forbidden, critical = wall_forbidden(wy), wall_critical(wy)
+        assert forbidden[3, 0] and forbidden[3, 2]
+        assert not forbidden[3, 4]
+        assert critical[3, 4] and not critical[3, 3]
         # Y-wall record cells guard +X entries at column 2, rows < 3.
         assert wy.records[0][2, 0] and wy.records[0][2, 2]
         assert not wy.records[0][2, 3]
         assert wy.chain == (1,)
 
-    def test_guards_accessor(self):
-        mask = mask_of_cells([(3, 3)], (8, 8))
-        _, _, walls = _walls(mask)
-        wy = next(w for w in walls if w.dim == 1)
-        assert wy.guards((2, 1), 0)
-        assert not wy.guards((2, 5), 0)
-
-    def test_guards_agrees_with_records(self, rng):
-        for _ in range(3):
-            _, _, walls = _walls(random_mask(rng, (5, 4, 3), 8))
-            for wall in walls:
-                for axis, records in wall.records.items():
-                    for cell in np.ndindex(records.shape):
-                        assert wall.guards(cell, axis) == records[cell]
 
 
 class TestOffMesh:
@@ -243,14 +238,11 @@ class TestOffMesh:
             lemma1_region_form(walls, (3, -8), (3, 6))
         with pytest.raises(ValueError, match="outside mesh"):
             lemma1_region_form(walls, (3, 0), (9, 6))
-        with pytest.raises(ValueError, match="outside mesh"):
-            wy.guards((2, -7), 0)
         # The same queries on mesh still answer.
         assert len(active_walls(walls, (3, 6))) == 1
         (witness,) = blocking_walls(walls, (3, 0), (3, 6))
         assert witness is wy
         assert not lemma1_region_form(walls, (3, 0), (3, 6))
-        assert wy.guards((2, 1), 0)
 
 
 class TestChainMerging:
@@ -258,12 +250,12 @@ class TestChainMerging:
         # M1 at (5,5); M2 at (4,2) sits exactly on M1's Y-wall column.
         mask = mask_of_cells([(5, 5), (4, 2)], (9, 9))
         lab, mccs, walls = _walls(mask)
-        m1 = mccs.component_at((5, 5)).index
+        m1 = int(mccs.labels[5, 5])
         wy = next(w for w in walls_for(walls, m1) if w.dim == 1)
         assert len(wy.chain) == 2
         # Merged forbidden covers M2's shadow too.
-        assert wy.forbidden[4, 0] and wy.forbidden[4, 1]
-        assert wy.forbidden[5, 0]
+        assert wall_forbidden(wy)[4, 0] and wall_forbidden(wy)[4, 1]
+        assert wall_forbidden(wy)[5, 0]
 
     def test_unobstructed_walls_do_not_merge(self):
         mask = mask_of_cells([(5, 5), (1, 1)], (9, 9))
@@ -274,16 +266,16 @@ class TestChainMerging:
     def test_merged_forbidden_direct(self):
         mask = mask_of_cells([(5, 5), (4, 2)], (9, 9))
         _, mccs, walls = _walls(mask)
-        m1 = mccs.component_at((5, 5)).index
+        m1 = int(mccs.labels[5, 5])
         wy = next(w for w in walls_for(walls, m1) if w.dim == 1)
         assert set(wy.chain) == {1, 2}
-        assert wy.forbidden[4, 1] and wy.forbidden[5, 4]
+        assert wall_forbidden(wy)[4, 1] and wall_forbidden(wy)[5, 4]
 
     def test_chain_is_transitive(self):
         # Three stacked obstructions chain through each other.
         mask = mask_of_cells([(6, 7), (5, 4), (4, 1)], (10, 10))
         lab, mccs, walls = _walls(mask)
-        top = mccs.component_at((6, 7)).index
+        top = int(mccs.labels[6, 7])
         wy = next(w for w in walls_for(walls, top) if w.dim == 1)
         assert len(wy.chain) == 3
 
@@ -291,10 +283,10 @@ class TestChainMerging:
         # Algorithm 5 step 4: only Q merges; Q' stays the owner's.
         mask = mask_of_cells([(5, 5), (4, 2)], (9, 9))
         lab, mccs, walls = _walls(mask)
-        m1 = mccs.component_at((5, 5)).index
+        m1 = int(mccs.labels[5, 5])
         wy = next(w for w in walls_for(walls, m1) if w.dim == 1)
-        assert wy.critical[5, 7]
-        assert not wy.critical[4, 7]  # above M2 only: not M1's critical
+        assert wall_critical(wy)[5, 7]
+        assert not wall_critical(wy)[4, 7]  # above M2 only: not M1's critical
 
 
 class TestDestFiltering:
@@ -331,8 +323,8 @@ class TestWalls3D:
         lab = label_grid(fig5_mask)
         mccs = extract_mccs(lab)
         walls = build_walls(mccs)
-        idx = mccs.component_at((7, 8, 4)).index
+        idx = int(mccs.labels[7, 8, 4])
         wz = next(w for w in walls_for(walls, idx) if w.dim == 2)
-        assert wz.forbidden[7, 8, 0] and wz.forbidden[7, 8, 3]
-        assert not wz.forbidden[7, 8, 5]
-        assert wz.critical[7, 8, 9]
+        assert wall_forbidden(wz)[7, 8, 0] and wall_forbidden(wz)[7, 8, 3]
+        assert not wall_forbidden(wz)[7, 8, 5]
+        assert wall_critical(wz)[7, 8, 9]
