@@ -2,9 +2,10 @@
 
 Tracks the vectorized hot paths: labelling fixed point, the monotone
 wavefront flood (single, batched, and the serve tick's mixed-class
-reverse floods), component extraction, wall construction, and the
+reverse floods), component extraction, wall construction, the
 routing service's batch decomposition with its verdicts, at a serve
-tick's and a static sweep's batch size (printed per pair as well).
+tick's and a static sweep's batch size, and a serve tick's walks
+(the batch cases are printed per pair as well).
 
 Two front ends over the same kernel cases:
 
@@ -31,6 +32,7 @@ from repro.core.labelling import label_grid
 from repro.core.walls import build_walls
 from repro.experiments.workloads import random_fault_mask, sample_safe_pair
 from repro.mesh.orientation import Orientation
+from repro.online import OnlineRoutingService
 from repro.routing.batch import RoutingService
 from repro.routing.oracle import (
     monotone_flood,
@@ -163,8 +165,34 @@ def test_kernel_batch_decompose_16_b300(benchmark):
     assert out.shape == (300,)
 
 
+def route_tick_case():
+    """A serve tick's walks: 4 pairs on a warm online 16³ mcc service.
+
+    The mask and pairs of ``batch_decompose_case(4)``.  One
+    ``route_batch`` first builds the pairs' class models and fills
+    their reach caches, so a timed call is the decomposition, the
+    verdicts and the hop-by-hop walks, with no flood.
+    """
+    mask = random_fault_mask((16, 16, 16), 205, rng=6)
+    rng = np.random.default_rng(6)
+    pairs = [sample_safe_pair(~mask, rng=rng, min_distance=2) for _ in range(4)]
+    service = OnlineRoutingService(mask)
+    service.route_batch(pairs)
+    return service, pairs
+
+
+def test_kernel_route_tick_16_b4(benchmark):
+    service, pairs = route_tick_case()
+    out = benchmark(service.route_batch, pairs)
+    assert all(r.delivered for r in out)
+
+
 #: Cases that time one call over a batch of pairs: name -> batch size.
-PAIRS_PER_CALL = {"batch_decompose_16_b4": 4, "batch_decompose_16_b300": 300}
+PAIRS_PER_CALL = {
+    "batch_decompose_16_b4": 4,
+    "batch_decompose_16_b300": 300,
+    "route_tick_16_b4": 4,
+}
 
 
 def build_cases() -> dict:
@@ -183,6 +211,7 @@ def build_cases() -> dict:
     dense_mccs = dense_wall_mccs()
     service_b4, pairs_b4 = batch_decompose_case(4)
     service_b300, pairs_b300 = batch_decompose_case(300)
+    tick_service, tick_pairs = route_tick_case()
     return {
         "labelling_2d_64": lambda: label_grid(mask_2d),
         "labelling_3d_20": lambda: label_grid(mask_3d),
@@ -202,6 +231,7 @@ def build_cases() -> dict:
         "walls_3d_16": lambda: build_walls(dense_mccs),
         "batch_decompose_16_b4": lambda: service_b4.feasible_batch(pairs_b4),
         "batch_decompose_16_b300": lambda: service_b300.feasible_batch(pairs_b300),
+        "route_tick_16_b4": lambda: tick_service.route_batch(tick_pairs),
     }
 
 

@@ -188,8 +188,7 @@ def detect_canonical(
     # verdict therefore comes from the model's distilled exact rule —
     # monotone reachability over the labelled-safe cells, equal to the
     # ground truth for safe endpoints by property P1 — while the
-    # per-message outcomes stay in the report for the fidelity
-    # experiments (T5) and the figures.
+    # per-message outcomes stay in the report for the figures.
     report.feasible = minimal_path_exists(~unsafe, source, dest)
     return report
 
@@ -204,11 +203,15 @@ def detection_feasible(
     walks of Algorithm 6 are only meaningful for full-dimensional
     classes (each message verifies one coordinate, vacuous for a
     degenerate axis), so such pairs are detected on the slice problem:
-    3-D pairs with one degenerate axis run the 2-D walks on the slice.
-    A pair with at most one live axis, in a mesh of any dimension, has
-    a segment for its RMP and is feasible iff that segment is
-    fault-free.  An off-mesh endpoint raises
-    :class:`~repro.util.validation.OffMeshError`, as routing does.
+    3-D pairs with one degenerate axis are detected as 2-D pairs on the
+    slice.  A pair with at most one live axis, in a mesh of any
+    dimension, has a segment for its RMP and is feasible iff that
+    segment is fault-free.  A full-dimensional 2-D or 3-D pair with
+    class-safe endpoints gets :func:`detect_canonical`'s verdict, the
+    monotone reachability over the labelled-safe cells, without running
+    the walks behind its per-message report.  An off-mesh endpoint
+    raises :class:`~repro.util.validation.OffMeshError`, as routing
+    does.
     """
     fault_mask = np.asarray(fault_mask, dtype=bool)
     source = tuple(int(c) for c in source)
@@ -235,10 +238,10 @@ def detection_feasible(
         )
 
     orientation = Orientation.for_pair(source, dest, fault_mask.shape)
-    labelled = cached_labelled(fault_mask, orientation)
+    unsafe = cached_labelled(fault_mask, orientation).unsafe_mask
     cs = orientation.map_coord(source)
     cd = orientation.map_coord(dest)
-    if labelled.unsafe_mask[cs] or labelled.unsafe_mask[cd]:
+    if unsafe[cs] or unsafe[cd]:
         # The walk theorems assume class-safe endpoints (the paper's
         # protocol refuses others).  A degenerate reduction can land
         # here even when the full-dimensional labels were safe: the
@@ -246,8 +249,14 @@ def detection_feasible(
         # an endpoint.  The paper leaves the case undefined — answer
         # with exact reachability so callers get the ground truth.
         return minimal_path_exists(orientation.to_canonical(~fault_mask), cs, cd)
-    report = detect_canonical(labelled.unsafe_mask, cs, cd)
-    return report.feasible
+    ndim = fault_mask.ndim
+    if ndim not in (2, 3):
+        raise NotImplementedError(
+            f"detection walks are defined for 2-D and 3-D meshes, not {ndim}-D"
+        )
+    # detect_canonical's verdict, without the walks and floods whose
+    # per-message outcomes it would report beside it.
+    return minimal_path_exists(~unsafe, cs, cd)
 
 
 def detection_feasible_batch(

@@ -77,15 +77,15 @@ class Orientation:
     # -- point mappings ------------------------------------------------------
 
     def map_coord(self, coord: Sequence[int]) -> Coord:
-        """Map a mesh coordinate into canonical-frame coordinates."""
+        """Map a mesh coordinate into canonical-frame coordinates.
+
+        Reflections are involutions, so the same call maps a canonical
+        coordinate back to the mesh frame.
+        """
         return tuple(
             (k - 1 - c) if s < 0 else c
             for c, s, k in zip(coord, self.signs, self.shape, strict=True)
         )
-
-    def unmap_coord(self, coord: Sequence[int]) -> Coord:
-        """Map a canonical-frame coordinate back to the mesh frame."""
-        return self.map_coord(coord)  # involution
 
     def __repr__(self) -> str:
         pretty = "".join("+" if s > 0 else "-" for s in self.signs)

@@ -5,12 +5,17 @@ Algorithm 6 step 2) for one fault pattern under one fault-information
 model.  It owns the per-class models of :mod:`repro.routing.engine`,
 and routes a pair in four steps:
 
-1. map the pair into its direction class (canonical frame);
-2. feasibility check (model condition; Theorem 1/2);
-3. hop-by-hop forwarding: a candidate direction survives when its
-   neighbor can still reach the destination through permitted nodes —
-   the exact informational content of Algorithm 3 step 2(b)'s boundary
-   records (see ``_ClassModel`` for why this is the distilled form);
+1. map the pair into its direction class (canonical frame) and give
+   its cells C-order flat indices — in the batch decomposition's
+   arrays, or at :meth:`~RoutingService.route`'s entry;
+2. feasibility check (model condition; Theorem 1/2): model-safe
+   endpoints, and the source inside the destination's reach mask;
+3. hop-by-hop forwarding by flat index over one flat view of that
+   reach mask (the open mask in blind mode): a candidate direction
+   survives when its neighbor can still reach the destination through
+   permitted nodes — the exact informational content of Algorithm 3
+   step 2(b)'s boundary records (see ``_ClassModel`` for why this is
+   the distilled form); each hop appends its mesh-frame cell directly;
 4. a pluggable policy picks among the survivors (step 2c).
 
 The experiment sweeps (T2/T4), the DES workloads, and the fault-block
@@ -35,7 +40,9 @@ flood on every cache miss.  The batch methods share all of it:
   flood, each through its own class's open mask, so a batch spanning
   several direction classes pays one kernel call per chunk, not one
   per class;
-* the batch **feasibility check is vectorized**: the class model's
+* each group probes its reach cache **once**: every verdict and every
+  hop of the group's walks reads the same flat view;
+* the ``feasible_batch`` verdicts are **vectorized**: the class model's
   ``unsafe`` array, flattened once per batch, and the cached reach mask
   are gathered at the flat indices of all sources of a group in one
   operation each instead of one probe per pair;
@@ -73,7 +80,9 @@ class _Group(NamedTuple):
     cells in C order over the mesh shape, which is the layout of
     ``unsafe``: the class model's unsafe mask, flattened once per batch
     (a copy for an online class's flipped view) and shared by all of the
-    class's groups.
+    class's groups.  ``cells`` and ``starts`` hold every pair of the
+    batch by input position, also shared: the source in the mesh frame
+    and in the canonical frame, as lists.
     """
 
     orientation: Orientation
@@ -83,6 +92,8 @@ class _Group(NamedTuple):
     sources: np.ndarray  # flat source indices
     dest: Coord
     dest_flat: int
+    cells: list  # mesh-frame source per input position
+    starts: list  # canonical source per input position
 
 
 class RoutingService:
@@ -119,11 +130,13 @@ class RoutingService:
         self.reach_cache_size = engine.REACH_CACHE_SIZE
         self._models: dict[tuple[int, ...], _ClassModel] = {}
         # Frame arithmetic for whole-batch decomposition: the far mesh
-        # corner, the C-order cell strides of the mesh shape, and one
-        # class-key bit per axis.
+        # corner, the C-order cell strides of the mesh shape (also as
+        # ints: the walk's step along each axis), and one class-key bit
+        # per axis.
         shape = self.fault_mask.shape
         self._far = np.subtract(shape, 1, dtype=np.intp)
         self._strides = np.cumprod((1,) + shape[:0:-1], dtype=np.intp)[::-1]
+        self._steps: list[int] = self._strides.tolist()
         self._bits = 1 << np.arange(len(shape), dtype=np.intp)
 
     def _model_for(self, orientation: Orientation) -> _ClassModel:
@@ -158,81 +171,16 @@ class RoutingService:
         s = orientation.map_coord(source)
         d = orientation.map_coord(dest)
         model = self._model_for(orientation)
-
-        reason = self._infeasible_reason(model, s, d)
-        if reason is not None:
-            return RouteResult(
-                delivered=False, path=[source], feasible=False, reason=reason
-            )
-        return self._forward(model, orientation, s, d)
-
-    def _infeasible_reason(
-        self, model: _ClassModel, s: Coord, d: Coord
-    ) -> str | None:
-        """The model's refusal reason for a canonical pair, or None (go).
-
-        Blind mode has no feasibility check: it just tries.
-        """
-        if self.mode == "blind":
-            return None
-        if not model.endpoints_safe(s, d):
-            return "endpoint inside fault region"
-        if not model.feasible(s, d):
-            return "infeasible"
-        return None
-
-    def _forward(
-        self, model: _ClassModel, orientation: Orientation, s: Coord, d: Coord
-    ) -> RouteResult:
-        """Hop-by-hop forwarding loop after a passed (or absent) check.
-
-        Every hop moves one step toward ``d``, so the walk either arrives
-        in exactly ``manhattan(s, d)`` hops or stops with no candidate.
-        After a passed model check every hop stays inside ``d``'s reach
-        mask, so only blind mode can stop — and blind mode ran no check,
-        so a stopped walk's verdict is unknown (``feasible=None``).
-        """
-        pos = s
-        canonical_path = [pos]
-        while pos != d:
-            candidates = self._candidates(model, pos, d)
-            if not candidates:
-                path = [orientation.unmap_coord(c) for c in canonical_path]
-                return RouteResult(
-                    delivered=False,
-                    path=path,
-                    feasible=None,
-                    stuck_at=path[-1],
-                    reason="stuck",
-                )
-            axis = self.policy.choose(candidates, pos, d)
-            if axis not in candidates:
-                raise RuntimeError(f"policy chose non-candidate axis {axis}")
-            nxt = list(pos)
-            nxt[axis] += 1
-            pos = tuple(nxt)
-            canonical_path.append(pos)
-        path = [orientation.unmap_coord(c) for c in canonical_path]
-        return RouteResult(delivered=True, path=path, feasible=True)
-
-    def _candidates(self, model: _ClassModel, pos: Coord, dest: Coord) -> list[int]:
-        """Surviving preferred axes at ``pos`` for ``dest`` (canonical).
-
-        Algorithm 3 step 2's one exclusion rule: step onto a neighbor
-        only if it can still reach ``dest`` through permitted cells.
-        ``dest`` itself passes whenever it is permitted, which a routed
-        pair's model-safe destination always is.  Blind mode has no
-        rule: any non-faulty neighbor will do.
-        """
-        allowed = model._open if self.mode == "blind" else model.reach_mask(dest)
-        out = []
-        for axis in range(len(pos)):
-            if pos[axis] < dest[axis]:
-                nxt = list(pos)
-                nxt[axis] += 1
-                if allowed[tuple(nxt)]:
-                    out.append(axis)
-        return out
+        steps = self._steps
+        at, to = (sum(c * k for c, k in zip(p, steps, strict=True)) for p in (s, d))
+        # A one-pair group: the verdicts and the walk of a batch.
+        group = _Group(
+            orientation, model, model.unsafe.reshape(-1), np.array([0]),
+            np.array([at]), d, to, [source], [s],
+        )
+        results: list[RouteResult | None] = [None]
+        self._route_group(group, results)
+        return results[0]  # type: ignore[return-value]
 
     # -- batched routing ---------------------------------------------------
 
@@ -305,19 +253,21 @@ class RoutingService:
         canonical = np.where(flip[:, None], self._far - arr, arr)
         flat = canonical @ self._strides  # (n, 2)
         keys = flip @ self._bits
+        cells = arr[:, 0].tolist()
         by_class: dict[int, dict[int, list[int]]] = {}
         rows = zip(faulty.tolist(), keys.tolist(), flat[:, 1].tolist(), strict=True)
         for i, (bad, key, dest) in enumerate(rows):
             if bad:
                 results[i] = RouteResult(
                     delivered=False,
-                    path=[tuple(arr[i, 0].tolist())],
+                    path=[tuple(cells[i])],
                     feasible=False,
                     reason="endpoint faulty",
                 )
             else:
                 by_class.setdefault(key, {}).setdefault(dest, []).append(i)
 
+        starts = canonical[:, 0].tolist()
         dests = canonical[:, 1].tolist()
         sources = flat[:, 0]
         groups = []
@@ -331,7 +281,7 @@ class RoutingService:
                 groups.append(
                     _Group(
                         orientation, model, unsafe, indices, sources[indices],
-                        tuple(dests[ids[0]]), dest,
+                        tuple(dests[ids[0]]), dest, cells, starts,
                     )
                 )
         return groups
@@ -380,20 +330,84 @@ class RoutingService:
         return ok
 
     def _route_group(self, group: _Group, results: list[RouteResult | None]) -> None:
-        """Route the pairs of one (class, destination) group."""
-        orientation, model, d = group.orientation, group.model, group.dest
-        feasible = None if self.mode == "blind" else self._group_feasible(group)
-        axes = np.unravel_index(group.sources, orientation.shape)
-        sources = zip(*(axis.tolist() for axis in axes), strict=True)
-        for k, (idx, s) in enumerate(zip(group.indices.tolist(), sources, strict=True)):
-            if feasible is not None and not feasible[k]:
-                # Match route()'s refusal reason exactly.
-                reason = self._infeasible_reason(model, s, d)
+        """Route the pairs of one (class, destination) group.
+
+        A pair is refused when an endpoint is model-unsafe or its source
+        cannot reach the destination; blind mode refuses nothing.  Every
+        verdict and walk of the group reads one flat view of the allowed
+        mask: the destination's reach mask, probed once when the first
+        pair with safe endpoints needs it, or the open mask in blind
+        mode.
+        """
+        model, d, to, unsafe = group.model, group.dest, group.dest_flat, group.unsafe
+        blind = self.mode == "blind"
+        allowed = memoryview(model._open.reshape(-1)) if blind else None
+        signs = group.orientation.signs
+        rows = zip(group.indices.tolist(), group.sources.tolist(), strict=True)
+        for idx, at in rows:
+            cell = tuple(group.cells[idx])
+            reason = None
+            if not blind:
+                if unsafe[at] or unsafe[to]:
+                    reason = "endpoint inside fault region"
+                else:
+                    if allowed is None:
+                        allowed = memoryview(model.reach_mask(d).reshape(-1))
+                    if not allowed[at]:
+                        reason = "infeasible"
+            if reason is None:
+                pos = tuple(group.starts[idx])
+                results[idx] = self._walk(allowed, signs, at, cell, pos, d)
+            else:
                 results[idx] = RouteResult(
-                    delivered=False,
-                    path=[orientation.unmap_coord(s)],
-                    feasible=False,
-                    reason=reason or "infeasible",
+                    delivered=False, path=[cell], feasible=False, reason=reason
                 )
-                continue
-            results[idx] = self._forward(model, orientation, s, d)
+
+    def _walk(
+        self,
+        allowed: memoryview,
+        signs: tuple[int, ...],
+        at: int,
+        cell: Coord,
+        pos: Coord,
+        dest: Coord,
+    ) -> RouteResult:
+        """Forward one pair hop by hop over a flat view of the allowed mask.
+
+        ``pos``/``dest`` are canonical, ``at`` is ``pos``'s flat index
+        and ``cell`` is ``pos`` in the mesh frame.  A step along ``axis``
+        adds the axis's cell stride to ``at`` and ``signs[axis]`` to
+        ``cell``.  Every hop moves one step toward ``dest``, so the walk
+        either arrives in exactly ``manhattan(pos, dest)`` hops or stops
+        with no candidate.  After a passed model check every hop stays
+        inside ``dest``'s reach mask, so only blind mode can stop — and
+        blind mode ran no check, so a stopped walk's verdict is unknown
+        (``feasible=None``).
+        """
+        steps = self._steps
+        choose = self.policy.choose
+        axes = range(len(pos))
+        here, there = list(pos), list(cell)
+        path = [cell]
+        while pos != dest:
+            candidates = []
+            for a in axes:
+                if here[a] < dest[a] and allowed[at + steps[a]]:
+                    candidates.append(a)
+            if not candidates:
+                return RouteResult(
+                    delivered=False,
+                    path=path,
+                    feasible=None,
+                    stuck_at=cell,
+                    reason="stuck",
+                )
+            axis = choose(candidates, pos, dest)
+            if axis not in candidates:
+                raise RuntimeError(f"policy chose non-candidate axis {axis}")
+            at += steps[axis]
+            here[axis] += 1
+            there[axis] += signs[axis]
+            pos, cell = tuple(here), tuple(there)
+            path.append(cell)
+        return RouteResult(delivered=True, path=path, feasible=True)

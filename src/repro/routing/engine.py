@@ -138,17 +138,6 @@ class _ClassModel:
             self._reach.put(dest, mask)
         return mask
 
-    def feasible(self, source: Coord, dest: Coord) -> bool:
-        """Theorem 1/2: a minimal path exists iff the model permits one."""
-        if source == dest:
-            return True
-        if self._blocked[source]:
-            return False
-        return bool(self.reach_mask(dest)[source])
-
-    def endpoints_safe(self, source: Coord, dest: Coord) -> bool:
-        return not (self.unsafe[source] or self.unsafe[dest])
-
 
 def prime_reach(misses: Sequence[tuple[_ClassModel, Coord]]) -> None:
     """Fill the reach caches of many (class model, destination) misses.

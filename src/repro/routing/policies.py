@@ -34,11 +34,11 @@ class FixedOrderPolicy:
         self.order = tuple(order)
 
     def choose(self, candidates, pos, dest) -> int:
-        ranked = [a for a in self.order if a in candidates]
-        if not ranked:
-            # Candidate axis outside the configured order (higher-D mesh).
-            return candidates[0]
-        return ranked[0]
+        for axis in self.order:
+            if axis in candidates:
+                return axis
+        # Candidate axis outside the configured order (higher-D mesh).
+        return candidates[0]
 
     def __repr__(self) -> str:
         return f"FixedOrderPolicy(order={self.order})"

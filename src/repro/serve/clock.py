@@ -60,8 +60,6 @@ class VirtualClock:
         #: one FIFO per deadline, so same-deadline wakeups fire in
         #: registration order (deterministic tie-breaking).
         self._timers = EventQueue()
-        #: Futures still registered in the queue (for pending counts).
-        self._futs: set[asyncio.Future] = set()
         #: Monotone activity counter; the settle loop runs until one
         #: full yield round leaves it unchanged.
         self.activity = 0
@@ -86,22 +84,14 @@ class VirtualClock:
         fut = asyncio.get_running_loop().create_future()
         if when == math.inf:
             # "Sleep forever until cancelled": the event queue
-            # rejects non-finite deadlines, so register the future
+            # rejects non-finite deadlines, so wait on the future
             # without queueing a timer — only cancellation ends the
             # wait, and :meth:`advance` correctly reports no live
             # deadline for it.
-            self._futs.add(fut)
             self.activity += 1
-            try:
-                await fut
-            finally:
-                # Timer futures are normally discarded by ``advance``
-                # when they fire; this one never fires, so clean up on
-                # cancellation here.
-                self._futs.discard(fut)
+            await fut
             return
         self._timers.push(when, fut)  # rejects NaN before registration
-        self._futs.add(fut)
         self.activity += 1
         await fut
 
@@ -116,7 +106,6 @@ class VirtualClock:
         """
         await self._settle()
         timers = self._timers
-        futs = self._futs
         when = None
         due: list[asyncio.Future] = []
         # Pop the earliest deadline group, discarding cancelled timers
@@ -127,7 +116,6 @@ class VirtualClock:
             if next_time is None or (when is not None and next_time != when):
                 break
             _, fut = timers.pop()
-            futs.discard(fut)
             if fut.cancelled():
                 continue
             if when is None:

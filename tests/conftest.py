@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.mesh.orientation import Orientation
+from repro.routing.engine import RouteResult
 from repro.routing.oracle import minimal_path_exists
 
 
@@ -39,6 +40,74 @@ def oracle_feasible(fault_mask: np.ndarray, source, dest) -> bool:
         orientation.map_coord(source),
         orientation.map_coord(dest),
     )
+
+
+def reference_candidates(router, model, pos, dest) -> list[int]:
+    """Surviving preferred axes at canonical ``pos`` for ``dest``.
+
+    The per-hop form of Algorithm 3 step 2's exclusion rule: probe the
+    reach cache, then test each +1 neighbor by its canonical tuple.
+    Blind mode tests the open mask instead.
+    """
+    allowed = model._open if router.mode == "blind" else model.reach_mask(dest)
+    out = []
+    for axis in range(len(pos)):
+        if pos[axis] < dest[axis]:
+            nxt = list(pos)
+            nxt[axis] += 1
+            if allowed[tuple(nxt)]:
+                out.append(axis)
+    return out
+
+
+def reference_route(router, policy, source, dest) -> RouteResult:
+    """What ``router.route(source, dest)`` returns, spelled hop by hop.
+
+    The checks read the class model's masks at canonical tuples, every
+    hop asks :func:`reference_candidates`, ``policy`` picks, and the
+    canonical path maps back to the mesh frame at the end
+    (``map_coord`` is its own inverse).  Shares only the router's class
+    models, so the reach caches it fills are the ones the router reads.
+    """
+    source = tuple(int(c) for c in source)
+    dest = tuple(int(c) for c in dest)
+
+    def refused(reason):
+        return RouteResult(
+            delivered=False, path=[source], feasible=False, reason=reason
+        )
+
+    if router.fault_mask[source] or router.fault_mask[dest]:
+        return refused("endpoint faulty")
+    orientation = Orientation.for_pair(source, dest, router.fault_mask.shape)
+    s, d = orientation.map_coord(source), orientation.map_coord(dest)
+    model = router._model_for(orientation)
+    if router.mode != "blind":
+        if model.unsafe[s] or model.unsafe[d]:
+            return refused("endpoint inside fault region")
+        if s != d and (model._blocked[s] or not model.reach_mask(d)[s]):
+            return refused("infeasible")
+    pos, canonical_path = s, [s]
+    while pos != d:
+        candidates = reference_candidates(router, model, pos, d)
+        if not candidates:
+            path = [orientation.map_coord(c) for c in canonical_path]
+            return RouteResult(
+                delivered=False,
+                path=path,
+                feasible=None,
+                stuck_at=path[-1],
+                reason="stuck",
+            )
+        axis = policy.choose(candidates, pos, d)
+        if axis not in candidates:
+            raise RuntimeError(f"policy chose non-candidate axis {axis}")
+        nxt = list(pos)
+        nxt[axis] += 1
+        pos = tuple(nxt)
+        canonical_path.append(pos)
+    path = [orientation.map_coord(c) for c in canonical_path]
+    return RouteResult(delivered=True, path=path, feasible=True)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -3,8 +3,9 @@
 Covers the two routing-engine regressions (blind-mode feasibility
 verdict, faulty-endpoint handling), the batched flood kernel, the LRU
 bound on reach caches, the cross-class flood chunks, and the headline
-property: ``route_batch`` is element-wise identical to per-call
-``RoutingService.route``.
+properties: ``route_batch`` is element-wise identical to per-call
+``RoutingService.route``, and both equal the per-hop reference
+(``tests.conftest.reference_route``) that walks by canonical tuples.
 """
 
 import hashlib
@@ -17,12 +18,13 @@ from hypothesis import strategies as st
 from repro.baselines.rfb import rfb_unsafe
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import mask_of_cells
+from repro.online import OnlineRoutingService
 from repro.routing import engine
 from repro.routing.batch import RoutingService
 from repro.routing.oracle import WORD_BITS, reverse_reachable, reverse_reachable_many
 from repro.routing.policies import DiagonalPolicy, FixedOrderPolicy, RandomPolicy
 from repro.util.caching import LRUCache
-from tests.conftest import random_mask
+from tests.conftest import random_mask, reference_route
 
 
 def results_equal(a, b):
@@ -465,3 +467,102 @@ class TestOneDecomposition:
         assert verdicts.tolist() == [r.feasible is True for r in want]
         assert seen == groups
         assert floods == primed
+
+
+def policy_maker(kind: str, ndim: int, rng):
+    """A builder of fresh policies that all choose alike.
+
+    "fixed" is the default axis order, which a 4-D mesh outruns;
+    "permuted" a random order of the mesh's axes; "random" a seeded
+    :class:`RandomPolicy`, rebuilt from its seed on every call.
+    """
+    if kind == "fixed":
+        return FixedOrderPolicy
+    if kind == "permuted":
+        order = tuple(int(a) for a in rng.permutation(ndim))
+        return lambda: FixedOrderPolicy(order)
+    if kind == "diagonal":
+        return DiagonalPolicy
+    seed = int(rng.integers(2**32))
+    return lambda: RandomPolicy(seed)
+
+
+def churned_service(mask, mode, pairs, rng):
+    """An online service whose class models outlived inject and repair.
+
+    The pairs route once first, so their classes hold models and reach
+    caches when the events arrive; rfb, oracle and blind class models
+    then hold flipped, non-contiguous views of the live masks.
+    """
+    service = OnlineRoutingService(mask, mode=mode)
+    service.route_batch(pairs)
+    live = service.fault_mask
+    for _ in range(2):
+        healthy = np.argwhere(~live)
+        if len(healthy) > 1:
+            picks = rng.choice(len(healthy), min(2, len(healthy) - 1), replace=False)
+            service.inject([tuple(int(v) for v in healthy[i]) for i in picks])
+        faulty = np.argwhere(live)
+        if len(faulty):
+            service.repair([tuple(int(v) for v in faulty[rng.integers(len(faulty))])])
+    return service
+
+
+class TestPerHopReference:
+    """``route`` and ``route_batch`` equal the per-hop reference walk."""
+
+    @pytest.mark.parametrize("online", [False, True])
+    @pytest.mark.parametrize("mode", RoutingService.MODES)
+    @given(
+        SHAPES,
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 35),
+        st.sampled_from([4, 40]),
+        st.booleans(),
+        st.sampled_from(["fixed", "permuted", "diagonal", "random"]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_route_and_batch_match_reference(
+        self, mode, online, shape, seed, percent, count, strided, kind
+    ):
+        rng = np.random.default_rng(seed)
+        mask, pairs = drawn_batch(rng, shape, percent, count, strided)
+        pairs += [(s, s) for s, _ in pairs[:2]]
+        make = policy_maker(kind, len(shape), rng)
+        if online:
+            front = churned_service(mask, mode, pairs, rng)
+            router = front.router
+        else:
+            front = router = RoutingService(mask, mode=mode)
+        live = router.fault_mask
+
+        router.policy, policy = make(), make()
+        for pair in pairs:
+            got = front.route(*pair)
+            want = reference_route(router, policy, *pair)
+            assert results_equal(got, want), (pair, got, want)
+
+        # A batch draws its choices in group order.
+        router.policy, policy = make(), make()
+        got = front.route_batch(pairs)
+        want = {}
+        for _, _, items in reference_groups(live, pairs):
+            for i, _ in items:
+                want[i] = reference_route(router, policy, *pairs[i])
+        for i, pair in enumerate(pairs):
+            if i not in want:  # a faulty endpoint: refused before any choice
+                want[i] = reference_route(router, policy, *pair)
+            assert results_equal(got[i], want[i]), (pair, got[i], want[i])
+
+    @pytest.mark.parametrize("mode", RoutingService.MODES)
+    def test_non_candidate_choice_raises(self, mode):
+        class Contrary:
+            def choose(self, candidates, pos, dest):
+                return len(pos)
+
+        mask = np.zeros((4, 4), dtype=bool)
+        service = RoutingService(mask, mode=mode, policy=Contrary())
+        with pytest.raises(RuntimeError, match="non-candidate"):
+            service.route((0, 3), (3, 0))
+        with pytest.raises(RuntimeError, match="non-candidate"):
+            service.route_batch([((0, 0), (3, 3))])

@@ -66,7 +66,7 @@ class TestCoordMapping:
     @settings(max_examples=60, deadline=None)
     def test_map_unmap_involution(self, sx, sy, sz, coord):
         o = Orientation((sx, sy, sz), (6, 6, 6))
-        assert o.unmap_coord(o.map_coord(coord)) == coord
+        assert o.map_coord(o.map_coord(coord)) == coord
 
     def test_pair_becomes_canonical(self, rng):
         for _ in range(30):

@@ -152,7 +152,7 @@ class TestEndToEnd:
     def test_orientation_roundtrip_via_api(self):
         o = repro.Orientation.for_pair((5, 1), (2, 4), (6, 6))
         assert o.signs == (-1, 1)
-        assert o.unmap_coord(o.map_coord((5, 1))) == (5, 1)
+        assert o.map_coord(o.map_coord((5, 1))) == (5, 1)
 
     def test_baselines_via_api(self):
         faults = np.zeros((5, 5), dtype=bool)

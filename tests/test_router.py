@@ -26,7 +26,7 @@ from repro.routing.policies import (
     RandomPolicy,
     make_policy,
 )
-from tests.conftest import oracle_feasible, random_mask
+from tests.conftest import oracle_feasible, random_mask, reference_candidates
 
 
 def explore_all_choices(router, source, dest) -> tuple[bool, int]:
@@ -49,7 +49,7 @@ def explore_all_choices(router, source, dest) -> tuple[bool, int]:
         pos = stack.pop()
         if pos == d:
             continue
-        candidates = router._candidates(model, pos, d)
+        candidates = reference_candidates(router, model, pos, d)
         if not candidates:
             ok = False
             continue
@@ -81,7 +81,7 @@ def candidate_sets_match(router, source, dest) -> bool:
         pos = stack.pop()
         if pos == d:
             continue
-        mcc_cands = set(router._candidates(model, pos, d))
+        mcc_cands = set(reference_candidates(router, model, pos, d))
         oracle_cands = set()
         for axis in range(len(pos)):
             if pos[axis] >= d[axis]:
@@ -278,7 +278,8 @@ def class_safe_pairs(mask: np.ndarray, mode: str = "mcc") -> list:
     for s in cells:
         for d in cells:
             o = Orientation.for_pair(s, d, mask.shape)
-            if router._model_for(o).endpoints_safe(o.map_coord(s), o.map_coord(d)):
+            unsafe = router._model_for(o).unsafe
+            if not (unsafe[o.map_coord(s)] or unsafe[o.map_coord(d)]):
                 pairs.append((s, d))
     return pairs
 
