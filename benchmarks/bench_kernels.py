@@ -4,8 +4,9 @@ Tracks the vectorized hot paths: labelling fixed point, the monotone
 wavefront flood (single, batched, and the serve tick's mixed-class
 reverse floods), component extraction, wall construction, the
 routing service's batch decomposition with its verdicts, at a serve
-tick's and a static sweep's batch size, and a serve tick's walks
-(the batch cases are printed per pair as well).
+tick's and a static sweep's batch size, a serve tick's walks (the
+batch cases are printed per pair as well), and a serve fault event's
+incremental relabel.
 
 Two front ends over the same kernel cases:
 
@@ -20,6 +21,7 @@ Two front ends over the same kernel cases:
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -187,6 +189,40 @@ def test_kernel_route_tick_16_b4(benchmark):
     assert all(r.delivered for r in out)
 
 
+def fault_event_case():
+    """A serve fault event: one 2-cell inject and its repair.
+
+    The mask of ``route_tick_case`` on a warm online 16³ mcc service
+    with all 8 direction classes built, their reach caches filled once
+    by a 64-pair batch.  A timed call injects two healthy cells and repairs
+    them, so every call starts from the same labels: the relabel and
+    scoped-eviction cost of two serve-churn events.
+    """
+    mask = random_fault_mask((16, 16, 16), 205, rng=6)
+    rng = np.random.default_rng(6)
+    pairs = [sample_safe_pair(~mask, rng=rng, min_distance=2) for _ in range(64)]
+    service = OnlineRoutingService(mask)
+    service.route_batch(pairs)
+    for signs in itertools.product((1, -1), repeat=3):
+        service.router._model_for(Orientation(signs, mask.shape))
+    healthy = np.argwhere(~mask)
+    picks = rng.choice(len(healthy), 2, replace=False)
+    cells = [tuple(int(c) for c in healthy[i]) for i in picks]
+
+    def event():
+        service.inject(cells)
+        service.repair(cells)
+
+    return service, event
+
+
+def test_kernel_fault_event_16(benchmark):
+    service, event = fault_event_case()
+    epoch = service.epoch
+    benchmark(event)
+    assert service.epoch > epoch and len(service.model._classes) == 8
+
+
 #: Cases that time one call over a batch of pairs: name -> batch size.
 PAIRS_PER_CALL = {
     "batch_decompose_16_b4": 4,
@@ -212,6 +248,7 @@ def build_cases() -> dict:
     service_b4, pairs_b4 = batch_decompose_case(4)
     service_b300, pairs_b300 = batch_decompose_case(300)
     tick_service, tick_pairs = route_tick_case()
+    _, fault_event = fault_event_case()
     return {
         "labelling_2d_64": lambda: label_grid(mask_2d),
         "labelling_3d_20": lambda: label_grid(mask_3d),
@@ -232,6 +269,7 @@ def build_cases() -> dict:
         "batch_decompose_16_b4": lambda: service_b4.feasible_batch(pairs_b4),
         "batch_decompose_16_b300": lambda: service_b300.feasible_batch(pairs_b300),
         "route_tick_16_b4": lambda: tick_service.route_batch(tick_pairs),
+        "fault_event_16": fault_event,
     }
 
 

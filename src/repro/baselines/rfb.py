@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from repro.core.labelling import FAULTY, LabelledGrid, SAFE, USELESS, _shifted_blocked
+from repro.core.labelling import LabelledGrid, _shifted_blocked, compose_status
 from repro.core.model_cache import cached_mesh_status
 from repro.mesh.orientation import Orientation
 from repro.mesh.regions import Box
@@ -83,12 +83,12 @@ def rfb_unsafe(fault_mask: np.ndarray, variant: str = "block") -> np.ndarray:
 
 
 def _rfb_status(fault_mask: np.ndarray) -> np.ndarray:
-    """Mesh-frame status grid: FAULTY faults, USELESS other block members."""
+    """Mesh-frame status grid: FAULTY faults, USELESS other block members.
+
+    A block blocks both labelling rules, and USELESS wins the tie.
+    """
     unsafe = rfb_unsafe(fault_mask)
-    status = np.zeros(fault_mask.shape, dtype=np.int8)
-    status[unsafe] = USELESS
-    status[fault_mask] = FAULTY
-    return status
+    return compose_status(fault_mask, unsafe, unsafe)
 
 
 class DynamicRFBState:
@@ -96,10 +96,11 @@ class DynamicRFBState:
 
     The online counterpart of :func:`rfb_unsafe` (the baseline analog of
     the MCC model's :class:`repro.online.dynamic_model.DynamicFaultModel`):
-    ``unsafe``/``open``/``status`` are mesh-frame arrays mutated **in
-    place**, so router-side model state may alias them (per direction
-    class via orientation views, as :func:`rfb_labelled` shares one
-    frozen grid per mask: RFB regions are direction-independent).
+    ``unsafe`` and its complement ``open`` are mesh-frame arrays mutated
+    **in place**, so the online router's class models alias them (per
+    direction class via orientation views, as :func:`rfb_labelled`
+    shares one frozen grid per mask: RFB regions are
+    direction-independent).
 
     :meth:`apply` is a **block-local recompute**.  Its region is the
     fill rule seeded with the event: the component of
@@ -124,7 +125,6 @@ class DynamicRFBState:
         self.shape = tuple(fault_mask.shape)
         self.unsafe = np.zeros(self.shape, dtype=bool)
         self.open = np.ones(self.shape, dtype=bool)
-        self.status = np.zeros(self.shape, dtype=np.int8)
         self._recompute(tuple(slice(0, k) for k in self.shape))
 
     def _recompute(self, region: tuple[slice, ...]) -> np.ndarray:
@@ -132,13 +132,11 @@ class DynamicRFBState:
 
         Returns the cells (region-relative) whose unsafe bit changed.
         """
-        old = self.unsafe[region].copy()
-        status = _rfb_status(self.fault_mask[region])
-        new = status != SAFE
+        new = rfb_unsafe(self.fault_mask[region])
+        changed = np.argwhere(self.unsafe[region] != new)
         self.unsafe[region] = new
         self.open[region] = ~new
-        self.status[region] = status
-        return np.argwhere(old != new)
+        return changed
 
     def apply(self, cells, kind: str) -> tuple[Box | None, int, bool]:
         """Recompute after ``cells`` changed state (mask already mutated).
@@ -152,9 +150,7 @@ class DynamicRFBState:
         cells = [tuple(int(v) for v in c) for c in cells]
         if kind == "inject" and all(self.unsafe[c] for c in cells):
             # New faults strictly inside existing blocks: the closure
-            # and the block set are unchanged, only the status colors.
-            for c in cells:
-                self.status[c] = FAULTY
+            # and the block set are unchanged.
             return None, 0, False
         lo, hi = np.min(cells, axis=0), np.max(cells, axis=0)
         seeded = self.unsafe.copy()
@@ -184,9 +180,9 @@ def rfb_labelled(
 ) -> LabelledGrid:
     """Present the RFB region as a :class:`LabelledGrid`.
 
-    Non-faulty block members get status USELESS so the whole MCC
-    machinery (components, shadows, walls, conditions, router records)
-    runs unchanged on the baseline model — only the regions differ.
+    Non-faulty block members get status USELESS, so the baseline reads
+    like an MCC labelling (routing takes its ``unsafe_mask`` and
+    ``open_mask``) — only the regions differ.
     RFB regions are direction-independent: the mask's mesh-frame status
     is computed once per mask content
     (:func:`~repro.core.model_cache.cached_mesh_status`), and each

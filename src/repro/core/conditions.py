@@ -24,15 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.components import MCCSet
 from repro.core.labelling import LabelledGrid
-from repro.core.model_cache import cached_class_assets
-from repro.core.walls import Wall
+from repro.core.model_cache import cached_labelled
 from repro.mesh.orientation import Orientation
 
 
 def minimal_path_exists_lemma1(
-    walls: list[Wall],
     source: Sequence[int],
     dest: Sequence[int],
     labelled: LabelledGrid,
@@ -53,12 +50,12 @@ def minimal_path_exists_lemma1(
     The evaluation is monotone reachability over the MCC-safe nodes —
     the exact content of the theorem ("if there exists no minimal
     routing under the MCC model, there will be absolutely no minimal
-    routing", Section 3), equal to the oracle by property P1.  The
-    ``walls`` argument is not read.  The literal region-membership
-    form ("no wall with s ∈ Q and d ∈ Q'") is exact in 2-D but not in
-    3-D: *stacked shadows* (one MCC's shadow abutting another's along
-    the third axis) can trap a source without any single merged wall
-    containing it, so reachability is the canonical evaluation
+    routing", Section 3), equal to the oracle by property P1, so no
+    wall is needed.  The literal region-membership form ("no wall with
+    s ∈ Q and d ∈ Q'") is exact in 2-D but not in 3-D: *stacked
+    shadows* (one MCC's shadow abutting another's along the third axis)
+    can trap a source without any single merged wall containing it, so
+    reachability is the canonical evaluation
     (DESIGN.md interpretation 3; ``tests/test_conditions.py`` keeps the
     membership form as a reference).  T5 in DESIGN.md "Experiment
     index" measures the agreement rates.
@@ -78,48 +75,32 @@ def minimal_path_exists_lemma1(
 
 
 class ConditionEvaluator:
-    """Caches labelling/MCCs/walls per direction class for one fault mask.
+    """Theorem 1/2 verdicts for arbitrary pairs over one fault mask.
 
     Monte-Carlo experiments evaluate many (source, dest) pairs against a
-    single fault pattern; this class does the per-class heavy lifting
-    once (there are 4 classes in 2-D, 8 in 3-D).  The per-class assets
-    additionally come from the process-wide content-addressed cache
+    single fault pattern.  Each pair's direction class is labelled once
+    per process: labellings come from the content-addressed cache
     (:mod:`repro.core.model_cache`), so an evaluator, a router, and the
     detection pass labelling the same pattern share one fixed point per
-    class.
+    class (there are 4 classes in 2-D, 8 in 3-D).
     """
 
     def __init__(self, fault_mask: np.ndarray):
         self.fault_mask = np.asarray(fault_mask, dtype=bool)
-        self._cache: dict[tuple[int, ...], tuple[LabelledGrid, MCCSet, list[Wall]]] = {}
-
-    def for_orientation(
-        self, orientation: Orientation
-    ) -> tuple[LabelledGrid, MCCSet, list[Wall]]:
-        key = orientation.signs
-        if key not in self._cache:
-            # Digest taken at labelling time: the global entry always
-            # matches the content that was actually labelled.
-            self._cache[key] = cached_class_assets(
-                self.fault_mask, orientation
-            )
-        return self._cache[key]
 
     def exists(self, source: Sequence[int], dest: Sequence[int]) -> bool:
         """Theorem-based feasibility for an arbitrary mesh-frame pair."""
         orientation = Orientation.for_pair(source, dest, self.fault_mask.shape)
-        labelled, _, walls = self.for_orientation(orientation)
         return minimal_path_exists_lemma1(
-            walls,
             orientation.map_coord(source),
             orientation.map_coord(dest),
-            labelled=labelled,
+            labelled=cached_labelled(self.fault_mask, orientation),
         )
 
     def endpoint_safe(self, source: Sequence[int], dest: Sequence[int]) -> bool:
         """True when both endpoints are safe in the pair's direction class."""
         orientation = Orientation.for_pair(source, dest, self.fault_mask.shape)
-        labelled, _, _ = self.for_orientation(orientation)
+        labelled = cached_labelled(self.fault_mask, orientation)
         return (
             labelled.status[orientation.map_coord(source)] == 0
             and labelled.status[orientation.map_coord(dest)] == 0

@@ -70,15 +70,18 @@ def _shifted_blocked(blocked: np.ndarray, axis: int, sign: int) -> np.ndarray:
     return out
 
 
-def _closure(fault_mask: np.ndarray, sign: int) -> np.ndarray:
-    """Fixed point of one labelling rule.
+def _fixed_point(
+    blocked: np.ndarray, sign: int, core: np.ndarray | None = None
+) -> int:
+    """Run one labelling rule to its fixed point, in place.
 
-    ``sign=+1`` computes the USELESS set (positive neighbors blocked),
-    ``sign=-1`` the CANT_REACH set.  Returns a boolean mask of the newly
-    labelled (non-faulty) nodes.
+    ``sign=+1`` is the USELESS rule (every positive neighbor blocked),
+    ``sign=-1`` the CANT_REACH rule.  ``blocked`` holds the faults plus
+    the nodes labelled so far; with ``core``, only its cells may
+    change.  Returns the number of newly blocked cells.
     """
-    ndim = fault_mask.ndim
-    blocked = fault_mask.copy()
+    ndim = blocked.ndim
+    changed = 0
     while True:
         neigh = _shifted_blocked(blocked, 0, sign)
         for axis in range(1, ndim):
@@ -86,10 +89,25 @@ def _closure(fault_mask: np.ndarray, sign: int) -> np.ndarray:
         # Only not-yet-blocked nodes can change; count them and update
         # in place rather than allocating a fresh mask per sweep.
         neigh &= ~blocked
-        if int(neigh.sum()) == 0:
-            break
+        if core is not None:
+            neigh &= core
+        new = np.count_nonzero(neigh)
+        if new == 0:
+            return changed
+        changed += new
         blocked |= neigh
-    return blocked & ~fault_mask
+
+
+def closure(fault_mask: np.ndarray, sign: int) -> np.ndarray:
+    """The full blocked mask of one labelling rule over the whole mesh.
+
+    The faults plus the nodes the rule labels: USELESS for ``sign=+1``,
+    CANT_REACH for ``sign=-1``.  A fresh array; ``fault_mask`` is only
+    read.
+    """
+    blocked = np.array(fault_mask, dtype=bool)
+    _fixed_point(blocked, sign)
+    return blocked
 
 
 def closure_region(
@@ -146,19 +164,9 @@ def closure_region(
             else:
                 idx[axis] = slice(None, view.shape[axis] - span)
             core[tuple(idx)] = False
-        changed = 0
-        while True:
-            neigh = _shifted_blocked(view, 0, sign)
-            for axis in range(1, ndim):
-                neigh &= _shifted_blocked(view, axis, sign)
-            neigh &= ~view
-            neigh &= core
-            new = int(neigh.sum())
-            if new == 0:
-                sp.set(changed=changed)
-                return changed
-            changed += new
-            view |= neigh
+        changed = _fixed_point(view, sign, core)
+        sp.set(changed=changed)
+    return changed
 
 
 @dataclass(frozen=True)
@@ -182,6 +190,11 @@ class LabelledGrid:
     def unsafe_mask(self) -> np.ndarray:
         """Faulty or useless or can't-reach (the MCC node set)."""
         return self.status != SAFE
+
+    @property
+    def open_mask(self) -> np.ndarray:
+        """Neither faulty nor useless: the cells reach masks flood through."""
+        return (self.status != FAULTY) & (self.status != USELESS)
 
     @property
     def safe_mask(self) -> np.ndarray:
@@ -213,14 +226,25 @@ def label_grid(
     """
     if orientation is None:
         orientation = Orientation.identity(fault_mask.shape)
-    canonical_faults = orientation.to_canonical(np.asarray(fault_mask, dtype=bool))
-    useless = _closure(canonical_faults, +1)
-    cant = _closure(canonical_faults, -1)
-    status = np.zeros(canonical_faults.shape, dtype=np.int8)
-    status[cant] = CANT_REACH
-    status[useless] = USELESS  # USELESS wins ties, see docstring
-    status[canonical_faults] = FAULTY
+    faults = orientation.to_canonical(np.asarray(fault_mask, dtype=bool))
+    status = compose_status(faults, closure(faults, +1), closure(faults, -1))
     return LabelledGrid(status=status, orientation=orientation)
+
+
+def compose_status(
+    faults: np.ndarray, useless_blocked: np.ndarray, cant_blocked: np.ndarray
+) -> np.ndarray:
+    """The status grid of one direction class from its two closures.
+
+    ``useless_blocked``/``cant_blocked`` are the faults plus the USELESS
+    / CANT_REACH nodes (:func:`closure`).  A node in both is USELESS
+    (see :func:`label_grid`); faults are FAULTY.
+    """
+    status = np.zeros(faults.shape, dtype=np.int8)
+    status[cant_blocked] = CANT_REACH
+    status[useless_blocked] = USELESS
+    status[faults] = FAULTY
+    return status
 
 
 def unsafe_mask(fault_mask: np.ndarray) -> np.ndarray:

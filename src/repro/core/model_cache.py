@@ -13,13 +13,15 @@ mesh-frame grid (DESIGN.md "Cross-pattern labelling reuse").
 
 Three kinds of entry share one bounded LRU:
 
-* :func:`cached_labelled` — just the :class:`LabelledGrid` fixed point;
+* :func:`cached_labelled` — just the :class:`LabelledGrid` fixed point
+  (what the condition evaluator and the detection pass read);
 * :func:`cached_class_assets` — labelled grid + extracted MCCs + walls
-  (what the engine and the condition evaluator consume);
+  (what a static mcc routing service builds; it reads only the
+  labelling);
 * :func:`cached_mesh_status` — one mesh-frame status grid per mask for
   a direction-independent model (RFB): every class's labelling is an
   orientation view of it, so the model runs once per mask, not once per
-  class.
+  class, and an RFB class builds no MCCs or walls.
 
 Cached arrays are frozen (``writeable=False``): every consumer treats
 model state as immutable, and the flag turns an accidental in-place
@@ -43,12 +45,11 @@ from repro.mesh.orientation import Orientation
 from repro.util.caching import LRUCache, mask_digest
 
 #: Bound on cached (pattern, class, kind) entries.  A labelling entry
-#: is one int8 status grid (an RFB one a view of its mask's mesh-frame
-#: entry); an assets entry adds the MCC label grid and cell lists, one
-#: shared safe mask, and two column-height arrays per wall — 64 holds a
-#: 3-D pattern's 17 RFB entries (8 classes, a labelling and an assets
-#: entry each, plus the mesh-frame grid) without pinning unbounded
-#: sweeps.
+#: is one int8 status grid; an assets entry adds the MCC label grid and
+#: cell lists, one shared safe mask, and two column-height arrays per
+#: wall; an RFB mask takes one mesh-frame grid entry.  64 holds a 3-D
+#: pattern's 16 mcc entries (8 classes, a labelling and an assets entry
+#: each) and its RFB entry without pinning unbounded sweeps.
 DEFAULT_LABELLING_CACHE_SIZE = 64
 
 LABELLING_CACHE: LRUCache[tuple, tuple] = LRUCache(DEFAULT_LABELLING_CACHE_SIZE)

@@ -4,9 +4,11 @@
 direction class that has been requested, the two closure masks behind
 the paper's labelling (Algorithm 1/4): ``useless_blocked`` (faults plus
 USELESS nodes — the ``sign=+1`` fixed point) and ``cant_blocked``
-(faults plus CANT_REACH — ``sign=-1``).  The displayed
-:class:`LabelledGrid` status is composed from those masks with exactly
-:func:`label_grid`'s tie rule, so the incremental labels are
+(faults plus CANT_REACH — ``sign=-1``).  Routing reads the two masks
+derived from them, ``open`` (neither faulty nor useless) and ``unsafe``
+(blocked by either rule).  :meth:`DynamicFaultModel.labelled_for`
+composes a status grid from the closures with
+:func:`~repro.core.labelling.label_grid`'s own composition, and it is
 byte-identical to a from-scratch labelling of the current mask
 (property-tested).
 
@@ -54,15 +56,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.labelling import (
-    CANT_REACH,
-    FAULTY,
-    SAFE,
-    USELESS,
-    LabelledGrid,
-    _closure,
-    closure_region,
-)
+from repro.core.labelling import LabelledGrid, closure, closure_region, compose_status
 from repro.mesh.coords import Coord
 from repro.mesh.orientation import Orientation
 
@@ -119,28 +113,21 @@ class FaultEvent:
 class _DynamicClass:
     """One direction class's incrementally maintained label state.
 
-    All arrays are canonical-frame and mutated in place, so router-side
-    model state may alias them (``useless_blocked`` *is* the engine's
-    blocked mask, ``open`` its complement, ``status`` the labelled
-    grid's storage) and stays current without copies.
+    All arrays are canonical-frame and mutated in place, so the router's
+    class model aliases ``unsafe`` and ``open`` and stays current
+    without copies.
     """
 
     def __init__(self, orientation: Orientation, mesh_faults: np.ndarray):
         self.orientation = orientation
-        self.shape = tuple(orientation.to_canonical(mesh_faults).shape)
-        self.size = 1
-        for k in self.shape:
-            self.size *= k
         # Live view: mesh-frame mutations show through automatically.
         self.faults = orientation.to_canonical(mesh_faults)
-        faults = np.ascontiguousarray(self.faults)
-        self.useless_blocked = _closure(faults, +1) | faults
-        self.cant_blocked = _closure(faults, -1) | faults
+        self.shape = tuple(self.faults.shape)
+        self.size = self.faults.size
+        self.useless_blocked = closure(self.faults, +1)
+        self.cant_blocked = closure(self.faults, -1)
         self.open = ~self.useless_blocked
-        self.status = np.zeros(self.shape, dtype=np.int8)
-        self.unsafe = np.zeros(self.shape, dtype=bool)
-        self._refresh_box((0,) * len(self.shape), tuple(k - 1 for k in self.shape))
-        self.labelled = LabelledGrid(status=self.status, orientation=orientation)
+        self.unsafe = self.useless_blocked | self.cant_blocked
         self.label_count = {
             +1: int((self.useless_blocked & ~self.faults).sum()),
             -1: int((self.cant_blocked & ~self.faults).sum()),
@@ -152,30 +139,17 @@ class _DynamicClass:
     # -- shared helpers ----------------------------------------------------
 
     def _refresh_box(self, lo: Sequence[int], hi: Sequence[int]) -> None:
-        """Recompose status/open/unsafe from the masks inside a box."""
+        """Rederive open/unsafe from the closure masks inside a box."""
         sl = tuple(slice(a, b + 1) for a, b in zip(lo, hi, strict=True))
-        faults = self.faults[sl]
-        status = self.status[sl]
-        status[...] = SAFE
-        status[self.cant_blocked[sl] & ~faults] = CANT_REACH
-        # USELESS wins ties, exactly as label_grid composes it.
-        status[self.useless_blocked[sl] & ~faults] = USELESS
-        status[faults] = FAULTY
-        self.open[sl] = ~self.useless_blocked[sl]
-        self.unsafe[sl] = status != SAFE
+        useless = self.useless_blocked[sl]
+        self.open[sl] = ~useless
+        self.unsafe[sl] = useless | self.cant_blocked[sl]
 
     def _refresh_cells(self, cells: Iterable[Coord]) -> None:
         for c in cells:
-            if self.faults[c]:
-                self.status[c] = FAULTY
-            elif self.useless_blocked[c]:
-                self.status[c] = USELESS
-            elif self.cant_blocked[c]:
-                self.status[c] = CANT_REACH
-            else:
-                self.status[c] = SAFE
-            self.open[c] = not self.useless_blocked[c]
-            self.unsafe[c] = self.status[c] != SAFE
+            useless = self.useless_blocked[c]
+            self.open[c] = not useless
+            self.unsafe[c] = useless or self.cant_blocked[c]
 
     def _rule_holds(self, blocked: np.ndarray, cell: Coord, sign: int) -> bool:
         """All sign-side neighbors exist and are blocked (border rule:
@@ -336,9 +310,8 @@ class _DynamicClass:
 
     def rebuild(self, event: FaultEvent | None = None) -> None:
         """From-scratch relabel of this class, in place (fallback path)."""
-        faults = np.ascontiguousarray(self.faults)
-        self.useless_blocked[...] = _closure(faults, +1) | faults
-        self.cant_blocked[...] = _closure(faults, -1) | faults
+        self.useless_blocked[...] = closure(self.faults, +1)
+        self.cant_blocked[...] = closure(self.faults, -1)
         before = self.label_count.copy()
         self.label_count = {
             +1: int((self.useless_blocked & ~self.faults).sum()),
@@ -347,7 +320,7 @@ class _DynamicClass:
         self._refresh_box((0,) * len(self.shape), tuple(k - 1 for k in self.shape))
         if event is not None:
             event.full_recomputes += 1
-            event.dirty_cells += 2 * int(np.prod(self.shape))
+            event.dirty_cells += 2 * self.size
             event.label_delta += sum(self.label_count.values()) - sum(
                 before.values()
             )
@@ -391,8 +364,14 @@ class DynamicFaultModel:
         return self._classes[key]
 
     def labelled_for(self, orientation: Orientation | None = None) -> LabelledGrid:
-        """The (live) labelled grid of one direction class."""
-        return self.class_for(orientation).labelled
+        """One direction class's labelled grid at the current epoch.
+
+        Composed afresh from the class's closure masks, so it is a
+        snapshot: later events do not show through.
+        """
+        cls = self.class_for(orientation)
+        status = compose_status(cls.faults, cls.useless_blocked, cls.cant_blocked)
+        return LabelledGrid(status=status, orientation=cls.orientation)
 
     def fault_count(self) -> int:
         return int(self.fault_mask.sum())

@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.analysis.sanitize import maybe_sanitize_online_service
 from repro.baselines.rfb import DynamicRFBState
-from repro.core.labelling import FAULTY, SAFE, LabelledGrid
 from repro.mesh.coords import Coord
 from repro.mesh.orientation import Orientation
 from repro.online.dynamic_model import DynamicFaultModel, FaultEvent
@@ -55,17 +54,15 @@ from repro.util.validation import check_shape_member
 class _OnlineRouter(RoutingService):
     """A :class:`RoutingService` whose models track a dynamic fault set.
 
-    In "mcc" mode each class model *aliases* the dynamic class's arrays
-    (the blocked mask of the engine is the + closure mask, its
-    complement the flood-open mask, the labelled grid the composed
-    status), so every fault event updates routing state with no
+    Each class model *aliases* two live arrays, ``unsafe`` and
+    ``open``, so every fault event updates routing state with no
     rebuild; only the per-destination caches need scoped eviction.  In
-    "rfb" mode the class models alias orientation views of one shared
-    :class:`~repro.baselines.rfb.DynamicRFBState` — the baseline's
-    block set is direction-independent, so a single block-local
-    recompute per event serves all 2^n classes.  In "oracle"/"blind"
-    modes the class models alias orientation views of the live fault
-    mask and its complement: the faults-only labelling.
+    "mcc" mode they are the dynamic class's own.  The other modes take
+    orientation views of one mesh-frame pair: in "rfb" mode the shared
+    :class:`~repro.baselines.rfb.DynamicRFBState` (the baseline's block
+    set is direction-independent, so a single block-local recompute per
+    event serves all 2^n classes), in "oracle"/"blind" modes the live
+    fault mask and its complement.
     """
 
     def __init__(self, model: DynamicFaultModel, mode: str = "mcc"):
@@ -74,8 +71,7 @@ class _OnlineRouter(RoutingService):
         super().__init__(model.fault_mask, mode=mode)
         assert self.fault_mask is model.fault_mask
         self.model = model
-        # Live status and open masks behind the oracle/blind class models.
-        self._status_mesh = model.fault_mask.astype(np.int8) * FAULTY
+        # Live open mask behind the oracle/blind class models.
         self._open_mesh = ~model.fault_mask
         # Incrementally maintained RFB block state (rfb mode only).
         self._rfb = DynamicRFBState(model.fault_mask) if mode == "rfb" else None
@@ -87,33 +83,17 @@ class _OnlineRouter(RoutingService):
     def _model_for(self, orientation: Orientation) -> _ClassModel:
         key = orientation.signs
         if key not in self._models:
+            # Events mutate the aliased arrays in place, and the engine
+            # sees the new model immediately.
             view = orientation.to_canonical
             if self.mode == "mcc":
                 cls = self.model.class_for(orientation)
-                # Alias the dynamic arrays: events mutate them in place
-                # and the engine sees the new model immediately.
-                labelled = cls.labelled
-                blocked, open_mask, unsafe = cls.useless_blocked, cls.open, cls.unsafe
+                masks = cls.unsafe, cls.open
             elif self.mode == "rfb":
-                # Orientation views of the one shared block state: the
-                # block-local recompute mutates the mesh-frame arrays
-                # and every class model sees it immediately.
-                status = view(self._rfb.status)
-                labelled = LabelledGrid(status=status, orientation=orientation)
-                blocked = unsafe = view(self._rfb.unsafe)
-                open_mask = view(self._rfb.open)
+                masks = view(self._rfb.unsafe), view(self._rfb.open)
             else:
-                status = view(self._status_mesh)
-                labelled = LabelledGrid(status=status, orientation=orientation)
-                blocked = unsafe = view(self.fault_mask)
-                open_mask = view(self._open_mesh)
-            self._models[key] = _ClassModel(
-                labelled,
-                self.reach_cache_size,
-                blocked=blocked,
-                open_mask=open_mask,
-                unsafe=unsafe,
-            )
+                masks = view(self.fault_mask), view(self._open_mesh)
+            self._models[key] = _ClassModel(*masks, self.reach_cache_size)
         return self._models[key]
 
     # -- event application -------------------------------------------------
@@ -140,9 +120,7 @@ class _OnlineRouter(RoutingService):
         status may have changed; ``None`` means none did.
         """
         for c in event.cells:
-            faulty = bool(self.fault_mask[c])
-            self._status_mesh[c] = FAULTY if faulty else SAFE
-            self._open_mesh[c] = not faulty
+            self._open_mesh[c] = not self.fault_mask[c]
         origin = (0,) * self.fault_mask.ndim  # every dest is >= origin
         if self.mode == "rfb":
             dirty, swept, full = self._rfb.apply(event.cells, event.kind)

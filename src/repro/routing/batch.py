@@ -29,7 +29,7 @@ flood on every cache miss.  The batch methods share all of it:
   direction class, canonical coordinates and flat cell indices come
   from a few array operations over the whole batch, and one pass over
   the resulting rows buckets the pairs;
-* pairs are grouped by **direction class**, so each ``LabelledGrid`` is
+* pairs are grouped by **direction class**, so each class model is
   built once per class (at most 2^n builds per batch);
 * within a class, pairs are grouped by **destination**, so one reverse
   flood serves every pair headed there — and the grouped order makes
@@ -101,10 +101,10 @@ class RoutingService:
 
     ``mode`` selects the fault-information model:
 
-    * ``"mcc"``    — the paper's model (labelling + walls);
+    * ``"mcc"``    — the paper's model (the MCC labelling);
     * ``"rfb"``    — same machinery over rectangular faulty blocks;
-    * ``"oracle"`` — a labelling that marks faults only, so its
-      exclusions are exact reverse reachability (reference);
+    * ``"oracle"`` — the faults alone, so its exclusions are exact
+      reverse reachability (reference);
     * ``"blind"``  — no model; only faulty neighbors are avoided.
 
     ``policy`` picks among the surviving directions (fixed axis order

@@ -6,7 +6,7 @@ keeps the directions whose neighbour can still reach the destination;
 :class:`repro.routing.batch.RoutingService` runs that procedure, one
 pair or a batch at a time.  This module holds what it runs on:
 
-* :class:`_ClassModel` — one direction class's labelling and its
+* :class:`_ClassModel` — one direction class's two masks and its
   LRU-bounded per-destination reach masks (:data:`REACH_CACHE_SIZE`);
 * :func:`class_model` — the model of a fault pattern's class under a
   mode ("mcc", "rfb", "oracle" or "blind");
@@ -14,7 +14,7 @@ pair or a batch at a time.  This module holds what it runs on:
   call;
 * :class:`RouteResult` — the outcome of one routing attempt.
 
-"mcc", "rfb" and "oracle" differ only in the labelling that decides
+"mcc", "rfb" and "oracle" differ only in the fault model that decides
 which nodes are permitted: "mcc" blocks faulty and useless nodes, "rfb"
 whole rectangular faulty blocks, and "oracle" faulty nodes alone, so
 its exclusion rule is exact reverse reachability — the reference the
@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines.rfb import rfb_labelled
-from repro.core.labelling import FAULTY, USELESS, LabelledGrid, label_grid
+from repro.core.labelling import label_grid
 from repro.core.model_cache import cached_class_assets
 from repro.mesh.coords import Coord, manhattan
 from repro.mesh.orientation import Orientation
@@ -76,50 +76,45 @@ class RouteResult:
 class _ClassModel:
     """Per-direction-class model state (canonical frame).
 
+    A fault model answers Algorithm 3 step 2 two questions, and a class
+    model holds the two masks that answer them: ``unsafe``, the nodes
+    that cannot be a source or destination, and ``_open``, the nodes a
+    packet may enter.  Under mcc these are the MCC node set and the
+    cells that are neither faulty nor useless.
+
     The exact informational content of the paper's distributed model is
     property P1: a node is *useless* for this direction class iff every
     minimal path through it dies, so monotone reachability over the
-    non-faulty, non-useless cells equals ground-truth reachability over
-    the non-faulty cells (validated in test_minimality).  The engine
-    evaluates the routing rule in that distilled form — one cached
-    reverse flood per destination — while the message-passing layer in
+    open cells equals ground-truth reachability over the non-faulty
+    cells (validated in test_minimality).  The engine evaluates the
+    routing rule in that distilled form — one cached reverse flood per
+    destination — while the message-passing layer in
     :mod:`repro.distributed` realizes the same decisions with literal
-    per-node boundary records.  No wall reaches this class: the model
-    cache builds walls next to each labelling, but only the labelling
-    is taken here, and T5 too reads labellings alone.  Walls are read
-    by the figures (Figure 3), and the tests compare the paper's
+    per-node boundary records.  No wall reaches this class: walls are
+    read by the figures (Figure 3), and the tests compare the paper's
     region-membership forms against this exact rule.
 
-    Can't-reach cells are *not* excluded here: they cannot be entered
-    from within the direction class (a safe node's positive neighbor is
-    never can't-reach — tested), so their exclusion is automatic, and
-    degenerate pairs whose RMP is a lower-dimensional slice may stand on
-    them legitimately.
+    Can't-reach cells are *not* excluded from ``_open``: they cannot be
+    entered from within the direction class (a safe node's positive
+    neighbor is never can't-reach — tested), so their exclusion is
+    automatic, and degenerate pairs whose RMP is a lower-dimensional
+    slice may stand on them legitimately.
 
-    The "rfb" and "oracle" models are this same class over another
-    labelling.  The oracle's labelling marks faults only, so its reach
+    The "rfb" and "oracle" models are this same class over other masks.
+    The oracle's are the faults and their complement, so its reach
     masks are exact reverse reachability over the non-faulty cells.
+    The online router passes live arrays that fault events update in
+    place.
     """
 
     def __init__(
         self,
-        labelled: LabelledGrid,
+        unsafe: np.ndarray,
+        open_mask: np.ndarray,
         reach_cache_size: int | None,
-        blocked: np.ndarray | None = None,
-        open_mask: np.ndarray | None = None,
-        unsafe: np.ndarray | None = None,
     ):
-        """``blocked``/``open_mask``/``unsafe`` override the masks
-        normally derived from ``labelled.status`` — the online router
-        passes its dynamic class's live arrays here so fault events
-        update the model in place instead of rebuilding it."""
-        self.labelled = labelled
-        self.unsafe = labelled.unsafe_mask if unsafe is None else unsafe
-        status = labelled.status
-        if blocked is None:
-            blocked = (status == FAULTY) | (status == USELESS)
-        self._blocked = blocked
-        self._open = ~blocked if open_mask is None else open_mask
+        self.unsafe = unsafe
+        self._open = open_mask
         # Reverse-reachability through permitted cells, per destination
         # (LRU-bounded: million-pair workloads touch many destinations).
         self._reach: LRUCache[Coord, np.ndarray] = LRUCache(reach_cache_size)
@@ -167,24 +162,21 @@ def class_model(
 ) -> _ClassModel:
     """The model of one direction class of ``fault_mask`` under ``mode``.
 
-    mcc/rfb labellings come from the content-addressed cross-pattern
+    The mcc labelling comes from the content-addressed cross-pattern
     cache (:mod:`repro.core.model_cache`), so sweeps that revisit a
     pattern — or several model consumers over one pattern — label each
-    direction class once per process.  The digest is taken from the
-    mask as it is *now*, so the cached labelling always matches the
-    labelled content even when a caller mutates its mask array between
-    builds.  oracle/blind consult only the fault mask: they skip the
-    labelling fixed point and mark faults directly.
+    direction class once per process.  An rfb class is an orientation
+    view of its mask's one cached RFB region.  Digests are taken from
+    the mask as it is *now*, so a cached model always matches the
+    content even when a caller mutates its mask array between builds.
+    oracle/blind consult only the fault mask: a snapshot of its
+    canonical view and the complement.
     """
-    if mode in ("mcc", "rfb"):
-        labelled, _, _ = cached_class_assets(
-            fault_mask,
-            orientation,
-            labeller=rfb_labelled if mode == "rfb" else label_grid,
-            kind=mode,
-        )
+    if mode == "mcc":
+        labelled = cached_class_assets(fault_mask, orientation, labeller=label_grid)[0]
+    elif mode == "rfb":
+        labelled = rfb_labelled(fault_mask, orientation)
     else:
-        status = orientation.to_canonical(fault_mask).astype(np.int8)
-        status *= FAULTY
-        labelled = LabelledGrid(status=status, orientation=orientation)
-    return _ClassModel(labelled, reach_cache_size)
+        faults = orientation.to_canonical(fault_mask).copy()
+        return _ClassModel(faults, ~faults, reach_cache_size)
+    return _ClassModel(labelled.unsafe_mask, labelled.open_mask, reach_cache_size)

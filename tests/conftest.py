@@ -8,6 +8,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro.core import labelling
 from repro.mesh.orientation import Orientation
 from repro.routing.engine import RouteResult
 from repro.routing.oracle import minimal_path_exists
@@ -85,7 +86,7 @@ def reference_route(router, policy, source, dest) -> RouteResult:
     if router.mode != "blind":
         if model.unsafe[s] or model.unsafe[d]:
             return refused("endpoint inside fault region")
-        if s != d and (model._blocked[s] or not model.reach_mask(d)[s]):
+        if s != d and (not model._open[s] or not model.reach_mask(d)[s]):
             return refused("infeasible")
     pos, canonical_path = s, [s]
     while pos != d:
@@ -135,6 +136,20 @@ def sanitized_cache_barrier():
     yield handle
     handle.uninstall()
     clear_labelling_cache()
+
+
+@pytest.fixture
+def closure_runs(monkeypatch) -> list[int]:
+    """Every full-mesh closure run, by sign: two per class labelling."""
+    runs: list[int] = []
+    real = labelling.closure
+
+    def counted(fault_mask, sign):
+        runs.append(sign)
+        return real(fault_mask, sign)
+
+    monkeypatch.setattr(labelling, "closure", counted)
+    return runs
 
 
 @pytest.fixture

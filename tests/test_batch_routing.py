@@ -198,7 +198,7 @@ class TestRoutingService:
         large = RoutingService(mask).route_batch(pairs)
         assert all(results_equal(a, b) for a, b in zip(small, large, strict=True))
 
-    def test_shared_labelling_with_region_experiment(self):
+    def test_shared_labelling_with_region_experiment(self, closure_runs):
         from repro.core.model_cache import cached_labelled
         from repro.experiments.exp_region_overhead import region_overhead_once
 
@@ -206,10 +206,13 @@ class TestRoutingService:
         mcc, rfb = region_overhead_once(mask)
         assert mcc >= 0 and rfb >= mcc
         # A service over the same pattern routes on the labelling the
-        # region experiment cached: the canonical class is labelled once.
+        # region experiment cached: it runs no closure of its own.
+        runs = len(closure_runs)
         service = RoutingService(mask, mode="mcc")
         service.route_batch([((0, 0), (7, 7))])
-        assert service._models[(1, 1)].labelled is cached_labelled(mask)
+        assert len(closure_runs) == runs
+        model = service._models[(1, 1)]
+        assert np.array_equal(model.unsafe, cached_labelled(mask).unsafe_mask)
 
 
 def all_class_batch(count: int, seed: int = 11):

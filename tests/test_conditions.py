@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.components import extract_mccs
 from repro.core.conditions import ConditionEvaluator, minimal_path_exists_lemma1
 from repro.core.labelling import label_grid
+from repro.core import model_cache
 from repro.core.walls import Wall, build_walls
 from repro.mesh.regions import mask_of_cells
 from tests.conftest import oracle_feasible, random_mask
@@ -60,7 +61,7 @@ class TestLemma1Exactness2D:
                 from repro.routing.oracle import minimal_path_exists
 
                 want = minimal_path_exists(open_mask, s, d)
-                got = minimal_path_exists_lemma1(walls, s, d, lab)
+                got = minimal_path_exists_lemma1(s, d, lab)
                 assert want == got, (s, d, np.argwhere(mask).tolist())
                 assert lemma1_region_form(walls, s, d) == want, (s, d)
 
@@ -69,20 +70,19 @@ class TestLemma1Exactness2D:
         mask = mask_of_cells([(x, 3) for x in range(6)], (6, 6))
         lab = label_grid(mask)
         walls = build_walls(extract_mccs(lab))
-        assert not minimal_path_exists_lemma1(walls, (0, 0), (5, 5), lab)
+        assert not minimal_path_exists_lemma1((0, 0), (5, 5), lab)
         assert blocking_walls(walls, (0, 0), (5, 5))
 
     def test_requires_canonical(self):
         lab = label_grid(np.zeros((6, 6), dtype=bool))
         with pytest.raises(ValueError):
-            minimal_path_exists_lemma1([], (3, 3), (0, 0), lab)
+            minimal_path_exists_lemma1((3, 3), (0, 0), lab)
 
     def test_rejects_unsafe_endpoints(self):
         mask = mask_of_cells([(2, 3), (3, 2)], (6, 6))
         lab = label_grid(mask)  # (2,2) is useless
-        walls = build_walls(extract_mccs(lab))
         with pytest.raises(ValueError):
-            minimal_path_exists_lemma1(walls, (2, 2), (5, 5), labelled=lab)
+            minimal_path_exists_lemma1((2, 2), (5, 5), labelled=lab)
 
 
 class TestTheoremAllClasses:
@@ -130,16 +130,16 @@ class TestKnownScenes:
         lab = label_grid(mask)
         walls = build_walls(extract_mccs(lab))
         assert lab.safe_mask[0, 0] and lab.safe_mask[2, 8]
-        assert not minimal_path_exists_lemma1(walls, (0, 0), (2, 8), lab)
+        assert not minimal_path_exists_lemma1((0, 0), (2, 8), lab)
+        assert blocking_walls(walls, (0, 0), (2, 8))
         # Destinations beyond the barrier's columns remain reachable.
-        assert minimal_path_exists_lemma1(walls, (0, 0), (8, 8), lab)
+        assert minimal_path_exists_lemma1((0, 0), (8, 8), lab)
 
     def test_partial_staircase_passable(self):
         cells = [(1, 4), (2, 3), (3, 2)]
         mask = mask_of_cells(cells, (9, 9))
         lab = label_grid(mask)
-        walls = build_walls(extract_mccs(lab))
-        assert minimal_path_exists_lemma1(walls, (0, 0), (8, 8), lab)
+        assert minimal_path_exists_lemma1((0, 0), (8, 8), lab)
 
     def test_fig5_routable(self, fig5_mask):
         evaluator = ConditionEvaluator(fig5_mask)
@@ -155,9 +155,14 @@ class TestKnownScenes:
         assert evaluator.exists((2, 1, 0), (2, 2, 5))
 
     def test_evaluator_caches_classes(self):
+        """Each direction class is labelled once, in the shared cache."""
+        model_cache.clear_labelling_cache()
         mask = mask_of_cells([(3, 3)], (6, 6))
         evaluator = ConditionEvaluator(mask)
-        evaluator.exists((0, 0), (5, 5))
-        evaluator.exists((5, 5), (0, 0))
-        evaluator.exists((0, 5), (5, 0))
-        assert len(evaluator._cache) == 3
+        for _ in range(2):
+            evaluator.exists((0, 0), (5, 5))
+            evaluator.exists((5, 5), (0, 0))
+            evaluator.exists((0, 5), (5, 0))
+        # Read at call time: REPRO_SANITIZE=1 swaps the cache object.
+        assert len(model_cache.LABELLING_CACHE) == 3
+        model_cache.clear_labelling_cache()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import model_cache
 from repro.core.conditions import ConditionEvaluator
 from repro.core.labelling import label_grid
 from repro.core.model_cache import (
@@ -68,24 +69,27 @@ class TestCachedLabelled:
 
 
 class TestAssetsSharing:
-    def test_router_and_evaluator_share_labelling(self):
+    def test_router_and_evaluator_share_labelling(self, closure_runs):
         mask = some_mask()
         service = RoutingService(mask, mode="mcc")
         evaluator = ConditionEvaluator(mask.copy())
         orientation = Orientation.identity((6, 6))
         model = service._model_for(orientation)
-        labelled, _mccs, _walls = evaluator.for_orientation(orientation)
-        assert model.labelled is labelled
+        assert evaluator.endpoint_safe((0, 0), (5, 5))
+        assert evaluator.exists((0, 0), (5, 5))
+        assert closure_runs == [+1, -1]  # one class labelled once
+        labelled = cached_labelled(mask, orientation)
+        assert np.array_equal(model.unsafe, labelled.unsafe_mask)
 
-    def test_two_routers_same_pattern_label_once(self):
+    def test_two_routers_same_pattern_label_once(self, closure_runs):
         mask = some_mask()
         r1 = RoutingService(mask, mode="mcc")
         r2 = RoutingService(mask.copy(), mode="mcc")
         orientation = Orientation.identity((6, 6))
-        assert (
-            r1._model_for(orientation).labelled
-            is r2._model_for(orientation).labelled
-        )
+        a, b = r1._model_for(orientation), r2._model_for(orientation)
+        assert closure_runs == [+1, -1]
+        assert np.array_equal(a.unsafe, b.unsafe)
+        assert np.array_equal(a._open, b._open)
 
     def test_assets_reuse_labelled_entry(self):
         orientation = Orientation.identity((6, 6))
@@ -109,3 +113,32 @@ class TestAssetsSharing:
             mask.flat[(i * 7 + 3) % 16] = True
             cached_labelled(mask, orientation)
         assert len(LABELLING_CACHE) <= LABELLING_CACHE.maxsize
+
+
+class TestModelKinds:
+    def test_only_mcc_models_build_mccs_and_walls(self, monkeypatch):
+        """rfb, oracle and blind class models read two masks and build
+        no MCCs or walls; mcc models still build both (the assets entry
+        of :func:`cached_class_assets`)."""
+        calls = []
+        for name in ("extract_mccs", "build_walls"):
+            real = getattr(model_cache, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(model_cache, name, counted)
+        mask = np.zeros((5, 5, 5), dtype=bool)
+        for cell in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (1, 4, 3)]:
+            mask[cell] = True
+        classes = all_classes(mask.shape)
+        for mode in ("rfb", "oracle", "blind"):
+            service = RoutingService(mask, mode=mode)
+            for orientation in classes:
+                service._model_for(orientation)
+        assert calls == []
+        service = RoutingService(mask, mode="mcc")
+        for orientation in classes:
+            service._model_for(orientation)
+        assert calls.count("extract_mccs") == calls.count("build_walls") == 8

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.labelling import _closure, closure_region, label_grid
+from repro.core.labelling import closure_region, label_grid
 from repro.mesh.orientation import Orientation
 from repro.online import DynamicFaultModel, OnlineRoutingService, dynamic_model
 from repro.online.dynamic_model import _DynamicClass
 from repro.routing import engine
 from repro.routing.batch import RoutingService
 from tests.conftest import all_classes
+from tests.test_labelling import _closure_reference
 
 
 def apply_script(target, script, on_event=None):
@@ -86,7 +87,7 @@ class TestClosureRegion:
         for shape in [(6, 7), (4, 5, 4)]:
             mask = rng.random(shape) < 0.3
             for sign in (+1, -1):
-                want = _closure(mask, sign) | mask
+                want = _closure_reference(mask, sign) | mask
                 got = mask.copy()
                 closure_region(
                     got, sign, (0,) * len(shape), tuple(k - 1 for k in shape)
@@ -138,10 +139,14 @@ class TestIncrementalLabels:
             for signs, cls in model._classes.items():
                 o = Orientation(signs, shape)
                 want = label_grid(model.fault_mask, o)
-                assert np.array_equal(want.status, cls.status), (
+                got = model.labelled_for(o)
+                assert np.array_equal(want.status, got.status), (
                     f"class {signs} diverged at epoch {event.epoch}"
                 )
-                assert want.status.dtype == cls.status.dtype
+                assert want.status.dtype == got.status.dtype
+                # The two masks routing reads, maintained in place.
+                assert np.array_equal(want.unsafe_mask, cls.unsafe)
+                assert np.array_equal(want.open_mask, cls.open)
                 # label_count bookkeeping stays exact (it gates the
                 # repair fast path).
                 assert cls.label_count[+1] == int(
@@ -167,10 +172,11 @@ class TestIncrementalLabels:
 
         def check(event, cells):
             for signs, cls in always_full._classes.items():
-                want = label_grid(
-                    always_full.fault_mask, Orientation(signs, shape)
-                )
-                assert np.array_equal(want.status, cls.status)
+                o = Orientation(signs, shape)
+                want = label_grid(always_full.fault_mask, o)
+                assert np.array_equal(want.status, always_full.labelled_for(o).status)
+                assert np.array_equal(want.unsafe_mask, cls.unsafe)
+                assert np.array_equal(want.open_mask, cls.open)
 
         apply_script(always_full, script, on_event=check)
 
@@ -251,6 +257,37 @@ class TestOnlineRoutingService:
 
         check(None, None)  # warm the caches before the first event
         apply_script(online, script, on_event=check)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        mask_strategy(),
+        script_strategy(),
+        st.sampled_from(RoutingService.MODES),
+        st.integers(0, 8),
+    )
+    def test_class_masks_match_cold_service(self, shape_mask, script, mode, early):
+        """The mask contract: a class model is two masks, ``unsafe`` and
+        ``_open``.  After every event, each class model the online
+        service built holds exactly a cold service's masks for the
+        current fault mask, in all four modes.  ``early`` classes are
+        built before the first event, the rest after the script."""
+        shape, mask = shape_mask
+        online = OnlineRoutingService(mask.copy(), mode=mode)
+        orients = all_classes(shape)
+        for o in orients[:early]:
+            online.router._model_for(o)
+
+        def check(event, _cells):
+            cold = RoutingService(online.fault_mask.copy(), mode=mode)
+            for signs, got in online.router._models.items():
+                want = cold._model_for(Orientation(signs, shape))
+                assert np.array_equal(got.unsafe, want.unsafe), (mode, signs)
+                assert np.array_equal(got._open, want._open), (mode, signs)
+
+        apply_script(online, script, on_event=check)
+        for o in orients:
+            online.router._model_for(o)
+        check(None, None)
 
     def test_submit_flush_answers_at_submission_epoch(self):
         mask = np.zeros((5, 5), dtype=bool)
@@ -335,13 +372,12 @@ class TestDynamicClassInternals:
         signs = (1, 1)
         cls = online.model._classes[signs]
         model = online.router._models[signs]
-        assert model._blocked is cls.useless_blocked
         assert model._open is cls.open
-        assert model.labelled.status is cls.status
+        assert model.unsafe is cls.unsafe
 
     def test_dynamic_class_open_is_complement(self):
         rng = np.random.default_rng(3)
         mask = rng.random((5, 5)) < 0.25
         cls = _DynamicClass(Orientation.identity((5, 5)), mask)
         assert np.array_equal(cls.open, ~cls.useless_blocked)
-        assert np.array_equal(cls.unsafe, cls.status != 0)
+        assert np.array_equal(cls.unsafe, label_grid(mask).unsafe_mask)

@@ -134,7 +134,7 @@ class TestEndToEnd:
         mccs = repro.extract_mccs(labelled)
         walls = repro.build_walls(mccs)
         assert len(walls) == len(mccs) * 3
-        assert repro.minimal_path_exists_lemma1(walls, (0, 0, 0), (7, 7, 7), labelled)
+        assert repro.minimal_path_exists_lemma1((0, 0, 0), (7, 7, 7), labelled)
 
     def test_theorem_vs_oracle_via_api(self):
         faults = np.zeros((6, 6), dtype=bool)

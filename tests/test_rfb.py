@@ -255,10 +255,6 @@ class TestDynamicRFBState:
             want = rfb_unsafe(live)
             assert np.array_equal(state.unsafe, want)
             assert np.array_equal(state.open, ~want)
-            status = np.zeros(shape, dtype=np.int8)
-            status[want & ~live] = USELESS
-            status[live] = FAULTY
-            assert np.array_equal(state.status, status)
             # The dirty box covers every changed cell, and is None
             # exactly when no unsafe bit changed.
             changed = np.argwhere(old != want)
@@ -275,7 +271,7 @@ class TestDynamicRFBState:
         live[2, 2] = True  # a fault appearing inside the block
         dirty, swept, full = state.apply([(2, 2)], "inject")
         assert dirty is None and swept == 0 and not full
-        assert state.status[2, 2] == FAULTY
+        assert state.unsafe[2, 2] and not state.open[2, 2]
 
     def test_dirty_box_covers_every_change(self):
         from repro.baselines.rfb import DynamicRFBState
