@@ -134,17 +134,23 @@ class BoundaryMixin(NodeProcess):
 
     def _wall_detour(self, payload: dict[str, Any]) -> None:
         plane = payload["plane"]
-        axis_u, axis_v = plane
         payload = dict(payload)
+        # One probe of the in-plane neighbors serves the merge and the
+        # ring step.
+        unsafe, passable = self._probe_plane(plane)
         # A pinched detour can run along *other* sections than the one
         # that obstructed the descent: merge every section this node
         # touches and retarget to the deepest corner seen so far, so the
         # walk resumes below the whole chained obstruction.
         merged = payload.get("merged", ())
-        for _d, n in self._unsafe_plane_neighbors(axis_u, axis_v):
+        # A shape this hop has looked up is merged by now: its corner,
+        # and so an equal shape's, is in ``merged``.
+        seen = []
+        for n in unsafe.values():
             shape = self._find_local_shape(plane, n)
-            if shape is None:
+            if shape is None or shape in seen:
                 continue
+            seen.append(shape)
             corner = self._section_corner(plane, shape)
             if corner in merged:
                 continue
@@ -163,11 +169,8 @@ class BoundaryMixin(NodeProcess):
             payload["mode"] = "descend"
             self._wall_descend(payload)
             return
-        clockwise = payload["desc_axis"] == axis_u  # see module docstring
-        nxt = ring_step(
-            self.coord, payload["heading"], clockwise, axis_u, axis_v,
-            self._passable_local,
-        )
+        clockwise = payload["desc_axis"] == plane[0]  # see module docstring
+        nxt = ring_step(payload["heading"], clockwise, passable)
         if nxt is None:
             return  # boxed in; drop the wall here
         cell, heading = nxt

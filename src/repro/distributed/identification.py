@@ -33,6 +33,12 @@ node-local:
 In 3-D the same protocol runs per plane family (XY, XZ, YZ sections):
 each message moves only within its plane, matching "the identification
 process … starts from the identification of each 2-D section".
+
+Every action probes each neighbor's safety at most once: an edge
+announcement probes the 2n neighbors once and derives every plane's
+EDGE directions from that result, a corner check reads the EDGE reports
+before it probes anything, and an ``IDENT`` hop probes its four in-plane
+neighbors once for both its ring contacts and its next step.
 """
 
 from __future__ import annotations
@@ -56,6 +62,28 @@ def plane_families(ndim: int) -> list[tuple[int, int]]:
     if ndim == 3:
         return [(0, 1), (0, 2), (1, 2)]
     raise NotImplementedError(f"identification supports 2-D/3-D, got {ndim}-D")
+
+
+#: Per plane family, each in-plane direction (du, dv) and the slot of its
+#: neighbor in a mesh adjacency row, in the order +u, -u, +v, -v.
+_PLANE_PROBES = {
+    (u, v): (
+        ((1, 0), 2 * u), ((-1, 0), 2 * u + 1), ((0, 1), 2 * v), ((0, -1), 2 * v + 1)
+    )
+    for u, v in plane_families(3)
+}
+
+
+def _reports(planes, plane: tuple[int, int], direction: tuple[int, int]) -> bool:
+    """True when an EDGE report's ``planes`` name ``direction`` in ``plane``.
+
+    ``planes`` is the stored report of one neighbor, or None when that
+    neighbor sent none.
+    """
+    for p, dirs in planes or ():
+        if p == plane:
+            return direction in dirs
+    return False
 
 
 class IdentificationMixin(NodeProcess):
@@ -82,36 +110,48 @@ class IdentificationMixin(NodeProcess):
             return True
         return self.store["known_labels"].get(coord, SAFE) != SAFE
 
-    def _passable_local(self, coord: Coord) -> bool:
-        return self.network.mesh.contains(coord) and not self._is_unsafe(coord)
+    def _probe_plane(
+        self, plane: tuple[int, int]
+    ) -> tuple[dict[tuple[int, int], Coord], dict[tuple[int, int], Coord]]:
+        """Probe the four in-plane neighbors once: ``(unsafe, passable)``.
 
-    def _unsafe_plane_neighbors(
-        self, axis_u: int, axis_v: int
-    ) -> list[tuple[tuple[int, int], Coord]]:
-        """In-plane (du, dv) unit directions and the unsafe neighbor each reaches."""
-        out = []
-        for du, dv in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            n = self.step(axis_u, du) if du else self.step(axis_v, dv)
-            if n is not None and self._is_unsafe(n):
-                out.append(((du, dv), n))
-        return out
+        Both map an in-plane direction (du, dv) to its neighbor, in the
+        order +u, -u, +v, -v; a direction off the mesh is in neither.
+        """
+        row = self.network.mesh.adjacency[self.coord]
+        unsafe: dict[tuple[int, int], Coord] = {}
+        passable: dict[tuple[int, int], Coord] = {}
+        for direction, slot in _PLANE_PROBES[plane]:
+            n = row[slot]
+            if n is None:
+                continue
+            if self._is_unsafe(n):
+                unsafe[direction] = n
+            else:
+                passable[direction] = n
+        return unsafe, passable
 
-    def _ring_contacts(self, plane: tuple[int, int]) -> set[Coord]:
+    def _ring_contacts(
+        self, plane: tuple[int, int], unsafe: dict[tuple[int, int], Coord]
+    ) -> set[Coord]:
         """Unsafe cells 8-adjacent (in-plane) to this node.
 
-        Strictly local knowledge: orthogonal neighbors via own labels,
-        diagonals via the EDGE announcements of the two shared
-        orthogonal neighbors.
+        Strictly local knowledge: orthogonal neighbors from this action's
+        probe (``unsafe``, see :meth:`_probe_plane`), diagonals via the
+        EDGE announcements of the two shared orthogonal neighbors.  A
+        node that holds no announcements, as most do, adds no diagonal.
         """
+        contacts = set(unsafe.values())
+        edge_info = self.store.get("edge_info")
+        if not edge_info:
+            return contacts
         axis_u, axis_v = plane
-        contacts = {n for _d, n in self._unsafe_plane_neighbors(axis_u, axis_v)}
+        row = self.network.mesh.adjacency[self.coord]
         for du in (-1, 1):
+            from_u = edge_info.get(row[2 * axis_u + (du < 0)])
             for dv in (-1, 1):
-                nu = plane_step(self.coord, axis_u, axis_v, du, 0)
-                nv = plane_step(self.coord, axis_u, axis_v, 0, dv)
-                if self._neighbor_reports(nu, plane, (0, dv)) or (
-                    self._neighbor_reports(nv, plane, (du, 0))
-                ):
+                from_v = edge_info.get(row[2 * axis_v + (dv < 0)])
+                if _reports(from_u, plane, (0, dv)) or _reports(from_v, plane, (du, 0)):
                     contacts.add(plane_step(self.coord, axis_u, axis_v, du, dv))
         return contacts
 
@@ -125,6 +165,10 @@ class IdentificationMixin(NodeProcess):
         it so neighbors replace stale edge knowledge about this node (an
         initial build has nothing stale to clear and skips the empty
         broadcast).
+
+        Each neighbor is probed once, the way :meth:`_is_unsafe` probes
+        it: the EDGE directions of every plane and the live neighbors
+        the announcement goes to both come from that one result.
         """
         if self.store.get("label", SAFE) != SAFE:
             return  # unsafe nodes take no part
@@ -132,16 +176,27 @@ class IdentificationMixin(NodeProcess):
         self.store.setdefault("edge_info", {})
         self.store.setdefault("corner_of", [])
         self.store.setdefault("_ident_marks", {})
+        is_faulty = self.network.is_faulty
+        known = self.store["known_labels"]
+        live: list[Coord] = []
+        unsafe: list[bool] = []  # per adjacency-row slot
+        for n in self.network.mesh.adjacency[self.coord]:
+            if n is None:
+                unsafe.append(False)
+            elif is_faulty(n):
+                unsafe.append(True)
+            else:
+                live.append(n)
+                unsafe.append(known.get(n, SAFE) != SAFE)
         announce = []
         for plane in plane_families(self.network.mesh.ndim):
-            dirs = frozenset(d for d, _n in self._unsafe_plane_neighbors(*plane))
+            dirs = frozenset(d for d, slot in _PLANE_PROBES[plane] if unsafe[slot])
             if dirs:
                 announce.append((plane, dirs))
         if announce or announce_empty:
             planes = tuple(announce)
-            for n in self.neighbors():
-                if not self.network.is_faulty(n):
-                    self.send(n, "EDGE", {"planes": planes})
+            for n in live:
+                self.send(n, "EDGE", {"planes": planes})
         # Corner detection needs one announcement round; check after the
         # announcements have propagated (2 link delays).
         self.set_timer(2.5, "corner-check")
@@ -151,29 +206,32 @@ class IdentificationMixin(NodeProcess):
 
     # -- phase 2: corner detection ----------------------------------------------
 
-    def _neighbor_reports(
-        self, neighbor: Coord, plane: tuple[int, int], direction: tuple[int, int]
-    ) -> bool:
-        for p, dirs in self.store.get("edge_info", {}).get(neighbor, ()):
-            if p == plane:
-                return direction in dirs
-        return False
-
-    def _is_init_corner(self, plane: tuple[int, int]) -> bool:
-        """+u neighbor is an edge node at +v, +v neighbor an edge node at +u."""
-        axis_u, axis_v = plane
-        nu = plane_step(self.coord, axis_u, axis_v, 1, 0)
-        nv = plane_step(self.coord, axis_u, axis_v, 0, 1)
-        return (
-            self._passable_local(nu)
-            and self._passable_local(nv)
-            and self._neighbor_reports(nu, plane, (0, 1))
-            and self._neighbor_reports(nv, plane, (1, 0))
-        )
-
     def _corner_check(self) -> None:
+        """Launch identification in every plane this node is a corner of.
+
+        An initialization corner's +u neighbor reports an unsafe cell at
+        +v, its +v neighbor reports one at +u, and both are passable.
+        The reports are read first, so a node that holds none (most
+        nodes) probes nothing, and each +axis neighbor is probed at most
+        once.
+        """
+        edge_info = self.store.get("edge_info")
+        if not edge_info:
+            return
+        ahead = self.network.mesh.adjacency[self.coord][::2]  # +axis neighbors
+        passable: dict[int, bool] = {}
         for plane in plane_families(self.network.mesh.ndim):
-            if self._is_init_corner(plane):
+            axis_u, axis_v = plane
+            if not (
+                _reports(edge_info.get(ahead[axis_u]), plane, (0, 1))
+                and _reports(edge_info.get(ahead[axis_v]), plane, (1, 0))
+            ):
+                continue
+            # A neighbor that reports is a mesh node.
+            for axis in plane:
+                if axis not in passable:
+                    passable[axis] = not self._is_unsafe(ahead[axis])
+            if passable[axis_u] and passable[axis_v]:
                 self._launch_identification(plane)
 
     # -- phase 3: the two-head-on walk -----------------------------------------
@@ -183,12 +241,15 @@ class IdentificationMixin(NodeProcess):
         return 6 * (2 * sum(self.network.mesh.shape) + 8)
 
     def _launch_identification(self, plane: tuple[int, int]) -> None:
+        """Send the clockwise and the counter-clockwise ``IDENT``.
+
+        Their first cells are this node's +v and +u neighbors, which
+        :meth:`_corner_check` found passable.
+        """
         axis_u, axis_v = plane
         for clockwise in (True, False):
             du, dv = initial_heading(clockwise)
             first = plane_step(self.coord, axis_u, axis_v, du, dv)
-            if not self._passable_local(first):
-                return  # ring broken right at the corner; discard section
             payload = {
                 "plane": plane,
                 "corner": self.coord,
@@ -202,7 +263,6 @@ class IdentificationMixin(NodeProcess):
         if self.store.get("label", SAFE) != SAFE:
             return  # walked onto a node that turned unsafe: drop (instability)
         plane = msg.payload["plane"]
-        axis_u, axis_v = plane
         corner = msg.payload["corner"]
         clockwise = msg.payload["clockwise"]
         trail = msg.payload["trail"] + (self.coord,)
@@ -210,7 +270,8 @@ class IdentificationMixin(NodeProcess):
         if self.coord == corner:
             return  # full loop without meeting the counterpart: discard
 
-        contacts = self._ring_contacts(plane)
+        unsafe, passable = self._probe_plane(plane)
+        contacts = self._ring_contacts(plane, unsafe)
         if not contacts:
             # Left the region's ring (border-broken ring): reverse and
             # bring the partial trail back to the initialization corner.
@@ -235,10 +296,7 @@ class IdentificationMixin(NodeProcess):
             return  # first contact: stop this walker
         marks[(plane, corner, clockwise)] = trail
 
-        heading = msg.payload["heading"]
-        nxt = ring_step(
-            self.coord, heading, clockwise, axis_u, axis_v, self._passable_local
-        )
+        nxt = ring_step(msg.payload["heading"], clockwise, passable)
         if nxt is None:
             self._reverse_ident(plane, corner, clockwise, trail, include_self=True)
             return

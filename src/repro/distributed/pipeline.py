@@ -52,6 +52,7 @@ epoch they completed under.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -135,6 +136,11 @@ class DistributedMCCPipeline:
         self.net = MeshNetwork(
             mesh, fault_mask, node_factory=MCCProtocolNode, trace=trace
         )
+        # The network and its nodes reference each other.  Clearing the
+        # node table when the pipeline is dropped breaks that cycle, so
+        # a finished pipeline is freed by reference counting rather
+        # than left to the cyclic collector.
+        weakref.finalize(self, self.net.nodes.clear)
         self._query_ids = itertools.count(1)
         self._phase_messages: dict[str, int] = {}
         self._built = False

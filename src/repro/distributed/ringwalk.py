@@ -8,15 +8,16 @@ specialized to grid rings.
 
 All functions are pure and plane-generic: a *plane* is an (axis_u,
 axis_v) pair, so the same walker identifies 2-D MCCs (axes (0, 1)) and
-the XY/XZ/YZ sections of 3-D MCCs (Algorithm 5 step 1).  Queries about
-cell safety go through a caller-supplied predicate so the walker can be
+the XY/XZ/YZ sections of 3-D MCCs (Algorithm 5 step 1).  A step reads
+the passable neighbors from a caller-supplied map, so the walker can be
 driven either by the true grid (tests) or by strictly node-local
-knowledge inside the protocol.
+knowledge inside the protocol, where a node probes its in-plane
+neighbors once per action and hands the result over.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.mesh.coords import Coord
 
@@ -46,23 +47,20 @@ def plane_step(
 
 
 def ring_step(
-    coord: Sequence[int],
     heading: tuple[int, int],
     clockwise: bool,
-    axis_u: int,
-    axis_v: int,
-    passable: Callable[[Coord], bool],
+    passable: Mapping[tuple[int, int], Coord],
 ) -> tuple[Coord, tuple[int, int]] | None:
     """One wall-following step; None when boxed in.
 
-    ``passable(cell)`` must be True for safe, in-mesh cells.  Returns the
-    next cell and the new heading.
+    ``passable`` maps each in-plane direction ``(du, dv)`` whose
+    neighbor is safe and in the mesh to that neighbor.  Returns the next
+    cell and the new heading.
     """
-    order = (_CW_ORDER if clockwise else _CCW_ORDER)[heading]
-    for du, dv in order:
-        nxt = plane_step(coord, axis_u, axis_v, du, dv)
-        if passable(nxt):
-            return nxt, (du, dv)
+    for direction in (_CW_ORDER if clockwise else _CCW_ORDER)[heading]:
+        cell = passable.get(direction)
+        if cell is not None:
+            return cell, direction
     return None
 
 

@@ -91,8 +91,7 @@ def _choice_verdicts(
     complete = np.zeros(len(pairs), dtype=bool)
     exact = np.zeros(len(pairs), dtype=bool)
     rows = []  # (input index, flat source, R, stuck cells, disputed cells)
-    for group in mcc._primed(mcc._grouped(list(pairs), [None] * len(pairs))):
-        reach = group.model.reach_mask(group.dest)
+    for group, reach in mcc._primed(mcc._grouped(list(pairs), [None] * len(pairs))):
         truth = oracle._model_for(group.orientation).reach_mask(group.dest)
         stuck = ~_has_successor(reach).reshape(-1)
         stuck[group.dest_flat] = False

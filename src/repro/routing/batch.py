@@ -40,8 +40,9 @@ flood on every cache miss.  The batch methods share all of it:
   flood, each through its own class's open mask, so a batch spanning
   several direction classes pays one kernel call per chunk, not one
   per class;
-* each group probes its reach cache **once**: every verdict and every
-  hop of the group's walks reads the same flat view;
+* each group probes its reach cache **once**, when its chunk is
+  primed, and is handed the mask it read or the one the chunk's flood
+  cached: every verdict and every hop of the group's walks reads it;
 * the ``feasible_batch`` verdicts are **vectorized**: the class model's
   ``unsafe`` array, flattened once per batch, and the cached reach mask
   are gathered at the flat indices of all sources of a group in one
@@ -178,8 +179,14 @@ class RoutingService:
             orientation, model, model.unsafe.reshape(-1), np.array([0]),
             np.array([at]), d, to, [source], [s],
         )
+        if self.mode == "blind":
+            allowed = model._open
+        elif group.unsafe[at] or group.unsafe[to]:
+            allowed = None  # refused before any flood
+        else:
+            allowed = model.reach_mask(d)
         results: list[RouteResult | None] = [None]
-        self._route_group(group, results)
+        self._route_group(group, allowed, results)
         return results[0]  # type: ignore[return-value]
 
     # -- batched routing ---------------------------------------------------
@@ -191,8 +198,8 @@ class RoutingService:
         pairs = list(pairs)
         with obs.span("route_batch", cat="routing", n=len(pairs)) as sp:
             results: list[RouteResult | None] = [None] * len(pairs)
-            for group in self._primed(self._grouped(pairs, results)):
-                self._route_group(group, results)
+            for group, allowed in self._primed(self._grouped(pairs, results)):
+                self._route_group(group, allowed, results)
             sp.set(delivered=sum(1 for r in results if r is not None and r.delivered))
         return results  # type: ignore[return-value]
 
@@ -211,8 +218,8 @@ class RoutingService:
         with obs.span("feasible_batch", cat="routing", n=len(pairs)) as sp:
             out = np.zeros(len(pairs), dtype=bool)
             results: list[RouteResult | None] = [None] * len(pairs)
-            for group in self._primed(self._grouped(pairs, results)):
-                out[group.indices] = self._group_feasible(group)
+            for group, reach in self._primed(self._grouped(pairs, results)):
+                out[group.indices] = self._group_feasible(group, reach)
             sp.set(feasible=int(out.sum()))
         return out
 
@@ -286,36 +293,50 @@ class RoutingService:
                 )
         return groups
 
-    def _primed(self, groups: list[_Group]) -> Iterator[_Group]:
-        """The groups in order, each chunk's reach misses flooded first.
+    def _primed(
+        self, groups: list[_Group]
+    ) -> Iterator[tuple[_Group, np.ndarray]]:
+        """The groups in order, each with its allowed mask.
 
-        A chunk is a run of groups holding at most
+        The allowed mask is the group's reach mask: the one its cache
+        probe read on a hit, or the one its chunk's flood cached on a
+        miss.  A chunk is a run of groups holding at most
         :data:`~repro.routing.oracle.WORD_BITS` reach-cache misses, which
         may span direction classes, and never more groups than one class
         cache holds.  Its misses flood in one
         :func:`~repro.routing.engine.prime_reach` call.  Probing a hit
         refreshes it, so the chunk's primed misses evict none of the
-        chunk's masks before its groups run.  Blind mode floods nothing.
+        chunk's masks before its groups run.  Blind mode floods nothing
+        and hands each group its class's open mask.
         """
         if self.mode == "blind":
-            yield from groups
+            for group in groups:
+                yield group, group.model._open
             return
         bound = self.reach_cache_size
-        chunk: list[_Group] = []
+        chunk: list[tuple[_Group, np.ndarray | None]] = []
         misses: list[tuple[_ClassModel, Coord]] = []
         for group in groups:
-            if group.model._reach.get(group.dest) is None:
+            reach = group.model._reach.get(group.dest)
+            if reach is None:
                 misses.append((group.model, group.dest))
-            chunk.append(group)
+            chunk.append((group, reach))
             if len(misses) == WORD_BITS or len(chunk) == bound:
-                prime_reach(misses)
-                yield from chunk
+                yield from self._with_floods(chunk, prime_reach(misses))
                 chunk, misses = [], []
-        prime_reach(misses)
-        yield from chunk
+        yield from self._with_floods(chunk, prime_reach(misses))
 
     @staticmethod
-    def _group_feasible(group: _Group) -> np.ndarray:
+    def _with_floods(
+        chunk: list[tuple[_Group, np.ndarray | None]], flooded: list[np.ndarray]
+    ) -> Iterator[tuple[_Group, np.ndarray]]:
+        """A chunk's groups with its misses' masks filled in, in order."""
+        fresh = iter(flooded)
+        for group, reach in chunk:
+            yield group, next(fresh) if reach is None else reach
+
+    @staticmethod
+    def _group_feasible(group: _Group, reach: np.ndarray) -> np.ndarray:
         """Model verdicts for the sources of one group.
 
         Safe endpoints, then model reachability: one cached flood and
@@ -326,22 +347,27 @@ class RoutingService:
             return np.zeros(len(group.sources), dtype=bool)
         ok = ~unsafe[group.sources]
         if np.count_nonzero(ok):
-            ok &= group.model.reach_mask(group.dest).reshape(-1)[group.sources]
+            ok &= reach.reshape(-1)[group.sources]
         return ok
 
-    def _route_group(self, group: _Group, results: list[RouteResult | None]) -> None:
+    def _route_group(
+        self,
+        group: _Group,
+        allowed: np.ndarray | None,
+        results: list[RouteResult | None],
+    ) -> None:
         """Route the pairs of one (class, destination) group.
 
         A pair is refused when an endpoint is model-unsafe or its source
         cannot reach the destination; blind mode refuses nothing.  Every
-        verdict and walk of the group reads one flat view of the allowed
-        mask: the destination's reach mask, probed once when the first
-        pair with safe endpoints needs it, or the open mask in blind
-        mode.
+        verdict and walk of the group reads one flat view of
+        ``allowed``: the destination's reach mask, or the open mask in
+        blind mode.  It may be None only when no pair of the group has
+        safe endpoints.
         """
-        model, d, to, unsafe = group.model, group.dest, group.dest_flat, group.unsafe
+        d, to, unsafe = group.dest, group.dest_flat, group.unsafe
         blind = self.mode == "blind"
-        allowed = memoryview(model._open.reshape(-1)) if blind else None
+        view = None if allowed is None else memoryview(allowed.reshape(-1))
         signs = group.orientation.signs
         rows = zip(group.indices.tolist(), group.sources.tolist(), strict=True)
         for idx, at in rows:
@@ -350,14 +376,11 @@ class RoutingService:
             if not blind:
                 if unsafe[at] or unsafe[to]:
                     reason = "endpoint inside fault region"
-                else:
-                    if allowed is None:
-                        allowed = memoryview(model.reach_mask(d).reshape(-1))
-                    if not allowed[at]:
-                        reason = "infeasible"
+                elif not view[at]:
+                    reason = "infeasible"
             if reason is None:
                 pos = tuple(group.starts[idx])
-                results[idx] = self._walk(allowed, signs, at, cell, pos, d)
+                results[idx] = self._walk(view, signs, at, cell, pos, d)
             else:
                 results[idx] = RouteResult(
                     delivered=False, path=[cell], feasible=False, reason=reason

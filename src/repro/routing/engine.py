@@ -134,24 +134,27 @@ class _ClassModel:
         return mask
 
 
-def prime_reach(misses: Sequence[tuple[_ClassModel, Coord]]) -> None:
+def prime_reach(misses: Sequence[tuple[_ClassModel, Coord]]) -> list[np.ndarray]:
     """Fill the reach caches of many (class model, destination) misses.
 
     One :func:`reverse_reachable_many` call floods them all, each
     destination through its own class's open mask, so the misses of
     several direction classes share one kernel call.  Each mask is
     cached as its own frozen copy: a view would keep the whole stacked
-    result alive for as long as any one mask stays cached.
+    result alive for as long as any one mask stays cached.  Returns the
+    cached masks in the order of ``misses``.
     """
     if not misses:
-        return
+        return []
     stacked = reverse_reachable_many(
         [model._open for model, _ in misses], [dest for _, dest in misses]
     )
+    masks = []
     for (model, dest), mask in zip(misses, stacked, strict=True):
         mask = mask.copy()
         mask.setflags(write=False)
-        model._reach.put(dest, mask)
+        masks.append(model._reach.put(dest, mask))
+    return masks
 
 
 def class_model(

@@ -16,11 +16,18 @@ array consumers; mutate it only through :meth:`inject_fault` /
 :meth:`repair`, which validate the cell and keep the mirror in sync.
 
 A send is one step: :meth:`MeshNetwork.transmit` counts it and pushes
-one ``(deliver, (msg,))`` event onto the simulator's queue at ``now +
-link_delay``, where ``deliver`` is the network's ``_deliver``, bound
-once at construction.  So an uncontended send allocates the message,
-its argument tuple and its event pair, and no closure or bound method.
-A contended send schedules ``_deliver`` with the message and its link.
+one ``(deliver, (network, msg))`` event onto the simulator's queue at
+``now + link_delay``, where ``deliver`` is the class's plain
+``_deliver`` function.  So an uncontended send allocates the message,
+its argument tuple and its event pair, and no closure or bound method,
+and the network holds no bound method of itself.  A contended send
+schedules the bound ``_deliver`` with the message and its link.
+
+A network and its nodes reference each other (``nodes`` and each
+node's ``network``), so a bare network is freed by the cyclic garbage
+collector; :class:`~repro.distributed.pipeline.DistributedMCCPipeline`
+clears its network's node table when it is dropped, which breaks that
+cycle and frees a finished pipeline by reference counting.
 """
 
 from __future__ import annotations
@@ -103,9 +110,10 @@ class MeshNetwork:
         self._faulty: set[Coord] = {
             tuple(int(c) for c in cell) for cell in np.argwhere(self.fault_mask)
         }
-        #: ``_deliver`` bound once, shared by every uncontended send's
-        #: event.
-        self._deliver_bound = self._deliver
+        #: The class's ``_deliver`` function: every uncontended send's
+        #: event passes it ``(self, msg)``, since a bound method kept
+        #: here would make the network reference itself.
+        self._deliver_fn = type(self)._deliver
         factory = node_factory or NodeProcess
         self.nodes: dict[Coord, NodeProcess] = {
             coord: factory(self, coord) for coord in mesh.nodes()
@@ -168,7 +176,7 @@ class MeshNetwork:
             # ``__init__`` checked ``link_delay`` by ``schedule``'s rule,
             # so the event goes straight onto the queue.
             sim = self.sim
-            sim.queue.push(sim.now + self.link_delay, (self._deliver_bound, (msg,)))
+            sim.queue.push(sim.now + self.link_delay, (self._deliver_fn, (self, msg)))
             return
         # Contended path: reserve the earliest-free server of the
         # directed link at transmit time (FIFO — arrival order is

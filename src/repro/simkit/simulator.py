@@ -6,7 +6,7 @@ queues the pair ``(action, args)`` in one FIFO slot and the loop calls
 ``action(*args)``.  No event builds a closure, nothing is cancelled,
 and the loop reads the queue once per event.  Timers and actions come
 through :meth:`Simulator.schedule`; an uncontended message send pushes
-its ``(deliver, (msg,))`` pair onto ``queue`` itself (see
+its ``(deliver, (network, msg))`` pair onto ``queue`` itself (see
 :meth:`repro.simkit.network.MeshNetwork.transmit`).
 """
 

@@ -28,14 +28,20 @@ class TestRingwalkPrimitives:
         region = {(2, 2), (2, 3), (3, 2), (3, 3)}
 
         def passable(c):
-            return 0 <= c[0] < 7 and 0 <= c[1] < 7 and tuple(c) not in region
+            """The in-mesh neighbors of ``c`` outside the region, by direction."""
+            steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+            cells = {(du, dv): (c[0] + du, c[1] + dv) for du, dv in steps}
+            return {
+                d: n for d, n in cells.items()
+                if 0 <= n[0] < 7 and 0 <= n[1] < 7 and n not in region
+            }
 
         # The protocol forces the first hop out of the corner; the
         # follower takes over with wall contact established.
         pos, heading = (1, 2), (0, 1)
         visited = [(1, 1), pos]
         for _ in range(14):
-            pos, heading = ring_step(pos, heading, True, 0, 1, passable)
+            pos, heading = ring_step(heading, True, passable(pos))
             visited.append(pos)
             if pos == (1, 1):
                 break
@@ -44,7 +50,7 @@ class TestRingwalkPrimitives:
         assert (4, 4) in visited and (2, 4) in visited and (4, 1) in visited
 
     def test_ring_step_boxed_in(self):
-        assert ring_step((0, 0), (0, 1), True, 0, 1, lambda c: False) is None
+        assert ring_step((0, 1), True, {}) is None
 
     def test_fill_interior_closed(self):
         ring = {(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)}
