@@ -21,7 +21,7 @@ def main() -> None:
     for cell in FAULTS:
         faults[cell] = True
 
-    pipe = DistributedMCCPipeline(mesh, faults, trace=True)
+    pipe = DistributedMCCPipeline(mesh, faults)
     pipe.build()
 
     print("Distributed labelling (equals centralized Algorithm 1):")

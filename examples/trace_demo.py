@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Observability demo: trace a sweep, export Perfetto, dump metrics.
+"""Observability demo: trace a sweep and export Perfetto.
 
 Runs the T4 DES-routing sweep on a small mesh with ``trace=`` set,
 writes the Chrome/Perfetto trace-event JSON (load it at
@@ -15,7 +15,6 @@ from collections import Counter
 from pathlib import Path
 
 from repro import SweepSpec, obs, run_sweep
-from repro.simkit.stats import StatsCollector
 
 SHAPE = (5, 5, 5)
 FAULT_COUNTS = [2, 4]
@@ -49,18 +48,6 @@ def main() -> None:
             with obs.span("inner", cat="demo"):
                 pass
     print("\nStandalone spans:", [s.name for s in tracer.spans])
-
-    # 3. Metrics: the DES stats collector publishes into the registry;
-    #    histograms back the same percentile math the tables use.
-    stats = StatsCollector()
-    for latency, query in ((2.0, "q0"), (3.0, "q0"), (5.0, "q1")):
-        stats.on_frame(latency, query=query)
-        stats.on_send("frame", query=query)
-    registry = obs.MetricsRegistry()
-    stats.publish(registry)
-    print("Metrics rows:")
-    for row in registry.rows():
-        print("  ", json.dumps(row, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ Layers:
 * ``repro.core`` — labelling, MCC extraction, walls,
   existence conditions, detection (the paper's model, centralized);
 * ``repro.routing`` — the oracle and the adaptive routing service;
-* ``repro.baselines`` — rectangular faulty blocks, e-cube, greedy;
+* ``repro.baselines`` — rectangular faulty blocks, e-cube (blind
+  adaptive routing is ``RoutingService`` in ``mode="blind"``);
 * ``repro.simkit`` / ``repro.distributed`` — the message-passing
   realization of the whole pipeline on a discrete-event network;
 * ``repro.online`` — dynamic-fault serving: incremental labelling and
@@ -65,7 +66,7 @@ from repro.routing.policies import (
     RandomPolicy,
     make_policy,
 )
-from repro.baselines import ecube_path, ecube_succeeds, greedy_route, rfb_unsafe
+from repro.baselines import ecube_path, ecube_succeeds, rfb_unsafe
 from repro.simkit import MeshNetwork, Simulator
 from repro.distributed import DistributedMCCPipeline
 from repro.online import DynamicFaultModel, FaultEvent, OnlineRoutingService
@@ -108,7 +109,6 @@ __all__ = [
     "make_policy",
     "ecube_path",
     "ecube_succeeds",
-    "greedy_route",
     "rfb_unsafe",
     "MeshNetwork",
     "Simulator",

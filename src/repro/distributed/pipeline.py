@@ -70,6 +70,7 @@ from repro.mesh.coords import Coord
 from repro.mesh.topology import Mesh
 from repro.simkit.message import Message
 from repro.simkit.network import MeshNetwork
+from repro.util.validation import check_event_cells
 
 #: Chebyshev margin for *affectedness*: a region must re-identify when
 #: within distance 2 of a changed label — its ring nodes' contact sets
@@ -126,16 +127,9 @@ class MCCProtocolNode(
 class DistributedMCCPipeline:
     """Run the whole distributed stack over one fault pattern."""
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        fault_mask: np.ndarray,
-        trace: bool = False,
-    ):
+    def __init__(self, mesh: Mesh, fault_mask: np.ndarray):
         self.mesh = mesh
-        self.net = MeshNetwork(
-            mesh, fault_mask, node_factory=MCCProtocolNode, trace=trace
-        )
+        self.net = MeshNetwork(mesh, fault_mask, node_factory=MCCProtocolNode)
         # The network and its nodes reference each other.  Clearing the
         # node table when the pipeline is dropped breaks that cycle, so
         # a finished pipeline is freed by reference counting rather
@@ -328,13 +322,18 @@ class DistributedMCCPipeline:
         pre-event epoch), then the fault mask mutates, labelling
         re-converges scoped to the event's dirty cone, and
         identification/boundaries re-run only around the regions whose
-        labels actually changed.  Advances :attr:`epoch`.
+        labels actually changed.  Advances :attr:`epoch`.  The event
+        info also holds the ``kind``, the checked ``cells``, the new
+        ``epoch``, the ``messages`` the re-stabilization sent and the
+        ``region_cells`` whose identification restarted.
         """
         if kind not in ("inject", "repair"):
             raise ValueError(f"unknown event kind {kind!r}")
         if not self._built:
             self.build()
-        mesh_cells = self._check_event_cells(cells, want_faulty=kind == "repair")
+        mesh_cells = check_event_cells(
+            cells, self.fault_mask, want_faulty=kind == "repair"
+        )
         with obs.span(
             "pipeline_event", cat="distributed", kind=kind, cells=len(mesh_cells)
         ) as sp:
@@ -343,11 +342,10 @@ class DistributedMCCPipeline:
             msgs_before = self.net.stats.total_messages
             pre_status = self.labels_grid()
             if kind == "inject":
-                reset_count, lost_owners = self._stabilize_inject(mesh_cells)
+                self._stabilize_inject(mesh_cells)
+                lost_owners = None
             else:
-                reset_count, lost_owners = self._stabilize_repair(
-                    mesh_cells, pre_status
-                )
+                lost_owners = self._stabilize_repair(mesh_cells, pre_status)
             self.net.run_to_quiescence()
             post_status = self.labels_grid()
             diff = np.argwhere(pre_status != post_status)
@@ -356,8 +354,8 @@ class DistributedMCCPipeline:
             restart_mask, affected_cells = self._ident_region(
                 pre_status, post_status, changed, lost_owners
             )
-            pruned = self._prune_sections(restart_mask, affected_cells)
-            restarted = self._restart_identification(restart_mask)
+            self._prune_sections(restart_mask, affected_cells)
+            self._restart_identification(restart_mask)
             self.net.run_to_quiescence()
             self.epoch += 1
             stabilize_msgs = self.net.stats.total_messages - msgs_before
@@ -372,43 +370,16 @@ class DistributedMCCPipeline:
             "cells": tuple(mesh_cells),
             "epoch": self.epoch,
             "flushed": flushed,
-            "labels_changed": len(changed) - len(mesh_cells),
-            "reset_cells": reset_count,
             "region_cells": region_cells,
-            "sections_pruned": pruned,
-            "nodes_restarted": restarted,
             "messages": stabilize_msgs,
         }
 
-    def _check_event_cells(
-        self, cells: Iterable[Sequence[int]], want_faulty: bool
-    ) -> list[Coord]:
-        out: list[Coord] = []
-        seen: set[Coord] = set()
-        for cell in cells:
-            c = tuple(int(v) for v in cell)
-            if not self.mesh.contains(c):
-                raise ValueError(f"cell {c} outside mesh {self.mesh.shape}")
-            if c in seen:
-                raise ValueError(f"cell {c} given twice in one event")
-            seen.add(c)
-            if self.net.is_faulty(c) != want_faulty:
-                state = "faulty" if self.net.is_faulty(c) else "healthy"
-                raise ValueError(f"cell {c} is {state}")
-            out.append(c)
-        if not out:
-            raise ValueError("a fault event needs at least one cell")
-        return out
-
-    def _stabilize_inject(
-        self, cells: list[Coord]
-    ) -> tuple[int, set[tuple]]:
+    def _stabilize_inject(self, cells: list[Coord]) -> None:
         """Kill ``cells``; neighbors detect it and the gossip escalates.
 
         Labels only grow under injection, so the old fixed point is a
         sound warm start — no resets, no announcements beyond the
-        protocol's own change gossip.  Returns ``(reset_count,
-        lost_owners)`` like :meth:`_stabilize_repair`: ``(0, set())``.
+        protocol's own change gossip.
         """
         for c in cells:
             self.net.inject_fault(c)
@@ -417,11 +388,10 @@ class DistributedMCCPipeline:
                 if not self.net.is_faulty(n):
                     node = self.net.nodes[n]
                     self.net.sim.schedule(0.0, node.notice_neighbor_died, c)
-        return 0, set()
 
     def _stabilize_repair(
         self, cells: list[Coord], pre_status: np.ndarray
-    ) -> tuple[int, set[tuple]]:
+    ) -> set[tuple]:
         """Heal ``cells``; reset exactly the labels that may shrink.
 
         After a repair the labelled set can only shrink, and only inside
@@ -431,9 +401,8 @@ class DistributedMCCPipeline:
         at all, so the reset set is the *labelled* cells of those slabs
         plus the repaired cells themselves.
 
-        Returns ``(reset_count, lost_owners)``: the size of the reset set
-        and the ``(plane, corner)`` keys of the sections whose shapes or
-        wall records the repaired nodes held.
+        Returns the ``(plane, corner)`` keys of the sections whose shapes
+        or wall records the repaired nodes held.
         """
         for c in cells:
             self.net.repair(c)
@@ -474,7 +443,7 @@ class DistributedMCCPipeline:
         for c in sorted(reset_set):
             node = self.net.nodes[c]
             self.net.sim.schedule(0.0, node.announce_labelling)
-        return len(reset_set), lost_owners
+        return lost_owners
 
     def _ident_region(
         self,
@@ -536,7 +505,7 @@ class DistributedMCCPipeline:
 
     def _prune_sections(
         self, restart_mask: np.ndarray, affected_cells: np.ndarray
-    ) -> int:
+    ) -> None:
         """Drop section state owned by the affected regions.
 
         Shapes, corner marks, walk markers, and boundary records of
@@ -608,19 +577,15 @@ class DistributedMCCPipeline:
                     if (k[0], k[1]) in affected or in_mask(k[1])
                 ]:
                     del records[key]
-        return len(affected)
 
-    def _restart_identification(self, restart_mask: np.ndarray) -> int:
+    def _restart_identification(self, restart_mask: np.ndarray) -> None:
         """Re-run edge/corner/wall protocol for live nodes in the scope."""
-        count = 0
         for cell in np.argwhere(restart_mask):
             coord = tuple(int(v) for v in cell)
             if self.net.is_faulty(coord):
                 continue
             node = self.net.nodes[coord]
             self.net.sim.schedule(0.0, node.start_identification, True)
-            count += 1
-        return count
 
     # -- observers -----------------------------------------------------------------
 

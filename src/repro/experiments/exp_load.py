@@ -159,9 +159,8 @@ def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, Any]:
                 mesh, mask, capacity, schedule, paths
             )
         base = pipe.net.sim.now
-        handles = [
-            pipe.submit(s, d, strict=False, at=t) for t, s, d in schedule
-        ]
+        for t, s, d in schedule:
+            pipe.submit(s, d, strict=False, at=t)
         sessions = pipe.drain()
         lat = [
             r["latency"]
@@ -175,17 +174,8 @@ def evaluate_pattern(spec: SweepSpec, task: PatternTask) -> dict[str, Any]:
             "elapsed": pipe.net.sim.now - base,
             "qpeak": int(pipe.net.stats.gauges.get("link_peak_depth", 0)),
         }
-        del handles
         record["rates"].append(per_rate)
     return record
-
-
-def _pct(lat: list[float], q: float) -> float:
-    # obs.Histogram.percentile is the same np.percentile math (and
-    # 0.0-when-empty convention) the serve layer uses — exact parity.
-    hist = obs.Histogram("frame_latency")
-    hist.values.extend(lat)
-    return hist.percentile(q)
 
 
 def reduce_records(
@@ -261,9 +251,9 @@ def reduce_records(
             for m in MODES:
                 cell = rs["modes"][m]
                 row[f"delivered_{m}"] = cell["delivered"]
-                row[f"p50_{m}"] = _pct(cell["lat"], 50)
-                row[f"p95_{m}"] = _pct(cell["lat"], 95)
-                row[f"p99_{m}"] = _pct(cell["lat"], 99)
+                row[f"p50_{m}"] = obs.percentile(cell["lat"], 50)
+                row[f"p95_{m}"] = obs.percentile(cell["lat"], 95)
+                row[f"p99_{m}"] = obs.percentile(cell["lat"], 99)
                 row[f"thr_{m}"] = (
                     cell["delivered"] / cell["makespan"]
                     if cell["makespan"] > 0
@@ -274,8 +264,8 @@ def reduce_records(
                 row[f"sat_{m}"] = sat[m]
             cell = rs["des"]
             row["des_delivered"] = cell["delivered"]
-            row["des_p50"] = _pct(cell["lat"], 50)
-            row["des_p99"] = _pct(cell["lat"], 99)
+            row["des_p50"] = obs.percentile(cell["lat"], 50)
+            row["des_p99"] = obs.percentile(cell["lat"], 99)
             row["des_thr"] = (
                 cell["delivered"] / cell["elapsed"] if cell["elapsed"] > 0 else 0.0
             )

@@ -1,17 +1,22 @@
-"""`repro.obs` — unified telemetry: spans, metrics, trace export.
+"""`repro.obs` — telemetry: spans, latency percentiles, trace export.
 
 The observability subsystem for the whole stack.  Three pieces:
 
 * **Span tracer** (:mod:`repro.obs.tracer`): ``obs.span(...)`` context
   managers at the instrumented seams (routing batches, flood kernels,
   fault events, DES quiescence, distributed sessions, serve ticks,
-  sweep workers).  Off by default; installing a :class:`Tracer` (or
-  passing ``--trace out.json`` to any experiment CLI) turns it on.
-* **Metrics registry** (:mod:`repro.obs.metrics`): labelled counters,
-  gauges, and the latency :class:`Histogram` backing the serve layer's
-  p50/p99 math.
-* **Exporters** (:mod:`repro.obs.export`): Perfetto trace-event JSON
-  (open in https://ui.perfetto.dev) and metrics JSONL.
+  sweep workers).  Off by default; ``obs.tracing(tracer)`` (or passing
+  ``--trace out.json`` to any experiment CLI) turns it on.
+* **Percentiles** (:mod:`repro.obs.metrics`): :func:`percentile`, the
+  one arithmetic behind the serve layer's, the load harness's and
+  T7's p50/p99 columns.
+* **Exporter** (:mod:`repro.obs.export`): Perfetto trace-event JSON
+  (open in https://ui.perfetto.dev).
+
+Counters live where the tables read them: the DES's per-kind message
+counts, per-session tags and drop gauges in
+:class:`repro.simkit.stats.StatsCollector`, and the serve layer's SLO
+fields in :class:`repro.serve.service.MetricsSnapshot`.
 
 Discipline (see DESIGN.md "Observability"): wall-clock reads happen
 only through :mod:`repro.obs.clockio` (the one sanctioned D101 site);
@@ -21,13 +26,8 @@ layouts.
 """
 
 from repro.obs import clockio, export, metrics
-from repro.obs.export import (
-    perfetto_events,
-    virtual_stream,
-    write_metrics_jsonl,
-    write_perfetto,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.export import perfetto_events, write_perfetto
+from repro.obs.metrics import percentile
 from repro.obs.tracer import (
     INSTANT,
     NULL_HANDLE,
@@ -36,37 +36,26 @@ from repro.obs.tracer import (
     SpanHandle,
     Tracer,
     enabled,
-    install,
     instant,
     span,
-    traced,
     tracing,
-    uninstall,
 )
 
 __all__ = [
     "INSTANT",
     "NULL_HANDLE",
     "SPAN",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Span",
     "SpanHandle",
     "Tracer",
     "clockio",
     "enabled",
     "export",
-    "install",
     "instant",
     "metrics",
+    "percentile",
     "perfetto_events",
     "span",
-    "traced",
     "tracing",
-    "uninstall",
-    "virtual_stream",
-    "write_metrics_jsonl",
     "write_perfetto",
 ]

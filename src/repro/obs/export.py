@@ -1,22 +1,13 @@
-"""Exporters: Perfetto trace-event JSON and metrics JSONL.
+"""Exporter: Perfetto trace-event JSON.
 
-Two formats, two audiences:
-
-* :func:`write_perfetto` produces Chrome trace-event JSON — open the
-  file at https://ui.perfetto.dev (or ``chrome://tracing``) and the span
-  stream renders as a flame chart, one thread track per
-  :attr:`~repro.obs.tracer.Tracer.track`, with virtual-time bounds and
-  span attributes in the ``args`` pane.
-* :func:`write_metrics_jsonl` persists a
-  :class:`~repro.obs.metrics.MetricsRegistry` through the standard
-  :mod:`repro.util.records` JSONL primitives (header + one row per
-  instrument), loadable with :func:`repro.util.records.read_jsonl`.
-
-Determinism surface: :func:`virtual_stream` strips the wall-clock
-fields from a span stream, leaving names, categories, tracks,
-sequencing, nesting, virtual-time bounds, and attributes.  That reduced
-stream — not the Perfetto file, whose ``ts``/``dur`` are wall time — is
-what the byte-identity tests compare across replays and worker layouts.
+:func:`write_perfetto` produces Chrome trace-event JSON — open the file
+at https://ui.perfetto.dev (or ``chrome://tracing``) and the span stream
+renders as a flame chart, one thread track per
+:attr:`~repro.obs.tracer.Tracer.track`, with virtual-time bounds and
+span attributes in the ``args`` pane.  The ``ts``/``dur`` fields are
+wall time; everything else in an event is the deterministic virtual
+stream that the byte-identity tests compare across replays and worker
+layouts.
 """
 
 from __future__ import annotations
@@ -25,16 +16,7 @@ import json
 import os
 from typing import Any, Iterable, Mapping
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import INSTANT, Span
-from repro.util.records import json_line
-
-#: Format marker + schema version of the metrics JSONL header.
-METRICS_FORMAT = "repro.metrics"
-METRICS_SCHEMA = 1
-
-#: Wall-clock span fields — excluded from every determinism comparison.
-WALL_FIELDS = ("t0", "t1")
 
 #: Microseconds per wall-clock second (trace-event ``ts``/``dur`` unit).
 _US = 1e6
@@ -42,19 +24,6 @@ _US = 1e6
 
 def _as_dicts(spans: Iterable[Span | Mapping[str, Any]]) -> list[dict[str, Any]]:
     return [sp.to_dict() if isinstance(sp, Span) else dict(sp) for sp in spans]
-
-
-def virtual_stream(spans: Iterable[Span | Mapping[str, Any]]) -> list[dict[str, Any]]:
-    """The deterministic view of a span stream: everything but wall time.
-
-    Byte-identical (after ``json_line``) across replays and
-    shard/worker layouts for the same workload — the property
-    ``tests/test_obs.py`` pins and CI gates.
-    """
-    out = []
-    for d in _as_dicts(spans):
-        out.append({k: v for k, v in d.items() if k not in WALL_FIELDS})
-    return out
 
 
 def perfetto_events(
@@ -135,21 +104,3 @@ def write_perfetto(
         json.dump(payload, fh, separators=(",", ":"))
         fh.write("\n")
     return len(events)
-
-
-def write_metrics_jsonl(
-    path: str | os.PathLike, registry: MetricsRegistry, title: str = ""
-) -> int:
-    """Dump a metrics registry as header + one JSONL row per instrument."""
-    rows = registry.rows()
-    header = {
-        "format": METRICS_FORMAT,
-        "schema": METRICS_SCHEMA,
-        "title": title,
-        "count": len(rows),
-    }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json_line(header) + "\n")
-        for row in rows:
-            fh.write(json_line(row) + "\n")
-    return len(rows)

@@ -1,178 +1,21 @@
-"""Metrics registry: labelled counters, gauges, and latency histograms.
+"""Latency percentiles: the one arithmetic behind every p50/p99 column.
 
-One :class:`MetricsRegistry` is the sink the stack's ad-hoc counter
-islands feed into — :class:`repro.simkit.stats.StatsCollector` publishes
-its per-kind message counters and gauges
-(:meth:`~repro.simkit.stats.StatsCollector.publish`), the serving
-layer's :class:`~repro.serve.service.MetricsSnapshot` publishes its SLO
-fields, and :class:`Histogram` is the one latency type backing the
-p50/p99 math both already compute (``numpy.percentile`` over the exact
-observations, bit-for-bit the arithmetic the serve layer and the load
-generator used before it existed).
-
-Metrics are keyed by ``(name, labels)``; asking for the same key twice
-returns the same instrument.  :meth:`MetricsRegistry.rows` is the
-deterministic flat form (sorted by name, then labels) that
-:func:`repro.obs.export.write_metrics_jsonl` persists through the
-standard :mod:`repro.util.records` JSONL primitives.
-
-Nothing here reads a clock: durations and latencies are *observed* by
-callers (from their own virtual clocks or from span wall stamps), so a
-registry fed by a deterministic run is itself deterministic.
+:func:`percentile` is ``float(np.percentile(values, q))`` over the exact
+observations, 0.0 when there are none.  The serve layer's
+:class:`~repro.serve.service.MetricsSnapshot`, ``loadgen.summarize`` and
+T7's latency columns all call it on plain lists, so their percentiles
+can never disagree.  Nothing here reads a clock.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Sequence
 
 import numpy as np
 
-#: Canonical label form: sorted (key, value) pairs.
-LabelsKey = tuple[tuple[str, Any], ...]
 
-
-def _labels_key(labels: Mapping[str, Any]) -> LabelsKey:
-    return tuple(sorted((str(k), v) for k, v in labels.items()))
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    kind = "counter"
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelsKey):
-        self.name = name
-        self.labels = labels
-        self.value: float = 0
-
-    def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up, got {amount}")
-        self.value += amount
-
-    def as_row(self) -> dict[str, Any]:
-        return {"value": self.value}
-
-
-class Gauge:
-    """A point-in-time value (last write wins; ``update_max`` for peaks)."""
-
-    kind = "gauge"
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelsKey):
-        self.name = name
-        self.labels = labels
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def update_max(self, value: float) -> None:
-        if value > self.value:
-            self.value = value
-
-    def as_row(self) -> dict[str, Any]:
-        return {"value": self.value}
-
-
-class Histogram:
-    """Exact-observation latency histogram with percentile math.
-
-    Keeps every observation (the existing p50/p99 consumers are
-    bounded-run: one serve soak or one experiment pattern), so
-    :meth:`percentile` reproduces ``float(np.percentile(values, q))``
-    bit-for-bit — the arithmetic ``MetricsSnapshot`` and
-    ``loadgen.summarize`` computed inline before this type existed.
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "labels", "values")
-
-    def __init__(self, name: str = "", labels: LabelsKey = ()):
-        self.name = name
-        self.labels = labels
-        self.values: list[float] = []
-
-    def observe(self, value: float) -> None:
-        self.values.append(value)
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.values))
-
-    def percentile(self, q: float) -> float:
-        """``float(np.percentile(values, q))``; 0.0 when empty."""
-        if not self.values:
-            return 0.0
-        return float(np.percentile(np.asarray(self.values, dtype=float), q))
-
-    def max(self) -> float:
-        if not self.values:
-            return 0.0
-        return float(np.asarray(self.values, dtype=float).max())
-
-    def mean(self) -> float:
-        if not self.values:
-            return 0.0
-        return float(np.asarray(self.values, dtype=float).mean())
-
-    def as_row(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-            "max": self.max(),
-        }
-
-
-class MetricsRegistry:
-    """Get-or-create home for every instrument, keyed by (name, labels)."""
-
-    def __init__(self):
-        self._metrics: dict[tuple[str, str, LabelsKey], Any] = {}
-
-    def _get(self, cls, name: str, labels: Mapping[str, Any]):
-        key = (cls.kind, name, _labels_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = cls(name, key[2])
-        elif not isinstance(metric, cls):  # pragma: no cover - defensive
-            raise TypeError(f"{name} already registered as {type(metric).__name__}")
-        return metric
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get(Counter, name, labels)
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get(Gauge, name, labels)
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self._get(Histogram, name, labels)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __iter__(self) -> Iterator[Any]:
-        for key in sorted(self._metrics, key=repr):
-            yield self._metrics[key]
-
-    def rows(self) -> list[dict[str, Any]]:
-        """Deterministic flat rows: kind, name, labels, then the values."""
-        out = []
-        for metric in self:
-            row: dict[str, Any] = {
-                "kind": metric.kind,
-                "name": metric.name,
-                "labels": {k: v for k, v in metric.labels},
-            }
-            row.update(metric.as_row())
-            out.append(row)
-        return out
+def percentile(values: Sequence[float], q: float) -> float:
+    """``float(np.percentile(values, q))``; 0.0 when ``values`` is empty."""
+    if not values:
+        return 0.0
+    return float(np.percentile(np.asarray(values, dtype=float), q))

@@ -40,9 +40,6 @@ Usage::
         ...
         sp.set(groups=n_groups)          # exit-time attributes
 
-    @obs.traced(cat="kernel")
-    def hot_entry(...): ...
-
     tracer = obs.Tracer()
     with obs.tracing(tracer):            # install for a scope
         run_workload()
@@ -51,9 +48,8 @@ Usage::
 
 from __future__ import annotations
 
-import functools
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.obs.clockio import wall_now
 
@@ -258,20 +254,6 @@ def enabled() -> bool:
     return _TRACER is not None
 
 
-def install(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` as the process-wide current tracer."""
-    global _TRACER
-    _TRACER = tracer
-    return tracer
-
-
-def uninstall() -> Tracer | None:
-    """Remove and return the current tracer (tracing goes back off)."""
-    global _TRACER
-    tracer, _TRACER = _TRACER, None
-    return tracer
-
-
 @contextmanager
 def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
     """Install a tracer for a scope, restoring the previous one after.
@@ -310,26 +292,3 @@ def instant(name: str, cat: str = "", **attrs: Any) -> Span | None:
     if tracer is None:
         return None
     return tracer.instant(name, cat, **attrs)
-
-
-def traced(name: str | None = None, cat: str = "") -> Callable:
-    """Decorator form: wrap a callable in a span named after it.
-
-    >>> @traced(cat="kernel")
-    ... def flood(mask): ...
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        span_name = name if name is not None else fn.__name__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            tracer = _TRACER
-            if tracer is None:
-                return fn(*args, **kwargs)
-            with tracer.span(span_name, cat):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -59,6 +59,7 @@ from repro import obs
 from repro.core.labelling import LabelledGrid, closure, closure_region, compose_status
 from repro.mesh.coords import Coord
 from repro.mesh.orientation import Orientation
+from repro.util.validation import check_event_cells
 
 #: Combined dirty-slab volume (both signs), as a fraction of the full
 #: 2-sweep volume ``2 * mesh_size``, above which a *repair* falls back
@@ -378,31 +379,9 @@ class DynamicFaultModel:
 
     # -- events ------------------------------------------------------------
 
-    def _check_cells(
-        self, cells: Iterable[Sequence[int]], want_faulty: bool
-    ) -> list[Coord]:
-        out: list[Coord] = []
-        seen: set[Coord] = set()
-        for cell in cells:
-            c = tuple(int(v) for v in cell)
-            if len(c) != len(self.shape) or not all(
-                0 <= v < k for v, k in zip(c, self.shape, strict=True)
-            ):
-                raise ValueError(f"cell {c} outside mesh {self.shape}")
-            if c in seen:
-                raise ValueError(f"cell {c} given twice in one event")
-            seen.add(c)
-            if bool(self.fault_mask[c]) != want_faulty:
-                state = "faulty" if self.fault_mask[c] else "healthy"
-                raise ValueError(f"cell {c} is {state}")
-            out.append(c)
-        if not out:
-            raise ValueError("a fault event needs at least one cell")
-        return out
-
     def inject(self, cells: Iterable[Sequence[int]]) -> FaultEvent:
         """Mark ``cells`` faulty; labels escalate incrementally."""
-        mesh_cells = self._check_cells(cells, want_faulty=False)
+        mesh_cells = check_event_cells(cells, self.fault_mask, want_faulty=False)
         with obs.span("fault_inject", cat="online", cells=len(mesh_cells)) as sp:
             for c in mesh_cells:
                 self.fault_mask[c] = True
@@ -423,7 +402,7 @@ class DynamicFaultModel:
 
     def repair(self, cells: Iterable[Sequence[int]]) -> FaultEvent:
         """Mark ``cells`` healthy again; affected slabs are relabelled."""
-        mesh_cells = self._check_cells(cells, want_faulty=True)
+        mesh_cells = check_event_cells(cells, self.fault_mask, want_faulty=True)
         with obs.span("fault_repair", cat="online", cells=len(mesh_cells)) as sp:
             for c in mesh_cells:
                 self.fault_mask[c] = False

@@ -258,11 +258,7 @@ def summarize(
 ) -> dict[str, float | int]:
     """One table row: offered load vs latency percentiles and SLO rates."""
     served = [r for r in records if r.status != "shed"]
-    # The obs latency histogram reproduces the former inline
-    # np.percentile math bit-for-bit (seed-replay byte-identity).
-    latencies = obs.Histogram("load_latency")
-    for r in served:
-        latencies.observe(r.latency)
+    latencies = [r.latency for r in served]
     completed_span = max((r.completed for r in served), default=0.0)
     row: dict[str, float | int] = {
         "profile": trace.profile,
@@ -275,9 +271,9 @@ def summarize(
             if served
             else 0.0
         ),
-        "p50_latency": latencies.percentile(50),
-        "p90_latency": latencies.percentile(90),
-        "p99_latency": latencies.percentile(99),
+        "p50_latency": obs.percentile(latencies, 50),
+        "p90_latency": obs.percentile(latencies, 90),
+        "p99_latency": obs.percentile(latencies, 99),
         "throughput": (
             len(served) / completed_span if completed_span > 0 else 0.0
         ),

@@ -97,29 +97,6 @@ class MetricsSnapshot:
         """The snapshot as a flat dict (ResultTable/JSONL friendly)."""
         return dict(self.__dict__)
 
-    def publish(self, registry) -> None:
-        """Feed the SLO fields into an :class:`~repro.obs.MetricsRegistry`.
-
-        Monotone counts become counters, point-in-time fields become
-        gauges — the serve layer's half of the unified telemetry sink.
-        """
-        for name in ("requests", "completed", "shed", "events", "batches"):
-            registry.counter(f"serve_{name}").inc(getattr(self, name))
-        for name in (
-            "max_batch",
-            "mean_batch",
-            "p50_latency",
-            "p99_latency",
-            "max_latency",
-            "throughput",
-            "epoch_lag_mean",
-            "epoch_lag_max",
-            "cache_hit_rate",
-            "epoch",
-            "queue_depth",
-        ):
-            registry.gauge(f"serve_{name}").set(float(getattr(self, name)))
-
 
 class AsyncRoutingService:
     """Serve concurrent ``await route(s, d)`` traffic over churning faults.
@@ -279,7 +256,7 @@ class AsyncRoutingService:
             for (fut, _pair, arrived), ticket in zip(batch, tickets, strict=True):
                 result = flushed[ticket]
                 self._completed += 1
-                self._latencies.observe(now - arrived)
+                self._latencies.append(now - arrived)
                 if not fut.cancelled():
                     fut.set_result(result)
             sp.set_vt(end=now)
@@ -296,18 +273,16 @@ class AsyncRoutingService:
         self._events = 0
         self._batches = 0
         self._max_batch = 0
-        self._latencies = obs.Histogram("serve_latency")
+        self._latencies: list[float] = []
         self._epoch_lag_total = 0
         self._epoch_lag_max = 0
         self._window_start = self.clock.now()
 
     def metrics(self) -> MetricsSnapshot:
         """Snapshot the SLO counters (cheap; callable at any time)."""
-        # Histogram.percentile/max reproduce the former inline
-        # np.percentile math bit-for-bit (replay byte-identity).
-        p50 = self._latencies.percentile(50)
-        p99 = self._latencies.percentile(99)
-        peak = self._latencies.max()
+        p50 = obs.percentile(self._latencies, 50)
+        p99 = obs.percentile(self._latencies, 99)
+        peak = float(max(self._latencies, default=0.0))
         elapsed = self.clock.now() - self._window_start
         router = self.online.router
         probes = router.evicted + router.retained

@@ -6,8 +6,9 @@ construction, detection, routing — happens "through the message
 transmission between two neighboring nodes along one of those three
 dimensions" (Section 1).  This package provides exactly that substrate:
 a deterministic event queue, a mesh network that delivers messages
-between neighbor node processes with per-hop latency, per-type message
-statistics, and optional tracing.
+between neighbor node processes with per-hop latency, and per-kind
+message statistics.  Spans from :mod:`repro.obs` are the one tracing
+path (``run_to_quiescence`` opens one per quiescence run).
 """
 
 from repro.simkit.event_queue import EventQueue
@@ -16,7 +17,6 @@ from repro.simkit.message import Message
 from repro.simkit.node import NodeProcess
 from repro.simkit.network import MeshNetwork
 from repro.simkit.stats import StatsCollector
-from repro.simkit.trace import TraceLog
 
 __all__ = [
     "EventQueue",
@@ -25,5 +25,4 @@ __all__ = [
     "NodeProcess",
     "MeshNetwork",
     "StatsCollector",
-    "TraceLog",
 ]

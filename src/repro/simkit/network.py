@@ -22,6 +22,8 @@ one ``(deliver, (network, msg))`` event onto the simulator's queue at
 its argument tuple and its event pair, and no closure or bound method,
 and the network holds no bound method of itself.  A contended send
 schedules the bound ``_deliver`` with the message and its link.
+No delivery is logged: the per-kind counts are taken at the send, and
+a test that needs the delivery order wraps the nodes' ``on_message``.
 
 A network and its nodes reference each other (``nodes`` and each
 node's ``network``), so a bare network is freed by the cyclic garbage
@@ -43,7 +45,6 @@ from repro.simkit.message import Message
 from repro.simkit.node import NodeProcess
 from repro.simkit.simulator import Simulator
 from repro.simkit.stats import StatsCollector
-from repro.simkit.trace import TraceLog
 
 
 #: Message kind for source-routed data frames, handled by the network
@@ -73,8 +74,9 @@ class MeshNetwork:
     ``link_capacity=k`` each *directed* neighbor link is a serialized
     resource carrying at most ``k`` messages per ``link_delay``; later
     ``transmit`` calls queue FIFO behind earlier ones (service order is
-    transmit order, deterministic — no RNG anywhere).  Queue depth per
-    link and end-to-end frame latency land in :class:`StatsCollector`.
+    transmit order, deterministic — no RNG anywhere).  The peak link
+    depth (the ``link_peak_depth`` gauge) and end-to-end frame latency
+    land in :class:`StatsCollector`.
     """
 
     def __init__(
@@ -84,7 +86,6 @@ class MeshNetwork:
         node_factory: Callable[["MeshNetwork", Coord], NodeProcess] | None = None,
         link_delay: float = 1.0,
         link_capacity: int | None = None,
-        trace: bool = False,
     ):
         if fault_mask.shape != mesh.shape:
             raise ValueError(
@@ -102,7 +103,6 @@ class MeshNetwork:
         self.fault_mask = np.asarray(fault_mask, dtype=bool).copy()
         self.sim = Simulator()
         self.stats = StatsCollector()
-        self.trace = TraceLog() if trace else None
         self.link_delay = link_delay
         self.link_capacity = link_capacity
         self._links: dict[tuple[Coord, Coord], _LinkState] = {}
@@ -197,7 +197,7 @@ class MeshNetwork:
         if wait > 0:
             self.stats.bump("link_wait_total", wait)
         state.depth += 1
-        self.stats.note_link_depth(link, state.depth)
+        self.stats.note_link_depth(state.depth)
         self.sim.schedule(wait + self.link_delay, self._deliver, msg, link)
 
     def _deliver(self, msg: Message, link: tuple[Coord, Coord] | None = None) -> None:
@@ -211,8 +211,6 @@ class MeshNetwork:
         if msg.expired():
             self.stats.bump("dropped[ttl]")
             return
-        if self.trace is not None:
-            self.trace.record(self.sim.now, msg.kind, msg.src, msg.dst)
         if msg.kind == FRAME_KIND:
             self._frame_hop(msg)
             return
@@ -220,7 +218,7 @@ class MeshNetwork:
 
     # -- source-routed data frames ------------------------------------------------
 
-    def inject_frame(self, path, query=None) -> None:
+    def inject_frame(self, path) -> None:
         """Inject one data frame that follows ``path`` hop by hop.
 
         ``path`` is a sequence of coordinates starting at the source;
@@ -238,16 +236,16 @@ class MeshNetwork:
             self.stats.bump("frames[lost]")
             return
         if len(path) == 1:
-            self.stats.on_frame(0.0, query=query)
+            self.stats.on_frame(0.0)
             return
         # The hop index is derived from ``hops`` (0 at injection, +1 per
         # forward), so no hop writes the payload: each forward copies
-        # this three-key dict and shares the ``path`` list.
+        # this two-key dict and shares the ``path`` list.
         msg = Message(
             kind=FRAME_KIND,
             src=path[0],
             dst=path[1],
-            payload={"query": query, "path": path, "t0": t0},
+            payload={"path": path, "t0": t0},
         )
         self.transmit(msg)
 
@@ -258,7 +256,7 @@ class MeshNetwork:
         # with hops == 0, and forwarded() bumps hops once per hop.
         i = msg.hops + 1
         if i == len(path) - 1:
-            self.stats.on_frame(self.sim.now - payload["t0"], query=payload.get("query"))
+            self.stats.on_frame(self.sim.now - payload["t0"])
             return
         self.transmit(msg.forwarded(path[i + 1]))
 

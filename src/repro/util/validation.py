@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 def check_positive(name: str, value: int | float, *, strict: bool = True) -> None:
@@ -75,3 +77,34 @@ def check_shape_member(name: str, coord: Sequence[int], shape: Sequence[int]) ->
                 f"{name}={tuple(coord)!r} outside mesh: axis {axis} "
                 f"requires 0 <= {c} < {k}"
             )
+
+
+def check_event_cells(
+    cells: Iterable[Sequence[int]], fault_mask: np.ndarray, want_faulty: bool
+) -> list[tuple[int, ...]]:
+    """The cells of one fault event as int tuples, checked against the mask.
+
+    Each cell lies on the mesh of ``fault_mask``'s shape, appears once,
+    and is faulty when ``want_faulty`` (a repair) or healthy otherwise
+    (an inject); an event has at least one cell.  The first cell that
+    breaks the rule raises ``ValueError``.
+    """
+    shape = fault_mask.shape
+    out: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for cell in cells:
+        c = tuple(int(v) for v in cell)
+        if len(c) != len(shape) or not all(
+            0 <= v < k for v, k in zip(c, shape, strict=True)
+        ):
+            raise ValueError(f"cell {c} outside mesh {shape}")
+        if c in seen:
+            raise ValueError(f"cell {c} given twice in one event")
+        seen.add(c)
+        if bool(fault_mask[c]) != want_faulty:
+            state = "faulty" if fault_mask[c] else "healthy"
+            raise ValueError(f"cell {c} is {state}")
+        out.append(c)
+    if not out:
+        raise ValueError("a fault event needs at least one cell")
+    return out

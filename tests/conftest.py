@@ -111,6 +111,24 @@ def reference_route(router, policy, source, dest) -> RouteResult:
     return RouteResult(delivered=True, path=path, feasible=True)
 
 
+def record_deliveries(net) -> list[tuple]:
+    """Every message ``net`` delivers to a node from now on, in order.
+
+    Wraps each node's ``on_message`` to append ``(time, kind, src,
+    dst)`` before the node handles the message.  Frames, which the
+    network forwards itself, reach no node and are not recorded.
+    """
+    deliveries: list[tuple] = []
+    for node in net.nodes.values():
+
+        def recorded(msg, handle=node.on_message):
+            deliveries.append((net.sim.now, msg.kind, msg.src, msg.dst))
+            handle(msg)
+
+        node.on_message = recorded
+    return deliveries
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _sanitize_cache_barrier():
     """Digest-verify the labelling cache for the whole run when

@@ -1,12 +1,13 @@
 """Property P4 (identification): ring walks assemble true shapes."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.components import extract_mccs
-from repro.core.labelling import label_grid
-from repro.distributed.pipeline import DistributedMCCPipeline
+from repro.core.labelling import SAFE, USELESS, label_grid
+from repro.distributed.pipeline import DistributedMCCPipeline, MCCProtocolNode
 from repro.distributed.ringwalk import (
     column_bottoms,
     column_tops,
@@ -16,6 +17,7 @@ from repro.distributed.ringwalk import (
 )
 from repro.mesh.regions import mask_of_cells
 from repro.mesh.topology import Mesh2D, Mesh3D
+from repro.simkit.network import MeshNetwork
 from tests.conftest import random_mask
 
 
@@ -72,6 +74,42 @@ class TestRingwalkPrimitives:
         cells = {(1, 1), (1, 3), (2, 2)}
         assert column_tops(cells) == {1: 3, 2: 2}
         assert column_bottoms(cells) == {1: 1, 2: 2}
+
+
+class TestCornerCheck:
+    """The corner check launches ``IDENT`` only past passable neighbors.
+
+    (1, 1)'s +X neighbor reports an unsafe cell at +Y and its +Y
+    neighbor reports one at +X, so (1, 1) is the initialization corner
+    of a section whose lowest cell is (2, 2) when both reporting
+    neighbors are safe.  The check runs alone, with the node's
+    knowledge set by hand.
+    """
+
+    @staticmethod
+    def _idents(unsafe=(), faulty=()):
+        """IDENT messages one corner check sends."""
+        mask = np.zeros((4, 4), dtype=bool)
+        for cell in faulty:
+            mask[cell] = True
+        net = MeshNetwork(Mesh2D(4), mask, node_factory=MCCProtocolNode)
+        node = net.nodes[(1, 1)]
+        node.store["label"] = SAFE
+        node.store["known_labels"] = {cell: USELESS for cell in unsafe}
+        node.store["edge_info"] = {
+            (2, 1): (((0, 1), frozenset({(0, 1)})),),
+            (1, 2): (((0, 1), frozenset({(1, 0)})),),
+        }
+        node.on_timer("corner-check")
+        return net.stats.by_kind().get("IDENT", 0)
+
+    def test_passable_corner_launches_both_walkers(self):
+        assert self._idents() == 2
+
+    @pytest.mark.parametrize("neighbor", [(2, 1), (1, 2)])
+    def test_reports_from_an_unsafe_neighbor_launch_nothing(self, neighbor):
+        assert self._idents(unsafe=[neighbor]) == 0
+        assert self._idents(faulty=[neighbor]) == 0
 
 
 class TestSectionIdentification2D:

@@ -33,7 +33,7 @@ import pytest
 from repro.distributed.pipeline import DistributedMCCPipeline, MCCProtocolNode
 from repro.mesh.regions import mask_of_cells
 from repro.mesh.topology import Mesh, Mesh2D
-from tests.conftest import random_mask
+from tests.conftest import random_mask, record_deliveries
 
 #: (shape, fault count, seed, replay hash, records digest) per
 #: lifecycle.  The replay hashes were recorded while every hop still
@@ -75,13 +75,15 @@ def _canonical_pairs(rng, mask, count):
 def _lifecycle(shape, faults, seed, on_transmit=None, queue=None):
     """Build, drain a batch, inject one healthy cell, then repair it.
 
-    Returns the traced pipeline and the batch's session records.
-    ``on_transmit`` sees every message the network accepts; ``queue``,
-    if given, replaces the simulator's event queue before the build.
+    Returns the pipeline, the batch's session records and every
+    delivery ``(time, kind, src, dst)`` in order.  ``on_transmit`` sees
+    every message the network accepts; ``queue``, if given, replaces
+    the simulator's event queue before the build.
     """
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, shape, faults)
-    pipe = DistributedMCCPipeline(Mesh(shape), mask, trace=True)
+    pipe = DistributedMCCPipeline(Mesh(shape), mask)
+    deliveries = record_deliveries(pipe.net)
     if queue is not None:
         assert pipe.net.sim.idle
         pipe.net.sim.queue = queue
@@ -101,11 +103,10 @@ def _lifecycle(shape, faults, seed, on_transmit=None, queue=None):
     cell = tuple(int(v) for v in healthy[rng.integers(0, len(healthy))])
     pipe.apply_event("inject", [cell])
     pipe.apply_event("repair", [cell])
-    return pipe, records
+    return pipe, records, deliveries
 
 
-def _replay_hash(pipe, records) -> str:
-    deliveries = [(e.time, e.kind, e.src, e.dst) for e in pipe.net.trace.events]
+def _replay_hash(pipe, records, deliveries) -> str:
     sessions = [(r["status"], r["path"], r["msgs"]) for r in records]
     counts = sorted(pipe.message_counts().items())
     text = repr((deliveries, sessions, counts))
@@ -135,10 +136,9 @@ def _records_digest(pipe) -> str:
 
 @pytest.mark.parametrize("shape, faults, seed, golden, records", LIFECYCLES, ids=IDS)
 def test_lifecycle_replays_exactly(shape, faults, seed, golden, records):
-    pipe, batch = _lifecycle(shape, faults, seed)
-    assert pipe.net.trace.dropped == 0
-    assert len(pipe.net.trace) > 0
-    assert _replay_hash(pipe, batch) == golden
+    pipe, batch, deliveries = _lifecycle(shape, faults, seed)
+    assert deliveries
+    assert _replay_hash(pipe, batch, deliveries) == golden
     assert _records_digest(pipe) == records
 
 
@@ -187,11 +187,14 @@ def _outcome(pipe, records):
     "shape, faults, seed, golden", [row[:4] for row in LIFECYCLES], ids=IDS
 )
 def test_outcomes_do_not_depend_on_tie_order(shape, faults, seed, golden):
-    labels, sections, sessions, records = _outcome(*_lifecycle(shape, faults, seed))
+    pipe, batch, _ = _lifecycle(shape, faults, seed)
+    labels, sections, sessions, records = _outcome(pipe, batch)
     for tie_seed in (1, 2, 3):
-        pipe, batch = _lifecycle(shape, faults, seed, queue=_ShuffledTies(tie_seed))
+        pipe, batch, deliveries = _lifecycle(
+            shape, faults, seed, queue=_ShuffledTies(tie_seed)
+        )
         # The stand-in really reorders: the delivery sequence moves.
-        assert _replay_hash(pipe, batch) != golden
+        assert _replay_hash(pipe, batch, deliveries) != golden
         got_labels, got_sections, got_sessions, got_records = _outcome(pipe, batch)
         np.testing.assert_array_equal(got_labels, labels)
         assert got_sections == sections
@@ -212,8 +215,9 @@ def test_outcomes_do_not_depend_on_tie_order(shape, faults, seed, golden):
 )
 @pytest.mark.parametrize("tie_seed", [1, 3])
 def test_paper_shape_records_do_not_depend_on_tie_order(tie_seed):
-    labels, sections, sessions, records = _outcome(*_lifecycle((10, 10, 10), 80, 2005))
-    pipe, batch = _lifecycle((10, 10, 10), 80, 2005, queue=_ShuffledTies(tie_seed))
+    pipe, batch, _ = _lifecycle((10, 10, 10), 80, 2005)
+    labels, sections, sessions, records = _outcome(pipe, batch)
+    pipe, batch, _ = _lifecycle((10, 10, 10), 80, 2005, queue=_ShuffledTies(tie_seed))
     got_labels, got_sections, got_sessions, got_records = _outcome(pipe, batch)
     # Everything but the records agrees; a difference there is a new
     # failure, not this race.

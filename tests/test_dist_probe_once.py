@@ -9,7 +9,8 @@ step.  :class:`PerPlaneProbeNode` keeps the form they replaced, which
 probes per plane and probes again inside the ring step.  Both must
 leave every node's store, every per-kind message count and the event
 count identical across a build, a batch of queries, an inject and a
-repair.
+repair.  One lifecycle pins the rare detour hop that touches two
+sections the walk has not merged yet: the reference merges both.
 """
 
 from unittest import mock
@@ -282,3 +283,38 @@ def test_handlers_match_per_plane_reference_with_walls(shape, faults, seed):
         pipe = _assert_same_run(*_inputs(shape, faults, seed, queries=20))
     assert detours.call_count > 0
     assert pipe.net.stats.by_kind()["IDENT"] > 0
+
+
+def _unmerged_sections(node, payload):
+    """Sections next to ``node`` (in-plane) whose corners the walk has
+    not merged: what one ``_wall_detour`` hop may merge."""
+    plane = payload["plane"]
+    unsafe, _passable = node._probe_plane(plane)
+    merged = payload.get("merged", ())
+    corners = set()
+    for n in unsafe.values():
+        shape = node._find_local_shape(plane, n)
+        if shape is not None:
+            corners.add(node._section_corner(plane, shape))
+    return len(corners - set(merged))
+
+
+def test_detour_hop_merges_every_section_it_touches():
+    """A lifecycle whose walls detour past two unmerged sections at once.
+
+    Such hops are rare (the two wall lifecycles above have none).  This
+    8x8x8 pattern has three, all the first detour hop of one wall: its
+    node touches the obstructor the descent merged, whose corner is not
+    yet in ``merged``, and a second section.  Every node's records must
+    match the per-plane reference, which merges each section a hop
+    touches.
+    """
+    touched = []
+
+    def counted(self, payload):
+        touched.append(_unmerged_sections(self, payload))
+        return BoundaryMixin._wall_detour(self, payload)
+
+    with mock.patch.object(MCCProtocolNode, "_wall_detour", counted):
+        _assert_same_run(*_inputs((8, 8, 8), 60, 198, queries=0))
+    assert sum(n >= 2 for n in touched) >= 1

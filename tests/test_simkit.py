@@ -12,7 +12,7 @@ from repro.simkit.network import MeshNetwork
 from repro.simkit.node import NodeProcess
 from repro.simkit.simulator import Simulator
 from repro.simkit.stats import StatsCollector
-from repro.simkit.trace import TraceLog
+from tests.conftest import record_deliveries
 
 
 class TestEventQueue:
@@ -281,12 +281,13 @@ class TestNetwork:
         assert net.stats.gauges["dropped[ttl]"] == 1
 
     def test_trace_records_deliveries(self):
-        net = MeshNetwork(Mesh2D(2), np.zeros((2, 2), dtype=bool), _Echo, trace=True)
+        net = MeshNetwork(Mesh2D(2), np.zeros((2, 2), dtype=bool), _Echo)
+        deliveries = record_deliveries(net)
         net.start()
         net.run_to_quiescence()
-        assert len(net.trace) == 2
-        pings = [e for e in net.trace.events if e.kind == "PING"]
-        assert pings[0].dst == (0, 1)
+        assert deliveries == [
+            (1.0, "PING", (0, 0), (0, 1)), (2.0, "PONG", (0, 1), (0, 0)),
+        ]
 
     def test_deterministic_replay(self):
         def run():
@@ -346,22 +347,9 @@ class TestStatsAndTrace:
         stats.on_send("A")
         stats.on_send("B")
         stats.bump("x", 2.5)
-        summary = stats.summary()
-        assert summary["msgs[A]"] == 2
-        assert summary["msgs[total]"] == 3
-        assert summary["x"] == 2.5
-
-    def test_trace_bounded(self):
-        trace = TraceLog(limit=2)
-        for i in range(5):
-            trace.record(float(i), "K", (0, 0), (0, 1))
-        assert len(trace) == 2 and trace.dropped == 3
-
-    def test_trace_render(self):
-        trace = TraceLog()
-        trace.record(1.0, "K", (0, 0), (0, 1), note="hello")
-        text = trace.render()
-        assert "K" in text and "hello" in text
+        assert stats.by_kind() == {"A": 2, "B": 1}
+        assert stats.total_messages == 3
+        assert stats.gauges == {"x": 2.5}
 
 
 class TestNonFiniteTimes:
@@ -440,7 +428,6 @@ class TestContendedLinks:
             net.transmit(Message(kind, (0, 0), (0, 1)))
         net.run_to_quiescence()
         assert seen == [("A", 1.0), ("B", 2.0), ("C", 3.0)]
-        assert net.stats.link_peak_depth[((0, 0), (0, 1))] == 3
         assert net.stats.gauges["link_peak_depth"] == 3
         assert net.stats.gauges["link_wait_total"] == 3.0  # 0 + 1 + 2
 
@@ -535,10 +522,10 @@ class TestFrames:
 
     def test_frame_counts_as_messages(self):
         net = MeshNetwork(Mesh2D(3), np.zeros((3, 3), dtype=bool))
-        net.inject_frame([(0, 0), (0, 1), (0, 2)], query=42)
+        net.inject_frame([(0, 0), (0, 1), (0, 2)])
         net.run_to_quiescence()
         assert net.stats.messages_sent["FRAME"] == 2
-        assert net.stats.query_messages[42] == 2
+        assert not net.stats.query_messages
 
 
 class _Relay(NodeProcess):
@@ -603,8 +590,9 @@ class TestSendAccounting:
     def test_counts_drops_and_deliveries(self, capacity, corner_times, gauges):
         net = MeshNetwork(
             Mesh2D(3), np.zeros((3, 3), dtype=bool), _Relay,
-            link_capacity=capacity, trace=True,
+            link_capacity=capacity,
         )
+        deliveries = record_deliveries(net)
         net.start()
         net.run_to_quiescence()
         assert net.stats.by_kind() == {"PING": 18, "DIE": 1, "HELLO": 1}
@@ -613,7 +601,6 @@ class TestSendAccounting:
             **gauges, "dropped[src-faulty]": 1.0, "dropped[dst-faulty]": 1.0,
         }
         assert net.sim.events_processed == 29
-        deliveries = [(e.time, e.kind, e.src, e.dst) for e in net.trace.events]
         assert deliveries == _RELAY_HEAD + [
             (t, "PING", src, (2, 2))
             for t, src in zip(corner_times, _INTO_CORNER, strict=True)
