@@ -24,6 +24,15 @@ property-tested in ``tests/test_minimality.py``):
 * a CANT_REACH node u ≠ s cannot be entered by any monotone path that
   starts at a safe source s.
 
+One rule serves both labels.  The border rule treats both sides alike,
+so the CANT_REACH rule is the USELESS rule with every axis reversed:
+:func:`closure` computes the USELESS closure (the faults plus the
+USELESS nodes), and the CANT_REACH closure of ``faults`` is
+``np.flip(closure(np.flip(faults)))``.  Reversing every axis maps
+direction class σ onto −σ, so class σ's CANT_REACH closure is class
+−σ's USELESS closure read backwards; :class:`repro.online.DynamicFaultModel`
+keeps one closure per class on that identity.
+
 Implementation: a numpy fixed-point sweep.  Each iteration shifts the
 blocked mask along every axis and combines with logical AND — O(n · N)
 per iteration, at most O(diameter) iterations; grids up to 100³ label in
@@ -70,22 +79,20 @@ def _shifted_blocked(blocked: np.ndarray, axis: int, sign: int) -> np.ndarray:
     return out
 
 
-def _fixed_point(
-    blocked: np.ndarray, sign: int, core: np.ndarray | None = None
-) -> int:
-    """Run one labelling rule to its fixed point, in place.
+def _fixed_point(blocked: np.ndarray, core: np.ndarray | None = None) -> int:
+    """Run the labelling rule to its fixed point, in place.
 
-    ``sign=+1`` is the USELESS rule (every positive neighbor blocked),
-    ``sign=-1`` the CANT_REACH rule.  ``blocked`` holds the faults plus
-    the nodes labelled so far; with ``core``, only its cells may
-    change.  Returns the number of newly blocked cells.
+    A cell becomes blocked when every positive-axis neighbor exists and
+    is blocked.  ``blocked`` holds the faults plus the nodes labelled
+    so far; with ``core``, only its cells may change.  Returns the
+    number of newly blocked cells.
     """
     ndim = blocked.ndim
     changed = 0
     while True:
-        neigh = _shifted_blocked(blocked, 0, sign)
+        neigh = _shifted_blocked(blocked, 0, 1)
         for axis in range(1, ndim):
-            neigh &= _shifted_blocked(blocked, axis, sign)
+            neigh &= _shifted_blocked(blocked, axis, 1)
         # Only not-yet-blocked nodes can change; count them and update
         # in place rather than allocating a fresh mask per sweep.
         neigh &= ~blocked
@@ -98,27 +105,21 @@ def _fixed_point(
         blocked |= neigh
 
 
-def closure(fault_mask: np.ndarray, sign: int) -> np.ndarray:
-    """The full blocked mask of one labelling rule over the whole mesh.
+def closure(fault_mask: np.ndarray) -> np.ndarray:
+    """The faults plus the USELESS nodes, over the whole mesh.
 
-    The faults plus the nodes the rule labels: USELESS for ``sign=+1``,
-    CANT_REACH for ``sign=-1``.  A fresh array; ``fault_mask`` is only
-    read.
+    A fresh array; ``fault_mask`` is only read.  The module docstring
+    derives the CANT_REACH closure from it.
     """
     blocked = np.array(fault_mask, dtype=bool)
-    _fixed_point(blocked, sign)
+    _fixed_point(blocked)
     return blocked
 
 
-def closure_region(
-    blocked: np.ndarray,
-    sign: int,
-    lo: Sequence[int],
-    hi: Sequence[int],
-) -> int:
-    """Run one labelling rule to its fixed point inside a dirty box.
+def closure_region(blocked: np.ndarray, lo: Sequence[int], hi: Sequence[int]) -> int:
+    """Run the labelling rule to its fixed point inside a dirty box.
 
-    ``blocked`` is the *full* blocked mask of one closure (faults plus
+    ``blocked`` is the *full* USELESS closure of one class (faults plus
     already-labelled nodes) and is updated **in place**; only cells in
     the inclusive box ``[lo, hi]`` may change, cells outside are frozen
     and only read as neighbor values.  Returns the number of newly
@@ -129,42 +130,24 @@ def closure_region(
     monotone, so iterating it from any seed between the generators
     (faults) and the true least fixed point converges to that fixed
     point.  When every cell that can still change lies inside the box —
-    e.g. after injecting faults ``P``, a newly blocked cell of the
-    ``sign=+1`` closure has a monotone increasing chain of newly blocked
-    cells ending at some ``f`` in ``P``, hence sits in ``[0, max(P)]`` —
-    the restricted sweep computes exactly the full closure.  The box is
-    extended one layer along the neighbor direction so border cells read
-    real frozen values; the mesh border itself stays non-blocking.
+    e.g. after injecting faults ``P``, a newly blocked cell has a
+    monotone increasing chain of newly blocked cells ending at some
+    ``f`` in ``P``, hence sits in ``[0, max(P)]`` — the restricted sweep
+    computes exactly the full closure.  The box is extended one layer
+    toward the positive side so border cells read real frozen values;
+    the mesh border itself stays non-blocking.
     """
-    ndim = blocked.ndim
     lo = tuple(int(c) for c in lo)
     hi = tuple(int(c) for c in hi)
     if any(a > b for a, b in zip(lo, hi, strict=True)):
         return 0
-    with obs.span(
-        "closure_region", cat="kernel", sign=sign, lo=list(lo), hi=list(hi)
-    ) as sp:
-        # Extend one layer toward the neighbor side (clipped to the mesh) so
-        # core cells at the box face read true frozen values instead of the
-        # border rule; the extra layer itself is never written.
-        if sign > 0:
-            ext = tuple(
-                slice(a, min(b + 2, k))
-                for a, b, k in zip(lo, hi, blocked.shape, strict=True)
-            )
-        else:
-            ext = tuple(slice(max(a - 1, 0), b + 1) for a, b in zip(lo, hi, strict=True))
-        view = blocked[ext]
-        core = np.ones(view.shape, dtype=bool)
-        for axis in range(ndim):
-            span = hi[axis] - lo[axis] + 1
-            idx = [slice(None)] * ndim
-            if sign > 0:
-                idx[axis] = slice(span, None)
-            else:
-                idx[axis] = slice(None, view.shape[axis] - span)
-            core[tuple(idx)] = False
-        changed = _fixed_point(view, sign, core)
+    with obs.span("closure_region", cat="kernel", lo=list(lo), hi=list(hi)) as sp:
+        # The extra layer (clipped to the mesh) is read, never written.
+        ext = zip(lo, hi, blocked.shape, strict=True)
+        view = blocked[tuple(slice(a, min(b + 2, k)) for a, b, k in ext)]
+        core = np.zeros(view.shape, dtype=bool)
+        core[tuple(slice(0, b - a + 1) for a, b in zip(lo, hi, strict=True))] = True
+        changed = _fixed_point(view, core)
         sp.set(changed=changed)
     return changed
 
@@ -227,22 +210,23 @@ def label_grid(
     if orientation is None:
         orientation = Orientation.identity(fault_mask.shape)
     faults = orientation.to_canonical(np.asarray(fault_mask, dtype=bool))
-    status = compose_status(faults, closure(faults, +1), closure(faults, -1))
+    useless = closure(faults)
+    status = compose_status(faults, useless, np.flip(closure(np.flip(faults))))
     return LabelledGrid(status=status, orientation=orientation)
 
 
 def compose_status(
-    faults: np.ndarray, useless_blocked: np.ndarray, cant_blocked: np.ndarray
+    faults: np.ndarray, useless: np.ndarray, cant: np.ndarray
 ) -> np.ndarray:
     """The status grid of one direction class from its two closures.
 
-    ``useless_blocked``/``cant_blocked`` are the faults plus the USELESS
-    / CANT_REACH nodes (:func:`closure`).  A node in both is USELESS
-    (see :func:`label_grid`); faults are FAULTY.
+    ``useless``/``cant`` are the faults plus the USELESS / CANT_REACH
+    nodes (:func:`closure` and its reversed form).  A node in both is
+    USELESS (see :func:`label_grid`); faults are FAULTY.
     """
     status = np.zeros(faults.shape, dtype=np.int8)
-    status[cant_blocked] = CANT_REACH
-    status[useless_blocked] = USELESS
+    status[cant] = CANT_REACH
+    status[useless] = USELESS
     status[faults] = FAULTY
     return status
 

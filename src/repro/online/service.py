@@ -10,10 +10,11 @@ things the static stack cannot:
 * **scoped invalidation** — a cached per-destination reach mask floods
   through the open cells of ``[0, dest]`` only, so an event whose
   dirty cells all sit outside that cone cannot have changed it.  The
-  event's :class:`~repro.online.dynamic_model.ClassDirt` carries the
-  component-wise minimum corner of the changed cells per class, and
-  only cached destinations ``dest >= lo`` are dropped (the cone test
-  is conservative: it may drop a fresh mask, never keep a stale one);
+  event's :attr:`~repro.online.dynamic_model.FaultEvent.classes`
+  carries the component-wise minimum corner of the changed cells per
+  class, and only cached destinations ``dest >= lo`` are dropped (the
+  cone test is conservative: it may drop a fresh mask, never keep a
+  stale one);
 * **epoch stamping** — every :class:`RouteResult` carries the
   fault-model epoch its verdict was computed against, so consumers of
   asynchronous results can tell pre- from post-event answers;
@@ -129,8 +130,7 @@ class _OnlineRouter(RoutingService):
                 event.full_recomputes += 1
         for signs, m in self._models.items():
             if self.mode == "mcc":
-                dirt = event.classes[signs]
-                lo = origin if dirt.full else dirt.open_lo
+                lo = event.classes[signs]
             elif self.mode == "rfb":
                 if full:
                     lo = origin

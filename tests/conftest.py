@@ -157,14 +157,15 @@ def sanitized_cache_barrier():
 
 
 @pytest.fixture
-def closure_runs(monkeypatch) -> list[int]:
-    """Every full-mesh closure run, by sign: two per class labelling."""
-    runs: list[int] = []
+def closure_runs(monkeypatch) -> list[np.ndarray]:
+    """The input of every full-mesh closure run: two per class
+    labelling, the faults and then the faults reversed (CANT_REACH)."""
+    runs: list[np.ndarray] = []
     real = labelling.closure
 
-    def counted(fault_mask, sign):
-        runs.append(sign)
-        return real(fault_mask, sign)
+    def counted(fault_mask):
+        runs.append(np.array(fault_mask))
+        return real(fault_mask)
 
     monkeypatch.setattr(labelling, "closure", counted)
     return runs

@@ -11,6 +11,7 @@ from repro.core.labelling import (
     SAFE,
     USELESS,
     closure,
+    closure_region,
     label_grid,
     unsafe_mask,
 )
@@ -51,6 +52,28 @@ def _closure_reference(fault_mask: np.ndarray, sign: int) -> np.ndarray:
     for coord in blocked:
         out[coord] = True
     return out & ~fault_mask
+
+
+def closure_by_rule(fault_mask: np.ndarray, sign: int) -> np.ndarray:
+    """The ``sign`` rule's closure: ``closure`` for the USELESS rule
+    (+1), and for the CANT_REACH rule (-1) the same kernel on the
+    reversed mask, reversed back."""
+    if sign > 0:
+        return closure(fault_mask)
+    return np.flip(closure(np.flip(fault_mask)))
+
+
+def region_by_rule(blocked: np.ndarray, sign: int, lo, hi) -> int:
+    """``closure_region`` for the ``sign`` rule: the CANT_REACH rule
+    sweeps the reversed view over the reversed box."""
+    if sign > 0:
+        return closure_region(blocked, lo, hi)
+    top = [k - 1 for k in blocked.shape]
+    return closure_region(
+        np.flip(blocked),
+        [t - b for t, b in zip(top, hi, strict=True)],
+        [t - a for t, a in zip(top, lo, strict=True)],
+    )
 
 
 class TestRules2D:
@@ -132,7 +155,7 @@ class TestFixedPoint:
         rng = np.random.default_rng(seed)
         mask = random_mask(rng, (6, 6), count)
         for sign in (+1, -1):
-            fast = closure(mask, sign) & ~mask
+            fast = closure_by_rule(mask, sign) & ~mask
             slow = _closure_reference(mask, sign)
             assert np.array_equal(fast, slow)
 
@@ -143,7 +166,7 @@ class TestFixedPoint:
         mask = random_mask(rng, (4, 4, 4), int(rng.integers(0, 10)))
         for sign in (+1, -1):
             assert np.array_equal(
-                closure(mask, sign) & ~mask, _closure_reference(mask, sign)
+                closure_by_rule(mask, sign) & ~mask, _closure_reference(mask, sign)
             )
 
     def test_idempotent(self, rng):
@@ -215,7 +238,9 @@ class TestClosureRegionBoxes:
     The slab-extension arithmetic (one frozen layer toward the neighbor
     side, clipped at the mesh border) is exercised directly: full-grid
     boxes, boxes flush against every border, single-cell and degenerate
-    boxes — each compared with the scalar ``_closure_reference``.
+    boxes — each compared with the scalar ``_closure_reference``.  The
+    CANT_REACH rule runs through the reversed-axes identity
+    (``region_by_rule``).
     """
 
     @settings(max_examples=40, deadline=None)
@@ -225,12 +250,10 @@ class TestClosureRegionBoxes:
         st.sampled_from([+1, -1]),
     )
     def test_full_grid_box_matches_closure(self, shape, seed, sign):
-        from repro.core.labelling import closure_region
-
         rng = np.random.default_rng(seed)
         mask = random_mask(rng, shape, int(rng.integers(0, 8)))
         blocked = mask.copy()
-        grown = closure_region(
+        grown = region_by_rule(
             blocked, sign, (0,) * len(shape), tuple(k - 1 for k in shape)
         )
         want = _closure_reference(mask, sign) | mask
@@ -247,8 +270,6 @@ class TestClosureRegionBoxes:
     def test_partial_box_is_sound_and_scoped(self, seed, sign, a, b):
         """A partial box only grows inside itself and stays within the
         full closure; cells outside the box are bitwise frozen."""
-        from repro.core.labelling import closure_region
-
         shape = (5, 5)
         rng = np.random.default_rng(seed)
         mask = random_mask(rng, shape, int(rng.integers(0, 7)))
@@ -256,7 +277,7 @@ class TestClosureRegionBoxes:
         hi = tuple(max(x, y) for x, y in zip(a, b, strict=True))
         blocked = mask.copy()
         before = blocked.copy()
-        closure_region(blocked, sign, lo, hi)
+        region_by_rule(blocked, sign, lo, hi)
         full = _closure_reference(mask, sign) | mask
         # Sound: never blocks a cell the full closure leaves open.
         assert not (blocked & ~full).any()
@@ -276,16 +297,14 @@ class TestClosureRegionBoxes:
         """Monotone restart: any partial sweep followed by a full-grid
         sweep lands exactly on the full closure (the dirty-region
         soundness argument in the docstring)."""
-        from repro.core.labelling import closure_region
-
         shape = (5, 5)
         rng = np.random.default_rng(seed)
         mask = random_mask(rng, shape, int(rng.integers(0, 7)))
         lo = tuple(min(x, y) for x, y in zip(a, b, strict=True))
         hi = tuple(max(x, y) for x, y in zip(a, b, strict=True))
         blocked = mask.copy()
-        closure_region(blocked, sign, lo, hi)
-        closure_region(blocked, sign, (0, 0), (4, 4))
+        region_by_rule(blocked, sign, lo, hi)
+        region_by_rule(blocked, sign, (0, 0), (4, 4))
         np.testing.assert_array_equal(
             blocked, _closure_reference(mask, sign) | mask
         )
@@ -298,14 +317,12 @@ class TestClosureRegionBoxes:
         """A 1x1 box (borders and interior) applies exactly the scalar
         rule: blocked iff every sign-direction neighbor is blocked, with
         the mesh border non-blocking."""
-        from repro.core.labelling import closure_region
-
         shape = (4, 4)
         rng = np.random.default_rng(hash((sign, cell)) % (2**32))
         for _ in range(10):
             mask = random_mask(rng, shape, int(rng.integers(0, 8)))
             blocked = mask.copy()
-            grown = closure_region(blocked, sign, cell, cell)
+            grown = region_by_rule(blocked, sign, cell, cell)
             if mask[cell]:
                 want = True  # already blocked; sweep cannot change it
             else:
@@ -321,30 +338,27 @@ class TestClosureRegionBoxes:
             assert grown == int(want and not mask[cell])
 
     def test_border_hugging_slabs(self):
-        """Boxes flush with each mesh border exercise both clip branches
-        of the slab extension (min(b+2, k) and max(a-1, 0))."""
-        from repro.core.labelling import closure_region
-
+        """Boxes flush with each mesh border exercise the clipped and
+        the unclipped extension layer (min(b+2, k)), for both rules."""
         shape = (5, 5)
         rng = np.random.default_rng(9)
         for _ in range(20):
             mask = random_mask(rng, shape, int(rng.integers(2, 10)))
-            full = _closure_reference(mask, +1) | mask
-            for lo, hi in [
-                ((0, 0), (0, 4)),  # top row
-                ((4, 0), (4, 4)),  # bottom row
-                ((0, 0), (4, 0)),  # left column
-                ((0, 4), (4, 4)),  # right column
-            ]:
-                blocked = mask.copy()
-                closure_region(blocked, +1, lo, hi)
-                assert not (blocked & ~full).any()
-                closure_region(blocked, +1, (0, 0), (4, 4))
-                np.testing.assert_array_equal(blocked, full)
+            for sign in (+1, -1):
+                full = _closure_reference(mask, sign) | mask
+                for lo, hi in [
+                    ((0, 0), (0, 4)),  # top row
+                    ((4, 0), (4, 4)),  # bottom row
+                    ((0, 0), (4, 0)),  # left column
+                    ((0, 4), (4, 4)),  # right column
+                ]:
+                    blocked = mask.copy()
+                    region_by_rule(blocked, sign, lo, hi)
+                    assert not (blocked & ~full).any()
+                    region_by_rule(blocked, sign, (0, 0), (4, 4))
+                    np.testing.assert_array_equal(blocked, full)
 
     def test_empty_box_returns_zero(self):
-        from repro.core.labelling import closure_region
-
         blocked = np.zeros((3, 3), dtype=bool)
-        assert closure_region(blocked, +1, (2, 2), (1, 1)) == 0
+        assert closure_region(blocked, (2, 2), (1, 1)) == 0
         assert not blocked.any()

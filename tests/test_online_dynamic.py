@@ -11,17 +11,18 @@ cache invalidation never keeps a stale reach mask.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.labelling import closure_region, label_grid
+from repro.mesh.coords import Coord
 from repro.mesh.orientation import Orientation
 from repro.online import DynamicFaultModel, OnlineRoutingService, dynamic_model
-from repro.online.dynamic_model import _DynamicClass
+from repro.online.dynamic_model import FaultEvent
 from repro.routing import engine
 from repro.routing.batch import RoutingService
 from tests.conftest import all_classes
-from tests.test_labelling import _closure_reference
+from tests.test_labelling import _closure_reference, closure_by_rule, region_by_rule
 
 
 def apply_script(target, script, on_event=None):
@@ -49,8 +50,10 @@ def apply_script(target, script, on_event=None):
     return target
 
 
-def mask_strategy(max_dim=3):
-    """(shape, mask) for small 2-D/3-D meshes with random faults."""
+def mask_strategy(max_dim=3, min_density=0.0):
+    """(shape, mask) for small 2-D/3-D meshes with random faults: up to
+    a third of the cells, drawing at least ``min_density`` of them
+    (duplicate draws collapse)."""
 
     @st.composite
     def build(draw):
@@ -60,7 +63,11 @@ def mask_strategy(max_dim=3):
         )
         n = int(np.prod(shape))
         flats = draw(
-            st.lists(st.integers(0, n - 1), max_size=max(1, n // 3))
+            st.lists(
+                st.integers(0, n - 1),
+                min_size=int(n * min_density),
+                max_size=max(1, n // 3),
+            )
         )
         mask = np.zeros(shape, dtype=bool)
         for f in flats:
@@ -81,6 +88,204 @@ def script_strategy():
     )
 
 
+def _corner(cells, ndim, pick):
+    return tuple(pick(c[a] for c in cells) for a in range(ndim))
+
+
+class TwoClosureClass:
+    """Reference: one direction class that keeps both of its closures.
+
+    ``useless_blocked`` (the ``+1`` rule) and ``cant_blocked`` (the
+    ``-1`` rule, reached through the reversed-axes identity), each
+    updated per event with its own per-sign sweep — the per-class
+    accounting that :class:`DynamicFaultModel`'s shared closures must
+    reproduce.  ``inject``/``repair`` add the class's counts to the
+    event and return its open-changed low corner (the origin on a
+    fallback).
+    """
+
+    def __init__(self, orientation: Orientation, mesh_faults: np.ndarray):
+        self.orientation = orientation
+        self.faults = orientation.to_canonical(mesh_faults)
+        self.shape = tuple(self.faults.shape)
+        self.size = self.faults.size
+        self.useless_blocked = closure_by_rule(self.faults, +1)
+        self.cant_blocked = closure_by_rule(self.faults, -1)
+        self.open = ~self.useless_blocked
+        self.unsafe = self.useless_blocked | self.cant_blocked
+        self.label_count = {
+            +1: int((self.useless_blocked & ~self.faults).sum()),
+            -1: int((self.cant_blocked & ~self.faults).sum()),
+        }
+
+    def _blocked(self, sign: int) -> np.ndarray:
+        return self.useless_blocked if sign > 0 else self.cant_blocked
+
+    def _refresh_box(self, lo, hi) -> None:
+        sl = tuple(slice(a, b + 1) for a, b in zip(lo, hi, strict=True))
+        useless = self.useless_blocked[sl]
+        self.open[sl] = ~useless
+        self.unsafe[sl] = useless | self.cant_blocked[sl]
+
+    def _refresh_cells(self, cells) -> None:
+        for c in cells:
+            useless = self.useless_blocked[c]
+            self.open[c] = not useless
+            self.unsafe[c] = useless or self.cant_blocked[c]
+
+    def _rule_holds(self, blocked, cell, sign) -> bool:
+        for axis, c in enumerate(cell):
+            n = c + sign
+            if not 0 <= n < self.shape[axis]:
+                return False
+            if not blocked[cell[:axis] + (n,) + cell[axis + 1 :]]:
+                return False
+        return True
+
+    def _box(self, sign, cells):
+        ndim = len(self.shape)
+        if sign > 0:
+            return (0,) * ndim, _corner(cells, ndim, max)
+        return _corner(cells, ndim, min), tuple(k - 1 for k in self.shape)
+
+    @staticmethod
+    def _volume(lo, hi) -> int:
+        out = 1
+        for a, b in zip(lo, hi, strict=True):
+            out *= b - a + 1
+        return out
+
+    def inject(self, cells, event: FaultEvent) -> Coord | None:
+        open_changed = [c for c in cells if self.open[c]]
+        for sign in (+1, -1):
+            blocked = self._blocked(sign)
+            fresh = [c for c in cells if not blocked[c]]
+            relabelled = len(cells) - len(fresh)
+            self.label_count[sign] -= relabelled
+            event.label_delta -= relabelled
+            for c in fresh:
+                blocked[c] = True
+            fired = False
+            for f in cells:
+                for axis in range(len(self.shape)):
+                    if not 0 <= f[axis] - sign < self.shape[axis]:
+                        continue
+                    u = f[:axis] + (f[axis] - sign,) + f[axis + 1 :]
+                    if not blocked[u] and self._rule_holds(blocked, u, sign):
+                        fired = True
+                        break
+                if fired:
+                    break
+            if not fired:
+                continue
+            lo, hi = self._box(sign, cells)
+            sl = tuple(slice(a, b + 1) for a, b in zip(lo, hi, strict=True))
+            before = blocked[sl].copy()
+            grown = region_by_rule(blocked, sign, lo, hi)
+            event.dirty_cells += self._volume(lo, hi)
+            self.label_count[sign] += grown
+            event.label_delta += grown
+            if grown:
+                if sign > 0:
+                    diff = np.argwhere(blocked[sl] != before)
+                    open_changed.extend(
+                        tuple(int(v) + o for v, o in zip(row, lo, strict=True))
+                        for row in diff
+                    )
+                self._refresh_box(lo, hi)
+        self._refresh_cells(cells)
+        ndim = len(self.shape)
+        return _corner(open_changed, ndim, min) if open_changed else None
+
+    def repair(self, cells, event: FaultEvent, fraction: float) -> Coord | None:
+        boxes = {sign: self._box(sign, cells) for sign in (+1, -1)}
+        sweep_volume = sum(
+            self._volume(lo, hi)
+            for sign, (lo, hi) in boxes.items()
+            if self.label_count[sign] > 0
+        )
+        if sweep_volume > fraction * 2 * self.size:
+            self.rebuild(event)
+            return (0,) * len(self.shape)
+        open_changed = list(cells)
+        for sign in (+1, -1):
+            blocked = self._blocked(sign)
+            if self.label_count[sign] == 0:
+                for c in cells:
+                    blocked[c] = False
+                changed = True
+                kept = set()
+                while changed:
+                    changed = False
+                    for c in cells:
+                        if c not in kept and self._rule_holds(blocked, c, sign):
+                            blocked[c] = True
+                            kept.add(c)
+                            changed = True
+                self.label_count[sign] += len(kept)
+                event.label_delta += len(kept)
+                continue
+            lo, hi = boxes[sign]
+            sl = tuple(slice(a, b + 1) for a, b in zip(lo, hi, strict=True))
+            before = blocked[sl].copy()
+            labels_before = int((before & ~self.faults[sl]).sum()) - len(cells)
+            blocked[sl] = self.faults[sl]
+            region_by_rule(blocked, sign, lo, hi)
+            event.dirty_cells += self._volume(lo, hi)
+            labels_after = int((blocked[sl] & ~self.faults[sl]).sum())
+            self.label_count[sign] += labels_after - labels_before
+            event.label_delta += labels_after - labels_before
+            if sign > 0:
+                diff = np.argwhere(blocked[sl] != before)
+                open_changed.extend(
+                    tuple(int(v) + o for v, o in zip(row, lo, strict=True))
+                    for row in diff
+                )
+            self._refresh_box(lo, hi)
+        self._refresh_cells(cells)
+        return _corner(open_changed, len(self.shape), min)
+
+    def rebuild(self, event: FaultEvent) -> None:
+        self.useless_blocked[...] = closure_by_rule(self.faults, +1)
+        self.cant_blocked[...] = closure_by_rule(self.faults, -1)
+        before = self.label_count.copy()
+        self.label_count = {
+            +1: int((self.useless_blocked & ~self.faults).sum()),
+            -1: int((self.cant_blocked & ~self.faults).sum()),
+        }
+        self._refresh_box((0,) * len(self.shape), tuple(k - 1 for k in self.shape))
+        event.full_recomputes += 1
+        event.dirty_cells += 2 * self.size
+        event.label_delta += sum(self.label_count.values()) - sum(before.values())
+
+
+class TwoClosureModel:
+    """Reference model: every requested class keeps both closures."""
+
+    def __init__(self, fault_mask: np.ndarray, fraction: float):
+        self.fault_mask = np.array(fault_mask, dtype=bool)
+        self.fraction = fraction
+        self.classes: dict[tuple[int, ...], TwoClosureClass] = {}
+
+    def request(self, orientation: Orientation) -> None:
+        if orientation.signs not in self.classes:
+            self.classes[orientation.signs] = TwoClosureClass(
+                orientation, self.fault_mask
+            )
+
+    def apply(self, kind: str, cells) -> FaultEvent:
+        for c in cells:
+            self.fault_mask[c] = kind == "inject"
+        event = FaultEvent(epoch=0, kind=kind, cells=tuple(cells))
+        for signs, cls in self.classes.items():
+            canon = [cls.orientation.map_coord(c) for c in cells]
+            if kind == "inject":
+                event.classes[signs] = cls.inject(canon, event)
+            else:
+                event.classes[signs] = cls.repair(canon, event, self.fraction)
+        return event
+
+
 class TestClosureRegion:
     def test_full_box_matches_closure(self):
         rng = np.random.default_rng(5)
@@ -89,7 +294,7 @@ class TestClosureRegion:
             for sign in (+1, -1):
                 want = _closure_reference(mask, sign) | mask
                 got = mask.copy()
-                closure_region(
+                region_by_rule(
                     got, sign, (0,) * len(shape), tuple(k - 1 for k in shape)
                 )
                 assert np.array_equal(want, got)
@@ -98,13 +303,13 @@ class TestClosureRegion:
         blocked = np.zeros((5, 5), dtype=bool)
         blocked[4, 4] = True
         # Box excludes (3, 4)/(4, 3): nothing inside [0,2]^2 can change.
-        grown = closure_region(blocked, +1, (0, 0), (2, 2))
+        grown = closure_region(blocked, (0, 0), (2, 2))
         assert grown == 0
         assert blocked.sum() == 1
 
     def test_empty_box_is_noop(self):
         blocked = np.zeros((4, 4), dtype=bool)
-        assert closure_region(blocked, +1, (2, 2), (1, 1)) == 0
+        assert closure_region(blocked, (2, 2), (1, 1)) == 0
 
     def test_returns_newly_blocked_count(self):
         # A full +corner pocket: (3,3) fault with neighbors (3,4),(4,3)
@@ -112,7 +317,7 @@ class TestClosureRegion:
         # (1,1) leave (0,0) useless.
         blocked = np.zeros((2, 2), dtype=bool)
         blocked[0, 1] = blocked[1, 0] = blocked[1, 1] = True
-        grown = closure_region(blocked, +1, (0, 0), (1, 1))
+        grown = closure_region(blocked, (0, 0), (1, 1))
         assert grown == 1 and blocked[0, 0]
 
 
@@ -147,14 +352,10 @@ class TestIncrementalLabels:
                 # The two masks routing reads, maintained in place.
                 assert np.array_equal(want.unsafe_mask, cls.unsafe)
                 assert np.array_equal(want.open_mask, cls.open)
-                # label_count bookkeeping stays exact (it gates the
-                # repair fast path).
-                assert cls.label_count[+1] == int(
-                    (cls.useless_blocked & ~cls.faults).sum()
-                )
-                assert cls.label_count[-1] == int(
-                    (cls.cant_blocked & ~cls.faults).sum()
-                )
+            # Each closure's label count stays exact (it gates the
+            # repair fast path), requested or partner alike.
+            for cls in model._built.values():
+                assert cls.labels == int((cls.blocked & ~cls.faults).sum())
 
         apply_script(model, script, on_event=check)
         assert epochs == sorted(epochs) and len(set(epochs)) == len(epochs)
@@ -219,6 +420,71 @@ class TestIncrementalLabels:
         model.repair([(0, 1)])
         want = label_grid(model.fault_mask)
         assert np.array_equal(want.status, model.labelled_for().status)
+
+
+def _cant_reach_corner():
+    """A 3-D mask whose identity class has one CANT_REACH label,
+    (1, 1, 1), and no USELESS label."""
+    mask = np.zeros((3, 3, 3), dtype=bool)
+    mask[0, 1, 1] = mask[1, 0, 1] = mask[1, 1, 0] = True
+    return (3, 3, 3), mask
+
+
+class TestAccountingReference:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        # Dense enough that closures hold labels, so repairs reach the
+        # fallback decision and the slab sweeps.
+        mask_strategy(min_density=1 / 6),
+        script_strategy(),
+        st.sampled_from([0.0, 0.75, 1.0]),
+        st.lists(st.none() | st.integers(0, 8), min_size=8, max_size=8),
+    )
+    # Only the identity class is requested, and only its CANT_REACH
+    # closure (its partner's) holds a label: the repair's fallback is
+    # decided by the partner's slab.
+    @example(_cant_reach_corner(), [(False, [0])], 0.0, [0] + [None] * 7)
+    def test_counts_match_two_closure_classes(self, shape_mask, script, fraction, when):
+        """One closure per class, counted per requested class, reads as
+        if each class kept both of its closures: per event, the same
+        ``dirty_cells``, ``label_delta``, ``full_recomputes`` and
+        per-class dirty corners as :class:`TwoClosureModel`, and each
+        closure's label count equals the reference's for that rule.
+        Class ``i`` of ``all_classes`` is requested before the script
+        (``when[i] == 0``), after event ``k`` (``k``), or never
+        (``None``)."""
+        shape, mask = shape_mask
+        orients = all_classes(shape)
+        when = when[: len(orients)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamic_model, "FULL_RECOMPUTE_FRACTION", fraction)
+            model = DynamicFaultModel(mask)
+        ref = TwoClosureModel(mask, fraction)
+        step = [0]
+
+        def request():
+            for o, at in zip(orients, when, strict=True):
+                if at == step[0]:
+                    model.class_for(o)
+                    ref.request(o)
+
+        def check(event, cells):
+            want = ref.apply(event.kind, cells)
+            assert (event.dirty_cells, event.label_delta, event.full_recomputes) == (
+                want.dirty_cells, want.label_delta, want.full_recomputes
+            )
+            assert event.classes == want.classes
+            for signs, cls in model._classes.items():
+                two = ref.classes[signs]
+                assert cls.labels == two.label_count[+1]
+                assert cls.partner.labels == two.label_count[-1]
+                assert np.array_equal(cls.unsafe, two.unsafe)
+                assert np.array_equal(cls.open, two.open)
+            step[0] += 1
+            request()
+
+        request()
+        apply_script(model, script, on_event=check)
 
 
 class TestOnlineRoutingService:
@@ -378,6 +644,14 @@ class TestDynamicClassInternals:
     def test_dynamic_class_open_is_complement(self):
         rng = np.random.default_rng(3)
         mask = rng.random((5, 5)) < 0.25
-        cls = _DynamicClass(Orientation.identity((5, 5)), mask)
-        assert np.array_equal(cls.open, ~cls.useless_blocked)
+        model = DynamicFaultModel(mask)
+        cls = model.class_for()
+        assert np.array_equal(cls.open, ~cls.blocked)
         assert np.array_equal(cls.unsafe, label_grid(mask).unsafe_mask)
+        # One closure per class: the CANT_REACH closure is the opposite
+        # class's USELESS closure, reversed, and shares its memory.
+        assert cls.partner is model._built[(-1, -1)]
+        assert cls.partner.partner is cls
+        assert np.shares_memory(cls.cant, cls.partner.blocked)
+        assert np.array_equal(cls.cant, _closure_reference(mask, -1) | mask)
+        assert (-1, -1) not in model._classes  # built, not requested
