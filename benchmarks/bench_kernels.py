@@ -5,8 +5,9 @@ wavefront flood (single, batched, and the serve tick's mixed-class
 reverse floods), component extraction, wall construction, the
 routing service's batch decomposition with its verdicts, at a serve
 tick's and a static sweep's batch size, a serve tick's walks (the
-batch cases are printed per pair as well), and a serve fault event's
-incremental relabel.
+batch cases are printed per pair as well), a serve fault event's
+incremental relabel, and the DES framework's cost per message (printed
+per message as well).
 
 Two front ends over the same kernel cases:
 
@@ -34,6 +35,7 @@ from repro.core.labelling import label_grid
 from repro.core.walls import build_walls
 from repro.experiments.workloads import random_fault_mask, sample_safe_pair
 from repro.mesh.orientation import Orientation
+from repro.mesh.topology import Mesh3D
 from repro.online import OnlineRoutingService
 from repro.routing.batch import RoutingService
 from repro.routing.oracle import (
@@ -41,6 +43,7 @@ from repro.routing.oracle import (
     reverse_reachable,
     reverse_reachable_many,
 )
+from repro.simkit import MeshNetwork, NodeProcess
 
 
 def test_kernel_labelling_2d_64(benchmark):
@@ -223,12 +226,56 @@ def test_kernel_fault_event_16(benchmark):
     assert service.epoch > epoch and len(service.model._classes) == 8
 
 
+class _Forwarder(NodeProcess):
+    """Sends each message it receives one hop back, until its count ends."""
+
+    def on_message(self, msg):
+        left = msg.payload["left"]
+        if left:
+            self.send(msg.src, "FWD", {"left": left - 1})
+
+
+#: Hops each ``des_forward_10`` message makes after its first send.
+FORWARD_HOPS = 9
+
+
+def des_forward_case():
+    """The DES framework's per-message cost: one-hop forwarding on 10³.
+
+    A fault-free 10³ ``MeshNetwork`` of :class:`_Forwarder` nodes.  A
+    timed call has every node send one message to its first neighbor
+    and runs to quiescence: 1,000 messages bounce ``FORWARD_HOPS`` more
+    times each, so every message is one send (``NodeProcess.send``,
+    ``MeshNetwork.transmit``, the per-kind count and the queue push),
+    one event of the loop and one delivery to a handler that sends the
+    next.
+    """
+    net = MeshNetwork(Mesh3D(10), np.zeros((10, 10, 10), dtype=bool), _Forwarder)
+    starts = [(node, node.neighbors()[0]) for node in net.nodes.values()]
+
+    def run():
+        for node, first in starts:
+            node.send(first, "FWD", {"left": FORWARD_HOPS})
+        net.run_to_quiescence()
+
+    return net, run
+
+
+def test_kernel_des_forward_10(benchmark):
+    net, run = des_forward_case()
+    benchmark(run)
+    assert net.stats.by_kind()["FWD"] % MESSAGES_PER_CALL["des_forward_10"] == 0
+
+
 #: Cases that time one call over a batch of pairs: name -> batch size.
 PAIRS_PER_CALL = {
     "batch_decompose_16_b4": 4,
     "batch_decompose_16_b300": 300,
     "route_tick_16_b4": 4,
 }
+
+#: Cases that time one call over many DES messages: name -> messages.
+MESSAGES_PER_CALL = {"des_forward_10": 1000 * (FORWARD_HOPS + 1)}
 
 
 def build_cases() -> dict:
@@ -249,6 +296,7 @@ def build_cases() -> dict:
     service_b300, pairs_b300 = batch_decompose_case(300)
     tick_service, tick_pairs = route_tick_case()
     _, fault_event = fault_event_case()
+    _, des_forward = des_forward_case()
     return {
         "labelling_2d_64": lambda: label_grid(mask_2d),
         "labelling_3d_20": lambda: label_grid(mask_3d),
@@ -270,6 +318,7 @@ def build_cases() -> dict:
         "batch_decompose_16_b300": lambda: service_b300.feasible_batch(pairs_b300),
         "route_tick_16_b4": lambda: tick_service.route_batch(tick_pairs),
         "fault_event_16": fault_event,
+        "des_forward_10": des_forward,
     }
 
 
@@ -323,6 +372,9 @@ def main() -> None:
         if name in PAIRS_PER_CALL:
             timed["best_s_per_pair"] = timed["best_s"] / PAIRS_PER_CALL[name]
             line += f"   best {timed['best_s_per_pair'] * 1e6:6.2f} us/pair"
+        if name in MESSAGES_PER_CALL:
+            timed["best_s_per_msg"] = timed["best_s"] / MESSAGES_PER_CALL[name]
+            line += f"   best {timed['best_s_per_msg'] * 1e6:6.2f} us/msg"
         print(line)
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "BENCH_kernels.json")

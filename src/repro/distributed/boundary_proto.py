@@ -24,6 +24,12 @@ it is one of the ring nodes where the identification phase deposited
 the shape.  If identification has not finished there yet, the walk
 retries after a short local delay (bounded), mirroring the paper's
 implicit stabilization ordering.
+
+A wall carries what it has merged: ``merged``, the corners of the
+sections it merged, and ``met``, every shape it has looked at, each
+one merged or holding a corner already in ``merged``.  A detour hop
+computes a shape's corner only for a shape not in ``met``; a shape not
+yet met whose corner is in ``merged`` is skipped, as before.
 """
 
 from __future__ import annotations
@@ -126,6 +132,13 @@ class BoundaryMixin(NodeProcess):
         target = self._section_corner(plane, shape)
         if not self.network.mesh.contains(target):
             return  # obstructor hugs the mesh edge: wall ends (barrier)
+        # Record the obstructor, so the detour does not merge it again.
+        met = payload.get("met", ())
+        if shape not in met:
+            payload["met"] = met + (shape,)
+            merged = payload.get("merged", ())
+            if target not in merged:
+                payload["merged"] = merged + (target,)
         payload["mode"] = "detour"
         payload["target"] = target
         # Initial detour heading: turn from -desc toward -guard.
@@ -143,14 +156,12 @@ class BoundaryMixin(NodeProcess):
         # touches and retarget to the deepest corner seen so far, so the
         # walk resumes below the whole chained obstruction.
         merged = payload.get("merged", ())
-        # A shape this hop has looked up is merged by now: its corner,
-        # and so an equal shape's, is in ``merged``.
-        seen = []
+        met = payload.get("met", ())
         for n in unsafe.values():
             shape = self._find_local_shape(plane, n)
-            if shape is None or shape in seen:
+            if shape is None or shape in met:
                 continue
-            seen.append(shape)
+            met += (shape,)
             corner = self._section_corner(plane, shape)
             if corner in merged:
                 continue
@@ -165,6 +176,7 @@ class BoundaryMixin(NodeProcess):
             ):
                 payload["target"] = corner
         payload["merged"] = merged
+        payload["met"] = met
         if self.coord == payload["target"]:
             payload["mode"] = "descend"
             self._wall_descend(payload)

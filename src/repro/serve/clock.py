@@ -105,24 +105,16 @@ class VirtualClock:
         created tasks get to run and register their first timers.
         """
         await self._settle()
-        timers = self._timers
-        when = None
+        # Pop the earliest deadline group that still holds a live timer,
+        # discarding cancelled ones; later groups stay queued, in
+        # registration order, for the next advance.
         due: list[asyncio.Future] = []
-        # Pop the earliest deadline group, discarding cancelled timers
-        # along the way; peek-before-pop keeps later groups untouched so
-        # their registration order survives for the next advance.
-        while True:
-            next_time = timers.peek_time()
-            if next_time is None or (when is not None and next_time != when):
-                break
-            _, fut = timers.pop()
-            if fut.cancelled():
-                continue
-            if when is None:
-                when = next_time
-            due.append(fut)
-        if when is None:
-            return False
+        while not due:
+            group = self._timers.pop_group()
+            if group is None:
+                return False
+            when, futs = group
+            due = [fut for fut in futs if not fut.cancelled()]
         self._now = when
         for fut in due:
             fut.set_result(None)

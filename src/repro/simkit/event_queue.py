@@ -1,14 +1,14 @@
 """Deterministic event queue: one FIFO per timestamp, a heap of times.
 
-Events pop in ``(time, seq)`` order, where ``seq`` is push order:
+Events run in ``(time, seq)`` order, where ``seq`` is push order:
 events at equal timestamps fire in the order they were pushed, so
 simulations are bit-for-bit reproducible.  The order holds by
 construction rather than by a counter: equal times share one FIFO, a
 push appends to its time's FIFO, and a heap holds each pending time
 once.  Protocol messages arrive one link delay after the event that sent
-them, so a DES run has few distinct times with many events at each, and
-most pushes and pops are one ``deque`` operation that never touches the
-heap.
+them, so a DES run has few distinct times with many events at each: a
+push is one ``deque`` append that never touches the heap, and a client
+takes a whole time's FIFO at once (:meth:`EventQueue.pop_group`).
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ class EventQueue:
 
     ``_fifos`` maps each pending time to the deque of its items in push
     order, and ``_times`` is a heap holding each of those times once; a
-    FIFO leaves both as soon as it empties.  Items are opaque: the queue
-    stores each in one FIFO slot and returns it, and never calls,
+    FIFO leaves both when it is popped.  Items are opaque: the queue
+    stores each in one FIFO slot and hands it back, and never calls,
     compares or looks inside one.  Nothing is cancelled: every pushed
-    item pops once.
+    item is popped once, unless a client puts it back unused.
     """
 
     __slots__ = ("_times", "_fifos")
@@ -52,21 +52,37 @@ class EventQueue:
         else:
             fifo.append(item)
 
-    def pop(self) -> tuple[float, Any] | None:
-        """Earliest ``(time, item)``, or None when empty."""
+    def pop_group(self) -> tuple[float, deque] | None:
+        """The earliest time and its FIFO, removed; None when empty.
+
+        The FIFO holds every item pushed at that time so far, in push
+        order, and now belongs to the caller.  A later push at the same
+        time starts a new FIFO, which pops as the next group, so items
+        still come out in ``(time, push order)``.
+        """
         times = self._times
         if not times:
             return None
-        time = times[0]
-        fifo = self._fifos[time]
-        item = fifo.popleft()
-        if not fifo:
-            heapq.heappop(times)
-            del self._fifos[time]
-        return time, item
+        time = heapq.heappop(times)
+        return time, self._fifos.pop(time)
+
+    def put_back(self, time: float, rest: deque) -> None:
+        """Return the unused ``rest`` of a group popped at ``time``.
+
+        ``rest`` goes ahead of anything pushed at ``time`` since the pop,
+        so the queue holds its items in ``(time, push order)`` again.
+        """
+        if not rest:
+            return
+        fifo = self._fifos.get(time)
+        if fifo is None:
+            heapq.heappush(self._times, time)
+        else:
+            rest.extend(fifo)
+        self._fifos[time] = rest
 
     def peek_time(self) -> float | None:
-        """Timestamp of the next event without removing it."""
+        """Timestamp of the next group without removing it."""
         times = self._times
         return times[0] if times else None
 

@@ -4,9 +4,10 @@ An event is an action and its positional arguments, scheduled the way
 asyncio's ``call_later`` takes them: ``schedule(delay, action, *args)``
 queues the pair ``(action, args)`` in one FIFO slot and the loop calls
 ``action(*args)``.  No event builds a closure, nothing is cancelled,
-and the loop reads the queue once per event.  Timers and actions come
-through :meth:`Simulator.schedule`; an uncontended message send pushes
-its ``(deliver, (network, msg))`` pair onto ``queue`` itself (see
+and the loop visits the queue once per timestamp: it pops that time's
+whole FIFO and runs it in push order.  Timers and actions come through
+:meth:`Simulator.schedule`; an uncontended message send pushes its
+``(deliver, (network, msg))`` pair onto ``queue`` itself (see
 :meth:`repro.simkit.network.MeshNetwork.transmit`).
 """
 
@@ -54,36 +55,54 @@ class Simulator:
         guard).  Returns the number of events processed by this call.
         An action that raises ends the run; ``events_processed`` still
         counts every event that ran, including the one that raised.
+
+        Each turn pops the earliest time's FIFO (``pop_group``) and runs
+        it in push order.  An event an action pushes at that same time
+        joins the next group, so it still runs after the FIFO.  While
+        the FIFO runs, its events not yet run are held here, outside the
+        queue; when the run stops inside it, by the budget or a raise,
+        they go back to the front of their time (``put_back``), so the
+        queue then holds exactly the events not yet run.
         """
         if max_events is not None and max_events < 0:
             raise ValueError(f"max_events must be non-negative, got {max_events}")
         queue = self.queue
         observer = self.observer
-        now = self.now
+        # The count starts at 0 and only rises, so -1 is no budget.
+        budget = -1 if max_events is None else max_events
         processed = 0
+        time = fifo = None
         try:
-            # With ``max_events=None`` this test never fails: no budget.
-            while processed != max_events:
+            while processed != budget:
                 if until is not None:
-                    time = queue.peek_time()
-                    if time is None or time > until:
+                    next_time = queue.peek_time()
+                    if next_time is None or next_time > until:
                         break
-                event = queue.pop()
-                if event is None:
+                group = queue.pop_group()
+                if group is None:
                     break
-                time, (action, args) = event
-                if time > now:
-                    now = self.now = time
-                processed += 1
+                time, fifo = group
+                if time > self.now:
+                    self.now = time
+                popleft = fifo.popleft
                 if observer is None:
-                    action(*args)
-                else:
-                    observer.before_event(now)
-                    try:
+                    while fifo and processed != budget:
+                        action, args = popleft()
+                        processed += 1
                         action(*args)
-                    finally:
-                        observer.after_event()
+                else:
+                    now = self.now
+                    while fifo and processed != budget:
+                        action, args = popleft()
+                        processed += 1
+                        observer.before_event(now)
+                        try:
+                            action(*args)
+                        finally:
+                            observer.after_event()
         finally:
+            if fifo:
+                queue.put_back(time, fifo)
             self.events_processed += processed
         return processed
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from typing import Hashable
 
 
@@ -16,20 +16,28 @@ class StatsCollector:
     but the payload tag can, and for a serial run the two accountings
     agree exactly (every message sent during a blocking query carries
     that query's id).
+
+    Both send counters are plain dicts holding only keys that were
+    counted: every send bumps one or two of them, and a plain dict's
+    subscripts run on CPython's fast path, where a ``Counter``'s, like
+    any dict subclass's, do not.  Read a kind or query that may be
+    missing with ``.get(key, 0)``.
     """
 
     def __init__(self) -> None:
-        self.messages_sent: Counter[str] = Counter()
+        self.messages_sent: dict[str, int] = {}
         self.gauges: dict[str, float] = defaultdict(float)
-        self.query_messages: Counter[Hashable] = Counter()
+        self.query_messages: dict[Hashable, int] = {}
         #: End-to-end latency of each delivered source-routed frame, in
         #: delivery order (deterministic under the DES).
         self.frame_latencies: list[float] = []
 
     def on_send(self, kind: str, query: Hashable | None = None) -> None:
-        self.messages_sent[kind] += 1
+        sent = self.messages_sent
+        sent[kind] = sent.get(kind, 0) + 1
         if query is not None:
-            self.query_messages[query] += 1
+            queries = self.query_messages
+            queries[query] = queries.get(query, 0) + 1
 
     def bump(self, name: str, amount: float = 1.0) -> None:
         self.gauges[name] += amount

@@ -25,6 +25,7 @@ observable and that it stays safe:
 
 import hashlib
 import heapq
+from collections import deque
 from types import MappingProxyType
 
 import numpy as np
@@ -147,7 +148,9 @@ class _ShuffledTies:
 
     A heap keyed ``(time, seeded draw, seq)``: events at one time pop in
     an order set by the seed, and ``seq`` keeps keys unique, so heap
-    comparisons never reach the item.
+    comparisons never reach the item.  ``pop_group`` serves each pop as
+    a one-event group, so the simulator takes the events in the order
+    of the draws and a run never has a group's rest to put back.
     """
 
     def __init__(self, seed):
@@ -164,6 +167,13 @@ class _ShuffledTies:
             return None
         time, _, _, item = heapq.heappop(self._heap)
         return time, item
+
+    def pop_group(self):
+        popped = self.pop()
+        if popped is None:
+            return None
+        time, item = popped
+        return time, deque((item,))
 
     def peek_time(self):
         return self._heap[0][0] if self._heap else None

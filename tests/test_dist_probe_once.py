@@ -1,18 +1,32 @@
-"""One probe per neighbor per action: the handlers match a per-plane reference.
+"""The identification and boundary handlers match their references.
 
-The identification and boundary handlers probe each neighbor's safety
-once per action and reuse the result: an edge announcement derives
-every plane's EDGE directions from one probe of the 2n neighbors, a
-corner check reads the EDGE reports before probing anything, and an
-``IDENT`` or detouring ``WALL`` hop hands its in-plane probe to the ring
-step.  :class:`PerPlaneProbeNode` keeps the form they replaced, which
-probes per plane and probes again inside the ring step.  Both must
-leave every node's store, every per-kind message count and the event
-count identical across a build, a batch of queries, an inject and a
-repair.  One lifecycle pins the rare detour hop that touches two
-sections the walk has not merged yet: the reference merges both.
+Two savings, each checked against the form it replaced:
+
+* **One probe per neighbor per action.**  The handlers probe each
+  neighbor's safety once per action and reuse the result: an edge
+  announcement derives every plane's EDGE directions from one probe of
+  the 2n neighbors, a corner check reads the EDGE reports before
+  probing anything, and an ``IDENT`` or detouring ``WALL`` hop hands its
+  in-plane probe to the ring step.  :class:`PerPlaneProbeNode` keeps
+  the form they replaced, which probes per plane and probes again
+  inside the ring step.
+* **A wall carries the shapes it met.**  A detouring ``WALL`` computes a
+  section's corner only for a shape its payload's ``met`` does not
+  hold, and the descent records the obstructor it merges.
+  :class:`PerHopCornerNode` keeps the walk before that: ``merged`` holds
+  corners only, every detour hop computes the corner of each shape it
+  touches, and the first detour hop merges the descent's obstructor
+  again.
+
+Each reference must leave every node's store, every per-kind message
+count and the event count identical to the handlers' across a build, a
+batch of queries, an inject and a repair.  One lifecycle pins the rare
+detour hop that touches a section the walk has met and one it has not:
+the hop must look past the first to merge the second, as the reference
+does.
 """
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -30,6 +44,7 @@ from repro.distributed.ringwalk import (
     _CW_ORDER,
     initial_heading,
     plane_step,
+    ring_step,
 )
 from repro.mesh.topology import Mesh
 from repro.simkit.message import Message
@@ -45,7 +60,74 @@ def _ring_step(coord, heading, clockwise, axis_u, axis_v, passable):
     return None
 
 
-class PerPlaneProbeNode(MCCProtocolNode):
+class PerHopCornerNode(MCCProtocolNode):
+    """The WALL walk before it carried the shapes it met."""
+
+    def _wall_descend(self, payload):
+        desc_axis = payload["desc_axis"]
+        nxt = self.step(desc_axis, -1)
+        if nxt is None:
+            return
+        if not self._is_unsafe(nxt):
+            self._wall_forward(payload, nxt)
+            return
+        plane = payload["plane"]
+        shape = self._find_local_shape(plane, nxt)
+        if shape is None:
+            self._wall_retry(payload)
+            return
+        payload = dict(payload)
+        self._merge_shape(payload, shape)
+        target = self._section_corner(plane, shape)
+        if not self.network.mesh.contains(target):
+            return
+        payload["mode"] = "detour"
+        payload["target"] = target
+        payload["heading"] = self._detour_heading(plane, desc_axis)
+        self._wall_detour(payload)
+
+    def _wall_detour(self, payload):
+        plane = payload["plane"]
+        payload = dict(payload)
+        unsafe, passable = self._probe_plane(plane)
+        merged = payload.get("merged", ())
+        seen = []
+        for n in unsafe.values():
+            shape = self._find_local_shape(plane, n)
+            if shape is None or shape in seen:
+                continue
+            seen.append(shape)
+            corner = self._section_corner(plane, shape)
+            if corner in merged:
+                continue
+            merged += (corner,)
+            self._merge_shape(payload, shape)
+            self._retarget(payload, corner)
+        payload["merged"] = merged
+        if self.coord == payload["target"]:
+            payload["mode"] = "descend"
+            self._wall_descend(payload)
+            return
+        nxt = ring_step(payload["heading"], payload["desc_axis"] == plane[0], passable)
+        if nxt is None:
+            return
+        cell, heading = nxt
+        payload["heading"] = heading
+        self._wall_forward(payload, cell)
+
+    def _retarget(self, payload, corner):
+        """Aim the detour at ``corner`` if it lies deeper than the target."""
+        target = payload["target"]
+        desc = payload["desc_axis"]
+        if self.network.mesh.contains(corner) and (
+            corner[desc] < target[desc]
+            or (corner[desc] == target[desc]
+                and corner[payload["guard_axis"]] < target[payload["guard_axis"]])
+        ):
+            payload["target"] = corner
+
+
+class PerPlaneProbeNode(PerHopCornerNode):
     """The handlers before one-probe-per-action: each plane probes anew."""
 
     def _passable_local(self, coord):
@@ -190,14 +272,7 @@ class PerPlaneProbeNode(MCCProtocolNode):
                 continue
             merged += (corner,)
             self._merge_shape(payload, shape)
-            target = payload["target"]
-            desc = payload["desc_axis"]
-            if self.network.mesh.contains(corner) and (
-                corner[desc] < target[desc]
-                or (corner[desc] == target[desc]
-                    and corner[payload["guard_axis"]] < target[payload["guard_axis"]])
-            ):
-                payload["target"] = corner
+            self._retarget(payload, corner)
         payload["merged"] = merged
         if self.coord == payload["target"]:
             payload["mode"] = "descend"
@@ -244,8 +319,8 @@ def _run(node_class, mask, pairs, cell):
     return pipe
 
 
-def _assert_same_run(mask, pairs, cell):
-    ref = _run(PerPlaneProbeNode, mask, pairs, cell)
+def _assert_same_run(mask, pairs, cell, reference=PerPlaneProbeNode):
+    ref = _run(reference, mask, pairs, cell)
     pipe = _run(MCCProtocolNode, mask, pairs, cell)
     assert pipe.net.sim.events_processed == ref.net.sim.events_processed
     assert pipe.net.stats.by_kind() == ref.net.stats.by_kind()
@@ -285,36 +360,79 @@ def test_handlers_match_per_plane_reference_with_walls(shape, faults, seed):
     assert pipe.net.stats.by_kind()["IDENT"] > 0
 
 
-def _unmerged_sections(node, payload):
-    """Sections next to ``node`` (in-plane) whose corners the walk has
-    not merged: what one ``_wall_detour`` hop may merge."""
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    shape=st.tuples(*(st.integers(3, 7) for _ in range(3))),
+    density=st.floats(0.05, 0.25),
+    seed=st.integers(0, 2**16),
+)
+def test_walls_match_per_hop_corner_reference(shape, density, seed):
+    faults = max(1, int(density * np.prod(shape)))
+    _assert_same_run(
+        *_inputs(shape, faults, seed, queries=12), reference=PerHopCornerNode
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, faults, seed", [((10, 10, 10), 80, 2005), ((8, 8, 8), 60, 198)]
+)
+def test_walls_match_per_hop_corner_reference_with_walls(shape, faults, seed):
+    """Dense lifecycles: the same records from a fraction of the corners.
+
+    The reference computes a section's corner at every detour hop that
+    touches the section; the walk computes one per shape it meets.
+    """
+    corners = Counter()
+    section_corner = BoundaryMixin._section_corner
+
+    def counted(self, plane, shape):
+        corners[type(self)] += 1
+        return section_corner(self, plane, shape)
+
+    with mock.patch.object(BoundaryMixin, "_section_corner", counted):
+        _assert_same_run(
+            *_inputs(shape, faults, seed, queries=20), reference=PerHopCornerNode
+        )
+    assert 0 < corners[MCCProtocolNode] * 20 < corners[PerHopCornerNode]
+
+
+def _sections_touched(node, payload):
+    """``(touched, unmet)``: the sections next to ``node`` (in-plane), and
+    how many of them are missing from the walk's ``met`` shapes: what one
+    ``_wall_detour`` hop looks at, and what it may merge."""
     plane = payload["plane"]
     unsafe, _passable = node._probe_plane(plane)
-    merged = payload.get("merged", ())
-    corners = set()
+    met = payload.get("met", ())
+    shapes = []
     for n in unsafe.values():
         shape = node._find_local_shape(plane, n)
-        if shape is not None:
-            corners.add(node._section_corner(plane, shape))
-    return len(corners - set(merged))
+        if shape is not None and shape not in shapes:
+            shapes.append(shape)
+    return len(shapes), sum(shape not in met for shape in shapes)
 
 
 def test_detour_hop_merges_every_section_it_touches():
-    """A lifecycle whose walls detour past two unmerged sections at once.
+    """A lifecycle whose walls detour past a met section and an unmet one.
 
-    Such hops are rare (the two wall lifecycles above have none).  This
-    8x8x8 pattern has three, all the first detour hop of one wall: its
-    node touches the obstructor the descent merged, whose corner is not
-    yet in ``merged``, and a second section.  Every node's records must
-    match the per-plane reference, which merges each section a hop
-    touches.
+    Such hops are rare (the 8x8x8 wall lifecycle above has none).  This
+    8x8x8 pattern has four: each node touches two sections, one of them
+    missing from the walk's ``met`` shapes, so the hop must look past
+    the section it has met to merge the other.  Every node's records
+    must match the per-hop-corner reference, which merges each section
+    a hop touches.
     """
     touched = []
 
     def counted(self, payload):
-        touched.append(_unmerged_sections(self, payload))
+        touched.append(_sections_touched(self, payload))
         return BoundaryMixin._wall_detour(self, payload)
 
     with mock.patch.object(MCCProtocolNode, "_wall_detour", counted):
-        _assert_same_run(*_inputs((8, 8, 8), 60, 198, queries=0))
-    assert sum(n >= 2 for n in touched) >= 1
+        _assert_same_run(
+            *_inputs((8, 8, 8), 60, 198, queries=0), reference=PerHopCornerNode
+        )
+    assert sum(sections >= 2 and unmet >= 1 for sections, unmet in touched) >= 1

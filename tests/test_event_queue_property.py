@@ -1,10 +1,15 @@
 """Hypothesis lockstep suite: EventQueue against a list model.
 
 The model keeps the pending ``(time, seq, tag)`` entries in a plain
-list and pops the minimum.  The queue and the model are driven through
-identical op sequences and must agree on everything observable: pop
-order (including ``seq`` tie-breaking), peeked times, ``__len__``/
-``__bool__`` accounting, and input validation.
+list; a group pop takes every entry at the minimum time, in ``seq``
+order, and a put-back returns entries with their original ``seq``.
+The queue and the model are driven through identical op sequences and
+must agree on everything observable: group order and contents
+(including ``seq`` tie-breaking), peeked times, ``__len__``/
+``__bool__`` accounting, and input validation.  A group op mirrors the
+simulator's loop: it pops a group, pushes while the group is out (at
+the group's own time too), uses the group's first ``k`` items and puts
+the rest back.
 
 Time distributions are adversarial for an ordered queue: dense
 fractional times, all-equal bursts (ordering decided by ``seq`` alone),
@@ -50,11 +55,18 @@ _boundary_times = st.builds(
 
 _times = st.one_of(_dense_times, _equal_times, _spread_times, _boundary_times)
 
-# Op alphabet for the lockstep driver.
+# A push made while a group is out: at the group's own time (None) or
+# at any time.
+_group_pushes = st.lists(st.one_of(st.none(), _times), max_size=4)
+
+# Op alphabet for the lockstep driver.  A group op carries how many of
+# the group's items are used and the pushes made while it is out.
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("push"), _times),
-        st.tuples(st.just("pop"), st.just(None)),
+        st.tuples(
+            st.just("group"), st.tuples(st.integers(0, 6), _group_pushes)
+        ),
         st.tuples(st.just("peek"), st.just(None)),
         st.tuples(st.just("len"), st.just(None)),
     ),
@@ -73,15 +85,54 @@ class _Model:
         self.pending.append((time, self.seq, tag))
         self.seq += 1
 
-    def pop(self):
+    def pop_group(self):
+        """The entries at the minimum time, in ``seq`` order, removed."""
         if not self.pending:
             return None
-        entry = min(self.pending)
-        self.pending.remove(entry)
-        return entry[0], entry[2]
+        time = min(self.pending)[0]
+        group = sorted(e for e in self.pending if e[0] == time)
+        self.pending = [e for e in self.pending if e[0] != time]
+        return time, group
+
+    def put_back(self, entries):
+        self.pending += entries
 
     def peek_time(self):
         return min(self.pending)[0] if self.pending else None
+
+
+def _push(queue, model, time):
+    # Items are never called by the queue, so the push index (which
+    # equals the model's seq) makes groups comparable.
+    tag = model.seq
+    model.push(time, tag)
+    assert queue.push(time, tag) is None
+
+
+def _group(queue, model, used, pushes):
+    """Pop a group from both, push while it is out, use ``used`` items
+    and put the rest back."""
+    popped = queue.pop_group()
+    expected = model.pop_group()
+    if expected is None:
+        assert popped is None
+        return
+    time, fifo = popped
+    assert (time, list(fifo)) == (expected[0], [e[2] for e in expected[1]])
+    for push_time in pushes:
+        _push(queue, model, time if push_time is None else push_time)
+    for _ in range(min(used, len(fifo))):
+        fifo.popleft()
+    queue.put_back(time, fifo)
+    model.put_back(expected[1][used:])
+
+
+def _drained(queue):
+    out = []
+    while (group := queue.pop_group()) is not None:
+        time, fifo = group
+        out += [(time, tag) for tag in fifo]
+    return out
 
 
 def _run_lockstep(ops):
@@ -90,13 +141,9 @@ def _run_lockstep(ops):
     model = _Model()
     for op, arg in ops:
         if op == "push":
-            # Items are never called by the queue, so the push index
-            # (which equals the model's seq) makes pops comparable.
-            tag = model.seq
-            model.push(arg, tag)
-            assert queue.push(arg, tag) is None
-        elif op == "pop":
-            assert queue.pop() == model.pop()
+            _push(queue, model, arg)
+        elif op == "group":
+            _group(queue, model, *arg)
         elif op == "peek":
             assert queue.peek_time() == model.peek_time()
         elif op == "len":
@@ -104,13 +151,10 @@ def _run_lockstep(ops):
             assert bool(queue) == bool(model.pending)
     # Full drain: the remaining (time, tag) streams must match, then
     # both report empty.
-    while True:
-        popped = queue.pop()
-        assert popped == model.pop()
-        if popped is None:
-            break
+    assert _drained(queue) == [(time, tag) for time, _, tag in sorted(model.pending)]
     assert len(queue) == 0
     assert not queue
+    assert queue.peek_time() is None
 
 
 class TestLockstep:
@@ -122,9 +166,22 @@ class TestLockstep:
     @given(st.lists(_equal_times, min_size=1, max_size=64))
     @settings(max_examples=50, deadline=None)
     def test_equal_time_bursts_fifo(self, times):
-        # Pure tie-break stress: every pop must come out in push order
-        # within a timestamp.
+        # Pure tie-break stress: every group must come out in push
+        # order within a timestamp.
         _run_lockstep([("push", t) for t in times])
+
+    @given(
+        st.lists(_equal_times, min_size=1, max_size=16),
+        st.lists(st.tuples(st.integers(0, 4), _group_pushes), max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pushes_at_the_time_being_drained(self, times, groups):
+        # Few distinct times, and every group op pushes while its group
+        # is out: the pushes at the group's own time must come out
+        # after the group's unused rest.
+        ops = [("push", t) for t in times]
+        ops += [("group", (used, [None, *pushes])) for used, pushes in groups]
+        _run_lockstep(ops)
 
 
 class TestValidation:
@@ -138,5 +195,5 @@ class TestValidation:
         with pytest.raises(ValueError):
             sim.schedule(bad, lambda: None)
         # A rejected push must leave no residue.
-        assert len(queue) == 0 and queue.pop() is None
+        assert len(queue) == 0 and queue.pop_group() is None
         assert sim.idle

@@ -69,6 +69,34 @@ class TestVirtualClock:
         assert order == [0, 1, 2, 3, 4]
         assert clock.now() == 1.0
 
+    def test_advance_skips_a_wholly_cancelled_deadline_group(self):
+        # Every timer due at 1.0 is cancelled: advance moves on to the
+        # next deadline group in one call and fires it in registration
+        # order, and a later advance finds no live timer.
+        clock = VirtualClock()
+        order = []
+
+        async def sleeper(tag, delay):
+            await clock.sleep(delay)
+            order.append(tag)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            doomed = [loop.create_task(sleeper(k, 1.0)) for k in range(3)]
+            kept = [loop.create_task(sleeper(k, 2.0)) for k in (3, 4)]
+            await asyncio.sleep(0)  # every sleeper registers its timer
+            assert pending_timers(clock) == 5
+            for task in doomed:
+                task.cancel()
+            assert await clock.advance() is True
+            assert clock.now() == 2.0
+            assert all(task.done() for task in kept)
+            assert pending_timers(clock) == 0
+            assert await clock.advance() is False
+
+        asyncio.run(scenario())
+        assert order == [3, 4]
+
     def test_advance_settles_before_reporting_idle(self):
         # A freshly created task that will register a timer must get a
         # chance to run before advance() declares the clock idle.

@@ -15,26 +15,66 @@ from repro.simkit.stats import StatsCollector
 from tests.conftest import record_deliveries
 
 
+def _drain(q):
+    """Every ``(time, item)`` left in ``q``, group by group."""
+    out = []
+    while (group := q.pop_group()) is not None:
+        time, fifo = group
+        out += [(time, item) for item in fifo]
+    return out
+
+
 class TestEventQueue:
     def test_time_order(self):
         q = EventQueue()
-        out = []
-        q.push(3.0, lambda: out.append("c"))
-        q.push(1.0, lambda: out.append("a"))
-        q.push(2.0, lambda: out.append("b"))
-        while q:
-            _, action = q.pop()
-            action()
-        assert out == ["a", "b", "c"]
+        q.push(3.0, "c")
+        q.push(1.0, "a")
+        q.push(2.0, "b")
+        assert _drain(q) == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
+        assert not q and q.pop_group() is None
 
     def test_fifo_tie_breaking(self):
         q = EventQueue()
-        out = []
         for i in range(5):
-            q.push(1.0, lambda i=i: out.append(i))
-        while q:
-            q.pop()[1]()
-        assert out == [0, 1, 2, 3, 4]
+            q.push(1.0, i)
+        time, fifo = q.pop_group()
+        assert time == 1.0 and list(fifo) == [0, 1, 2, 3, 4]
+        assert not q
+
+    def test_push_at_a_popped_time_starts_the_next_group(self):
+        q = EventQueue()
+        q.push(1.0, "a")
+        q.push(2.0, "c")
+        time, fifo = q.pop_group()
+        q.push(1.0, "b")
+        assert (time, list(fifo)) == (1.0, ["a"])
+        assert q.peek_time() == 1.0 and len(q) == 2
+        assert _drain(q) == [(1.0, "b"), (2.0, "c")]
+
+    def test_put_back_goes_ahead_of_later_pushes(self):
+        q = EventQueue()
+        for item in ("a", "b", "c"):
+            q.push(1.0, item)
+        time, fifo = q.pop_group()
+        fifo.popleft()
+        q.push(1.0, "d")
+        q.push(0.5, "first")
+        q.put_back(time, fifo)
+        assert len(q) == 4
+        assert _drain(q) == [(0.5, "first"), (1.0, "b"), (1.0, "c"), (1.0, "d")]
+
+    def test_put_back_restores_a_time_and_ignores_an_empty_rest(self):
+        q = EventQueue()
+        q.push(1.0, "a")
+        q.push(1.0, "b")
+        time, fifo = q.pop_group()
+        fifo.popleft()
+        q.put_back(time, fifo)
+        assert q.peek_time() == 1.0 and len(q) == 1
+        time, fifo = q.pop_group()
+        fifo.popleft()
+        q.put_back(time, fifo)
+        assert not q and q.peek_time() is None and len(q) == 0
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -52,6 +92,7 @@ class _RecordingObserver:
 
     def __init__(self):
         self.nows = []
+        self.afters = 0
         self.inside = False
 
     def before_event(self, now):
@@ -62,6 +103,7 @@ class _RecordingObserver:
     def after_event(self):
         assert self.inside
         self.inside = False
+        self.afters += 1
 
 
 def _run_both(case):
@@ -85,6 +127,9 @@ def _run_both(case):
     assert observed.now == plain.now
     assert observed.events_processed == plain.events_processed
     assert observed.observer.nows == [now for _, now in fired]
+    # One before/after pair per event, a raising one included.
+    assert observed.observer.afters == len(observed.observer.nows)
+    assert observed.observer.afters == observed.events_processed
     assert not observed.observer.inside
     return plain, fired
 
@@ -142,6 +187,90 @@ class TestSimulator:
 
         sim, fired = _run_both(case)
         assert fired == [("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 2.0)]
+        assert sim.events_processed == 4
+
+    @staticmethod
+    def _chained(sim, fired):
+        """Three events at 1.0 whose actions push at 1.0 and 2.0, and one at 3.0.
+
+        Each of ``a`` and ``b`` pushes one event at its own time (delay
+        0), which must run after every event already due then, and one
+        a time unit later.
+        """
+
+        def spawn(label):
+            def action():
+                fired.append((label, sim.now))
+                sim.schedule(0.0, _note(sim, fired, label + "0"))
+                sim.schedule(1.0, _note(sim, fired, label + "1"))
+
+            return action
+
+        sim.schedule(1.0, spawn("a"))
+        sim.schedule(1.0, spawn("b"))
+        sim.schedule(1.0, _note(sim, fired, "c"))
+        sim.schedule(3.0, _note(sim, fired, "d"))
+
+    CHAINED_ORDER = [
+        ("a", 1.0), ("b", 1.0), ("c", 1.0), ("a0", 1.0), ("b0", 1.0),
+        ("a1", 2.0), ("b1", 2.0), ("d", 3.0),
+    ]
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 7])
+    def test_resumed_runs_replay_one_run(self, budget):
+        # Runs cut by a budget, anywhere inside a timestamp, and resumed
+        # fire the events of one uncut run in the same order.
+        def case(sim, fired):
+            self._chained(sim, fired)
+            while not sim.idle:
+                before = len(fired)
+                assert sim.run(max_events=budget) == len(fired) - before
+                assert len(fired) - before <= budget
+                # Four events at the start, and two more per spawner run.
+                spawned = 2 * sum(label in ("a", "b") for label, _ in fired)
+                assert len(sim.queue) == 4 + spawned - len(fired)
+
+        sim, fired = _run_both(case)
+        assert fired == self.CHAINED_ORDER
+        assert sim.events_processed == len(self.CHAINED_ORDER)
+
+    def test_until_stops_at_a_timestamp_boundary(self):
+        # ``until`` runs every event due by then, the ones pushed at
+        # that very time while it runs included, and nothing later.
+        def case(sim, fired):
+            self._chained(sim, fired)
+            assert sim.run(until=1.0) == 5
+            assert sim.queue.peek_time() == 2.0 and len(sim.queue) == 3
+            assert sim.run(until=2.5) == 2
+            assert sim.now == 2.0 and sim.queue.peek_time() == 3.0
+            sim.run()
+
+        sim, fired = _run_both(case)
+        assert fired == self.CHAINED_ORDER
+
+    def test_raise_inside_a_timestamp_leaves_the_rest_queued(self):
+        # The second of three events at 1.0 pushes one more at 1.0 and
+        # raises: the queue then holds exactly the two events not yet
+        # run, in the order one uncut run would fire them.
+        def case(sim, fired):
+            def boom():
+                fired.append(("boom", sim.now))
+                sim.schedule(0.0, _note(sim, fired, "pushed"))
+                raise KeyError("boom")
+
+            sim.schedule(1.0, _note(sim, fired, "a"))
+            sim.schedule(1.0, boom)
+            sim.schedule(1.0, _note(sim, fired, "c"))
+            with pytest.raises(KeyError):
+                sim.run()
+            assert len(sim.queue) == 2 and sim.queue.peek_time() == 1.0
+            assert not sim.idle
+            assert sim.run() == 2
+            assert len(sim.queue) == 0 and sim.queue.peek_time() is None
+            assert sim.idle
+
+        sim, fired = _run_both(case)
+        assert fired == [("a", 1.0), ("boom", 1.0), ("c", 1.0), ("pushed", 1.0)]
         assert sim.events_processed == 4
 
     def test_negative_max_events_rejected(self):
