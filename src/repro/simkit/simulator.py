@@ -68,6 +68,7 @@ class Simulator:
             raise ValueError(f"max_events must be non-negative, got {max_events}")
         queue = self.queue
         observer = self.observer
+        now = self.now
         # The count starts at 0 and only rises, so -1 is no budget.
         budget = -1 if max_events is None else max_events
         processed = 0
@@ -82,19 +83,15 @@ class Simulator:
                 if group is None:
                     break
                 time, fifo = group
-                if time > self.now:
-                    self.now = time
+                if time > now:
+                    now = self.now = time
                 popleft = fifo.popleft
-                if observer is None:
-                    while fifo and processed != budget:
-                        action, args = popleft()
-                        processed += 1
+                while fifo and processed != budget:
+                    action, args = popleft()
+                    processed += 1
+                    if observer is None:
                         action(*args)
-                else:
-                    now = self.now
-                    while fifo and processed != budget:
-                        action, args = popleft()
-                        processed += 1
+                    else:
                         observer.before_event(now)
                         try:
                             action(*args)
